@@ -1,12 +1,21 @@
 """Exact cyclotomic field arithmetic.
 
 Elements of Q(zeta_M) are stored as the unique reduced residue modulo the
-M-th cyclotomic polynomial Phi_M: a tuple of phi(M) rational coordinates
+M-th cyclotomic polynomial Phi_M: phi(M) rational coordinates
 (a_0, ..., a_{phi(M)-1}) representing sum a_i zeta_M^i.  Reduction mod Phi_M
 (rather than mod x^M - 1) makes equality of coordinates equality in the
 field, which every series-coefficient comparison in this package relies on.
 
-All arithmetic is pure and exact; no floats, no complex embeddings.
+The coordinates are stored as a tuple of int numerators `num` over one
+positive int denominator `den`, in lowest terms (gcd(den, *num) == 1), so
+equality and hashing compare the representation directly; `coeffs` gives
+them as `Fraction`s.  Ring operations run in int arithmetic, and every
+reduction uses one cached table of x^k mod Phi_M for 0 <= k < M: its rows
+are integral because Phi_M is monic, and zeta^M = 1 folds any exponent
+into that range.
+
+All arithmetic is pure and exact; no floats, no complex embeddings.  Every
+coordinate enters through `_rat`, which accepts int and `Fraction` only.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError("phi is defined for positive integers")
@@ -64,7 +74,8 @@ def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[in
         if coeff == 0:
             num.pop()
             continue
-        assert coeff % lead == 0
+        if coeff % lead:
+            raise ArithmeticError(f"{coeff} is not divisible by leading coefficient {lead}")
         c = coeff // lead
         pos = len(num) - 1 - d
         q[pos] = c
@@ -90,149 +101,139 @@ def cyclo_poly(M: int) -> tuple[int, ...]:
     for d in range(1, M):
         if M % d == 0:
             num, rem = _poly_divmod_int(num, list(cyclo_poly(d)))
-            assert not rem
+            if rem:
+                raise ArithmeticError(f"Phi_{d} does not divide x^{M} - 1")
     return tuple(num)
 
 
+def _rat(x) -> tuple[int, int]:
+    """(numerator, positive denominator) of an exact rational.
+
+    The single entry point for coordinates: floats would carry binary
+    rounding into the field and bools are not numbers here, so both raise.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"exact rational (int or Fraction) required, got {type(x).__name__}")
+    return x.numerator, x.denominator
+
+
+def _common_den(coeffs) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of `coeffs`."""
+    pairs = [_rat(c) for c in coeffs]
+    den = 1
+    for _, d in pairs:
+        den = den // gcd(den, d) * d
+    return [n * (den // d) for n, d in pairs], den
+
+
 @lru_cache(maxsize=None)
-def _xpow_table(M: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^k mod Phi_M for 0 <= k <= 2*(phi(M)-1), as coordinate tuples."""
-    phi = euler_phi(M)
+def _xpow(M: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^k mod Phi_M for 0 <= k < M, each row as its nonzero (index, coeff) pairs."""
     phi_poly = cyclo_poly(M)
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(0)] * phi
-    cur[0] = Fraction(1)
-    for _ in range(2 * phi - 1):
-        rows.append(tuple(cur))
+    phi = len(phi_poly) - 1
+    rows = []
+    cur = [1] + [0] * (phi - 1)
+    for _ in range(M):
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
         # multiply by x, then reduce the single overflow term via
         # x^phi = -(phi_poly[0] + ... + phi_poly[phi-1] x^{phi-1})
         top = cur[-1]
-        cur = [Fraction(0)] + cur[:-1]
+        cur = [0] + cur[:-1]
         if top:
             for i in range(phi):
                 cur[i] -= top * phi_poly[i]
     return tuple(rows)
 
 
-def _reduce_poly(M: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce an arbitrary-degree polynomial in zeta_M modulo Phi_M."""
-    phi = euler_phi(M)
-    table = None
-    out = [Fraction(0)] * phi
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        k %= M  # zeta_M^M = 1
-        if k < phi:
-            out[k] += c
-        else:
-            if table is None:
-                table = _xpow_table(M)
-            if k < len(table):
-                row = table[k]
-            else:
-                row = _zeta_pow_coords(M, k)
-            for i in range(phi):
-                out[i] += c * row[i]
-    return tuple(out)
+def _reduce(M: int, phi: int, poly: list[int]) -> list[int]:
+    """Reduce integer coefficients of zeta_M^0, zeta_M^1, ... modulo Phi_M."""
+    out = poly[:phi]
+    out += [0] * (phi - len(out))
+    if len(poly) > phi:
+        rows = _xpow(M)
+        for k in range(phi, len(poly)):
+            c = poly[k]
+            if c:
+                for i, r in rows[k % M]:
+                    out[i] += c * r
+    return out
 
 
-@lru_cache(maxsize=None)
-def _zeta_pow_coords(M: int, k: int) -> tuple[Fraction, ...]:
-    """Coordinates of zeta_M^k (any k) in the reduced basis."""
-    phi = euler_phi(M)
-    phi_poly = cyclo_poly(M)
-    k %= M
-    if k < phi:
-        coords = [Fraction(0)] * phi
-        coords[k] = Fraction(1)
-        return tuple(coords)
-    # reduce x^k mod Phi_M by iterated multiplication by x (k < M is small)
-    cur = [Fraction(0)] * phi
-    cur[0] = Fraction(1)
-    for _ in range(k):
-        top = cur[-1]
-        cur = [Fraction(0)] + cur[:-1]
-        if top:
-            for i in range(phi):
-                cur[i] -= top * phi_poly[i]
-    return tuple(cur)
-
-
-def _mul_coords(
-    M: int, a: tuple[Fraction, ...], b: tuple[Fraction, ...]
-) -> tuple[Fraction, ...]:
-    phi = euler_phi(M)
-    conv = [Fraction(0)] * (2 * phi - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                conv[i + j] += ai * bj
-    table = _xpow_table(M)
-    out = [Fraction(0)] * phi
-    for k, c in enumerate(conv):
-        if not c:
-            continue
-        row = table[k]
-        for i in range(phi):
-            out[i] += c * row[i]
-    return tuple(out)
+def _make(M: int, num, den: int) -> "CycloElement":
+    """Element with coordinates num/den (den > 0), put in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    self = object.__new__(CycloElement)
+    _set_M(self, M)
+    _set_num(self, tuple(num))
+    _set_den(self, den)
+    return self
 
 
 class CycloElement:
     """An element of Q(zeta_M), reduced modulo Phi_M."""
 
-    __slots__ = ("M", "coeffs")
+    __slots__ = ("M", "num", "den")
 
     def __init__(self, M: int, coeffs):
         phi = euler_phi(M)
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != phi:
+        num, den = _common_den(coeffs)
+        if len(num) != phi:
             raise ValueError(f"need {phi} coordinates for conductor {M}")
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set_M(self, M)
+        _set_num(self, tuple(num))
+        _set_den(self, den)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("CycloElement is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The phi(M) coordinates as `Fraction`s."""
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.num)
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_poly(M: int, coeffs) -> "CycloElement":
         """Build from arbitrary-length zeta_M-power coefficients."""
-        return CycloElement(M, _reduce_poly(M, [Fraction(c) for c in coeffs]))
+        num, den = _common_den(coeffs)
+        return _make(M, _reduce(M, euler_phi(M), num), den)
 
     @staticmethod
     def rational(M: int, x) -> "CycloElement":
-        phi = euler_phi(M)
-        coords = [Fraction(0)] * phi
-        coords[0] = Fraction(x)
-        return CycloElement(M, coords)
+        n, d = _rat(x)
+        return _make(M, (n,) + (0,) * (euler_phi(M) - 1), d)
 
     @staticmethod
     def zeta_pow(M: int, k: int) -> "CycloElement":
-        return CycloElement(M, _zeta_pow_coords(M, k))
+        num = [0] * euler_phi(M)
+        for i, r in _xpow(M)[k % M]:
+            num[i] = r
+        return _make(M, num, 1)
 
     # -- structure ----------------------------------------------------
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycloElement):
             return NotImplemented
-        return self.M == other.M and self.coeffs == other.coeffs
+        return self.M == other.M and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.M, self.coeffs))
+        return hash((self.M, self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -247,14 +248,19 @@ class CycloElement:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return CycloElement(
-            self.M, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        da, db = self.den, other.den
+        if da == db:
+            return _make(self.M, [a + b for a, b in zip(self.num, other.num)], da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _make(
+            self.M, [a * fa + b * fb for a, b in zip(self.num, other.num)], da * fa
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElement(self.M, tuple(-a for a in self.coeffs))
+        return _make(self.M, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -263,12 +269,19 @@ class CycloElement:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return CycloElement.rational(self.M, 0)
-            return CycloElement(self.M, tuple(a * other for a in self.coeffs))
+        if not isinstance(other, CycloElement):
+            n, d = _rat(other)
+            return _make(self.M, [a * n for a in self.num], self.den * d)
         other = self._coerce(other)
-        return CycloElement(self.M, _mul_coords(self.M, self.coeffs, other.coeffs))
+        a, b = self.num, other.num
+        phi = len(a)
+        nz_b = [(j, bj) for j, bj in enumerate(b) if bj]
+        conv = [0] * (2 * phi - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in nz_b:
+                    conv[i + j] += ai * bj
+        return _make(self.M, _reduce(self.M, phi, conv), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -345,30 +358,19 @@ class CycloElement:
         if M2 % self.M != 0:
             raise ValueError(f"{self.M} does not divide {M2}")
         s = M2 // self.M
-        out = [Fraction(0)] * (euler_phi(self.M) * s + 1)
-        big: list[Fraction] = []
-        for i, c in enumerate(self.coeffs):
-            k = i * s
-            while len(big) <= k:
-                big.append(Fraction(0))
-            big[k] += c
-        return CycloElement.from_poly(M2, big)
+        big = [0] * ((len(self.num) - 1) * s + 1)
+        big[::s] = self.num
+        return _make(M2, _reduce(M2, euler_phi(M2), big), self.den)
 
     def galois(self, u: int) -> "CycloElement":
         """The automorphism determined by zeta_M -> zeta_M^u, gcd(u, M) = 1."""
-        if gcd(u, self.M) != 1:
-            raise ValueError(f"{u} is not coprime to {self.M}")
-        phi = euler_phi(self.M)
-        out = [Fraction(0)] * phi
-        changed = False
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            row = _zeta_pow_coords(self.M, (i * u) % self.M)
-            for j in range(phi):
-                out[j] += c * row[j]
-            changed = True
-        return CycloElement(self.M, out if changed else out)
+        M = self.M
+        if gcd(u, M) != 1:
+            raise ValueError(f"{u} is not coprime to {M}")
+        big = [0] * M
+        for i, c in enumerate(self.num):
+            big[(i * u) % M] = c
+        return _make(M, _reduce(M, len(self.num), big), self.den)
 
     def __repr__(self):
         terms = []
@@ -382,6 +384,12 @@ class CycloElement:
             else:
                 terms.append(f"{c}*z{self.M}^{i}")
         return " + ".join(terms) if terms else "0"
+
+
+# slot setters: immutable elements are built without going through __setattr__
+_set_M = CycloElement.M.__set__
+_set_num = CycloElement.num.__set__
+_set_den = CycloElement.den.__set__
 
 
 def zeta(M: int, k: int = 1) -> CycloElement:

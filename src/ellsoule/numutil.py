@@ -22,7 +22,9 @@ def is_prime(n: int) -> bool:
 
 
 def vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer n."""
+    """p-adic valuation of a nonzero integer n, for p >= 2."""
+    if p < 2:
+        raise ValueError(f"valuation needs p >= 2, got {p}")
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     v = 0

@@ -213,7 +213,8 @@ def eta_exponent(ell: int, r: int, N: int, c: int, x1: int) -> int:
     """Exponent (in q^{1/M} units) of the monomial normalizer at a point
     with first coordinate x1: the smoothed-B_2 value itself."""
     v = smoothed_b2(ell ** r * N, c, x1)
-    assert v.denominator == 1
+    if v.denominator != 1:
+        raise ValueError(f"smoothed B_2 value {v} at x1 = {x1} is not an integer exponent")
     return v.numerator
 
 

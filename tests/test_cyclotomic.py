@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ellsoule.cyclotomic import CycloElement, cyclo_poly, euler_phi, zeta
 
@@ -99,3 +100,105 @@ def test_cyclotomic_relation_reduces():
     # 1 + zeta_3 + zeta_3^2 = 0
     z = zeta(3)
     assert z**2 + z + CycloElement.rational(3, 1) == CycloElement.rational(3, 0)
+
+
+# the integer-coordinate representation, checked by independent routes;
+# 2*phi(M) - 2 >= M at 5 and 7, so products wrap past zeta^M = 1
+
+wrap_levels = st.sampled_from([5, 7, 12, 42])
+
+
+def _phi_remainder(poly: list[Fraction], M: int) -> list[Fraction]:
+    """poly mod Phi_M by long division in Fractions."""
+    rem = list(poly)
+    phi_poly = cyclo_poly(M)
+    d = len(phi_poly) - 1
+    for top in range(len(rem) - 1, d - 1, -1):
+        c = rem[top]
+        if c:
+            for i, p in enumerate(phi_poly):
+                rem[top - d + i] -= c * p
+    return rem[:d]
+
+
+@given(wrap_levels, st.data())
+def test_product_agrees_with_polynomial_product(M, data):
+    a = data.draw(elements(M=M))
+    b = data.draw(elements(M=M))
+    conv = [Fraction(0)] * (2 * euler_phi(M) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            conv[i + j] += x * y
+    for i, z in enumerate((a * b).coeffs):
+        conv[i] -= z
+    assert not any(_phi_remainder(conv, M))
+
+
+@given(wrap_levels, st.data())
+def test_representation_is_canonical(M, data):
+    a = data.draw(elements(M=M))
+    b = data.draw(elements(M=M))
+    for x in (a, b, a + b, a - b, a * b, -a, a * Fraction(6, 35), a.galois(-1)):
+        assert x.den > 0
+        assert gcd(x.den, *x.num) == 1
+        assert x.coeffs == tuple(Fraction(n, x.den) for n in x.num)
+    # the same value reached by different routes: equal, and equal hashes
+    j = data.draw(st.integers(0, M))
+    padded = list(a.coeffs) + [Fraction(0)] * (j + 1)
+    for i, p in enumerate(cyclo_poly(M)):
+        padded[i + j] += Fraction(p, 7)  # add Phi_M * x^j / 7
+    for x, y in ((CycloElement.from_poly(M, padded), a), ((a + b) - b, a), (a * b, b * a)):
+        assert x == y and hash(x) == hash(y)
+
+
+@given(wrap_levels, st.integers(-200, 200))
+def test_zeta_pow_any_exponent(M, k):
+    z = CycloElement.zeta_pow(M, k)
+    assert z == zeta(M) ** (k % M)
+    assert z * CycloElement.zeta_pow(M, -k) == CycloElement.rational(M, 1)
+    assert z == CycloElement.zeta_pow(M, k + 3 * M)
+
+
+@given(wrap_levels, st.data())
+def test_galois_round_trip(M, data):
+    a = data.draw(elements(M=M))
+    u = data.draw(st.sampled_from([u for u in range(1, M) if gcd(u, M) == 1]))
+    assert a.galois(u).galois(pow(u, -1, M)) == a
+    image = CycloElement.rational(M, 0)
+    for i, c in enumerate(a.coeffs):
+        image = image + zeta(M) ** (i * u % M) * c
+    assert a.galois(u) == image
+
+
+@given(wrap_levels, st.sampled_from([2, 3]), st.data())
+def test_embed_round_trip(M, s, data):
+    a = data.draw(elements(M=M))
+    b = data.draw(elements(M=M))
+    M2 = M * s
+    assert a.embed(M2).embed(2 * M2) == a.embed(2 * M2)
+    assert (a * b).embed(M2) == a.embed(M2) * b.embed(M2)
+    # an embedded element is fixed by zeta_M2 -> zeta_M2^u for u = 1 mod M
+    u = next(u for u in range(M + 1, M2 * M, M) if gcd(u, M2) == 1)
+    assert a.embed(M2).galois(u) == a.embed(M2)
+
+
+inexact = st.floats() | st.booleans()
+
+
+@given(inexact, st.sampled_from([1, 3, 12]))
+@example(0.1, 3)  # used to become 3602879701896397/36028797018963968
+@example(True, 3)  # used to become 1
+def test_inexact_coordinates_are_rejected(x, M):
+    with pytest.raises(TypeError):
+        CycloElement.rational(M, x)
+    with pytest.raises(TypeError):
+        CycloElement.from_poly(M, [x])
+    with pytest.raises(TypeError):
+        CycloElement(M, [x] + [0] * (euler_phi(M) - 1))
+    with pytest.raises(TypeError):
+        zeta(M) * x
+    with pytest.raises(TypeError):
+        x * zeta(M)
+    with pytest.raises(TypeError):
+        zeta(M) + x
+

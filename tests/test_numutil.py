@@ -26,6 +26,12 @@ def test_vp_spot():
     assert vp(-81, 3) == 4
 
 
+@pytest.mark.parametrize("p", [1, 0, -1, -2])
+def test_vp_rejects_small_modulus(p):
+    with pytest.raises(ValueError):
+        vp(12, p)
+
+
 @given(st.integers(min_value=1, max_value=10**6), st.sampled_from([2, 3, 5, 7]))
 def test_vp_divides_exactly(n, p):
     k = vp(n, p)

@@ -73,6 +73,13 @@ def test_eta_exponent_matches_prefactor():
         assert eta_exponent(2, 1, 3, 5, x) == int(smoothed_b2(6, 5, x))
 
 
+def test_eta_exponent_rejects_non_integral_value():
+    # level 1, c = 2: the smoothed B_2 value at 0 is 1/4
+    assert smoothed_b2(1, 2, 0) == Fraction(1, 4)
+    with pytest.raises(ValueError):
+        eta_exponent(1, 0, 1, 2, 0)
+
+
 def test_epsilon_is_normalized():
     e = epsilon_series(2, 1, 3, 5, (1, 1), 8)
     assert e.valuation() == 0
