@@ -18,7 +18,6 @@ from .formal import (
     ResiduePreconditionError,
     SouleSym,
     WeightFunction,
-    canonicalize,
     cyc_symmetrize,
     dir_closed,
     dir_via_me,
@@ -62,7 +61,6 @@ from .units import (
     cusp_value_closed,
     epsilon_cusp_eval,
     epsilon_series,
-    eta_qexp,
     norm_check_theta,
     norm_under_power,
     residue_elliptic_soule,

@@ -28,7 +28,6 @@ from .numutil import frac_part
 __all__ = [
     "bernoulli_poly",
     "bern_eval",
-    "frac",
     "smoothed_b2",
     "bernoulli_measure",
     "bernoulli_moment_closed",
@@ -65,16 +64,11 @@ def bern_eval(k: int, x) -> Fraction:
     return acc
 
 
-def frac(x) -> Fraction:
-    """The representative of x mod Z in [0, 1)."""
-    return frac_part(Fraction(x))
-
-
 def smoothed_b2(M: int, c: int, x: int) -> Fraction:
     """(M/2) * (c^2 B_2({x/M}) - B_2({c x/M}))."""
     return Fraction(M, 2) * (
-        c * c * bern_eval(2, frac(Fraction(x, M)))
-        - bern_eval(2, frac(Fraction(c * x, M)))
+        c * c * bern_eval(2, frac_part(Fraction(x, M)))
+        - bern_eval(2, frac_part(Fraction(c * x, M)))
     )
 
 
@@ -102,8 +96,8 @@ def bernoulli_measure(ell: int, r: int, N: int, c: int, t: int) -> Measure:
 
 def bernoulli_moment_closed(k: int, N: int, c: int, t: int) -> Fraction:
     """Closed form of the limit degree-k moment over the fiber at t."""
-    a = frac(Fraction(t, N))
-    ca = frac(Fraction(c * t, N))
+    a = frac_part(Fraction(t, N))
+    ca = frac_part(Fraction(c * t, N))
     return (
         Fraction(N) ** (k + 1)
         / (Fraction(c) ** k * (k + 2))

@@ -24,6 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .numutil import exact_rational
+
 __all__ = [
     "cyclo_poly",
     "euler_phi",
@@ -109,11 +111,12 @@ def cyclo_poly(M: int) -> tuple[int, ...]:
 def _rat(x) -> tuple[int, int]:
     """(numerator, positive denominator) of an exact rational.
 
-    The single entry point for coordinates: floats would carry binary
-    rounding into the field and bools are not numbers here, so both raise.
+    The single entry point for coordinates; anything `exact_rational`
+    rejects (floats, bools, other types) raises TypeError.
     """
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise TypeError(f"exact rational (int or Fraction) required, got {type(x).__name__}")
+    if type(x) is int:
+        return x, 1
+    x = exact_rational(x)
     return x.numerator, x.denominator
 
 

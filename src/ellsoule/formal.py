@@ -20,6 +20,10 @@ linear extension of
 and the two routes to the boundary value of a weight function psi —
 the direct formula dir(psi) and the smoothed-unit evaluation dir_via_me —
 are implemented exactly as stated, including the residue-zero precondition.
+
+The residue of Eis^k(psi) is computed directly, as the linear functional
+sum_t psi(t) res(Eis^k(t)); the symbol route residue(eis_of_psi(psi)) is
+kept as the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from functools import lru_cache
 from math import factorial, gcd
 from random import Random
 
-from .bernoulli import bern_eval, frac
+from .bernoulli import bern_eval
+from .numutil import exact_rational, frac_part
 
 __all__ = [
     "EisSym",
@@ -39,7 +44,6 @@ __all__ = [
     "FormalClass",
     "WeightFunction",
     "ResiduePreconditionError",
-    "canonicalize",
     "rewrite_soule",
     "eis_residue_closed",
     "residue",
@@ -128,7 +132,7 @@ class FormalClass:
     def __init__(self, coeffs: dict[Symbol, Fraction] | None = None):
         merged: dict[Symbol, Fraction] = {}
         for sym, c in (coeffs or {}).items():
-            c = Fraction(c)
+            c = exact_rational(c)
             if not c:
                 continue
             sym2, c2 = _canonical_symbol(sym, c)
@@ -166,7 +170,8 @@ class FormalClass:
         return self + (-other)
 
     def scale(self, c) -> "FormalClass":
-        return FormalClass({s: v * Fraction(c) for s, v in self.coeffs.items()})
+        c = exact_rational(c)
+        return FormalClass({s: v * c for s, v in self.coeffs.items()})
 
     def symbols(self):
         return set(self.coeffs)
@@ -195,11 +200,6 @@ def _canonical_symbol(sym: Symbol, c: Fraction):
     if isinstance(sym, EisSym):
         return EisSym(k, N, canon), c * sign
     return SouleSym(k, N, sym.c, canon), c * sign
-
-
-def canonicalize(x: FormalClass) -> FormalClass:
-    """Idempotent parity canonicalization (already applied on construction)."""
-    return FormalClass(dict(x.coeffs))
 
 
 def soule_elliptic(k: int, N: int, c: int, t) -> FormalClass:
@@ -234,7 +234,7 @@ def rewrite_soule(x: FormalClass) -> FormalClass:
 @lru_cache(maxsize=None)
 def _eis_residue(k: int, N: int, a: int) -> Fraction:
     return -Fraction(N ** k, factorial(k) * (k + 2)) * bern_eval(
-        k + 2, frac(Fraction(a, N))
+        k + 2, frac_part(Fraction(a, N))
     )
 
 
@@ -266,8 +266,8 @@ def residue_soule_closed(k: int, N: int, c: int, t) -> Fraction:
     """
     a = _norm_point(N, t)[0]
     return Fraction(N ** (k + 1), factorial(k) * (k + 2)) * (
-        c * c * bern_eval(k + 2, frac(Fraction(a, N)))
-        - Fraction(1, c ** k) * bern_eval(k + 2, frac(Fraction(c * a, N)))
+        c * c * bern_eval(k + 2, frac_part(Fraction(a, N)))
+        - Fraction(1, c ** k) * bern_eval(k + 2, frac_part(Fraction(c * a, N)))
     )
 
 
@@ -287,7 +287,7 @@ class WeightFunction:
             t = _norm_point(N, t)
             if t == (0, 0):
                 raise ValueError("weight functions exclude the origin")
-            v = Fraction(v)
+            v = exact_rational(v)
             if v:
                 vals[t] = v
         object.__setattr__(self, "k", k)
@@ -329,8 +329,23 @@ def parity_project(psi: WeightFunction) -> WeightFunction:
     return WeightFunction(k, N, vals)
 
 
+def _residue_of_values(k: int, N: int, values: dict) -> Fraction:
+    """sum_t v(t) res(Eis^k(t)) over normalized points t; res depends on a only."""
+    by_a: dict[int, Fraction] = {}
+    for (a, _), v in values.items():
+        by_a[a] = by_a.get(a, 0) + v
+    return sum((v * _eis_residue(k, N, a) for a, v in by_a.items()), Fraction(0))
+
+
 def psi_residue(psi: WeightFunction) -> Fraction:
-    return residue(eis_of_psi(psi))
+    """res(Eis^k(psi)) as the linear functional sum_t psi(t) res(Eis^k(t)).
+
+    Equal to residue(eis_of_psi(psi)), the symbol route kept as reference:
+    res(Eis^k(-t)) = (-1)^k res(Eis^k(t)) since B_n(1-x) = (-1)^n B_n(x), so
+    parity canonicalization does not move the sum, and the symbols it drops
+    (t = -t with k odd) have residue zero.
+    """
+    return _residue_of_values(psi.k, psi.N, psi.values)
 
 
 def dir_closed(psi: WeightFunction) -> FormalClass:
@@ -354,7 +369,8 @@ def dir_via_me(psi: WeightFunction, c: int) -> FormalClass:
     """The smoothed-unit route to the boundary value.
 
     Needs c == 1 mod N, gcd(c, 6N) = 1, c > 1, and residue zero.  The
-    parity-projected psi_k is paired with the four-term evaluation
+    parity projection psi_k(0, b) = (psi(0, b) + (-1)^k psi(0, -b))/2, read
+    on the b-fiber only, is paired with the four-term evaluation
 
       me(0, b) = (1/(2 k! N^k)) * ( c^2 (ct_b + (-1)^k ct_{-b})
                                    - c^{-k} (ct_{cb} + (-1)^k ct_{-cb}) ),
@@ -372,7 +388,6 @@ def dir_via_me(psi: WeightFunction, c: int) -> FormalClass:
     rho = psi_residue(psi)
     if rho:
         raise ResiduePreconditionError(rho)
-    psi_k = parity_project(psi)
     sign = (-1) ** k
     acc: dict[Symbol, Fraction] = {}
 
@@ -387,7 +402,7 @@ def dir_via_me(psi: WeightFunction, c: int) -> FormalClass:
 
     pref = Fraction(1, 2 * factorial(k) * N ** k)
     for b in range(1, N):
-        w = psi_k((0, b))
+        w = (psi((0, b)) + sign * psi((0, N - b))) / 2
         if not w:
             continue
         w = w * pref
@@ -447,9 +462,7 @@ def random_residue_zero_psi(
     for t in points:
         if t != t_star:
             vals[t] = Fraction(rng.randint(-span, span))
-    partial = sum(
-        (v * eis_residue_closed(k, N, t) for t, v in vals.items()), Fraction(0)
-    )
+    partial = _residue_of_values(k, N, vals)
     vals[t_star] = -partial / eis_residue_closed(k, N, t_star)
     psi = WeightFunction(k, N, vals)
     if parity:

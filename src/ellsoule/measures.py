@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product as _iproduct
 from math import gcd
 
-from .numutil import is_prime, mod_inverse_reduce
+from .numutil import exact_rational, is_prime, mod_inverse_reduce
 
 __all__ = [
     "TorsorSpec",
@@ -128,7 +128,7 @@ class Measure:
     def __init__(self, spec: Spec, values: dict):
         vals: dict[tuple[int, ...], Fraction] = {}
         for x, v in values.items():
-            v = Fraction(v)
+            v = exact_rational(v)
             if v:
                 vals[_key(spec, x)] = v
         object.__setattr__(self, "spec", spec)

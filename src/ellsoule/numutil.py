@@ -35,6 +35,20 @@ def vp(n: int, p: int) -> int:
     return v
 
 
+def exact_rational(x) -> Fraction:
+    """x as a `Fraction`, for x an int or a `Fraction`.
+
+    The check at every exact entry point: a float would carry binary rounding
+    in and a bool is not a number here, so these and every other type raise
+    TypeError.
+    """
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"exact rational (int or Fraction) required, got {type(x).__name__}")
+    return Fraction(x)
+
+
 def frac_part(x: Fraction) -> Fraction:
     """The representative of x mod Z in [0, 1)."""
     x = Fraction(x)
@@ -43,7 +57,7 @@ def frac_part(x: Fraction) -> Fraction:
 
 def rat_str(x: Fraction | int) -> str:
     """Render an exact rational as "num/den" ("num" when den == 1)."""
-    x = Fraction(x)
+    x = exact_rational(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -8,6 +8,7 @@ canonical sorted order so serialized output is byte-stable.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .cyclotomic import CycloElement
 from .formal import CycSym, EisSym, FormalClass, SouleSym, WeightFunction
@@ -32,8 +33,15 @@ __all__ = [
 ]
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """rat_str(Fraction(n, d)) for d > 0, with one gcd and no Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def cyclo_to_json(x: CycloElement) -> dict:
-    return {"M": x.M, "coeffs": [rat_str(c) for c in x.coeffs]}
+    den = x.den
+    return {"M": x.M, "coeffs": [_ratio_str(a, den) for a in x.num]}
 
 
 def cyclo_from_json(obj: dict) -> CycloElement:
@@ -184,9 +192,35 @@ def psi_to_json(psi: WeightFunction) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def psi_from_json(obj: dict) -> WeightFunction:
-    return WeightFunction(
-        obj["k"],
-        obj["N"],
-        {tuple(row["t"]): parse_rat(row["v"]) for row in obj["values"]},
-    )
+    """Parse a weight function; a malformed field raises ValueError naming it."""
+    if not isinstance(obj, dict):
+        raise ValueError("weight function must be a JSON object")
+    for key in ("k", "N"):
+        if not (_is_int(obj.get(key)) and obj[key] >= 1):
+            raise ValueError(f"field {key!r} must be a positive integer, got {obj.get(key)!r}")
+    N = obj["N"]
+    rows = obj.get("values")
+    if not isinstance(rows, list):
+        raise ValueError(f"field 'values' must be a list, got {rows!r}")
+    values = {}
+    for i, row in enumerate(rows):
+        t = row.get("t") if isinstance(row, dict) else None
+        if not (isinstance(t, list) and len(t) == 2 and all(map(_is_int, t))):
+            raise ValueError(f"field 'values[{i}].t' must be two integers, got {t!r}")
+        point = (t[0] % N, t[1] % N)
+        if point == (0, 0) or point in values:
+            raise ValueError(f"field 'values[{i}].t' is the origin or a repeated point mod N = {N}")
+        v = row.get("v")
+        bad_v = ValueError(f"field 'values[{i}].v' must be a rational string like \"-3/4\", got {v!r}")
+        if not isinstance(v, str):
+            raise bad_v
+        try:
+            values[point] = parse_rat(v)
+        except (ValueError, ZeroDivisionError):
+            raise bad_v from None
+    return WeightFunction(obj["k"], N, values)

@@ -15,8 +15,9 @@ mod m commutes with the product, and no operation ever divides.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
+
+from .numutil import exact_rational
 
 __all__ = [
     "TSym",
@@ -28,29 +29,21 @@ __all__ = [
 
 
 def _ring_normalize(ring: str, c):
-    """Coerce a coefficient into the given ring's canonical form."""
+    """Coerce an exact rational coefficient into the given ring's canonical form."""
     if ring == "Q":
-        return Fraction(c)
+        return exact_rational(c)
+    if type(c) is not int:  # an int is already exact and needs no Fraction
+        c = exact_rational(c)
     if ring == "Z":
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError(f"{c} is not an integer")
-            c = c.numerator
-        return int(c)
+        if c.denominator != 1:
+            raise ValueError(f"{c} is not an integer")
+        return c.numerator
     if ring.startswith("Z/"):
         m = int(ring[2:])
-        if isinstance(c, Fraction):
-            if _gcd(c.denominator, m) != 1:
-                raise ArithmeticError(f"denominator of {c} not invertible mod {m}")
-            return (c.numerator * pow(c.denominator, -1, m)) % m
-        return int(c) % m
+        if gcd(c.denominator, m) != 1:
+            raise ArithmeticError(f"denominator of {c} not invertible mod {m}")
+        return (c.numerator * pow(c.denominator, -1, m)) % m
     raise ValueError(f"unknown ring tag {ring!r}")
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def exponent_tuples(d: int, k: int) -> list[tuple[int, ...]]:
@@ -235,13 +228,7 @@ def sym_to_tsym(monomial: tuple[int, ...], ring: str = "Q", coeff=1) -> TSym:
     w = 1
     for e in n:
         w *= factorial(e)
-    return TSym.basis(len(n), n, ring, _mul_coeff(coeff, w, ring))
-
-
-def _mul_coeff(c, w, ring):
-    if ring == "Q":
-        return Fraction(c) * w
-    return c * w
+    return TSym.basis(len(n), n, ring, exact_rational(coeff) * w)
 
 
 def tsym_map(phi, a: TSym) -> TSym:

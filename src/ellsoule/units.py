@@ -42,7 +42,6 @@ __all__ = [
     "residue_elliptic_soule",
     "norm_check_theta",
     "eta_exponent",
-    "eta_qexp",
     "epsilon_series",
     "cusp_value_closed",
     "epsilon_cusp_eval",
@@ -216,13 +215,6 @@ def eta_exponent(ell: int, r: int, N: int, c: int, x1: int) -> int:
     if v.denominator != 1:
         raise ValueError(f"smoothed B_2 value {v} at x1 = {x1} is not an integer exponent")
     return v.numerator
-
-
-def eta_qexp(ell: int, r: int, N: int, c: int, x: tuple[int, ...], T: int = 1) -> PuiseuxSeries:
-    """The monomial q^{Bp(x)/N} = q^{B(x_1)/M}, Bp = (1/ell^r) * B o pr_1."""
-    M = ell ** r * N
-    n = eta_exponent(ell, r, N, c, int(x[0]) % M)
-    return PuiseuxSeries.monomial(M, n, n + max(T, 1))
 
 
 def epsilon_series(

@@ -130,6 +130,28 @@ def test_dir_missing_file_is_usage_error(tmp_path):
     assert out.returncode == 2
 
 
+GOOD_PSI = {"k": 2, "N": 3, "values": [{"t": [0, 1], "v": "13"}, {"t": [1, 0], "v": "27"}]}
+
+
+@pytest.mark.parametrize(
+    "field, patch",
+    [
+        ("values[1].v", {"values": [{"t": [0, 1], "v": "13"}, {"t": [1, 0], "v": 0.5}]}),
+        ("values[0].t", {"values": [{"t": [1], "v": "13"}]}),
+        ("'k'", {"k": 2.5}),
+        ("'N'", {"N": 0}),
+        ("values[0].v", {"values": [{"t": [0, 1], "v": "1/0"}]}),
+        ("values[1].t", {"values": [{"t": [0, 1], "v": "1"}, {"t": [3, 4], "v": "1"}]}),
+    ],
+)
+def test_dir_malformed_psi_is_usage_error(tmp_path, field, patch):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({**GOOD_PSI, **patch}))
+    out = run_cli("dir", "--psi", str(path))
+    assert out.returncode == 2
+    assert field in out.stderr
+
+
 def test_unknown_suite_is_usage_error():
     out = run_cli("verify", "--suite", "nosuch")
     assert out.returncode == 2

@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ellsoule.formal import (
     CycSym,
@@ -191,3 +191,81 @@ def test_cyc_symmetrize_matches_parity_projection():
 def test_cyc_symmetrize_rejects_eis_span():
     with pytest.raises(ValueError):
         cyc_symmetrize(eis(2, 3, (1, 0)), 2)
+
+
+# -- the direct residue functional and the b-fiber read, against the symbol route
+
+
+@st.composite
+def weight_functions(draw):
+    N = draw(st.integers(2, 6))
+    k = draw(st.integers(0, 5))
+    points = [(a, b) for a in range(N) for b in range(N) if (a, b) != (0, 0)]
+    values = draw(
+        st.dictionaries(
+            st.sampled_from(points),
+            st.fractions(min_value=-50, max_value=50, max_denominator=12),
+        )
+    )
+    return WeightFunction(k, N, values)
+
+
+@given(weight_functions())
+@example(WeightFunction(2, 3, {(1, 0): 1}))  # nonzero residue -13/720
+@example(WeightFunction(3, 4, {(2, 2): 1, (2, 0): 5, (0, 2): -2, (1, 3): 7}))
+@example(WeightFunction(3, 2, {(1, 0): 1, (1, 1): 2, (0, 1): 3}))  # only 2-torsion
+def test_psi_residue_matches_symbol_route(psi):
+    assert psi_residue(psi) == residue(eis_of_psi(psi))
+
+
+DIR_CASES = [(3, 7), (3, 13), (4, 5), (5, 11), (6, 7)]
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(DIR_CASES),
+    st.integers(1, 5),
+    st.booleans(),
+)
+def test_dir_via_me_reads_the_parity_projection(seed, case, k, parity):
+    N, c = case
+    psi = random_residue_zero_psi(N, k, Random(seed), parity=parity)
+    assert dir_via_me(psi, c) == dir_via_me(parity_project(psi), c)
+
+
+def _pivot_by_symbol_sum(N, k, rng, parity=True, span=20):
+    """random_residue_zero_psi with its pivot solved as sum v * eis_residue_closed."""
+    points = [(a, b) for a in range(N) for b in range(N) if (a, b) != (0, 0)]
+    t_star = next(t for t in points if t[0] != 0 and eis_residue_closed(k, N, t))
+    vals = {t: Fraction(rng.randint(-span, span)) for t in points if t != t_star}
+    partial = sum(
+        (v * eis_residue_closed(k, N, t) for t, v in vals.items()), Fraction(0)
+    )
+    vals[t_star] = -partial / eis_residue_closed(k, N, t_star)
+    psi = WeightFunction(k, N, vals)
+    return parity_project(psi) if parity else psi
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+@pytest.mark.parametrize("parity", [True, False])
+def test_random_residue_zero_psi_keeps_its_draws(N, parity):
+    for k in range(1, 6):
+        for seed in range(3):
+            tag = f"pivot:{N}:{k}:{seed}"
+            got = random_residue_zero_psi(N, k, Random(tag), parity=parity)
+            assert got == _pivot_by_symbol_sum(N, k, Random(tag), parity=parity)
+
+
+inexact = st.floats() | st.booleans()
+
+
+@given(inexact)
+@example(0.1)  # used to become 3602879701896397/36028797018963968
+@example(True)  # used to become 1
+def test_inexact_values_are_rejected(x):
+    with pytest.raises(TypeError):
+        WeightFunction(2, 3, {(1, 0): x})
+    with pytest.raises(TypeError):
+        FormalClass({CycSym(2, 3, 1): x})
+    with pytest.raises(TypeError):
+        eis(2, 3, (1, 0)).scale(x)

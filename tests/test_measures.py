@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ellsoule.measures import (
     GroupSpec,
@@ -143,3 +143,14 @@ def test_reduce_mod_rejects_bad_denominator():
     mu = Measure(spec, {(1,): Fraction(1, 2)})
     with pytest.raises(ArithmeticError):
         reduce_mod(mu, 4, 2)
+
+
+@given(st.floats() | st.booleans())
+@example(0.1)  # used to become 3602879701896397/36028797018963968
+@example(True)  # used to become 1
+def test_inexact_values_are_rejected(x):
+    spec = TorsorSpec(2, 1, 3, 1, "reduction", (1,))
+    with pytest.raises(TypeError):
+        Measure(spec, {(1,): x})
+    with pytest.raises(TypeError):
+        Measure(GroupSpec(3, 1), {(1,): x})

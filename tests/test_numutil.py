@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ellsoule.numutil import (
     ceil_div,
+    exact_rational,
     frac_part,
     is_prime,
     mod_inverse_reduce,
@@ -79,3 +80,19 @@ def test_mod_inverse_reduce_rejects_ell_denominator():
 @given(st.integers(0, 10**6), st.integers(1, 1000))
 def test_ceil_div(a, b):
     assert ceil_div(a, b) == -((-a) // b)
+
+
+@given(st.floats() | st.booleans() | st.text(max_size=3) | st.decimals())
+@example(0.1)
+@example(True)
+def test_exact_rational_rejects_inexact_input(x):
+    with pytest.raises(TypeError):
+        exact_rational(x)
+    with pytest.raises(TypeError):
+        rat_str(x)
+
+
+@given(st.integers() | st.fractions())
+def test_exact_rational_keeps_exact_values(x):
+    q = exact_rational(x)
+    assert type(q) is Fraction and q == x

@@ -10,7 +10,10 @@ SRC = os.path.dirname(os.path.dirname(ellsoule.__file__))
 
 PROBE = """
 from ellsoule.cyclotomic import CycloElement, zeta
-from ellsoule.numutil import vp
+from ellsoule.formal import CycSym, FormalClass, WeightFunction
+from ellsoule.measures import GroupSpec, Measure
+from ellsoule.numutil import exact_rational, vp
+from ellsoule.tsym import TSym
 from ellsoule.units import eta_exponent
 
 if __debug__:
@@ -28,6 +31,14 @@ for bad in (0.1, True):
     rejects(TypeError, CycloElement.from_poly, 3, [bad])
     rejects(TypeError, CycloElement, 3, [bad, 0])
     rejects(TypeError, zeta(3).__mul__, bad)
+    rejects(TypeError, exact_rational, bad)
+    rejects(TypeError, WeightFunction, 2, 3, {(1, 0): bad})
+    rejects(TypeError, FormalClass, {CycSym(2, 3, 1): bad})
+    rejects(TypeError, Measure, GroupSpec(3, 1), {(1,): bad})
+    for ring in ("Z", "Q", "Z/5"):
+        rejects(TypeError, TSym, 2, ring, {1: {(1, 0): bad}})
+rejects(TypeError, TSym, 2, "Z", {1: {(1, 0): 2.7}})
+rejects(TypeError, TSym, 2, "Z/5", {1: {(1, 0): 7.9}})
 rejects(ValueError, eta_exponent, 1, 0, 1, 2, 0)
 rejects(ValueError, vp, 12, 1)
 """

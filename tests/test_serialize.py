@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from ellsoule.cyclotomic import CycloElement, euler_phi
 from ellsoule.formal import FormalClass, WeightFunction, dir_closed, eis, soule_elliptic
 from ellsoule.measures import GroupSpec, Measure, TorsorSpec, torsor_elements
+from ellsoule.numutil import rat_str
 from ellsoule.puiseux import PuiseuxSeries
 from ellsoule.serialize import (
     cyclo_from_json,
@@ -33,6 +34,7 @@ def test_cyclo_roundtrip(M, data):
         st.lists(small_rats, min_size=euler_phi(M), max_size=euler_phi(M))
     )
     x = CycloElement.from_poly(M, coeffs)
+    assert cyclo_to_json(x)["coeffs"] == [rat_str(c) for c in x.coeffs]
     assert cyclo_from_json(cyclo_to_json(x)) == x
 
 

@@ -1,7 +1,8 @@
 from fractions import Fraction
 from math import comb, factorial
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, strategies as st
 
 from ellsoule.tsym import TSym, divided_power, exponent_tuples, sym_to_tsym, tsym_map
 
@@ -119,3 +120,17 @@ def test_base_change_commutes_with_product(g, h, ka, kb):
     a = divided_power(g, ka, 2)
     b = divided_power(h, kb, 2)
     assert (a * b).base_change("Z/9") == a.base_change("Z/9") * b.base_change("Z/9")
+
+
+@given(st.floats() | st.booleans(), st.sampled_from(["Z", "Q", "Z/5"]))
+@example(2.7, "Z")  # used to become 2
+@example(7.9, "Z/5")  # used to become 2
+@example(0.1, "Q")  # used to become 3602879701896397/36028797018963968
+@example(True, "Z")  # used to become 1
+def test_inexact_coefficients_are_rejected(x, ring):
+    with pytest.raises(TypeError):
+        TSym(2, ring, {1: {(1, 0): x}})
+    with pytest.raises(TypeError):
+        TSym.basis(2, (1, 0), ring, coeff=x)
+    with pytest.raises(TypeError):
+        sym_to_tsym((1, 0), ring, x)
