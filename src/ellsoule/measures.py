@@ -163,6 +163,7 @@ class Measure:
         return self + (-other)
 
     def scale(self, c) -> "Measure":
+        c = exact_rational(c)
         return Measure(self.spec, {x: v * c for x, v in self.values.items()})
 
     def total_mass(self) -> Fraction:

@@ -158,6 +158,7 @@ class TSym:
         return self + (-other)
 
     def scale(self, c) -> "TSym":
+        c = exact_rational(c)
         return TSym(
             self.d,
             self.ring,

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 
 from .bernoulli import smoothed_b2
-from .cyclotomic import CycloElement, euler_phi
+from .cyclotomic import CycloElement
 from .measures import Measure, TorsorSpec, torsor_elements
 from .numutil import ceil_div
 from .puiseux import PuiseuxSeries

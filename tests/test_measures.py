@@ -154,3 +154,5 @@ def test_inexact_values_are_rejected(x):
         Measure(spec, {(1,): x})
     with pytest.raises(TypeError):
         Measure(GroupSpec(3, 1), {(1,): x})
+    with pytest.raises(TypeError):
+        Measure(spec, {(1,): 2}).scale(x)

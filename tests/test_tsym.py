@@ -134,3 +134,5 @@ def test_inexact_coefficients_are_rejected(x, ring):
         TSym.basis(2, (1, 0), ring, coeff=x)
     with pytest.raises(TypeError):
         sym_to_tsym((1, 0), ring, x)
+    with pytest.raises(TypeError):
+        TSym.basis(2, (1, 0), ring).scale(x)
