@@ -231,7 +231,7 @@ def main(argv=None) -> int:
             )
         )
         return 3
-    except (ValueError, ArithmeticError, KeyError, TypeError, OSError) as e:
+    except (ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

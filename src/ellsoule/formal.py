@@ -24,6 +24,11 @@ are implemented exactly as stated, including the residue-zero precondition.
 The residue of Eis^k(psi) is computed directly, as the linear functional
 sum_t psi(t) res(Eis^k(t)); the symbol route residue(eis_of_psi(psi)) is
 kept as the reference it is checked against.
+
+A weight function is held as int numerators over one positive denominator,
+in lowest terms, and the residue functional, the parity projection, the
+generator and both boundary routes run in int arithmetic; a Fraction is
+built only for an output coefficient (or a nonzero residue).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from random import Random
 
 from .bernoulli import bern_eval
@@ -143,6 +148,14 @@ class FormalClass:
             self, "coeffs", {s: v for s, v in merged.items() if v}
         )
 
+    @classmethod
+    def _canonical(cls, coeffs: dict[Symbol, Fraction]) -> "FormalClass":
+        """Wrap Fraction coefficients on parity-canonical symbols, unchecked;
+        zero coefficients are dropped."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "coeffs", {s: v for s, v in coeffs.items() if v})
+        return x
+
     def __setattr__(self, *a):
         raise AttributeError("FormalClass is immutable")
 
@@ -161,17 +174,17 @@ class FormalClass:
         out = dict(self.coeffs)
         for s, v in other.coeffs.items():
             out[s] = out.get(s, Fraction(0)) + v
-        return FormalClass(out)
+        return FormalClass._canonical(out)
 
     def __neg__(self):
-        return FormalClass({s: -v for s, v in self.coeffs.items()})
+        return FormalClass._canonical({s: -v for s, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "FormalClass":
         c = exact_rational(c)
-        return FormalClass({s: v * c for s, v in self.coeffs.items()})
+        return FormalClass._canonical({s: v * c for s, v in self.coeffs.items()})
 
     def symbols(self):
         return set(self.coeffs)
@@ -210,6 +223,16 @@ def eis(k: int, N: int, t) -> FormalClass:
     return FormalClass({EisSym(k, N, _norm_point(N, t)): Fraction(1)})
 
 
+def _soule_terms(sym: SouleSym):
+    """SouleElliptic(k, N, c, t) = -N (c^2 Eis^k(t) - c^{-k} Eis^k(c t)),
+    as the two (point, factor) pairs of the Eisenstein expansion."""
+    k, N, c, t = sym.k, sym.N, sym.c, sym.t
+    ct = ((c * t[0]) % N, (c * t[1]) % N)
+    if ct == (0, 0):
+        raise ValueError("Eisenstein symbols need t != (0, 0)")
+    return ((t, -N * c * c), (ct, N * Fraction(1, c ** k)))
+
+
 def rewrite_soule(x: FormalClass) -> FormalClass:
     """Expand every elliptic symbol into the Eisenstein span:
 
@@ -222,10 +245,8 @@ def rewrite_soule(x: FormalClass) -> FormalClass:
 
     for sym, v in x.coeffs.items():
         if isinstance(sym, SouleSym):
-            k, N, c, t = sym.k, sym.N, sym.c, sym.t
-            ct = ((c * t[0]) % N, (c * t[1]) % N)
-            add(EisSym(k, N, t), v * (-N) * c * c)
-            add(EisSym(k, N, ct), v * N * Fraction(1, c ** k))
+            for t, f in _soule_terms(sym):
+                add(EisSym(sym.k, sym.N, t), v * f)
         else:
             add(sym, v)
     return FormalClass(out)
@@ -246,16 +267,20 @@ def eis_residue_closed(k: int, N: int, t) -> Fraction:
 def residue(x: FormalClass) -> Fraction:
     """Linear extension of the closed Eisenstein residue.
 
-    Elliptic symbols are expanded first (their residue is defined through
-    that expansion); cyclotomic symbols have no residue and raise.
+    An elliptic symbol's residue is defined through its Eisenstein expansion
+    and summed term by term over it (no canonicalization is needed:
+    res(Eis^k(-t)) = (-1)^k res(Eis^k(t)), so parity rewriting does not move
+    the sum); cyclotomic symbols have no residue and raise.
     """
-    for sym in x.coeffs:
+    total = Fraction(0)
+    for sym, v in x.coeffs.items():
         if isinstance(sym, CycSym):
             raise ValueError("residue is undefined on cyclotomic symbols")
-    expanded = rewrite_soule(x)
-    total = Fraction(0)
-    for sym, v in expanded.coeffs.items():
-        total += v * eis_residue_closed(sym.k, sym.N, sym.t)
+        if isinstance(sym, SouleSym):
+            for t, f in _soule_terms(sym):
+                total += v * f * _eis_residue(sym.k, sym.N, t[0])
+        else:
+            total += v * _eis_residue(sym.k, sym.N, sym.t[0])
     return total
 
 
@@ -277,9 +302,13 @@ def residue_soule_closed(k: int, N: int, c: int, t) -> Fraction:
 
 
 class WeightFunction:
-    """psi: (Z/N)^2 \\ {0} -> Q, with a weight k attached."""
+    """psi: (Z/N)^2 \\ {0} -> Q, with a weight k attached.
 
-    __slots__ = ("k", "N", "values")
+    Held as int numerators `num` (nonzero only) over one positive `den`, in
+    lowest terms, so equality and hashing compare the representation.
+    """
+
+    __slots__ = ("k", "N", "num", "den")
 
     def __init__(self, k: int, N: int, values: dict):
         vals: dict[tuple[int, int], Fraction] = {}
@@ -290,20 +319,45 @@ class WeightFunction:
             v = exact_rational(v)
             if v:
                 vals[t] = v
+        # the lcm of lowest-terms denominators leaves the numerators coprime to it
+        den = lcm(*(v.denominator for v in vals.values()))
+        num = {t: v.numerator * (den // v.denominator) for t, v in vals.items()}
+        self._set(k, N, num, den)
+
+    @classmethod
+    def _from_num(cls, k: int, N: int, num: dict, den: int) -> "WeightFunction":
+        """num[t] / den on normalized points t != 0, unchecked; den > 0."""
+        psi = object.__new__(cls)
+        g = gcd(den, *num.values())
+        psi._set(k, N, {t: v // g for t, v in num.items() if v}, den // g)
+        return psi
+
+    def _set(self, k, N, num, den):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("WeightFunction is immutable")
 
+    @property
+    def values(self) -> dict[tuple[int, int], Fraction]:
+        """The nonzero values {t: psi(t)}."""
+        return {t: Fraction(v, self.den) for t, v in self.num.items()}
+
     def __call__(self, t) -> Fraction:
-        return self.values.get(_norm_point(self.N, t), Fraction(0))
+        return Fraction(self.num.get(_norm_point(self.N, t), 0), self.den)
 
     def __eq__(self, other):
         if not isinstance(other, WeightFunction):
             return NotImplemented
-        return (self.k, self.N, self.values) == (other.k, other.N, other.values)
+        return (self.k, self.N, self.den, self.num) == (
+            other.k, other.N, other.den, other.num
+        )
+
+    def __hash__(self):
+        return hash((self.k, self.N, self.den, frozenset(self.num.items())))
 
     def __repr__(self):
         return f"WeightFunction(k={self.k}, N={self.N}, {self.values})"
@@ -320,21 +374,21 @@ def eis_of_psi(psi: WeightFunction) -> FormalClass:
 
 def parity_project(psi: WeightFunction) -> WeightFunction:
     """psi_k(t) = (psi(t) + (-1)^k psi(-t)) / 2."""
-    N, k = psi.N, psi.k
-    vals = {}
-    for t in set(psi.values) | {((-a) % N, (-b) % N) for a, b in psi.values}:
-        v = (psi(t) + (-1) ** k * psi(((-t[0]) % N, (-t[1]) % N))) / 2
-        if v:
-            vals[t] = v
-    return WeightFunction(k, N, vals)
+    N, sign = psi.N, (-1) ** psi.k
+    out: dict[tuple[int, int], int] = {}
+    for (a, b), v in psi.num.items():
+        neg = ((-a) % N, (-b) % N)
+        out[(a, b)] = out.get((a, b), 0) + v
+        out[neg] = out.get(neg, 0) + sign * v
+    return WeightFunction._from_num(psi.k, N, out, 2 * psi.den)
 
 
-def _residue_of_values(k: int, N: int, values: dict) -> Fraction:
-    """sum_t v(t) res(Eis^k(t)) over normalized points t; res depends on a only."""
-    by_a: dict[int, Fraction] = {}
-    for (a, _), v in values.items():
-        by_a[a] = by_a.get(a, 0) + v
-    return sum((v * _eis_residue(k, N, a) for a, v in by_a.items()), Fraction(0))
+@lru_cache(maxsize=None)
+def _residue_ints(k: int, N: int) -> tuple[tuple[int, ...], int]:
+    """(R, Q) with res(Eis^k(a, b)) = R[a] / Q for 0 <= a < N."""
+    res = [_eis_residue(k, N, a) for a in range(N)]
+    Q = lcm(*(r.denominator for r in res))
+    return tuple(r.numerator * (Q // r.denominator) for r in res), Q
 
 
 def psi_residue(psi: WeightFunction) -> Fraction:
@@ -343,9 +397,12 @@ def psi_residue(psi: WeightFunction) -> Fraction:
     Equal to residue(eis_of_psi(psi)), the symbol route kept as reference:
     res(Eis^k(-t)) = (-1)^k res(Eis^k(t)) since B_n(1-x) = (-1)^n B_n(x), so
     parity canonicalization does not move the sum, and the symbols it drops
-    (t = -t with k odd) have residue zero.
+    (t = -t with k odd) have residue zero.  Summed in ints as
+    sum_t num(t) R[a] over den * Q.
     """
-    return _residue_of_values(psi.k, psi.N, psi.values)
+    R, Q = _residue_ints(psi.k, psi.N)
+    total = sum(v * R[a] for (a, _), v in psi.num.items())
+    return Fraction(total, psi.den * Q) if total else Fraction(0)
 
 
 def dir_closed(psi: WeightFunction) -> FormalClass:
@@ -357,12 +414,13 @@ def dir_closed(psi: WeightFunction) -> FormalClass:
     if rho:
         raise ResiduePreconditionError(rho)
     k, N = psi.k, psi.N
+    scale = N * factorial(k) * psi.den
     out: dict[Symbol, Fraction] = {}
     for b in range(1, N):
-        v = psi((0, b))
+        v = psi.num.get((0, b))
         if v:
-            out[CycSym(k, N, b)] = -v / (N * factorial(k))
-    return FormalClass(out)
+            out[CycSym(k, N, b)] = Fraction(-v, scale)
+    return FormalClass._canonical(out)
 
 
 def dir_via_me(psi: WeightFunction, c: int) -> FormalClass:
@@ -379,6 +437,10 @@ def dir_via_me(psi: WeightFunction, c: int) -> FormalClass:
     formal parity substitution through psi_k's own symmetry — the symbols'
     parity relation is never used); the smoothing factor is then divided
     out: result = -N^{k-1}/(c^2 - c^{-k}) * sum_b psi_k(0, b) me(0, b).
+
+    The sum is accumulated in ints, scaled by 2 den * 2 k! N^k * c^k, and all
+    scalings are undone in one division per coefficient:
+    -N^{k-1} c^k / ((c^{k+2} - 1) 4 den k! N^k) = -1 / (4 den k! N (c^{k+2} - 1)).
     """
     k, N = psi.k, psi.N
     if c % N != 1:
@@ -389,7 +451,7 @@ def dir_via_me(psi: WeightFunction, c: int) -> FormalClass:
     if rho:
         raise ResiduePreconditionError(rho)
     sign = (-1) ** k
-    acc: dict[Symbol, Fraction] = {}
+    acc: dict[int, int] = {}
 
     def add(b, v):
         b %= N
@@ -397,22 +459,22 @@ def dir_via_me(psi: WeightFunction, c: int) -> FormalClass:
             if v:
                 raise AssertionError("weightless term survived at b = 0")
             return
-        sym = CycSym(k, N, b)
-        acc[sym] = acc.get(sym, Fraction(0)) + v
+        acc[b] = acc.get(b, 0) + v
 
-    pref = Fraction(1, 2 * factorial(k) * N ** k)
+    ck2 = c ** (k + 2)
     for b in range(1, N):
-        w = (psi((0, b)) + sign * psi((0, N - b))) / 2
+        # 2 den psi_k(0, b)
+        w = psi.num.get((0, b), 0) + sign * psi.num.get((0, N - b), 0)
         if not w:
             continue
-        w = w * pref
-        add(b, w * c * c)
-        add(-b, w * c * c * sign)
-        add(c * b, -w * Fraction(1, c ** k))
-        add(-c * b, -w * Fraction(1, c ** k) * sign)
-    S = FormalClass(acc)
-    factor = Fraction(c * c) - Fraction(1, c ** k)
-    return S.scale(Fraction(-(N ** (k - 1) * factor.denominator), factor.numerator))
+        add(b, w * ck2)
+        add(-b, w * ck2 * sign)
+        add(c * b, -w)
+        add(-c * b, -w * sign)
+    den = 4 * psi.den * factorial(k) * N * (ck2 - 1)
+    return FormalClass._canonical(
+        {CycSym(k, N, b): Fraction(-v, den) for b, v in acc.items()}
+    )
 
 
 def cyc_symmetrize(x: FormalClass, k: int) -> FormalClass:
@@ -429,7 +491,9 @@ def cyc_symmetrize(x: FormalClass, k: int) -> FormalClass:
 
 
 def residue_table(N: int, k: int) -> list[tuple[int, int, Fraction]]:
-    """Rows (a, b, res(Eis^k(a, b))) over all t != 0, sorted."""
+    """Rows (a, b, res(Eis^k(a, b))) over all t != 0, sorted; needs N >= 2."""
+    if N < 2:
+        raise ValueError(f"residue tables need N >= 2, got N = {N}")
     rows = []
     for a in range(N):
         for b in range(N):
@@ -451,20 +515,19 @@ def random_residue_zero_psi(
     the residue), so it has exact parity (-1)^k.
     """
     points = [(a, b) for a in range(N) for b in range(N) if (a, b) != (0, 0)]
-    t_star = None
-    for t in points:
-        if t[0] != 0 and eis_residue_closed(k, N, t):
-            t_star = t
-            break
+    R, _ = _residue_ints(k, N)
+    t_star = next((t for t in points if t[0] != 0 and R[t[0]]), None)
     if t_star is None:
         raise ValueError(f"no usable pivot for N={N}, k={k}")
-    vals: dict[tuple[int, int], Fraction] = {}
+    # psi(t*) = -sum_{t != t*} psi(t) R[a] / R[a*], over den = |R[a*]|
+    den = abs(R[t_star[0]])
+    num: dict[tuple[int, int], int] = {}
     for t in points:
         if t != t_star:
-            vals[t] = Fraction(rng.randint(-span, span))
-    partial = _residue_of_values(k, N, vals)
-    vals[t_star] = -partial / eis_residue_closed(k, N, t_star)
-    psi = WeightFunction(k, N, vals)
+            num[t] = rng.randint(-span, span) * den
+    partial = sum(v * R[a] for (a, _), v in num.items())
+    num[t_star] = -partial // R[t_star[0]]
+    psi = WeightFunction._from_num(k, N, num, den)
     if parity:
         psi = parity_project(psi)
     return psi

@@ -55,6 +55,7 @@ from .moments import (
     tsym_reduce,
 )
 from .numutil import mod_inverse_reduce, rat_str, vp
+from .serialize import psi_to_json
 from .tsym import TSym, divided_power, exponent_tuples, sym_to_tsym, tsym_map
 from .units import (
     cusp_square_check,
@@ -727,6 +728,15 @@ def suite_residues(
 DIR_GRID = ((3, (7, 13)), (4, (5, 13)), (5, (11, 31)))
 
 
+def _first_miss(seed: int, psis: list, oks) -> dict:
+    """{} if every check in oks (lazy, one per psi) holds; else the seed, the
+    index of the first failing psi and that psi, to reproduce the row."""
+    for i, (p, ok) in enumerate(zip(psis, oks)):
+        if not ok:
+            return {"seed": seed, "index": i, "psi": psi_to_json(p)}
+    return {}
+
+
 def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID) -> dict:
     rows = []
 
@@ -761,32 +771,35 @@ def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID) -> d
             rng = Random(f"dir:{seed}:{N}:{k}")
             psis = [random_residue_zero_psi(N, k, rng) for _ in range(count)]
             # the symbol route, independent of the functional the generator solves with
-            zero_ok = all(residue(eis_of_psi(p)) == 0 for p in psis)
+            miss = _first_miss(seed, psis, (residue(eis_of_psi(p)) == 0 for p in psis))
             rows.append(
-                _row(f"residue_zero_N{N}_k{k}", zero_ok, count=count)
+                _row(f"residue_zero_N{N}_k{k}", not miss, count=count, **miss)
             )
             closed = [dir_closed(p) for p in psis]
             for c in cpair:
-                ok = all(d == dir_via_me(p, c) for p, d in zip(psis, closed))
+                oks = (d == dir_via_me(p, c) for p, d in zip(psis, closed))
+                miss = _first_miss(seed, psis, oks)
                 rows.append(
                     _row(
                         f"two_route_N{N}_k{k}_c{c}",
-                        ok,
+                        not miss,
                         N=N,
                         k=k,
                         c=c,
                         count=count,
+                        **miss,
                     )
                 )
             raw = [
                 random_residue_zero_psi(N, k, rng, parity=False) for _ in range(5)
             ]
-            ok_raw = all(
+            oks = (
                 cyc_symmetrize(dir_closed(p), k) == dir_via_me(p, cpair[0])
                 for p in raw
             )
+            miss = _first_miss(seed, raw, oks)
             rows.append(
-                _row(f"raw_symmetrized_N{N}_k{k}", ok_raw, c=cpair[0], count=5)
+                _row(f"raw_symmetrized_N{N}_k{k}", not miss, c=cpair[0], count=5, **miss)
             )
 
     # the precondition is enforced on both routes
@@ -847,7 +860,12 @@ def run_suites(
 
     The dir suite keeps its own admissible grid (its smoothing factors must
     be 1 mod N); the others restrict to the requested (ell, N, c) family.
+    rmax and kmax must be at least 1, and a suite left with no cases by the
+    parameters is an error, not a pass.
     """
+    for flag, value in (("rmax", rmax), ("kmax", kmax)):
+        if value < 1:
+            raise ValueError(f"--{flag} must be at least 1, got {value}")
     reports = []
     for name in names:
         if name == "tsym":
@@ -869,9 +887,13 @@ def run_suites(
                 )
             )
         elif name == "dir":
-            reports.append(suite_dir(seed=seed, kmax=max(kmax, 1)))
+            reports.append(suite_dir(seed=seed, kmax=kmax))
         else:
             raise ValueError(f"unknown suite {name!r}")
+        if not reports[-1]["cases"]:
+            raise ValueError(
+                f"suite {name!r} has no cases for ell = {ell}, N = {N}, c = {c}"
+            )
     if len(reports) == 1:
         return reports[0]
     total = sum(r["summary"]["total"] for r in reports)

@@ -162,3 +162,37 @@ def test_out_flag_writes_file(tmp_path):
     out = run_cli("verify", "--suite", "tsym", "--out", str(target))
     assert out.returncode == 0
     assert json.loads(target.read_text())["all_pass"] is True
+
+
+def test_programming_error_is_not_reported_as_bad_input(psi_file, monkeypatch):
+    from ellsoule import cli
+
+    def broken(psi):
+        raise TypeError("a bug, not an input error")
+
+    monkeypatch.setattr(cli, "dir_closed", broken)
+    with pytest.raises(TypeError):
+        cli.main(["dir", "--psi", str(psi_file), "--route", "closed"])
+
+
+@pytest.mark.parametrize("N", ["0", "-3", "1"])
+def test_residue_table_rejects_levels_below_two(N):
+    out = run_cli("residue-table", "--N", N, "--k", "2")
+    assert out.returncode == 2
+    assert "N >= 2" in out.stderr and out.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--suite", "residues", "--rmax", "0"], "--rmax"),
+        (["--suite", "bernoulli", "--kmax", "-1"], "--kmax"),
+        (["--suite", "moments", "--kmax", "-1"], "--kmax"),
+        (["--suite", "residues", "--N", "1"], "'residues' has no cases"),
+        (["--suite", "bernoulli", "--c", "3"], "'bernoulli' has no cases"),
+    ],
+)
+def test_verify_rejects_parameters_that_leave_no_cases(args, named):
+    out = run_cli("verify", *args)
+    assert out.returncode == 2
+    assert named in out.stderr and out.stdout == ""

@@ -1,6 +1,10 @@
 import json
+from random import Random
 
-from ellsoule.verify import SUITE_NAMES, run_suites
+import ellsoule.verify as verify
+from ellsoule.formal import CycSym, FormalClass, random_residue_zero_psi
+from ellsoule.serialize import psi_to_json
+from ellsoule.verify import SUITE_NAMES, run_suites, suite_dir
 
 
 def test_all_suites_pass_and_aggregate():
@@ -24,3 +28,40 @@ def test_reports_are_json_serializable_and_stable():
     a = run_suites(["units"], ell=2, N=3, c=5, rmax=2, kmax=4, trunc=40, seed=0)
     b = run_suites(["units"], ell=2, N=3, c=5, rmax=2, kmax=4, trunc=40, seed=0)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_failing_dir_rows_carry_what_reproduces_them(monkeypatch):
+    seed, count = 3, 6
+    rng = Random(f"dir:{seed}:3:2")
+    psis = [random_residue_zero_psi(3, 2, rng) for _ in range(count)]
+    raw = [random_residue_zero_psi(3, 2, rng, parity=False) for _ in range(5)]
+    real_me, real_residue = verify.dir_via_me, verify.residue
+
+    def perturbed_me(psi, c):
+        out = real_me(psi, c)
+        if psi in (psis[4], raw[2]):
+            out = out + FormalClass({CycSym(psi.k, psi.N, 1): 1})
+        return out
+
+    def perturbed_residue(x):
+        return 1 if x == verify.eis_of_psi(psis[1]) else real_residue(x)
+
+    monkeypatch.setattr(verify, "dir_via_me", perturbed_me)
+    monkeypatch.setattr(verify, "residue", perturbed_residue)
+    rep = suite_dir(count=count, seed=seed, kmax=2, grid=((3, (7, 13)),))
+    rows = {r["case"]: r for r in rep["cases"]}
+    failing = {
+        "residue_zero_N3_k2": (1, psis[1]),
+        "two_route_N3_k2_c7": (4, psis[4]),
+        "two_route_N3_k2_c13": (4, psis[4]),
+        "raw_symmetrized_N3_k2": (2, raw[2]),
+    }
+    for case, row in rows.items():
+        if case in failing:
+            index, psi = failing[case]
+            assert row["pass"] is False
+            assert (row["seed"], row["index"], row["psi"]) == (seed, index, psi_to_json(psi))
+            assert list(row)[-1] == "pass"
+        else:
+            assert row["pass"] is True
+            assert not {"seed", "index", "psi"} & set(row)
