@@ -438,9 +438,10 @@ def dir_via_me(psi: WeightFunction, c: int) -> FormalClass:
     parity relation is never used); the smoothing factor is then divided
     out: result = -N^{k-1}/(c^2 - c^{-k}) * sum_b psi_k(0, b) me(0, b).
 
-    The sum is accumulated in ints, scaled by 2 den * 2 k! N^k * c^k, and all
-    scalings are undone in one division per coefficient:
-    -N^{k-1} c^k / ((c^{k+2} - 1) 4 den k! N^k) = -1 / (4 den k! N (c^{k+2} - 1)).
+    The sum is accumulated in ints, scaled by 2 den * 2 k! N^k * c^k, and the
+    smoothing factor is divided out in the same single division per
+    coefficient: -N^{k-1} c^k / (c^{k+2} - 1) / (4 den k! N^k c^k)
+    = -1 / (4 den k! N (c^{k+2} - 1)).
     """
     k, N = psi.k, psi.N
     if c % N != 1:
