@@ -311,6 +311,10 @@ class WeightFunction:
     __slots__ = ("k", "N", "num", "den")
 
     def __init__(self, k: int, N: int, values: dict):
+        if not (type(k) is int and k >= 0 and type(N) is int and N >= 1):
+            raise ValueError(
+                f"weight functions need ints k >= 0, N >= 1; got k = {k!r}, N = {N!r}"
+            )
         vals: dict[tuple[int, int], Fraction] = {}
         for t, v in values.items():
             t = _norm_point(N, t)

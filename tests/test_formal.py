@@ -130,6 +130,13 @@ def test_weight_function_basics():
         WeightFunction(2, 3, {(0, 0): 1})
 
 
+@pytest.mark.parametrize("k, N", [(2, -3), (2, 0), (-1, 3), (2, 3.0), (True, 3)])
+def test_weight_function_rejects_bad_weight_or_level(k, N):
+    # (2, -3) used to give a residue of 41/720 on points like (-2, 0)
+    with pytest.raises(ValueError):
+        WeightFunction(k, N, {(1, 0): 1})
+
+
 @given(st.integers(1, 4))
 def test_parity_projection_is_idempotent_and_residue_safe(k):
     rng = Random(f"parity:{k}")

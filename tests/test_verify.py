@@ -43,8 +43,8 @@ def test_failing_dir_rows_carry_what_reproduces_them(monkeypatch):
             out = out + FormalClass({CycSym(psi.k, psi.N, 1): 1})
         return out
 
-    def perturbed_residue(x):
-        return 1 if x == verify.eis_of_psi(psis[1]) else real_residue(x)
+    def perturbed_residue(x, target=verify.eis_of_psi(psis[1])):
+        return 1 if x == target else real_residue(x)
 
     monkeypatch.setattr(verify, "dir_via_me", perturbed_me)
     monkeypatch.setattr(verify, "residue", perturbed_residue)
