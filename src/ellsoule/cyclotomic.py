@@ -12,7 +12,9 @@ equality and hashing compare the representation directly; `coeffs` gives
 them as `Fraction`s.  Ring operations run in int arithmetic, and every
 reduction uses one cached table of x^k mod Phi_M for 0 <= k < M: its rows
 are integral because Phi_M is monic, and zeta^M = 1 folds any exponent
-into that range.
+into that range.  Inversion stays in this representation: a^{-1} is the
+product of the other Galois conjugates of a divided by the rational norm
+N(a), so it needs only multiplication and the Galois action.
 
 All arithmetic is pure and exact; no floats, no complex embeddings.  Every
 coordinate enters through `_rat`, which accepts int and `Fraction` only.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .numutil import exact_rational
 
@@ -289,55 +291,19 @@ class CycloElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloElement":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        on the coordinate polynomial and Phi_M over Q[x]."""
+        """Multiplicative inverse through the Galois norm.
+
+        With c = prod sigma_u(a) over u in (Z/M)^x, u != 1, the norm
+        N(a) = a * c is a nonzero rational, so a^{-1} = c / N(a).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_M)")
-        # extended gcd of a(x) and Phi_M(x)
-        a = list(self.coeffs)
-        b = [Fraction(c) for c in cyclo_poly(self.M)]
-
-        def trim(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        def divmod_q(num, den):
-            num = list(num)
-            q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-            while trim(num) and len(num) >= len(den):
-                c = num[-1] / den[-1]
-                pos = len(num) - len(den)
-                q[pos] += c
-                for i, dc in enumerate(den):
-                    num[pos + i] -= c * dc
-                num.pop()
-            return q, num
-
-        r0, r1 = trim(a), trim(b)
-        s0, s1 = [Fraction(1)], []
-        while r1:
-            q, r = divmod_q(r0, r1)
-            r0, r1 = r1, trim(r)
-            # s_new = s0 - q*s1
-            prod = [Fraction(0)] * (len(q) + len(s1) if s1 else 0)
-            for i, qi in enumerate(q):
-                if not qi:
-                    continue
-                for j, sj in enumerate(s1):
-                    prod[i + j] += qi * sj
-            new = [Fraction(0)] * max(len(s0), len(prod))
-            for i, c in enumerate(s0):
-                new[i] += c
-            for i, c in enumerate(prod):
-                new[i] -= c
-            s0, s1 = s1, trim(new)
-        # r0 = gcd (a nonzero constant, since Phi_M is irreducible)
-        if len(r0) != 1:
-            raise ZeroDivisionError("element is zero modulo Phi_M")
-        unit = r0[0]
-        inv_coeffs = [c / unit for c in s0]
-        return CycloElement.from_poly(self.M, inv_coeffs)
+        M = self.M
+        conj = prod(
+            (self.galois(u) for u in range(2, M) if gcd(u, M) == 1),
+            start=CycloElement.rational(M, 1),
+        )
+        return conj * (1 / (self * conj).rational_value())
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -181,63 +181,70 @@ def dirac(spec: Spec, x) -> Measure:
     return Measure(spec, {_key(spec, x): Fraction(1)})
 
 
-def _map_point(phi, spec: Spec, x: tuple[int, ...]) -> tuple[int, ...]:
-    m = spec.modulus
-    if phi == "neg":
-        return tuple((-xi) % m for xi in x)
-    if isinstance(phi, tuple) and phi and phi[0] == "mult":
-        a = phi[1]
-        return tuple((a * xi) % m for xi in x)
-    if isinstance(phi, tuple) and phi and phi[0] == "proj":
-        i = phi[1]
-        return (x[i],)
-    if phi == "reduce":
-        if isinstance(spec, TorsorSpec):
-            m2 = spec.ell ** (spec.r - 1) * spec.N
-        else:
-            raise ValueError("level reduction needs a torsor spec")
-        return tuple(xi % m2 for xi in x)
+def _map_kind(phi, d: int) -> tuple[str, int | None]:
+    """Check a map description on rank-d points; return (name, argument).
+
+    "neg" and "reduce" take no argument; ("mult", a) needs an int a, not a
+    bool (TypeError), and ("proj", i) an int 0 <= i < d (ValueError when out
+    of range).  Anything else raises ValueError.
+    """
+    if phi == "neg" or phi == "reduce":
+        return phi, None
+    if isinstance(phi, tuple) and len(phi) == 2 and phi[0] in ("mult", "proj"):
+        name, arg = phi
+        if isinstance(arg, bool) or not isinstance(arg, int):
+            raise TypeError(f"{name} needs an int, got {type(arg).__name__}")
+        if name == "proj" and not 0 <= arg < d:
+            raise ValueError(f"projection index {arg} out of range for rank {d}")
+        return name, arg
     raise ValueError(f"unsupported map description {phi!r}")
 
 
-def _push_spec(phi, spec: Spec) -> Spec:
-    if phi == "neg":
+def _map_point(name: str, arg, m: int, x: tuple[int, ...]) -> tuple[int, ...]:
+    """Image of x, reduced modulo m, the modulus of the pushed-forward spec."""
+    if name == "neg":
+        return tuple((-xi) % m for xi in x)
+    if name == "mult":
+        return tuple((arg * xi) % m for xi in x)
+    if name == "proj":
+        return (x[arg],)
+    return tuple(xi % m for xi in x)
+
+
+def _push_spec(name: str, arg, spec: Spec) -> Spec:
+    if name == "neg":
         if isinstance(spec, TorsorSpec):
             return spec.with_t(tuple((-ti) % spec.N for ti in spec.t))
         return spec
-    if isinstance(phi, tuple) and phi and phi[0] == "mult":
-        a = phi[1]
+    if name == "mult":
         if isinstance(spec, TorsorSpec):
-            return spec.with_t(tuple((a * ti) % spec.N for ti in spec.t))
+            return spec.with_t(tuple((arg * ti) % spec.N for ti in spec.t))
         return spec
-    if isinstance(phi, tuple) and phi and phi[0] == "proj":
-        i = phi[1]
+    if name == "proj":
         if isinstance(spec, TorsorSpec):
             return TorsorSpec(
-                spec.ell, spec.r, spec.N, 1, spec.flavor, (spec.t[i],)
+                spec.ell, spec.r, spec.N, 1, spec.flavor, (spec.t[arg],)
             )
         return GroupSpec(spec.m, 1)
-    if phi == "reduce":
-        if not isinstance(spec, TorsorSpec):
-            raise ValueError("level reduction needs a torsor spec")
-        if spec.r == 0:
-            raise ValueError("cannot reduce below level 0")
-        return TorsorSpec(spec.ell, spec.r - 1, spec.N, spec.d, spec.flavor, spec.t)
-    raise ValueError(f"unsupported map description {phi!r}")
+    if not isinstance(spec, TorsorSpec):
+        raise ValueError("level reduction needs a torsor spec")
+    if spec.r == 0:
+        raise ValueError("cannot reduce below level 0")
+    return TorsorSpec(spec.ell, spec.r - 1, spec.N, spec.d, spec.flavor, spec.t)
 
 
 def pushforward(phi, mu: Measure) -> Measure:
     """(phi_! mu)(y) = sum over phi(x) = y of mu(x).
 
     Supported map descriptions: "neg", ("mult", a), ("proj", i), "reduce"
-    (one level of the trace tower).
+    (one level of the trace tower); see `_map_kind` for the checks.
     """
-    spec2 = _push_spec(phi, mu.spec)
+    name, arg = _map_kind(phi, mu.spec.d)
+    spec2 = _push_spec(name, arg, mu.spec)
+    m = spec2.modulus
     vals: dict[tuple[int, ...], Fraction] = {}
     for x, v in mu.values.items():
-        y = _map_point(phi, mu.spec, x)
-        if phi == "reduce":
-            y = tuple(yi % spec2.modulus for yi in y)
+        y = _map_point(name, arg, m, x)
         vals[y] = vals.get(y, Fraction(0)) + v
     return Measure(spec2, vals)
 

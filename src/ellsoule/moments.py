@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .measures import GroupSpec, Measure, TorsorSpec, pushforward, trace
+from .measures import GroupSpec, Measure, TorsorSpec, _map_kind, pushforward, trace
 from .tsym import TSym, divided_power, tsym_map
 
 __all__ = [
@@ -145,22 +145,22 @@ def check_functoriality(phi, mu: Measure, k: int) -> bool:
 
     phi uses the pushforward map descriptions; the induced coefficient map
     is c^k for ("mult", c), (-1)^k for "neg", and the projection matrix for
-    ("proj", i).
+    ("proj", i).  A description `pushforward` rejects, and "reduce", which
+    has no induced coefficient map here, raise before anything is pushed.
     """
     spec = mu.spec
     if not isinstance(spec, TorsorSpec):
         raise ValueError("functoriality checks run on torsor measures")
+    name, arg = _map_kind(phi, spec.d)
+    if name == "neg":
+        induced = -1
+    elif name == "mult":
+        induced = arg
+    elif name == "proj":
+        induced = [[1 if j == arg else 0 for j in range(spec.d)]]
+    else:
+        raise ValueError(f"no induced TSym map for {phi!r}")
     q = spec.ell ** spec.r
     lhs = tsym_reduce(moment_torsor(pushforward(phi, mu), k), q)
-    rhs_t = moment_torsor(mu, k)
-    if phi == "neg":
-        rhs = tsym_map(-1, rhs_t)
-    elif isinstance(phi, tuple) and phi[0] == "mult":
-        rhs = tsym_map(phi[1], rhs_t)
-    elif isinstance(phi, tuple) and phi[0] == "proj":
-        i = phi[1]
-        matrix = [[1 if j == i else 0 for j in range(spec.d)]]
-        rhs = tsym_map(matrix, rhs_t)
-    else:
-        raise ValueError(f"unsupported map description {phi!r}")
+    rhs = tsym_map(induced, moment_torsor(mu, k))
     return lhs == tsym_reduce(rhs, q)

@@ -238,8 +238,10 @@ def tsym_map(phi, a: TSym) -> TSym:
     A scalar c multiplies the degree-k component by c^k.  A matrix phi sends
     e_j^{[1]} to sum_i phi[i][j] e_i^{[1]} and basis vectors to divided-power
     products of the column images, which is the functorial map on symmetric
-    tensors.
+    tensors.  A bool scalar or matrix entry raises TypeError.
     """
+    if isinstance(phi, bool):
+        raise TypeError("tsym_map needs an int scalar or an integer matrix, got bool")
     if isinstance(phi, int):
         comps = {
             k: {n: c * (phi ** k) for n, c in row.items()}
@@ -247,6 +249,8 @@ def tsym_map(phi, a: TSym) -> TSym:
         }
         return TSym(a.d, a.ring, comps)
     rows = [list(r) for r in phi]
+    if any(isinstance(x, bool) for r in rows for x in r):
+        raise TypeError("tsym_map matrix entries must be ints, not bools")
     d_out = len(rows)
     d_in = len(rows[0]) if rows else 0
     if d_in != a.d:

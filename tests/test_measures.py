@@ -123,6 +123,26 @@ def test_projection_of_rank_two():
     assert pushforward(("proj", 1), mu) == dirac(GroupSpec(4, 1), (3,))
 
 
+@pytest.mark.parametrize(
+    "phi, exc",
+    [
+        (("mult", 2.5), TypeError),  # used to send 1 -> 2 and 3 -> 7
+        (("mult", True), TypeError),  # used to act as multiplication by 1
+        (("mult", Fraction(3)), TypeError),
+        (("proj", -1), ValueError),  # used to project onto the last coordinate
+        (("proj", 2), ValueError),  # used to raise IndexError
+        (("proj", True), TypeError),
+        (("mult",), ValueError),
+        ("twist", ValueError),
+    ],
+)
+def test_map_descriptions_are_checked(phi, exc):
+    for spec in (GroupSpec(8, 2), TorsorSpec(2, 1, 3, 2, "reduction", (1, 2))):
+        mu = dirac(spec, torsor_elements(spec)[-1])
+        with pytest.raises(exc):
+            pushforward(phi, mu)
+
+
 def test_integrate_spot_first_moment():
     # smoothed quadratic measure over the fiber 1 mod 3 at level 15
     from ellsoule.bernoulli import bernoulli_measure

@@ -99,6 +99,25 @@ def test_multiplication_functoriality(vals, k, phi):
     assert check_functoriality(phi, mu, k)
 
 
+@pytest.mark.parametrize(
+    "phi, exc",
+    [
+        ("reduce", ValueError),  # used to push forward and take a moment first
+        (("proj", -1), ValueError),  # used to compare against a zero matrix
+        (("proj", 2), ValueError),  # used to raise IndexError
+        (("mult", True), TypeError),
+    ],
+)
+def test_functoriality_rejects_before_pushing(phi, exc, monkeypatch):
+    def no_push(*args):
+        raise AssertionError("pushed forward before checking the map")
+
+    monkeypatch.setattr("ellsoule.moments.pushforward", no_push)
+    mu = dirac(TorsorSpec(2, 2, 3, 2, "reduction", (1, 2)), (1, 2))
+    with pytest.raises(exc):
+        check_functoriality(phi, mu, 2)
+
+
 # torsor moments: congruences in the tower
 
 

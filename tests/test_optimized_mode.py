@@ -11,9 +11,9 @@ SRC = os.path.dirname(os.path.dirname(ellsoule.__file__))
 PROBE = """
 from ellsoule.cyclotomic import CycloElement, zeta
 from ellsoule.formal import CycSym, FormalClass, WeightFunction
-from ellsoule.measures import GroupSpec, Measure
+from ellsoule.measures import GroupSpec, Measure, dirac, pushforward
 from ellsoule.numutil import exact_rational, vp
-from ellsoule.tsym import TSym
+from ellsoule.tsym import TSym, tsym_map
 from ellsoule.units import eta_exponent
 
 if __debug__:
@@ -40,6 +40,11 @@ for bad in (0.1, True):
 rejects(TypeError, TSym, 2, "Z", {1: {(1, 0): 2.7}})
 rejects(TypeError, TSym, 2, "Z/5", {1: {(1, 0): 7.9}})
 rejects(ValueError, eta_exponent, 1, 0, 1, 2, 0)
+point = dirac(GroupSpec(8, 2), (1, 3))
+rejects(TypeError, pushforward, ("mult", 2.5), point)
+rejects(TypeError, pushforward, ("mult", True), point)
+rejects(ValueError, pushforward, ("proj", -1), point)
+rejects(TypeError, tsym_map, True, TSym.basis(2, (1, 0), "Z"))
 rejects(ValueError, vp, 12, 1)
 """
 

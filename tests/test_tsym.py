@@ -136,3 +136,7 @@ def test_inexact_coefficients_are_rejected(x, ring):
         sym_to_tsym((1, 0), ring, x)
     with pytest.raises(TypeError):
         TSym.basis(2, (1, 0), ring).scale(x)
+    with pytest.raises(TypeError):
+        tsym_map(x, TSym.basis(2, (1, 0), ring))
+    with pytest.raises(TypeError):
+        tsym_map([[x, 0], [0, 1]], TSym.basis(2, (1, 0), ring))
