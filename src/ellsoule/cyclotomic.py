@@ -55,58 +55,29 @@ def euler_phi(m: int) -> int:
     return result
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division of integer polynomials (ascending coefficients).
-
-    Requires the division to be exact over Z whenever the remainder is
-    expected to vanish; used only with monic denominators.
-    """
-    num = list(num)
-    q = [0] * (max(len(num) - len(den) + 1, 0))
-    d = len(den) - 1
-    lead = den[-1]
-    while len(num) - 1 >= d and _poly_trim(list(num)):
-        if len(num) - 1 < d:
-            break
-        coeff = num[-1]
-        if coeff == 0:
-            num.pop()
-            continue
-        if coeff % lead:
-            raise ArithmeticError(f"{coeff} is not divisible by leading coefficient {lead}")
-        c = coeff // lead
-        pos = len(num) - 1 - d
-        q[pos] = c
-        for i, dc in enumerate(den):
-            num[pos + i] -= c * dc
-        num.pop()
-    return q, _poly_trim(num)
-
-
 @lru_cache(maxsize=None)
 def cyclo_poly(M: int) -> tuple[int, ...]:
     """The M-th cyclotomic polynomial Phi_M, ascending integer coefficients.
 
-    Computed by exact division of x^M - 1 by the Phi_d of proper divisors d.
+    x^M - 1 divided exactly by the monic Phi_d of each proper divisor d,
+    by long division from the top coefficient down.
     """
     if M < 1:
         raise ValueError("conductor must be positive")
-    if M == 1:
-        return (-1, 1)
-    num = [0] * (M + 1)
-    num[0] = -1
-    num[M] = 1
+    num = [-1] + [0] * (M - 1) + [1]
     for d in range(1, M):
         if M % d == 0:
-            num, rem = _poly_divmod_int(num, list(cyclo_poly(d)))
-            if rem:
+            den = cyclo_poly(d)
+            n = len(den) - 1
+            quo = [0] * (len(num) - n)
+            for pos in reversed(range(len(quo))):
+                c = quo[pos] = num[pos + n]
+                if c:
+                    for i, dc in enumerate(den):
+                        num[pos + i] -= c * dc
+            if any(num):
                 raise ArithmeticError(f"Phi_{d} does not divide x^{M} - 1")
+            num = quo
     return tuple(num)
 
 

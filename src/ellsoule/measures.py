@@ -181,70 +181,57 @@ def dirac(spec: Spec, x) -> Measure:
     return Measure(spec, {_key(spec, x): Fraction(1)})
 
 
-def _map_kind(phi, d: int) -> tuple[str, int | None]:
-    """Check a map description on rank-d points; return (name, argument).
+def _map(phi, spec: Spec):
+    """Check a map description on `spec`; return (image spec, point map,
+    induced TSym map).
 
-    "neg" and "reduce" take no argument; ("mult", a) needs an int a, not a
-    bool (TypeError), and ("proj", i) an int 0 <= i < d (ValueError when out
-    of range).  Anything else raises ValueError.
+    ("mult", a) needs an int a, not a bool (TypeError), and "neg" is
+    ("mult", -1); both induce a.  ("proj", i) needs an int 0 <= i < d
+    (ValueError when out of range) and induces the projection matrix.
+    "reduce", one level of the trace tower, needs a torsor spec above
+    level 0 and induces no TSym map (None).  Anything else raises
+    ValueError.  The point map reduces into the image spec's modulus.
     """
-    if phi == "neg" or phi == "reduce":
-        return phi, None
-    if isinstance(phi, tuple) and len(phi) == 2 and phi[0] in ("mult", "proj"):
-        name, arg = phi
-        if isinstance(arg, bool) or not isinstance(arg, int):
-            raise TypeError(f"{name} needs an int, got {type(arg).__name__}")
-        if name == "proj" and not 0 <= arg < d:
-            raise ValueError(f"projection index {arg} out of range for rank {d}")
-        return name, arg
-    raise ValueError(f"unsupported map description {phi!r}")
-
-
-def _map_point(name: str, arg, m: int, x: tuple[int, ...]) -> tuple[int, ...]:
-    """Image of x, reduced modulo m, the modulus of the pushed-forward spec."""
-    if name == "neg":
-        return tuple((-xi) % m for xi in x)
+    if phi == "neg":
+        phi = ("mult", -1)
+    if phi == "reduce":
+        if not isinstance(spec, TorsorSpec):
+            raise ValueError("level reduction needs a torsor spec")
+        if spec.r == 0:
+            raise ValueError("cannot reduce below level 0")
+        image = TorsorSpec(spec.ell, spec.r - 1, spec.N, spec.d, spec.flavor, spec.t)
+        m = image.modulus
+        return image, lambda x: tuple(xi % m for xi in x), None
+    if not (isinstance(phi, tuple) and len(phi) == 2 and phi[0] in ("mult", "proj")):
+        raise ValueError(f"unsupported map description {phi!r}")
+    name, a = phi
+    if isinstance(a, bool) or not isinstance(a, int):
+        raise TypeError(f"{name} needs an int, got {type(a).__name__}")
+    torsor = isinstance(spec, TorsorSpec)
     if name == "mult":
-        return tuple((arg * xi) % m for xi in x)
-    if name == "proj":
-        return (x[arg],)
-    return tuple(xi % m for xi in x)
-
-
-def _push_spec(name: str, arg, spec: Spec) -> Spec:
-    if name == "neg":
-        if isinstance(spec, TorsorSpec):
-            return spec.with_t(tuple((-ti) % spec.N for ti in spec.t))
-        return spec
-    if name == "mult":
-        if isinstance(spec, TorsorSpec):
-            return spec.with_t(tuple((arg * ti) % spec.N for ti in spec.t))
-        return spec
-    if name == "proj":
-        if isinstance(spec, TorsorSpec):
-            return TorsorSpec(
-                spec.ell, spec.r, spec.N, 1, spec.flavor, (spec.t[arg],)
-            )
-        return GroupSpec(spec.m, 1)
-    if not isinstance(spec, TorsorSpec):
-        raise ValueError("level reduction needs a torsor spec")
-    if spec.r == 0:
-        raise ValueError("cannot reduce below level 0")
-    return TorsorSpec(spec.ell, spec.r - 1, spec.N, spec.d, spec.flavor, spec.t)
+        image = spec.with_t(tuple((a * ti) % spec.N for ti in spec.t)) if torsor else spec
+        m = image.modulus
+        return image, lambda x: tuple((a * xi) % m for xi in x), a
+    if not 0 <= a < spec.d:
+        raise ValueError(f"projection index {a} out of range for rank {spec.d}")
+    if torsor:
+        image = TorsorSpec(spec.ell, spec.r, spec.N, 1, spec.flavor, (spec.t[a],))
+    else:
+        image = GroupSpec(spec.m, 1)
+    return image, lambda x: (x[a],), [[int(j == a) for j in range(spec.d)]]
 
 
 def pushforward(phi, mu: Measure) -> Measure:
     """(phi_! mu)(y) = sum over phi(x) = y of mu(x).
 
-    Supported map descriptions: "neg", ("mult", a), ("proj", i), "reduce"
-    (one level of the trace tower); see `_map_kind` for the checks.
+    Supported map descriptions: ("mult", a), "neg" (the same as
+    ("mult", -1)), ("proj", i), and "reduce" (one level of the trace
+    tower); see `_map` for the checks.
     """
-    name, arg = _map_kind(phi, mu.spec.d)
-    spec2 = _push_spec(name, arg, mu.spec)
-    m = spec2.modulus
+    spec2, f, _ = _map(phi, mu.spec)
     vals: dict[tuple[int, ...], Fraction] = {}
     for x, v in mu.values.items():
-        y = _map_point(name, arg, m, x)
+        y = f(x)
         vals[y] = vals.get(y, Fraction(0)) + v
     return Measure(spec2, vals)
 

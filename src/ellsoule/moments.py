@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .measures import GroupSpec, Measure, TorsorSpec, _map_kind, pushforward, trace
+from .measures import GroupSpec, Measure, TorsorSpec, _map, pushforward, trace
 from .tsym import TSym, divided_power, tsym_map
 
 __all__ = [
@@ -143,22 +143,17 @@ def check_trace_compat(tower: list[Measure], k: int) -> dict:
 def check_functoriality(phi, mu: Measure, k: int) -> bool:
     """moment(phi_! mu, k) == TSym(phi)(moment(mu, k)) mod ell^r.
 
-    phi uses the pushforward map descriptions; the induced coefficient map
-    is c^k for ("mult", c), (-1)^k for "neg", and the projection matrix for
+    phi uses the pushforward map descriptions, and the induced coefficient
+    map is the one `measures._map` returns with the point map: a^k for
+    ("mult", a), so (-1)^k for "neg", and the projection matrix for
     ("proj", i).  A description `pushforward` rejects, and "reduce", which
-    has no induced coefficient map here, raise before anything is pushed.
+    has no induced coefficient map, raise before anything is pushed.
     """
     spec = mu.spec
     if not isinstance(spec, TorsorSpec):
         raise ValueError("functoriality checks run on torsor measures")
-    name, arg = _map_kind(phi, spec.d)
-    if name == "neg":
-        induced = -1
-    elif name == "mult":
-        induced = arg
-    elif name == "proj":
-        induced = [[1 if j == arg else 0 for j in range(spec.d)]]
-    else:
+    induced = _map(phi, spec)[2]
+    if induced is None:
         raise ValueError(f"no induced TSym map for {phi!r}")
     q = spec.ell ** spec.r
     lhs = tsym_reduce(moment_torsor(pushforward(phi, mu), k), q)

@@ -64,6 +64,13 @@ def _check_theta_args(M: int, c: int, point: tuple[int, int]) -> tuple[int, int]
     return x, y
 
 
+def _level(ell: int, r: int, N: int) -> int:
+    """M = ell^r * N; a negative r would make it a fraction."""
+    if r < 0:
+        raise ValueError(f"level exponent r = {r} must be >= 0")
+    return ell ** r * N
+
+
 def _one_minus(M: int, n: int, zexp: int, T: int) -> PuiseuxSeries:
     """1 - q^{n/M} zeta_M^{zexp} at window T."""
     terms = {0: CycloElement.rational(M, 1)}
@@ -127,7 +134,7 @@ def theta_qexp(
         raise ValueError(f"gcd(ell, N) = gcd({ell}, {N}) != 1")
     if gcd(c, 6 * ell * N) != 1 or c <= 1:
         raise ValueError(f"need c > 1 coprime to 6*ell*N = {6 * ell * N}")
-    return theta_series(ell ** r * N, c, point, trunc)
+    return theta_series(_level(ell, r, N), c, point, trunc)
 
 
 def residue_elliptic_soule(
@@ -211,7 +218,7 @@ def norm_check_theta(
 def eta_exponent(ell: int, r: int, N: int, c: int, x1: int) -> int:
     """Exponent (in q^{1/M} units) of the monomial normalizer at a point
     with first coordinate x1: the smoothed-B_2 value itself."""
-    v = smoothed_b2(ell ** r * N, c, x1)
+    v = smoothed_b2(_level(ell, r, N), c, x1)
     if v.denominator != 1:
         raise ValueError(f"smoothed B_2 value {v} at x1 = {x1} is not an integer exponent")
     return v.numerator
@@ -221,7 +228,7 @@ def epsilon_series(
     ell: int, r: int, N: int, c: int, point: tuple[int, int], trunc: int
 ) -> PuiseuxSeries:
     """theta / eta at `point`: the valuation-normalized unit (valuation 0)."""
-    M = ell ** r * N
+    M = _level(ell, r, N)
     x, y = int(point[0]) % M, int(point[1]) % M
     n = eta_exponent(ell, r, N, c, x)
     theta = theta_qexp(ell, r, N, c, (x, y), trunc + n)
@@ -249,7 +256,7 @@ def epsilon_cusp_eval(
 ) -> CycloElement:
     """Constant term of the normalized unit at (0, y), asserted equal to the
     closed cyclotomic formula; returns the common value."""
-    M = ell ** r * N
+    M = _level(ell, r, N)
     eps = epsilon_series(ell, r, N, c, (0, y), trunc)
     if eps.terms and min(eps.terms) < 0:
         raise AssertionError("normalized unit has negative valuation")

@@ -82,17 +82,6 @@ __all__ = [
     "SUITE_NAMES",
 ]
 
-SUITE_NAMES = (
-    "tsym",
-    "measures",
-    "moments",
-    "bernoulli",
-    "units",
-    "residues",
-    "dir",
-)
-
-
 def _row(case: str, ok: bool, **fields) -> dict:
     out = {"case": case}
     out.update(fields)
@@ -572,19 +561,19 @@ def suite_bernoulli(
                             except ArithmeticError:
                                 congruent = False
                             rows.append(
-                                {
-                                    "case": f"congruence_ell{ell}_r{r}_N{N}_c{c}_t{t}_k{k}",
-                                    "ell": ell,
-                                    "r": r,
-                                    "N": N,
-                                    "c": c,
-                                    "t": t,
-                                    "k": k,
-                                    "finite_sum": rat_str(finite),
-                                    "closed_value": rat_str(closed),
-                                    "congruent": congruent,
-                                    "pass": congruent,
-                                }
+                                _row(
+                                    f"congruence_ell{ell}_r{r}_N{N}_c{c}_t{t}_k{k}",
+                                    congruent,
+                                    ell=ell,
+                                    r=r,
+                                    N=N,
+                                    c=c,
+                                    t=t,
+                                    k=k,
+                                    finite_sum=rat_str(finite),
+                                    closed_value=rat_str(closed),
+                                    congruent=congruent,
+                                )
                             )
     return _finish("bernoulli", rows)
 
@@ -846,6 +835,24 @@ def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID) -> d
 # ---------------------------------------------------------------------------
 
 
+# suite name -> runner over the run_suites parameters, in report order
+_RUNNERS = {
+    "tsym": lambda p: suite_tsym(kmax=max(p["kmax"], 6), seed=p["seed"]),
+    "measures": lambda p: suite_measures(seed=p["seed"]),
+    "moments": lambda p: suite_moments(seed=p["seed"], kmax=p["kmax"]),
+    "bernoulli": lambda p: suite_bernoulli(
+        ells=(p["ell"],), rmax=p["rmax"], Ns=(p["N"],), cs=(p["c"],), kmax=p["kmax"]
+    ),
+    "units": lambda p: suite_units(ell=p["ell"], N=p["N"], c=p["c"], trunc=p["trunc"]),
+    "residues": lambda p: suite_residues(
+        cases=tuple((p["ell"], r, p["N"], p["c"]) for r in range(1, p["rmax"] + 1))
+    ),
+    "dir": lambda p: suite_dir(seed=p["seed"], kmax=p["kmax"]),
+}
+
+SUITE_NAMES = tuple(_RUNNERS)
+
+
 def run_suites(
     names,
     ell: int = 2,
@@ -860,36 +867,18 @@ def run_suites(
 
     The dir suite keeps its own admissible grid (its smoothing factors must
     be 1 mod N); the others restrict to the requested (ell, N, c) family.
-    rmax and kmax must be at least 1, and a suite left with no cases by the
-    parameters is an error, not a pass.
+    rmax and kmax must be at least 1.  An unknown suite name is an error,
+    and so is a suite left with no cases by the parameters (not a pass).
     """
     for flag, value in (("rmax", rmax), ("kmax", kmax)):
         if value < 1:
             raise ValueError(f"--{flag} must be at least 1, got {value}")
+    params = dict(ell=ell, N=N, c=c, rmax=rmax, kmax=kmax, trunc=trunc, seed=seed)
     reports = []
     for name in names:
-        if name == "tsym":
-            reports.append(suite_tsym(kmax=max(kmax, 6), seed=seed))
-        elif name == "measures":
-            reports.append(suite_measures(seed=seed))
-        elif name == "moments":
-            reports.append(suite_moments(seed=seed, kmax=kmax))
-        elif name == "bernoulli":
-            reports.append(
-                suite_bernoulli(ells=(ell,), rmax=rmax, Ns=(N,), cs=(c,), kmax=kmax)
-            )
-        elif name == "units":
-            reports.append(suite_units(ell=ell, N=N, c=c, trunc=trunc))
-        elif name == "residues":
-            reports.append(
-                suite_residues(
-                    cases=tuple((ell, r, N, c) for r in range(1, rmax + 1))
-                )
-            )
-        elif name == "dir":
-            reports.append(suite_dir(seed=seed, kmax=kmax))
-        else:
+        if name not in _RUNNERS:
             raise ValueError(f"unknown suite {name!r}")
+        reports.append(_RUNNERS[name](params))
         if not reports[-1]["cases"]:
             raise ValueError(
                 f"suite {name!r} has no cases for ell = {ell}, N = {N}, c = {c}"

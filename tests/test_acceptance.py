@@ -11,23 +11,17 @@ from fractions import Fraction
 from math import gcd
 
 from ellsoule.bernoulli import bernoulli_measure, bernoulli_moment_closed
-from ellsoule.formal import (
-    eis_residue_closed,
-    residue,
-    residue_soule_closed,
-    soule_elliptic,
-)
 from ellsoule.measures import integrate
 from ellsoule.moments import moment_torsor
 from ellsoule.numutil import mod_inverse_reduce
-from ellsoule.units import (
-    cusp_square_check,
-    cusp_value_closed,
-    epsilon_cusp_eval,
-    norm_check_theta,
-    residue_elliptic_soule,
+from ellsoule.units import norm_check_theta
+from ellsoule.verify import (
+    suite_dir,
+    suite_moments,
+    suite_residues,
+    suite_tsym,
+    suite_units,
 )
-from ellsoule.verify import suite_dir, suite_moments, suite_tsym
 
 
 class _Budget:
@@ -44,6 +38,10 @@ class _Budget:
             assert self.elapsed < self.seconds, (
                 f"ran {self.elapsed:.2f}s, budget {self.seconds}s"
             )
+
+
+def _failing(rep):
+    return [row["case"] for row in rep["cases"] if not row["pass"]]
 
 
 def test_criterion_1_bernoulli_moment_congruence():
@@ -78,16 +76,12 @@ def test_criterion_1_bernoulli_moment_congruence():
 
 def test_criterion_2_residue_measure_equality():
     # the measure read off q-expansion valuations equals the Bernoulli
-    # measure exactly, fiber by fiber
+    # measure exactly, fiber by fiber, at (ell, r, N, c) = (2, 1, 3, 5),
+    # (2, 2, 3, 5) and (3, 1, 4, 5)
     with _Budget(60):
-        for ell, r, N, c in ((2, 1, 3, 5), (2, 2, 3, 5), (3, 1, 4, 5)):
-            for t1 in range(N):
-                for t2 in range(N):
-                    if (t1, t2) == (0, 0):
-                        continue
-                    got = residue_elliptic_soule(ell, r, N, c, (t1, t2))
-                    want = bernoulli_measure(ell, r, N, c, t1)
-                    assert got == want, (ell, r, N, c, t1, t2)
+        rep = suite_residues(include_degenerate=False)
+        assert _failing(rep) == []
+        assert rep["summary"]["total"] == 8 + 8 + 15  # every t != (0, 0)
 
 
 def test_criterion_3_norm_compatibility():
@@ -102,14 +96,13 @@ def test_criterion_3_norm_compatibility():
 
 def test_criterion_4_cusp_evaluation():
     # constant term at every point over the cusp equals the closed
-    # cyclotomic value, and its square factors through the smoothed Xi
+    # cyclotomic value, and its square factors through the smoothed Xi, at
+    # (ell, N, c) = (2, 3, 5) and levels 6 and 12
     with _Budget(10):
-        for r in (1, 2):
-            M = 2**r * 3
-            for y in range(1, M):
-                got = epsilon_cusp_eval(2, r, 3, 5, y)
-                assert got == cusp_value_closed(M, 5, y), (r, y)
-                assert cusp_square_check(M, 5, y), (r, y)
+        rep = suite_units(2, 3, 5)
+        assert _failing(rep) == []
+        cusp = [r for r in rep["cases"] if r["case"].startswith("cusp_value_")]
+        assert len(cusp) == 5 + 11  # 0 < y < M at M = 6, 12
 
 
 def test_criterion_5_two_route_boundary_agreement():
@@ -118,30 +111,21 @@ def test_criterion_5_two_route_boundary_agreement():
     # smoothed-unit route symbol by symbol
     with _Budget(5):
         rep = suite_dir(count=50, seed=0, kmax=5)
-        assert rep["all_pass"], [
-            row["case"] for row in rep["cases"] if not row["pass"]
-        ]
+        assert _failing(rep) == []
         two_route = [r for r in rep["cases"] if r["case"].startswith("two_route")]
         assert len(two_route) == 3 * 5 * 2  # (N, k) grid, two factors each
 
 
 def test_criterion_6_closed_residue_consistency():
     # the closed residue of a smoothed class equals the residue of its
-    # expansion, identically over the grid; frozen spot at weight 2
+    # expansion, identically over the grid (N = 2..5, k = 1..6, c = 5, 7,
+    # 11, 13 prime to N); frozen spot at weight 2; no seeded two-route grid
     with _Budget(1):
-        for N in (2, 3, 4, 5):
-            for k in range(1, 7):
-                for c in (5, 7, 11, 13):
-                    if gcd(c, N) != 1:
-                        continue
-                    for a in range(N):
-                        for b in range(N):
-                            if (a, b) == (0, 0):
-                                continue
-                            lhs = residue(soule_elliptic(k, N, c, (a, b)))
-                            rhs = residue_soule_closed(k, N, c, (a, b))
-                            assert lhs == rhs, (k, N, c, a, b)
-        assert eis_residue_closed(2, 3, (1, 0)) == Fraction(-13, 720)
+        rep = suite_dir(grid=())
+        assert _failing(rep) == []
+        cases = [r["case"] for r in rep["cases"]]
+        assert sum(c.startswith("soule_residue_closed_") for c in cases) == 90
+        assert "spot_residue_value" in cases
 
 
 def test_criterion_7_moment_map_laws():
@@ -150,9 +134,7 @@ def test_criterion_7_moment_map_laws():
     with _Budget(10):
         rep = suite_moments(seed=0, kmax=4)
         assert rep["summary"]["total"] >= 100
-        assert rep["all_pass"], [
-            row["case"] for row in rep["cases"] if not row["pass"]
-        ]
+        assert _failing(rep) == []
 
 
 def test_criterion_8_divided_power_laws():
@@ -160,6 +142,4 @@ def test_criterion_8_divided_power_laws():
     # rank-2 dimension count, degrees up to six
     with _Budget(5):
         rep = suite_tsym(kmax=6, seed=0)
-        assert rep["all_pass"], [
-            row["case"] for row in rep["cases"] if not row["pass"]
-        ]
+        assert _failing(rep) == []

@@ -72,6 +72,13 @@ def test_qexp_rejects_bad_smoothing():
     assert out.returncode == 2
 
 
+def test_qexp_rejects_negative_level_exponent():
+    # ell^r * N = 2.5 used to reach math.gcd and exit 1 with a traceback
+    out = run_cli("qexp", "--ell", "2", "--r", "-1", "--N", "5", "--c", "7")
+    assert out.returncode == 2
+    assert "r = -1" in out.stderr and out.stdout == ""
+
+
 def test_residue_table_and_alias():
     a = run_cli("residue-table", "--N", "3", "--k", "2")
     b = run_cli("residue_table", "--N", "3", "--k", "2")

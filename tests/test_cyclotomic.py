@@ -25,6 +25,23 @@ def test_cyclo_poly_twelve():
     assert tuple(cyclo_poly(12)) == (1, 0, -1, 0, 1)
 
 
+def test_cyclo_poly_divisor_product():
+    # the product of Phi_d over d | M is x^M - 1, and deg Phi_M = phi(M),
+    # with phi counted directly
+    for M in range(1, 121):
+        prod = [1]
+        for d in range(1, M + 1):
+            if M % d == 0:
+                p = cyclo_poly(d)
+                out = [0] * (len(prod) + len(p) - 1)
+                for i, a in enumerate(prod):
+                    for j, b in enumerate(p):
+                        out[i + j] += a * b
+                prod = out
+        assert prod == [-1] + [0] * (M - 1) + [1], M
+        assert len(cyclo_poly(M)) - 1 == sum(gcd(k, M) == 1 for k in range(M)), M
+
+
 def test_zeta_order():
     for M in (3, 4, 5, 12):
         z = zeta(M)

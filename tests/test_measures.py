@@ -116,6 +116,21 @@ def test_pushforward_composition(vals):
     assert one_step == two_step
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec(8, 1),
+        GroupSpec(3, 2),
+        TorsorSpec(2, 3, 3, 1, "reduction", (1,)),
+        TorsorSpec(2, 1, 5, 2, "multiplication", (1, 3)),
+    ],
+)
+@given(vals=values8)
+def test_neg_is_mult_minus_one(spec, vals):
+    mu = rand_measure(spec, vals)
+    assert pushforward("neg", mu) == pushforward(("mult", -1), mu)
+
+
 def test_projection_of_rank_two():
     spec = GroupSpec(4, 2)
     mu = dirac(spec, (1, 3))

@@ -100,6 +100,17 @@ def test_multiplication_functoriality(vals, k, phi):
 
 
 @pytest.mark.parametrize(
+    "spec",
+    [TorsorSpec(2, 2, 3, 1, "reduction", (1,)), TorsorSpec(3, 1, 4, 2, "reduction", (1, 3))],
+)
+@given(vals=values4, k=degrees)
+def test_neg_functoriality_is_mult_minus_one(spec, vals, k):
+    mu = rand_measure(spec, vals)
+    assert check_functoriality("neg", mu, k)
+    assert check_functoriality(("mult", -1), mu, k)
+
+
+@pytest.mark.parametrize(
     "phi, exc",
     [
         ("reduce", ValueError),  # used to push forward and take a moment first

@@ -80,6 +80,14 @@ def test_eta_exponent_rejects_non_integral_value():
         eta_exponent(1, 0, 1, 2, 0)
 
 
+def test_negative_level_exponent_is_rejected():
+    # ell^r * N = 2.5 used to reach math.gcd as a float (TypeError)
+    with pytest.raises(ValueError, match="r = -1"):
+        theta_qexp(2, -1, 5, 7, (1, 0), 10)
+    with pytest.raises(ValueError, match="r = -1"):
+        epsilon_series(2, -1, 5, 7, (1, 0), 10)
+
+
 def test_epsilon_is_normalized():
     e = epsilon_series(2, 1, 3, 5, (1, 1), 8)
     assert e.valuation() == 0

@@ -1,6 +1,8 @@
 import json
 from random import Random
 
+import pytest
+
 import ellsoule.verify as verify
 from ellsoule.formal import CycSym, FormalClass, random_residue_zero_psi
 from ellsoule.serialize import psi_to_json
@@ -22,6 +24,11 @@ def test_all_suites_pass_and_aggregate():
         if not row["pass"]
     ]
     assert failing == []
+
+
+def test_unknown_suite_is_rejected():
+    with pytest.raises(ValueError, match="'nosuch'"):
+        run_suites(["nosuch"])
 
 
 def test_reports_are_json_serializable_and_stable():
