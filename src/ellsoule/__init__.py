@@ -10,7 +10,7 @@ from .bernoulli import (
     bernoulli_poly,
     smoothed_b2,
 )
-from .cyclotomic import CycloElement, cyclo_poly, cyclo_rational, euler_phi, zeta
+from .cyclotomic import CycloElement, cyclo_poly, euler_phi
 from .formal import (
     CycSym,
     EisSym,

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import comb, gcd
 
 from .measures import Measure, TorsorSpec, torsor_elements
-from .numutil import frac_part
+from .numutil import exact_rational, frac_part
 
 __all__ = [
     "bernoulli_poly",
@@ -56,8 +56,8 @@ def bernoulli_poly(k: int) -> tuple[Fraction, ...]:
 
 
 def bern_eval(k: int, x) -> Fraction:
-    """B_k evaluated at an exact rational."""
-    x = Fraction(x)
+    """B_k evaluated at an exact rational (a float or bool raises TypeError)."""
+    x = exact_rational(x)
     acc = Fraction(0)
     for c in reversed(bernoulli_poly(k)):
         acc = acc * x + c

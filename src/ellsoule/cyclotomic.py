@@ -32,8 +32,6 @@ __all__ = [
     "cyclo_poly",
     "euler_phi",
     "CycloElement",
-    "zeta",
-    "cyclo_rational",
 ]
 
 
@@ -331,11 +329,3 @@ _set_M = CycloElement.M.__set__
 _set_num = CycloElement.num.__set__
 _set_den = CycloElement.den.__set__
 
-
-def zeta(M: int, k: int = 1) -> CycloElement:
-    """zeta_M^k as a CycloElement."""
-    return CycloElement.zeta_pow(M, k)
-
-
-def cyclo_rational(M: int, x) -> CycloElement:
-    return CycloElement.rational(M, x)

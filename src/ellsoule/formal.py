@@ -186,9 +186,6 @@ class FormalClass:
         c = exact_rational(c)
         return FormalClass._canonical({s: v * c for s, v in self.coeffs.items()})
 
-    def symbols(self):
-        return set(self.coeffs)
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -217,10 +214,6 @@ def _canonical_symbol(sym: Symbol, c: Fraction):
 
 def soule_elliptic(k: int, N: int, c: int, t) -> FormalClass:
     return FormalClass({SouleSym(k, N, c, _norm_point(N, t)): Fraction(1)})
-
-
-def eis(k: int, N: int, t) -> FormalClass:
-    return FormalClass({EisSym(k, N, _norm_point(N, t)): Fraction(1)})
 
 
 def _soule_terms(sym: SouleSym):
@@ -508,12 +501,10 @@ def residue_table(N: int, k: int) -> list[tuple[int, int, Fraction]]:
     return rows
 
 
-def random_residue_zero_psi(
-    N: int, k: int, rng: Random, parity: bool = True, span: int = 20
-) -> WeightFunction:
+def random_residue_zero_psi(N: int, k: int, rng: Random, parity: bool = True) -> WeightFunction:
     """A random weight function with residue(Eis^k(psi)) = 0.
 
-    All but one value are drawn uniformly from [-span, span]; the last is
+    All but one value are drawn uniformly from [-20, 20]; the last is
     solved exactly at a point t* (with a* != 0 and nonzero residue
     coefficient) so the single linear residue constraint holds.  With
     parity=True the function is parity-projected afterwards (which preserves
@@ -529,7 +520,7 @@ def random_residue_zero_psi(
     num: dict[tuple[int, int], int] = {}
     for t in points:
         if t != t_star:
-            num[t] = rng.randint(-span, span) * den
+            num[t] = rng.randint(-20, 20) * den
     partial = sum(v * R[a] for (a, _), v in num.items())
     num[t_star] = -partial // R[t_star[0]]
     psi = WeightFunction._from_num(k, N, num, den)

@@ -228,12 +228,17 @@ def pushforward(phi, mu: Measure) -> Measure:
     ("mult", -1)), ("proj", i), and "reduce" (one level of the trace
     tower); see `_map` for the checks.
     """
-    spec2, f, _ = _map(phi, mu.spec)
+    image, f, _ = _map(phi, mu.spec)
+    return _push(mu, image, f)
+
+
+def _push(mu: Measure, image: Spec, f) -> Measure:
+    """The measure on `image` summing mu over the fibers of the point map f."""
     vals: dict[tuple[int, ...], Fraction] = {}
     for x, v in mu.values.items():
         y = f(x)
         vals[y] = vals.get(y, Fraction(0)) + v
-    return Measure(spec2, vals)
+    return Measure(image, vals)
 
 
 def trace(mu: Measure) -> Measure:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .measures import GroupSpec, Measure, TorsorSpec, _map, pushforward, trace
+from .measures import GroupSpec, Measure, TorsorSpec, _map, _push, trace
 from .tsym import TSym, divided_power, tsym_map
 
 __all__ = [
@@ -60,19 +60,15 @@ def moment(mu: Measure, k: int) -> TSym:
     return out
 
 
-def moment_torsor(mu: Measure, k: int, multiplier: int = 1) -> TSym:
-    """Degree-k torsor moment: sum_x mu(x) * ((multiplier*x) mod ell^r)^{[k]}.
-
-    The multiplier m realizes the comparison with the same datum declared at
-    level N' = m*N (see redeclare); the default m = 1 is the plain moment.
-    """
+def moment_torsor(mu: Measure, k: int) -> TSym:
+    """Degree-k torsor moment: sum_x mu(x) * (x mod ell^r)^{[k]}."""
     spec = mu.spec
     if not isinstance(spec, TorsorSpec):
         raise ValueError("moment_torsor needs a torsor measure")
     q = spec.ell ** spec.r
     out = TSym.zero(spec.d, "Q")
     for x, v in sorted(mu.values.items()):
-        coords = tuple((multiplier * xi) % q for xi in x)
+        coords = tuple(xi % q for xi in x)
         out = out + divided_power(coords, k, spec.d, "Q").scale(v)
     return out
 
@@ -143,19 +139,19 @@ def check_trace_compat(tower: list[Measure], k: int) -> dict:
 def check_functoriality(phi, mu: Measure, k: int) -> bool:
     """moment(phi_! mu, k) == TSym(phi)(moment(mu, k)) mod ell^r.
 
-    phi uses the pushforward map descriptions, and the induced coefficient
-    map is the one `measures._map` returns with the point map: a^k for
-    ("mult", a), so (-1)^k for "neg", and the projection matrix for
-    ("proj", i).  A description `pushforward` rejects, and "reduce", which
-    has no induced coefficient map, raise before anything is pushed.
+    phi uses the pushforward map descriptions; one `measures._map` call gives
+    the point map and the induced coefficient map: a^k for ("mult", a), so
+    (-1)^k for "neg", and the projection matrix for ("proj", i).  A
+    description `pushforward` rejects, and "reduce", which has no induced
+    coefficient map, raise before anything is pushed.
     """
     spec = mu.spec
     if not isinstance(spec, TorsorSpec):
         raise ValueError("functoriality checks run on torsor measures")
-    induced = _map(phi, spec)[2]
+    image, f, induced = _map(phi, spec)
     if induced is None:
         raise ValueError(f"no induced TSym map for {phi!r}")
     q = spec.ell ** spec.r
-    lhs = tsym_reduce(moment_torsor(pushforward(phi, mu), k), q)
+    lhs = tsym_reduce(moment_torsor(_push(mu, image, f), k), q)
     rhs = tsym_map(induced, moment_torsor(mu, k))
     return lhs == tsym_reduce(rhs, q)

@@ -50,8 +50,8 @@ def exact_rational(x) -> Fraction:
 
 
 def frac_part(x: Fraction) -> Fraction:
-    """The representative of x mod Z in [0, 1)."""
-    x = Fraction(x)
+    """The representative of x mod Z in [0, 1), for x an int or a `Fraction`."""
+    x = exact_rational(x)
     return x - (x.numerator // x.denominator)
 
 

@@ -55,17 +55,8 @@ class PuiseuxSeries:
 
     # -- constructors ---------------------------------------------------
     @staticmethod
-    def zero(M: int, T: int) -> "PuiseuxSeries":
-        return PuiseuxSeries(M, T, {})
-
-    @staticmethod
     def one(M: int, T: int) -> "PuiseuxSeries":
         return PuiseuxSeries(M, T, {0: CycloElement.rational(M, 1)})
-
-    @staticmethod
-    def monomial(M: int, n: int, T: int, coeff=1) -> "PuiseuxSeries":
-        c = coeff if isinstance(coeff, CycloElement) else CycloElement.rational(M, coeff)
-        return PuiseuxSeries(M, T, {n: c})
 
     # -- inspection -------------------------------------------------------
     def val_lb(self) -> int:
@@ -207,23 +198,6 @@ class PuiseuxSeries:
             # k == 0: exact 1 with the window of self as a safe default
             return PuiseuxSeries.one(self.M, self.T)
         return acc
-
-    def rotate(self, j: int) -> "PuiseuxSeries":
-        """Substitute q^{1/M} -> zeta_M^j q^{1/M}: coeff_n *= zeta_M^{jn}."""
-        return PuiseuxSeries(
-            self.M,
-            self.T,
-            {
-                n: c * CycloElement.zeta_pow(self.M, (j * n) % self.M)
-                for n, c in self.terms.items()
-            },
-        )
-
-    def truncate(self, T2: int) -> "PuiseuxSeries":
-        """Weaken the window to T2 <= T (drop higher terms)."""
-        if T2 > self.T:
-            raise ValueError("cannot strengthen a truncation window")
-        return PuiseuxSeries(self.M, T2, {n: c for n, c in self.terms.items() if n < T2})
 
     def agree_up_to(self, other: "PuiseuxSeries", W: int) -> bool:
         """Coefficient-by-coefficient equality for all exponents < W.

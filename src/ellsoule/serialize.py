@@ -1,8 +1,9 @@
 """Deterministic JSON encodings for every public object.
 
 All rational numbers are rendered as strings "num/den" (or "num" when the
-denominator is 1) so that round-trips are exact; every list is emitted in a
-canonical sorted order so serialized output is byte-stable.
+denominator is 1), so no value is rounded; every list is emitted in a
+canonical sorted order so serialized output is byte-stable.  The one decoder,
+`psi_from_json`, reads the weight-function input of `ellsoule dir`.
 """
 
 from __future__ import annotations
@@ -11,23 +12,18 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclotomic import CycloElement
-from .formal import CycSym, EisSym, FormalClass, SouleSym, WeightFunction
-from .measures import GroupSpec, Measure, TorsorSpec
+from .formal import EisSym, FormalClass, SouleSym, WeightFunction
+from .measures import Measure, TorsorSpec
 from .numutil import parse_rat, rat_str
 from .puiseux import PuiseuxSeries
 from .tsym import TSym
 
 __all__ = [
     "cyclo_to_json",
-    "cyclo_from_json",
     "series_to_json",
-    "series_from_json",
     "measure_to_json",
-    "measure_from_json",
     "tsym_to_json",
-    "tsym_from_json",
     "formal_to_json",
-    "formal_from_json",
     "psi_to_json",
     "psi_from_json",
 ]
@@ -44,10 +40,6 @@ def cyclo_to_json(x: CycloElement) -> dict:
     return {"M": x.M, "coeffs": [_ratio_str(a, den) for a in x.num]}
 
 
-def cyclo_from_json(obj: dict) -> CycloElement:
-    return CycloElement.from_poly(obj["M"], [parse_rat(c) for c in obj["coeffs"]])
-
-
 def series_to_json(f: PuiseuxSeries) -> dict:
     return {
         "M": f.M,
@@ -57,13 +49,6 @@ def series_to_json(f: PuiseuxSeries) -> dict:
             for n, c in sorted(f.terms.items())
         ],
     }
-
-
-def series_from_json(obj: dict) -> PuiseuxSeries:
-    terms = {
-        int(t["n"]): cyclo_from_json(t["coeff"]) for t in obj["terms"]
-    }
-    return PuiseuxSeries(obj["M"], obj["T"], terms)
 
 
 def _spec_to_json(spec) -> dict:
@@ -80,14 +65,6 @@ def _spec_to_json(spec) -> dict:
     return {"kind": "group", "m": spec.m, "d": spec.d}
 
 
-def _spec_from_json(obj: dict):
-    if obj["kind"] == "torsor":
-        return TorsorSpec(
-            obj["ell"], obj["r"], obj["N"], obj["d"], obj["flavor"], tuple(obj["t"])
-        )
-    return GroupSpec(obj["m"], obj["d"])
-
-
 def measure_to_json(mu: Measure) -> dict:
     return {
         "spec": _spec_to_json(mu.spec),
@@ -96,12 +73,6 @@ def measure_to_json(mu: Measure) -> dict:
             for x, v in sorted(mu.values.items())
         ],
     }
-
-
-def measure_from_json(obj: dict) -> Measure:
-    spec = _spec_from_json(obj["spec"])
-    values = {tuple(row["x"]): parse_rat(row["v"]) for row in obj["values"]}
-    return Measure(spec, values)
 
 
 def tsym_to_json(a: TSym) -> dict:
@@ -121,15 +92,6 @@ def tsym_to_json(a: TSym) -> dict:
     }
 
 
-def tsym_from_json(obj: dict) -> TSym:
-    comps = {}
-    for block in obj["components"]:
-        comps[int(block["k"])] = {
-            tuple(t["n"]): parse_rat(t["c"]) for t in block["terms"]
-        }
-    return TSym(obj["d"], obj["ring"], comps)
-
-
 def _sym_to_json(sym) -> dict:
     if isinstance(sym, EisSym):
         return {"kind": "Eis", "k": sym.k, "N": sym.N, "t": list(sym.t)}
@@ -142,17 +104,6 @@ def _sym_to_json(sym) -> dict:
             "t": list(sym.t),
         }
     return {"kind": "CycSoule", "k": sym.k, "N": sym.N, "b": sym.b}
-
-
-def _sym_from_json(obj: dict):
-    kind = obj["kind"]
-    if kind == "Eis":
-        return EisSym(obj["k"], obj["N"], tuple(obj["t"]))
-    if kind == "SouleElliptic":
-        return SouleSym(obj["k"], obj["N"], obj["c"], tuple(obj["t"]))
-    if kind == "CycSoule":
-        return CycSym(obj["k"], obj["N"], obj["b"])
-    raise ValueError(f"unknown symbol kind {kind!r}")
 
 
 def _sym_sort_key(entry):
@@ -173,12 +124,6 @@ def formal_to_json(x: FormalClass) -> list:
     ]
     rows.sort(key=_sym_sort_key)
     return rows
-
-
-def formal_from_json(rows: list) -> FormalClass:
-    return FormalClass(
-        {_sym_from_json(row["sym"]): parse_rat(row["coeff"]) for row in rows}
-    )
 
 
 def psi_to_json(psi: WeightFunction) -> dict:

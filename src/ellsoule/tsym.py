@@ -122,16 +122,10 @@ class TSym:
     def __bool__(self):
         return bool(self.comps)
 
-    def component(self, k: int) -> "TSym":
-        return TSym(self.d, self.ring, {k: dict(self.comps.get(k, {}))})
-
     def coeff(self, n: tuple[int, ...]):
         row = self.comps.get(sum(n), {})
         c = row.get(tuple(n), 0)
         return c
-
-    def degrees(self) -> list[int]:
-        return sorted(self.comps)
 
     # -- linear structure ---------------------------------------------------
     def _check(self, other: "TSym"):
@@ -180,12 +174,6 @@ class TSym:
                             w *= comb(a + b, a)
                         row[n] = row.get(n, 0) + c1 * c2 * w
         return TSym(self.d, self.ring, comps)
-
-    def __pow__(self, k: int) -> "TSym":
-        result = TSym.one(self.d, self.ring)
-        for _ in range(k):
-            result = result * self
-        return result
 
     # -- base change ----------------------------------------------------------
     def base_change(self, ring: str) -> "TSym":

@@ -33,7 +33,7 @@ from math import gcd
 from .bernoulli import smoothed_b2
 from .cyclotomic import CycloElement
 from .measures import Measure, TorsorSpec, torsor_elements
-from .numutil import ceil_div
+from .numutil import ceil_div, is_prime
 from .puiseux import PuiseuxSeries
 
 __all__ = [
@@ -129,7 +129,10 @@ def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxS
 def theta_qexp(
     ell: int, r: int, N: int, c: int, point: tuple[int, int], trunc: int
 ) -> PuiseuxSeries:
-    """theta_series at level M = ell^r * N, with the gcd(c, 6 ell N) check."""
+    """theta_series at level M = ell^r * N, with ell prime and the
+    gcd(c, 6 ell N) check."""
+    if not is_prime(ell):
+        raise ValueError(f"ell = {ell} must be prime")
     if gcd(ell, N) != 1:
         raise ValueError(f"gcd(ell, N) = gcd({ell}, {N}) != 1")
     if gcd(c, 6 * ell * N) != 1 or c <= 1:
@@ -137,9 +140,7 @@ def theta_qexp(
     return theta_series(_level(ell, r, N), c, point, trunc)
 
 
-def residue_elliptic_soule(
-    ell: int, r: int, N: int, c: int, t: tuple[int, int], margin: int = 4
-) -> Measure:
+def residue_elliptic_soule(ell: int, r: int, N: int, c: int, t: tuple[int, int]) -> Measure:
     """Residue measure at the cusp, from actual q-expansion valuations.
 
     For t != (0,0) in (Z/N)^2, the value at x in the rank-1 fiber over t[0] is
@@ -162,15 +163,13 @@ def residue_elliptic_soule(
             e0 = smoothed_b2(M, c, x[0])
             # window just past the expected leading exponent; the valuation
             # is then read from the actual series
-            series = theta_series(M, c, (x[0], y), int(e0) + margin)
+            series = theta_series(M, c, (x[0], y), int(e0) + 4)
             acc += M * series.valuation()
         values[x] = acc / q
     return Measure(spec, values)
 
 
-def norm_check_theta(
-    M: int, d: int, c: int, point: tuple[int, int], window: int, margin: int = 3
-) -> dict:
+def norm_check_theta(M: int, d: int, c: int, point: tuple[int, int], window: int) -> dict:
     """Check multiplication-by-d norm compatibility of the theta unit.
 
     The product of the level-dM expansions over the d^2 preimages
@@ -183,6 +182,7 @@ def norm_check_theta(
     x, y = _check_theta_args(M, c, point)
     if d == 1:
         return {"ok": True, "window": window, "level": M, "mismatches": []}
+    margin = 3  # extra window on every factor
     base = theta_series(M, c, (x, y), ceil_div(window, d) + margin)
     base_rescaled = base.rescale(d * M)
     # leading exponents of the preimage factors can be negative, so each
@@ -236,7 +236,8 @@ def epsilon_series(
 
 
 def cusp_value_closed(M: int, c: int, y: int) -> CycloElement:
-    """(-beta)^{(c-c^2)/2} (1-beta)^{c^2} / (1-beta^c) for beta = zeta_M^y.
+    """(-beta)^{(c-c^2)/2} Xi_c(beta) for beta = zeta_M^y, where
+    Xi_c(w) = (1-w)^{c^2} / (1-w^c).
 
     This is the constant term of the normalized unit at (0, y): the carry
     vanishes there, leaving the scalar (-beta)^{(c-c^2)/2} on the constant
@@ -246,18 +247,15 @@ def cusp_value_closed(M: int, c: int, y: int) -> CycloElement:
     if y == 0:
         raise ValueError("beta = 1 is outside the cusp-value domain")
     beta = CycloElement.zeta_pow(M, y)
-    one = CycloElement.rational(M, 1)
     half = (c - c * c) // 2
-    return ((-beta) ** half) * ((one - beta) ** (c * c)) * (one - beta ** c).inverse()
+    return ((-beta) ** half) * _xi_c_at(beta, c)
 
 
-def epsilon_cusp_eval(
-    ell: int, r: int, N: int, c: int, y: int, trunc: int = 4
-) -> CycloElement:
+def epsilon_cusp_eval(ell: int, r: int, N: int, c: int, y: int) -> CycloElement:
     """Constant term of the normalized unit at (0, y), asserted equal to the
     closed cyclotomic formula; returns the common value."""
     M = _level(ell, r, N)
-    eps = epsilon_series(ell, r, N, c, (0, y), trunc)
+    eps = epsilon_series(ell, r, N, c, (0, y), 4)  # only the constant term is read
     if eps.terms and min(eps.terms) < 0:
         raise AssertionError("normalized unit has negative valuation")
     ct = eps.constant_term()

@@ -1,7 +1,8 @@
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, strategies as st
 
 from ellsoule.bernoulli import (
     bern_eval,
@@ -23,6 +24,14 @@ def test_bernoulli_poly_spot():
         Fraction(-2),
         Fraction(1),
     )
+
+
+@given(st.floats() | st.booleans())
+@example(0.1)
+@example(True)
+def test_bern_eval_rejects_inexact_input(x):
+    with pytest.raises(TypeError):
+        bern_eval(2, x)
 
 
 def test_bern_eval_spots():

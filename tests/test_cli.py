@@ -79,6 +79,13 @@ def test_qexp_rejects_negative_level_exponent():
     assert "r = -1" in out.stderr and out.stdout == ""
 
 
+@pytest.mark.parametrize("ell, r", [("4", "1"), ("1", "3")])
+def test_qexp_rejects_non_prime_ell(ell, r):
+    out = run_cli("qexp", "--ell", ell, "--r", r, "--N", "3", "--c", "5")
+    assert out.returncode == 2
+    assert f"ell = {ell} must be prime" in out.stderr and out.stdout == ""
+
+
 def test_residue_table_and_alias():
     a = run_cli("residue-table", "--N", "3", "--k", "2")
     b = run_cli("residue_table", "--N", "3", "--k", "2")

@@ -12,6 +12,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from ellsoule import measures
 from ellsoule.bernoulli import bernoulli_measure
 from ellsoule.measures import (
     GroupSpec,
@@ -33,7 +34,7 @@ from ellsoule.moments import (
     tsym_reduce,
 )
 from ellsoule.numutil import vp
-from ellsoule.tsym import TSym, divided_power
+from ellsoule.tsym import TSym, divided_power, tsym_map
 
 
 values4 = st.lists(st.integers(-9, 9), min_size=4, max_size=4)
@@ -123,10 +124,27 @@ def test_functoriality_rejects_before_pushing(phi, exc, monkeypatch):
     def no_push(*args):
         raise AssertionError("pushed forward before checking the map")
 
-    monkeypatch.setattr("ellsoule.moments.pushforward", no_push)
+    monkeypatch.setattr("ellsoule.moments._push", no_push)
     mu = dirac(TorsorSpec(2, 2, 3, 2, "reduction", (1, 2)), (1, 2))
     with pytest.raises(exc):
         check_functoriality(phi, mu, 2)
+
+
+@pytest.mark.parametrize("phi", ["neg", ("mult", 5), ("proj", 1)])
+def test_functoriality_checks_the_map_once(phi, monkeypatch):
+    # one map check builds the image spec once for both sides
+    calls = []
+    real = measures._map
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(measures, "_map", counting)
+    monkeypatch.setattr("ellsoule.moments._map", counting)
+    mu = dirac(TorsorSpec(2, 2, 3, 2, "reduction", (1, 2)), (1, 2))
+    assert check_functoriality(phi, mu, 2)
+    assert calls == [phi]
 
 
 # torsor moments: congruences in the tower
@@ -164,7 +182,7 @@ def test_redeclared_moments_agree_mod_level(k):
     mu = bernoulli_measure(2, 2, 3, 5, 1)
     nu = redeclare(mu, 5)
     q = 4
-    lhs = tsym_reduce(moment_torsor(mu, k, multiplier=5), q)
+    lhs = tsym_reduce(tsym_map(5, moment_torsor(mu, k)), q)
     rhs = tsym_reduce(moment_torsor(nu, k), q)
     assert lhs == rhs
 

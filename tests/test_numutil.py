@@ -92,6 +92,14 @@ def test_exact_rational_rejects_inexact_input(x):
         rat_str(x)
 
 
+@given(st.floats() | st.booleans())
+@example(2.7)
+@example(True)
+def test_frac_part_rejects_inexact_input(x):
+    with pytest.raises(TypeError):
+        frac_part(x)
+
+
 @given(st.integers() | st.fractions())
 def test_exact_rational_keeps_exact_values(x):
     q = exact_rational(x)

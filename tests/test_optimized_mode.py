@@ -9,10 +9,11 @@ import ellsoule
 SRC = os.path.dirname(os.path.dirname(ellsoule.__file__))
 
 PROBE = """
-from ellsoule.cyclotomic import CycloElement, zeta
+from ellsoule.bernoulli import bern_eval
+from ellsoule.cyclotomic import CycloElement
 from ellsoule.formal import CycSym, FormalClass, WeightFunction
 from ellsoule.measures import GroupSpec, Measure, dirac, pushforward
-from ellsoule.numutil import exact_rational, vp
+from ellsoule.numutil import exact_rational, frac_part, vp
 from ellsoule.tsym import TSym, tsym_map
 from ellsoule.units import eta_exponent
 
@@ -30,8 +31,10 @@ for bad in (0.1, True):
     rejects(TypeError, CycloElement.rational, 3, bad)
     rejects(TypeError, CycloElement.from_poly, 3, [bad])
     rejects(TypeError, CycloElement, 3, [bad, 0])
-    rejects(TypeError, zeta(3).__mul__, bad)
+    rejects(TypeError, CycloElement.zeta_pow(3, 1).__mul__, bad)
     rejects(TypeError, exact_rational, bad)
+    rejects(TypeError, frac_part, bad)
+    rejects(TypeError, bern_eval, 2, bad)
     rejects(TypeError, WeightFunction, 2, 3, {(1, 0): bad})
     rejects(TypeError, FormalClass, {CycSym(2, 3, 1): bad})
     rejects(TypeError, Measure, GroupSpec(3, 1), {(1,): bad})

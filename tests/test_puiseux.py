@@ -1,9 +1,8 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
-from ellsoule.cyclotomic import CycloElement, zeta
+from ellsoule.cyclotomic import CycloElement
 from ellsoule.puiseux import PuiseuxSeries
 
 
@@ -43,7 +42,7 @@ def test_valuation_is_reduced_fraction():
 
 
 def test_monomial_and_coeff():
-    f = PuiseuxSeries.monomial(6, 4, 12, coeff=7)
+    f = PuiseuxSeries(6, 12, {4: CycloElement.rational(6, 7)})
     assert f.coeff(4) == CycloElement.rational(6, 7)
     assert f.coeff(3) == CycloElement.rational(6, 0)
 
@@ -102,31 +101,11 @@ def test_rescale_embeds_exponents():
     assert f.valuation() == g.valuation() == Fraction(1, 3)
 
 
-def test_rotate_twists_by_zeta_powers():
-    f = series_from(6, 10, [(1, 1), (2, 3)])
-    g = f.rotate(2)
-    assert g.coeff(1) == zeta(6) ** 2
-    assert g.coeff(2) == CycloElement.rational(6, 3) * zeta(6) ** 4
-
-
-@given(small_series(), st.integers(0, 5), st.integers(0, 5))
-def test_rotate_adds(f, i, j):
-    assert f.rotate(i).rotate(j) == f.rotate(i + j)
-
-
 def test_shift_moves_valuation():
     f = series_from(6, 10, [(0, 1), (3, 1)])
     g = f.shift(2)
     assert g.valuation() == Fraction(1, 3)
     assert g.T == 12
-
-
-def test_truncate_narrows_window():
-    f = series_from(6, 10, [(1, 1), (8, 4)])
-    g = f.truncate(5)
-    assert g.T == 5 and set(g.terms) == {1}
-    with pytest.raises(ValueError):
-        f.truncate(11)
 
 
 def test_pow_matches_repeated_product():

@@ -1,25 +1,23 @@
+"""JSON encodings: each encoder's output is pinned to an exact value, so a
+change of format fails here; the CLI input `psi_from_json` round-trips."""
+
 import json
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
 from ellsoule.cyclotomic import CycloElement, euler_phi
-from ellsoule.formal import FormalClass, WeightFunction, dir_closed, eis, soule_elliptic
+from ellsoule.formal import CycSym, EisSym, FormalClass, SouleSym, WeightFunction, dir_closed
 from ellsoule.measures import GroupSpec, Measure, TorsorSpec, torsor_elements
 from ellsoule.numutil import rat_str
 from ellsoule.puiseux import PuiseuxSeries
 from ellsoule.serialize import (
-    cyclo_from_json,
     cyclo_to_json,
-    formal_from_json,
     formal_to_json,
-    measure_from_json,
     measure_to_json,
     psi_from_json,
     psi_to_json,
-    series_from_json,
     series_to_json,
-    tsym_from_json,
     tsym_to_json,
 )
 from ellsoule.tsym import TSym
@@ -34,8 +32,15 @@ def test_cyclo_roundtrip(M, data):
         st.lists(small_rats, min_size=euler_phi(M), max_size=euler_phi(M))
     )
     x = CycloElement.from_poly(M, coeffs)
-    assert cyclo_to_json(x)["coeffs"] == [rat_str(c) for c in x.coeffs]
-    assert cyclo_from_json(cyclo_to_json(x)) == x
+    assert cyclo_to_json(x) == {"M": M, "coeffs": [rat_str(c) for c in x.coeffs]}
+
+
+def test_cyclo_encoding_is_pinned():
+    x = CycloElement(12, [Fraction(1, 2), 0, -3, Fraction(5, 7)])
+    assert cyclo_to_json(x) == {"M": 12, "coeffs": ["1/2", "0", "-3", "5/7"]}
+    # -zeta_6^3 / 4 = 1/4 after reduction mod Phi_6
+    y = CycloElement.from_poly(6, [0, 0, 0, Fraction(-1, 4)])
+    assert cyclo_to_json(y) == {"M": 6, "coeffs": ["1/4", "0"]}
 
 
 def test_series_roundtrip():
@@ -44,8 +49,14 @@ def test_series_roundtrip():
         9,
         {-2: CycloElement.zeta_pow(6, 1), 3: CycloElement.rational(6, Fraction(7, 2))},
     )
-    g = series_from_json(series_to_json(f))
-    assert g == f and g.T == 9
+    assert series_to_json(f) == {
+        "M": 6,
+        "T": 9,
+        "terms": [
+            {"n": -2, "coeff": {"M": 6, "coeffs": ["0", "1"]}},
+            {"n": 3, "coeff": {"M": 6, "coeffs": ["7/2", "0"]}},
+        ],
+    }
 
 
 def test_measure_roundtrip_torsor():
@@ -53,31 +64,61 @@ def test_measure_roundtrip_torsor():
     mu = Measure(
         spec, {x: Fraction(i - 2, 3) for i, x in enumerate(torsor_elements(spec)) if i != 2}
     )
-    assert measure_from_json(measure_to_json(mu)) == mu
+    assert measure_to_json(mu) == {
+        "spec": {"kind": "torsor", "ell": 2, "r": 2, "N": 3, "d": 1, "flavor": "reduction",
+                 "t": [1]},
+        "values": [{"x": [1], "v": "-2/3"}, {"x": [4], "v": "-1/3"}, {"x": [10], "v": "1/3"}],
+    }
 
 
 def test_measure_roundtrip_group():
     spec = GroupSpec(6, 2)
     mu = Measure(spec, {(1, 2): Fraction(5), (0, 3): Fraction(-1, 7)})
-    assert measure_from_json(measure_to_json(mu)) == mu
+    assert measure_to_json(mu) == {
+        "spec": {"kind": "group", "m": 6, "d": 2},
+        "values": [{"x": [0, 3], "v": "-1/7"}, {"x": [1, 2], "v": "5"}],
+    }
 
 
 def test_tsym_roundtrip():
     a = TSym.basis(2, (2, 1), coeff=Fraction(3, 4)) + TSym.basis(2, (0, 1), coeff=-2)
-    assert tsym_from_json(tsym_to_json(a)) == a
-    b = a.base_change("Z/5")
-    assert tsym_from_json(tsym_to_json(b)) == b
+    assert tsym_to_json(a) == {
+        "d": 2,
+        "ring": "Q",
+        "components": [
+            {"k": 1, "terms": [{"n": [0, 1], "c": "-2"}]},
+            {"k": 3, "terms": [{"n": [2, 1], "c": "3/4"}]},
+        ],
+    }
+    # over Z/5: -2 = 3 and 3/4 = 3 * 4 = 2
+    assert tsym_to_json(a.base_change("Z/5")) == {
+        "d": 2,
+        "ring": "Z/5",
+        "components": [
+            {"k": 1, "terms": [{"n": [0, 1], "c": "3"}]},
+            {"k": 3, "terms": [{"n": [2, 1], "c": "2"}]},
+        ],
+    }
 
 
 def test_formal_roundtrip_all_symbol_kinds():
-    x = (
-        eis(2, 3, (1, 0)).scale(Fraction(1, 3))
-        + soule_elliptic(2, 3, 5, (1, 1))
+    x = FormalClass(
+        {
+            EisSym(2, 3, (1, 0)): Fraction(1, 3),
+            SouleSym(2, 3, 5, (1, 1)): 1,
+            CycSym(2, 3, 1): Fraction(-13, 6),
+        }
     )
-    assert formal_from_json(formal_to_json(x)) == x
+    assert formal_to_json(x) == [
+        {"sym": {"kind": "CycSoule", "k": 2, "N": 3, "b": 1}, "coeff": "-13/6"},
+        {"sym": {"kind": "Eis", "k": 2, "N": 3, "t": [1, 0]}, "coeff": "1/3"},
+        {"sym": {"kind": "SouleElliptic", "k": 2, "N": 3, "c": 5, "t": [1, 1]}, "coeff": "1"},
+    ]
     psi = WeightFunction(2, 3, {(0, 1): 13, (0, 2): 13, (1, 0): 27, (2, 0): 27})
-    y = dir_closed(psi)
-    assert formal_from_json(formal_to_json(y)) == y
+    assert formal_to_json(dir_closed(psi)) == [
+        {"sym": {"kind": "CycSoule", "k": 2, "N": 3, "b": 1}, "coeff": "-13/6"},
+        {"sym": {"kind": "CycSoule", "k": 2, "N": 3, "b": 2}, "coeff": "-13/6"},
+    ]
 
 
 def test_psi_roundtrip():
@@ -91,5 +132,5 @@ def test_encodings_are_byte_stable():
     s1 = json.dumps(measure_to_json(mu), sort_keys=True)
     s2 = json.dumps(measure_to_json(mu), sort_keys=True)
     assert s1 == s2
-    x = eis(2, 3, (1, 0)) + eis(2, 3, (1, 1))
+    x = FormalClass({EisSym(2, 3, (1, 0)): 1, EisSym(2, 3, (1, 1)): 1})
     assert json.dumps(formal_to_json(x)) == json.dumps(formal_to_json(x))

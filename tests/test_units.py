@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ellsoule.bernoulli import bernoulli_measure, smoothed_b2
-from ellsoule.cyclotomic import CycloElement, zeta
+from ellsoule.cyclotomic import CycloElement
 from ellsoule.units import (
     RatFun,
     cusp_square_check,
@@ -36,14 +36,14 @@ def test_theta_leading_term():
     # level 6, c = 5, point (1,1): valuation 2/6 with coefficient zeta_6^2
     f = theta_series(6, 5, (1, 1), 12)
     assert f.valuation() == Fraction(1, 3)
-    assert f.coeff(2) == zeta(6) ** 2
+    assert f.coeff(2) == CycloElement.zeta_pow(6, 1) ** 2
 
 
 def test_theta_leading_term_with_carry():
     # c = 7 pushes cx past the level: the reduction carry enters the scalar
     g = theta_series(6, 7, (1, 1), 16)
     assert min(g.terms) == 4
-    assert g.coeff(4) == zeta(6) ** 4
+    assert g.coeff(4) == CycloElement.zeta_pow(6, 1) ** 4
 
 
 def test_theta_qexp_valuation_spot():
@@ -97,6 +97,15 @@ def test_epsilon_is_normalized():
 def test_cusp_value_power_of_two():
     # beta = -1 collapses the cusp value to an explicit power of two
     assert cusp_value_closed(6, 5, 3) == CycloElement.rational(6, 2**24)
+
+
+@pytest.mark.parametrize("ell, r", [(4, 1), (1, 3), (9, 0), (0, 1), (-2, 1)])
+def test_non_prime_ell_is_rejected(ell, r):
+    with pytest.raises(ValueError, match=f"ell = {ell} must be prime"):
+        theta_qexp(ell, r, 3, 5, (1, 0), 10)
+    if ell != 0:  # ell^r * N = 0 divides by zero before theta_qexp is reached
+        with pytest.raises(ValueError, match=f"ell = {ell} must be prime"):
+            epsilon_series(ell, r, 3, 5, (1, 0), 10)
 
 
 def test_cusp_value_rejects_origin():
