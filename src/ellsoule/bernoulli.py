@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import comb, gcd
 
 from .measures import Measure, TorsorSpec, torsor_elements
-from .numutil import exact_rational, frac_part
+from .numutil import exact_rational
 
 __all__ = [
     "bernoulli_poly",
@@ -64,12 +64,16 @@ def bern_eval(k: int, x) -> Fraction:
     return acc
 
 
+@lru_cache(maxsize=None, typed=True)
+def _bern_at(n: int, a: int, N: int) -> Fraction:
+    """B_n({a/N}); callers pass a mod N, one cache entry per residue (typed,
+    so a float never reads an int's entry)."""
+    return bern_eval(n, Fraction(a % N, N))
+
+
 def smoothed_b2(M: int, c: int, x: int) -> Fraction:
-    """(M/2) * (c^2 B_2({x/M}) - B_2({c x/M}))."""
-    return Fraction(M, 2) * (
-        c * c * bern_eval(2, frac_part(Fraction(x, M)))
-        - bern_eval(2, frac_part(Fraction(c * x, M)))
-    )
+    """(M/2) * (c^2 B_2({x/M}) - B_2({c x/M})): the degree-0 closed moment."""
+    return bernoulli_moment_closed(0, M, c, x)
 
 
 def bernoulli_measure(ell: int, r: int, N: int, c: int, t: int) -> Measure:
@@ -95,11 +99,12 @@ def bernoulli_measure(ell: int, r: int, N: int, c: int, t: int) -> Measure:
 
 
 def bernoulli_moment_closed(k: int, N: int, c: int, t: int) -> Fraction:
-    """Closed form of the limit degree-k moment over the fiber at t."""
-    a = frac_part(Fraction(t, N))
-    ca = frac_part(Fraction(c * t, N))
+    """Closed form of the limit degree-k moment over the fiber at t (the
+    right side of the congruence above); smoothed_b2 is its k = 0 case."""
+    b = _bern_at(k + 2, t % N, N)
+    cb = _bern_at(k + 2, c * t % N, N)
     return (
         Fraction(N) ** (k + 1)
         / (Fraction(c) ** k * (k + 2))
-        * (Fraction(c) ** (k + 2) * bern_eval(k + 2, a) - bern_eval(k + 2, ca))
+        * (Fraction(c) ** (k + 2) * b - cb)
     )

@@ -39,8 +39,8 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from random import Random
 
-from .bernoulli import bern_eval
-from .numutil import exact_rational, frac_part
+from .bernoulli import _bern_at, bernoulli_moment_closed
+from .numutil import exact_rational
 
 __all__ = [
     "EisSym",
@@ -247,9 +247,7 @@ def rewrite_soule(x: FormalClass) -> FormalClass:
 
 @lru_cache(maxsize=None)
 def _eis_residue(k: int, N: int, a: int) -> Fraction:
-    return -Fraction(N ** k, factorial(k) * (k + 2)) * bern_eval(
-        k + 2, frac_part(Fraction(a, N))
-    )
+    return -Fraction(N ** k, factorial(k) * (k + 2)) * _bern_at(k + 2, a, N)
 
 
 def eis_residue_closed(k: int, N: int, t) -> Fraction:
@@ -278,15 +276,12 @@ def residue(x: FormalClass) -> Fraction:
 
 
 def residue_soule_closed(k: int, N: int, c: int, t) -> Fraction:
-    """Closed residue of the elliptic symbol:
+    """The residue formula: res(SouleElliptic(k, N, c, (a, b))) is the
+    degree-k moment of the c-smoothed Bernoulli measure at a, over k!,
 
         N^{k+1}/(k!(k+2)) * (c^2 B_{k+2}({a/N}) - c^{-k} B_{k+2}({c a/N})).
     """
-    a = _norm_point(N, t)[0]
-    return Fraction(N ** (k + 1), factorial(k) * (k + 2)) * (
-        c * c * bern_eval(k + 2, frac_part(Fraction(a, N)))
-        - Fraction(1, c ** k) * bern_eval(k + 2, frac_part(Fraction(c * a, N)))
-    )
+    return bernoulli_moment_closed(k, N, c, _norm_point(N, t)[0]) / factorial(k)
 
 
 # ---------------------------------------------------------------------------

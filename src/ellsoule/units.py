@@ -64,11 +64,27 @@ def _check_theta_args(M: int, c: int, point: tuple[int, int]) -> tuple[int, int]
     return x, y
 
 
-def _level(ell: int, r: int, N: int) -> int:
-    """M = ell^r * N; a negative r would make it a fraction."""
+def _level(ell: int, r: int, N: int, c: int) -> int:
+    """M = ell^r * N, after the family check: ell prime, gcd(ell, N) = 1,
+    c > 1 with gcd(c, 6 ell N) = 1, and r >= 0 (else M is a fraction)."""
+    if not is_prime(ell):
+        raise ValueError(f"ell = {ell} must be prime")
+    if gcd(ell, N) != 1:
+        raise ValueError(f"gcd(ell, N) = gcd({ell}, {N}) != 1")
+    if gcd(c, 6 * ell * N) != 1 or c <= 1:
+        raise ValueError(f"need c > 1 coprime to 6*ell*N = {6 * ell * N}")
     if r < 0:
         raise ValueError(f"level exponent r = {r} must be >= 0")
     return ell ** r * N
+
+
+def _e0(M: int, c: int, x: int) -> int:
+    """The leading exponent smoothed_b2(M, c, x) of the unit at (x, *), in
+    q^{1/M} units; it must be an integer."""
+    v = smoothed_b2(M, c, x)
+    if v.denominator != 1:
+        raise ValueError(f"smoothed B_2 value {v} at x = {x} is not an integer exponent")
+    return v.numerator
 
 
 def _one_minus(M: int, n: int, zexp: int, T: int) -> PuiseuxSeries:
@@ -100,10 +116,7 @@ def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxS
     """The smoothed theta unit's q-expansion at level M, window `trunc`
     (in q^{1/M} units)."""
     x, y = _check_theta_args(M, c, point)
-    e0f = smoothed_b2(M, c, x)
-    if e0f.denominator != 1:
-        raise AssertionError(f"prefactor exponent {e0f} is not an integer")
-    e0 = e0f.numerator
+    e0 = _e0(M, c, x)
     W = trunc - e0
     if W <= 0:
         raise ValueError(
@@ -129,15 +142,8 @@ def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxS
 def theta_qexp(
     ell: int, r: int, N: int, c: int, point: tuple[int, int], trunc: int
 ) -> PuiseuxSeries:
-    """theta_series at level M = ell^r * N, with ell prime and the
-    gcd(c, 6 ell N) check."""
-    if not is_prime(ell):
-        raise ValueError(f"ell = {ell} must be prime")
-    if gcd(ell, N) != 1:
-        raise ValueError(f"gcd(ell, N) = gcd({ell}, {N}) != 1")
-    if gcd(c, 6 * ell * N) != 1 or c <= 1:
-        raise ValueError(f"need c > 1 coprime to 6*ell*N = {6 * ell * N}")
-    return theta_series(_level(ell, r, N), c, point, trunc)
+    """theta_series at level M = ell^r * N of the (ell, N, c) family."""
+    return theta_series(_level(ell, r, N, c), c, point, trunc)
 
 
 def residue_elliptic_soule(ell: int, r: int, N: int, c: int, t: tuple[int, int]) -> Measure:
@@ -149,21 +155,20 @@ def residue_elliptic_soule(ell: int, r: int, N: int, c: int, t: tuple[int, int])
 
     each valuation read off an assembled series (never the closed formula).
     """
+    M = _level(ell, r, N, c)
     t = (int(t[0]) % N, int(t[1]) % N)
     if t == (0, 0):
         raise ValueError("residue measure needs t != (0, 0)")
     spec = TorsorSpec(ell, r, N, 1, "reduction", (t[0],))
-    M = spec.modulus
     q = ell ** r
     values = {}
     for x in torsor_elements(spec):
+        # window just past the expected leading exponent; the valuation is
+        # then read from the actual series
+        T = _e0(M, c, x[0]) + 4
         acc = Fraction(0)
         for j in range(q):
-            y = t[1] + N * j
-            e0 = smoothed_b2(M, c, x[0])
-            # window just past the expected leading exponent; the valuation
-            # is then read from the actual series
-            series = theta_series(M, c, (x[0], y), int(e0) + 4)
+            series = theta_series(M, c, (x[0], t[1] + N * j), T)
             acc += M * series.valuation()
         values[x] = acc / q
     return Measure(spec, values)
@@ -188,7 +193,7 @@ def norm_check_theta(M: int, d: int, c: int, point: tuple[int, int], window: int
     # leading exponents of the preimage factors can be negative, so each
     # factor's window is sized so the product window reaches `window`
     lead = {
-        (i, j): int(smoothed_b2(d * M, c, (x + i * M) % (d * M)))
+        (i, j): _e0(d * M, c, (x + i * M) % (d * M))
         for i in range(d)
         for j in range(d)
     }
@@ -218,17 +223,14 @@ def norm_check_theta(M: int, d: int, c: int, point: tuple[int, int], window: int
 def eta_exponent(ell: int, r: int, N: int, c: int, x1: int) -> int:
     """Exponent (in q^{1/M} units) of the monomial normalizer at a point
     with first coordinate x1: the smoothed-B_2 value itself."""
-    v = smoothed_b2(_level(ell, r, N), c, x1)
-    if v.denominator != 1:
-        raise ValueError(f"smoothed B_2 value {v} at x1 = {x1} is not an integer exponent")
-    return v.numerator
+    return _e0(_level(ell, r, N, c), c, x1)
 
 
 def epsilon_series(
     ell: int, r: int, N: int, c: int, point: tuple[int, int], trunc: int
 ) -> PuiseuxSeries:
     """theta / eta at `point`: the valuation-normalized unit (valuation 0)."""
-    M = _level(ell, r, N)
+    M = _level(ell, r, N, c)
     x, y = int(point[0]) % M, int(point[1]) % M
     n = eta_exponent(ell, r, N, c, x)
     theta = theta_qexp(ell, r, N, c, (x, y), trunc + n)
@@ -254,7 +256,7 @@ def cusp_value_closed(M: int, c: int, y: int) -> CycloElement:
 def epsilon_cusp_eval(ell: int, r: int, N: int, c: int, y: int) -> CycloElement:
     """Constant term of the normalized unit at (0, y), asserted equal to the
     closed cyclotomic formula; returns the common value."""
-    M = _level(ell, r, N)
+    M = _level(ell, r, N, c)
     eps = epsilon_series(ell, r, N, c, (0, y), 4)  # only the constant term is read
     if eps.terms and min(eps.terms) < 0:
         raise AssertionError("normalized unit has negative valuation")

@@ -532,49 +532,38 @@ def suite_moments(seed: int = 0, kmax: int = 4) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def suite_bernoulli(
-    ells=(2, 3, 5),
-    rmax: int = 3,
-    Ns=(3, 4),
-    cs=(5, 7, 11),
-    kmax: int = 4,
-) -> dict:
+def suite_bernoulli(ell: int, N: int, c: int, rmax: int, kmax: int) -> dict:
+    """Finite moments against the closed form mod ell^r, r = 1 .. rmax; no
+    cases unless gcd(ell, N) = 1 and gcd(c, 6 ell N) = 1."""
     rows = []
-    for ell in ells:
-        for r in range(1, rmax + 1):
-            for N in Ns:
-                if gcd(ell, N) != 1:
-                    continue
-                for c in cs:
-                    if gcd(c, 6 * ell * N) != 1:
-                        continue
-                    q = ell ** r
-                    for t in range(N):
-                        mu = bernoulli_measure(ell, r, N, c, t)
-                        for k in range(kmax + 1):
-                            finite = integrate(mu, lambda x: Fraction(x) ** k)
-                            closed = bernoulli_moment_closed(k, N, c, t)
-                            try:
-                                congruent = (
-                                    mod_inverse_reduce(finite - closed, q, ell) == 0
-                                )
-                            except ArithmeticError:
-                                congruent = False
-                            rows.append(
-                                _row(
-                                    f"congruence_ell{ell}_r{r}_N{N}_c{c}_t{t}_k{k}",
-                                    congruent,
-                                    ell=ell,
-                                    r=r,
-                                    N=N,
-                                    c=c,
-                                    t=t,
-                                    k=k,
-                                    finite_sum=rat_str(finite),
-                                    closed_value=rat_str(closed),
-                                    congruent=congruent,
-                                )
-                            )
+    if gcd(ell, N) != 1 or gcd(c, 6 * ell * N) != 1:
+        return _finish("bernoulli", rows)
+    for r in range(1, rmax + 1):
+        q = ell ** r
+        for t in range(N):
+            mu = bernoulli_measure(ell, r, N, c, t)
+            for k in range(kmax + 1):
+                finite = integrate(mu, lambda x: Fraction(x) ** k)
+                closed = bernoulli_moment_closed(k, N, c, t)
+                try:
+                    congruent = mod_inverse_reduce(finite - closed, q, ell) == 0
+                except ArithmeticError:
+                    congruent = False
+                rows.append(
+                    _row(
+                        f"congruence_ell{ell}_r{r}_N{N}_c{c}_t{t}_k{k}",
+                        congruent,
+                        ell=ell,
+                        r=r,
+                        N=N,
+                        c=c,
+                        t=t,
+                        k=k,
+                        finite_sum=rat_str(finite),
+                        closed_value=rat_str(closed),
+                        congruent=congruent,
+                    )
+                )
     return _finish("bernoulli", rows)
 
 
@@ -841,7 +830,7 @@ _RUNNERS = {
     "measures": lambda p: suite_measures(seed=p["seed"]),
     "moments": lambda p: suite_moments(seed=p["seed"], kmax=p["kmax"]),
     "bernoulli": lambda p: suite_bernoulli(
-        ells=(p["ell"],), rmax=p["rmax"], Ns=(p["N"],), cs=(p["c"],), kmax=p["kmax"]
+        p["ell"], p["N"], p["c"], p["rmax"], p["kmax"]
     ),
     "units": lambda p: suite_units(ell=p["ell"], N=p["N"], c=p["c"], trunc=p["trunc"]),
     "residues": lambda p: suite_residues(

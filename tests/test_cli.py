@@ -1,10 +1,14 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
+
+from ellsoule.cli import _verify_csv
+from ellsoule.verify import _row
 
 CMD = [sys.executable, "-m", "ellsoule.cli"]
 
@@ -47,6 +51,31 @@ def test_verify_bernoulli_csv_columns():
         "congruent",
     ]
     assert all(row[8] == "True" for row in rows[1:])
+
+
+@pytest.mark.parametrize(
+    "args, lines, digest",
+    [
+        ((), 31, "dfddbcdd8bc0082da3597d4c2b600ec76dc360bf8a3e5472d26a91ed4762b629"),
+        (
+            ("--ell", "3", "--N", "4", "--c", "7", "--rmax", "3", "--kmax", "5"),
+            73,
+            "c1ba9b12de77f443dd4fe30165df9f0afc21d4ef9e843046356b698d5130835f",
+        ),
+    ],
+)
+def test_verify_bernoulli_csv_bytes_are_pinned(args, lines, digest):
+    argv = ["verify", "--suite", "bernoulli", "--format", "csv", *args]
+    out = subprocess.run(CMD + argv, capture_output=True, timeout=300)  # raw bytes
+    assert out.returncode == 0
+    assert len(out.stdout.splitlines()) == lines
+    assert hashlib.sha256(out.stdout).hexdigest() == digest
+
+
+def test_bernoulli_csv_columns_are_the_row_fields():
+    # the columns are read from the rows, so they follow what _row writes
+    report = {"suite": "bernoulli", "cases": [_row("a", True, p=1, q="2/3")]}
+    assert _verify_csv(report).splitlines() == ["p,q", "1,2/3"]
 
 
 def test_verify_timing_flag_adds_key():

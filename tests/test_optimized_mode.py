@@ -15,7 +15,7 @@ from ellsoule.formal import CycSym, FormalClass, WeightFunction
 from ellsoule.measures import GroupSpec, Measure, dirac, pushforward
 from ellsoule.numutil import exact_rational, frac_part, vp
 from ellsoule.tsym import TSym, tsym_map
-from ellsoule.units import eta_exponent
+from ellsoule.units import _e0
 
 if __debug__:
     raise SystemExit("probe must run under python -O")
@@ -42,7 +42,7 @@ for bad in (0.1, True):
         rejects(TypeError, TSym, 2, ring, {1: {(1, 0): bad}})
 rejects(TypeError, TSym, 2, "Z", {1: {(1, 0): 2.7}})
 rejects(TypeError, TSym, 2, "Z/5", {1: {(1, 0): 7.9}})
-rejects(ValueError, eta_exponent, 1, 0, 1, 2, 0)
+rejects(ValueError, _e0, 1, 2, 0)
 point = dirac(GroupSpec(8, 2), (1, 3))
 rejects(TypeError, pushforward, ("mult", 2.5), point)
 rejects(TypeError, pushforward, ("mult", True), point)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ellsoule import units
 from ellsoule.bernoulli import bernoulli_measure, smoothed_b2
 from ellsoule.cyclotomic import CycloElement
 from ellsoule.units import (
@@ -74,10 +75,11 @@ def test_eta_exponent_matches_prefactor():
 
 
 def test_eta_exponent_rejects_non_integral_value():
-    # level 1, c = 2: the smoothed B_2 value at 0 is 1/4
+    # level 1, c = 2: the smoothed B_2 value at 0 is 1/4; no (ell, N, c)
+    # family reaches it, so the check is called directly
     assert smoothed_b2(1, 2, 0) == Fraction(1, 4)
-    with pytest.raises(ValueError):
-        eta_exponent(1, 0, 1, 2, 0)
+    with pytest.raises(ValueError, match="not an integer exponent"):
+        units._e0(1, 2, 0)
 
 
 def test_negative_level_exponent_is_rejected():
@@ -103,9 +105,32 @@ def test_cusp_value_power_of_two():
 def test_non_prime_ell_is_rejected(ell, r):
     with pytest.raises(ValueError, match=f"ell = {ell} must be prime"):
         theta_qexp(ell, r, 3, 5, (1, 0), 10)
-    if ell != 0:  # ell^r * N = 0 divides by zero before theta_qexp is reached
-        with pytest.raises(ValueError, match=f"ell = {ell} must be prime"):
-            epsilon_series(ell, r, 3, 5, (1, 0), 10)
+    with pytest.raises(ValueError, match=f"ell = {ell} must be prime"):
+        epsilon_series(ell, r, 3, 5, (1, 0), 10)
+    with pytest.raises(ValueError, match=f"ell = {ell} must be prime"):
+        eta_exponent(ell, r, 3, 5, 1)
+    with pytest.raises(ValueError, match=f"ell = {ell} must be prime"):
+        epsilon_cusp_eval(ell, r, 3, 5, 1)
+    with pytest.raises(ValueError, match=f"ell = {ell} must be prime"):
+        residue_elliptic_soule(ell, r, 3, 5, (1, 1))
+
+
+@pytest.mark.parametrize(
+    "ell, N, c, match",
+    [(2, 4, 5, "gcd"), (3, 3, 5, "gcd"), (2, 3, 3, "coprime"), (2, 3, 1, "coprime")],
+)
+def test_family_outside_the_checks_is_rejected(ell, N, c, match):
+    # every level entry point checks the (ell, N, c) family before it
+    # forms M = ell^r N; eta_exponent(2, 1, 3, 3, 1) used to return 1
+    for call in (
+        lambda: theta_qexp(ell, 1, N, c, (1, 1), 10),
+        lambda: eta_exponent(ell, 1, N, c, 1),
+        lambda: epsilon_series(ell, 1, N, c, (1, 1), 10),
+        lambda: epsilon_cusp_eval(ell, 1, N, c, 1),
+        lambda: residue_elliptic_soule(ell, 1, N, c, (1, 1)),
+    ):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_cusp_value_rejects_origin():

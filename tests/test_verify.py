@@ -6,7 +6,7 @@ import pytest
 import ellsoule.verify as verify
 from ellsoule.formal import CycSym, FormalClass, random_residue_zero_psi
 from ellsoule.serialize import psi_to_json
-from ellsoule.verify import SUITE_NAMES, run_suites, suite_dir
+from ellsoule.verify import SUITE_NAMES, run_suites, suite_bernoulli, suite_dir
 
 
 def test_all_suites_pass_and_aggregate():
@@ -24,6 +24,33 @@ def test_all_suites_pass_and_aggregate():
         if not row["pass"]
     ]
     assert failing == []
+
+
+def test_bernoulli_suite_takes_one_family():
+    rep = suite_bernoulli(3, 4, 7, 3, 5)
+    assert rep == run_suites(["bernoulli"], ell=3, N=4, c=7, rmax=3, kmax=5)
+    cases = [row["case"] for row in rep["cases"]]
+    assert len(cases) == 3 * 4 * 6 and rep["all_pass"]
+    assert cases[:2] == ["congruence_ell3_r1_N4_c7_t0_k0", "congruence_ell3_r1_N4_c7_t0_k1"]
+    assert cases[-1] == "congruence_ell3_r3_N4_c7_t3_k5"
+    # outside the family (gcd(ell, N) or gcd(c, 6 ell N) not 1): no cases
+    assert suite_bernoulli(2, 4, 5, 2, 2)["cases"] == []
+    assert suite_bernoulli(2, 3, 9, 2, 2)["cases"] == []
+
+
+def test_dir_suite_evaluates_each_bernoulli_value_once(monkeypatch):
+    # every closed form reads one cache of B_n({a/N}): a cold dir pass
+    # evaluates a Bernoulli polynomial once per (n, a, N) it meets
+    import ellsoule.bernoulli as bernoulli
+    import ellsoule.formal as formal
+
+    calls = []
+    real = bernoulli.bern_eval
+    monkeypatch.setattr(bernoulli, "bern_eval", lambda n, x: calls.append(n) or real(n, x))
+    for cached in (bernoulli._bern_at, formal._eis_residue, formal._residue_ints):
+        cached.cache_clear()
+    assert suite_dir(seed=1, kmax=4)["all_pass"]
+    assert 0 < len(calls) <= 300
 
 
 def test_unknown_suite_is_rejected():
