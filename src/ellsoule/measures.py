@@ -49,7 +49,7 @@ class TorsorSpec:
 
     def __post_init__(self):
         if not is_prime(self.ell):
-            raise ValueError(f"ell = {self.ell} is not prime")
+            raise ValueError(f"ell = {self.ell} must be prime")
         if self.r < 0:
             raise ValueError("level r must be >= 0")
         if self.N < 2:

@@ -18,10 +18,10 @@ comparison time, which is where the convolution/negation/scaling laws hold.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .measures import GroupSpec, Measure, TorsorSpec, _map, _push, trace
-from .tsym import TSym, divided_power, tsym_map
+from .tsym import TSym, exponent_tuples, tsym_map
 
 __all__ = [
     "moment",
@@ -34,6 +34,20 @@ __all__ = [
 ]
 
 
+def _moment(mu: Measure, k: int, coord) -> TSym:
+    """sum_x mu(x) x^{[k]}, each coordinate read through `coord`: the
+    coefficient of e^{[n]} is sum_x mu(x) prod_i coord(x_i)^{n_i}."""
+    points = [(tuple(coord(xi) for xi in x), v) for x, v in mu.values.items()]
+    return TSym(
+        mu.spec.d,
+        "Q",
+        {
+            n: sum(v * prod(y ** e for y, e in zip(ys, n)) for ys, v in points)
+            for n in exponent_tuples(mu.spec.d, k)
+        },
+    )
+
+
 def moment(mu: Measure, k: int) -> TSym:
     """Degree-k moment of a measure in standard group coordinates.
 
@@ -42,22 +56,11 @@ def moment(mu: Measure, k: int) -> TSym:
     """
     spec = mu.spec
     if isinstance(spec, GroupSpec):
-        def coords(x):
-            return x
-        d = spec.d
-    else:
-        if any(spec.t):
-            raise ValueError("moment() needs the group fiber t = 0; "
-                             "use moment_torsor for general fibers")
-        N = spec.N
-
-        def coords(x):
-            return tuple(xi // N for xi in x)
-        d = spec.d
-    out = TSym.zero(d, "Q")
-    for x, v in sorted(mu.values.items()):
-        out = out + divided_power(coords(x), k, d, "Q").scale(v)
-    return out
+        return _moment(mu, k, lambda xi: xi)
+    if any(spec.t):
+        raise ValueError("moment() needs the group fiber t = 0; "
+                         "use moment_torsor for general fibers")
+    return _moment(mu, k, lambda xi: xi // spec.N)
 
 
 def moment_torsor(mu: Measure, k: int) -> TSym:
@@ -66,11 +69,7 @@ def moment_torsor(mu: Measure, k: int) -> TSym:
     if not isinstance(spec, TorsorSpec):
         raise ValueError("moment_torsor needs a torsor measure")
     q = spec.ell ** spec.r
-    out = TSym.zero(spec.d, "Q")
-    for x, v in sorted(mu.values.items()):
-        coords = tuple(xi % q for xi in x)
-        out = out + divided_power(coords, k, spec.d, "Q").scale(v)
-    return out
+    return _moment(mu, k, lambda xi: xi % q)
 
 
 def modified_moment(mu: Measure, k: int) -> Fraction:

@@ -49,12 +49,6 @@ def exact_rational(x) -> Fraction:
     return Fraction(x)
 
 
-def frac_part(x: Fraction) -> Fraction:
-    """The representative of x mod Z in [0, 1), for x an int or a `Fraction`."""
-    x = exact_rational(x)
-    return x - (x.numerator // x.denominator)
-
-
 def rat_str(x: Fraction | int) -> str:
     """Render an exact rational as "num/den" ("num" when den == 1)."""
     x = exact_rational(x)

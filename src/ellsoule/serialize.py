@@ -8,7 +8,7 @@ canonical sorted order so serialized output is byte-stable.  The one decoder,
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import groupby
 from math import gcd
 
 from .cyclotomic import CycloElement
@@ -76,18 +76,14 @@ def measure_to_json(mu: Measure) -> dict:
 
 
 def tsym_to_json(a: TSym) -> dict:
+    """The terms sorted by degree, then exponent tuple, grouped by degree."""
+    terms = sorted(a.terms.items(), key=lambda t: (sum(t[0]), t[0]))
     return {
         "d": a.d,
         "ring": a.ring,
         "components": [
-            {
-                "k": k,
-                "terms": [
-                    {"n": list(n), "c": rat_str(Fraction(c))}
-                    for n, c in sorted(comp.items())
-                ],
-            }
-            for k, comp in sorted(a.comps.items())
+            {"k": k, "terms": [{"n": list(n), "c": rat_str(c)} for n, c in group]}
+            for k, group in groupby(terms, key=lambda t: sum(t[0]))
         ],
     }
 

@@ -60,30 +60,30 @@ def exponent_tuples(d: int, k: int) -> list[tuple[int, ...]]:
 class TSym:
     """An element of the truncated divided-power algebra, rank d over a ring.
 
-    comps maps degree k to {exponent tuple: coefficient}; zero coefficients
-    are dropped, so representations are canonical.
+    terms maps an exponent tuple n to the coefficient of e^{[n]}, whose
+    degree is sum(n); zero coefficients are dropped, so representations are
+    canonical.
     """
 
-    __slots__ = ("d", "ring", "comps")
+    __slots__ = ("d", "ring", "terms")
 
-    def __init__(self, d: int, ring: str, comps: dict[int, dict[tuple[int, ...], object]]):
+    def __init__(self, d: int, ring: str, terms: dict[tuple[int, ...], object]):
         if d not in (1, 2):
             raise ValueError("rank must be 1 or 2")
-        clean: dict[int, dict[tuple[int, ...], object]] = {}
-        for k, terms in comps.items():
-            row = {}
-            for n, c in terms.items():
-                n = tuple(int(x) for x in n)
-                if len(n) != d or any(x < 0 for x in n) or sum(n) != k:
-                    raise ValueError(f"bad exponent tuple {n} in degree {k}")
-                c = _ring_normalize(ring, c)
-                if c:
-                    row[n] = c
-            if row:
-                clean[k] = row
+        clean = {}
+        for n, c in terms.items():
+            if not (
+                type(n) is tuple
+                and len(n) == d
+                and all(type(x) is int and x >= 0 for x in n)
+            ):
+                raise ValueError(f"bad exponent tuple {n!r} for rank {d}")
+            c = _ring_normalize(ring, c)
+            if c:
+                clean[n] = c
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "comps", clean)
+        object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *a):
         raise AttributeError("TSym is immutable")
@@ -95,37 +95,29 @@ class TSym:
 
     @staticmethod
     def one(d: int, ring: str = "Q") -> "TSym":
-        return TSym(d, ring, {0: {(0,) * d: 1}})
+        return TSym(d, ring, {(0,) * d: 1})
 
     @staticmethod
     def basis(d: int, n: tuple[int, ...], ring: str = "Q", coeff=1) -> "TSym":
         """coeff * e^{[n]}."""
-        return TSym(d, ring, {sum(n): {tuple(n): coeff}})
+        return TSym(d, ring, {tuple(n): coeff})
 
     # -- structure ---------------------------------------------------------
     def __eq__(self, other) -> bool:
         if not isinstance(other, TSym):
             return NotImplemented
         return (
-            self.d == other.d and self.ring == other.ring and self.comps == other.comps
+            self.d == other.d and self.ring == other.ring and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash(
-            (
-                self.d,
-                self.ring,
-                tuple(sorted((k, tuple(sorted(v.items()))) for k, v in self.comps.items())),
-            )
-        )
+        return hash((self.d, self.ring, frozenset(self.terms.items())))
 
     def __bool__(self):
-        return bool(self.comps)
+        return bool(self.terms)
 
     def coeff(self, n: tuple[int, ...]):
-        row = self.comps.get(sum(n), {})
-        c = row.get(tuple(n), 0)
-        return c
+        return self.terms.get(tuple(n), 0)
 
     # -- linear structure ---------------------------------------------------
     def _check(self, other: "TSym"):
@@ -134,81 +126,60 @@ class TSym:
 
     def __add__(self, other: "TSym") -> "TSym":
         self._check(other)
-        comps = {k: dict(v) for k, v in self.comps.items()}
-        for k, terms in other.comps.items():
-            row = comps.setdefault(k, {})
-            for n, c in terms.items():
-                row[n] = row.get(n, 0) + c
-        return TSym(self.d, self.ring, comps)
+        terms = dict(self.terms)
+        for n, c in other.terms.items():
+            terms[n] = terms.get(n, 0) + c
+        return TSym(self.d, self.ring, terms)
 
     def __neg__(self) -> "TSym":
-        return TSym(
-            self.d,
-            self.ring,
-            {k: {n: -c for n, c in v.items()} for k, v in self.comps.items()},
-        )
+        return TSym(self.d, self.ring, {n: -c for n, c in self.terms.items()})
 
     def __sub__(self, other: "TSym") -> "TSym":
         return self + (-other)
 
     def scale(self, c) -> "TSym":
         c = exact_rational(c)
-        return TSym(
-            self.d,
-            self.ring,
-            {k: {n: v * c for n, v in row.items()} for k, row in self.comps.items()},
-        )
+        return TSym(self.d, self.ring, {n: v * c for n, v in self.terms.items()})
 
     # -- the divided-power product ------------------------------------------
     def __mul__(self, other: "TSym") -> "TSym":
         self._check(other)
-        comps: dict[int, dict[tuple[int, ...], object]] = {}
-        for k1, t1 in self.comps.items():
-            for k2, t2 in other.comps.items():
-                row = comps.setdefault(k1 + k2, {})
-                for n1, c1 in t1.items():
-                    for n2, c2 in t2.items():
-                        n = tuple(a + b for a, b in zip(n1, n2))
-                        w = 1
-                        for a, b in zip(n1, n2):
-                            w *= comb(a + b, a)
-                        row[n] = row.get(n, 0) + c1 * c2 * w
-        return TSym(self.d, self.ring, comps)
+        terms: dict[tuple[int, ...], object] = {}
+        for n1, c1 in self.terms.items():
+            for n2, c2 in other.terms.items():
+                n = tuple(a + b for a, b in zip(n1, n2))
+                w = 1
+                for a, b in zip(n1, n2):
+                    w *= comb(a + b, a)
+                terms[n] = terms.get(n, 0) + c1 * c2 * w
+        return TSym(self.d, self.ring, terms)
 
     # -- base change ----------------------------------------------------------
     def base_change(self, ring: str) -> "TSym":
         """Move coefficients into another ring (Z -> Q, Z -> Z/m, Q -> Z/m
         when denominators are invertible)."""
-        return TSym(
-            self.d,
-            ring,
-            {k: dict(v) for k, v in self.comps.items()},
-        )
+        return TSym(self.d, ring, self.terms)
 
 
-def divided_power(coords, k: int, d: int | None = None, ring: str = "Q") -> TSym:
-    """h^{[k]} for a degree-1 element h = sum coords_i e_i.
+def divided_power(coords, k: int, ring: str = "Q") -> TSym:
+    """h^{[k]} for a degree-1 element h = sum coords_i e_i, of rank len(coords).
 
     Equals sum_{|n|=k} (prod_i coords_i^{n_i}) e^{[n]}, the unique extension
     of the addition law (g+h)^{[k]} = sum g^{[m]} h^{[n]}.
     """
     coords = tuple(coords)
-    if d is None:
-        d = len(coords)
-    if len(coords) != d:
-        raise ValueError("coordinate count must match rank")
     terms = {}
-    for n in exponent_tuples(d, k):
+    for n in exponent_tuples(len(coords), k):
         c = 1
         for x, e in zip(coords, n):
             if e:
                 c = c * (x ** e)
         terms[n] = c
-    return TSym(d, ring, {k: terms})
+    return TSym(len(coords), ring, terms)
 
 
-def sym_to_tsym(monomial: tuple[int, ...], ring: str = "Q", coeff=1) -> TSym:
-    """Image of coeff * e_1^{n_1}...e_d^{n_d} under the algebra map from Sym.
+def sym_to_tsym(monomial: tuple[int, ...]) -> TSym:
+    """Image of e_1^{n_1}...e_d^{n_d} under the algebra map from Sym.
 
     The map is the ring homomorphism fixing degree one, which forces the
     coefficient prod_i n_i! on the divided-power basis vector e^{[n]}.
@@ -217,7 +188,7 @@ def sym_to_tsym(monomial: tuple[int, ...], ring: str = "Q", coeff=1) -> TSym:
     w = 1
     for e in n:
         w *= factorial(e)
-    return TSym.basis(len(n), n, ring, exact_rational(coeff) * w)
+    return TSym.basis(len(n), n, coeff=w)
 
 
 def tsym_map(phi, a: TSym) -> TSym:
@@ -231,11 +202,7 @@ def tsym_map(phi, a: TSym) -> TSym:
     if isinstance(phi, bool):
         raise TypeError("tsym_map needs an int scalar or an integer matrix, got bool")
     if isinstance(phi, int):
-        comps = {
-            k: {n: c * (phi ** k) for n, c in row.items()}
-            for k, row in a.comps.items()
-        }
-        return TSym(a.d, a.ring, comps)
+        return TSym(a.d, a.ring, {n: c * phi ** sum(n) for n, c in a.terms.items()})
     rows = [list(r) for r in phi]
     if any(isinstance(x, bool) for r in rows for x in r):
         raise TypeError("tsym_map matrix entries must be ints, not bools")
@@ -245,11 +212,10 @@ def tsym_map(phi, a: TSym) -> TSym:
         raise ValueError("matrix shape does not match element rank")
     columns = [tuple(rows[i][j] for i in range(d_out)) for j in range(d_in)]
     out = TSym.zero(d_out, a.ring)
-    for k, row in a.comps.items():
-        for n, c in row.items():
-            img = TSym.one(d_out, a.ring)
-            for j, e in enumerate(n):
-                if e:
-                    img = img * divided_power(columns[j], e, d_out, a.ring)
-            out = out + img.scale(c)
+    for n, c in a.terms.items():
+        img = TSym.one(d_out, a.ring)
+        for j, e in enumerate(n):
+            if e:
+                img = img * divided_power(columns[j], e, a.ring)
+        out = out + img.scale(c)
     return out

@@ -28,12 +28,12 @@ exact cyclotomic number.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .bernoulli import smoothed_b2
 from .cyclotomic import CycloElement
 from .measures import Measure, TorsorSpec, torsor_elements
-from .numutil import ceil_div, is_prime
+from .numutil import ceil_div, exact_rational, is_prime
 from .puiseux import PuiseuxSeries
 
 __all__ = [
@@ -284,53 +284,42 @@ def _xi_c_at(b: CycloElement, c: int) -> CycloElement:
 
 
 # ---------------------------------------------------------------------------
-# rational functions in one variable over a cyclotomic field, and the norm
-# under the substitution w -> zeta_d^j w
+# rational functions in one variable over Q, and the norm under the
+# substitution w -> zeta_d^j w
 # ---------------------------------------------------------------------------
 
 
-def _ptrim(p: list[CycloElement]) -> list[CycloElement]:
-    while p and p[-1].is_zero():
+def _ptrim(p: list) -> list:
+    while p and not p[-1]:
         p.pop()
     return p
 
 
-def _pmul(a: list[CycloElement], b: list[CycloElement], M: int) -> list[CycloElement]:
-    zero = CycloElement.rational(M, 0)
-    out = [zero] * (len(a) + len(b) - 1 if a and b else 0)
+def _pmul(a: list, b: list) -> list:
+    """Product of ascending coefficient lists over Q or over Q(zeta_d)."""
+    out = [0] * (len(a) + len(b) - 1 if a and b else 0)
     for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = out[i + j] + ai * bj
     return _ptrim(out)
 
 
 class RatFun:
-    """A ratio of polynomials in w with coefficients in Q(zeta_D).
+    """A ratio of polynomials in w with rational coefficients.
 
-    Polynomials are ascending coefficient lists; equality is tested by
+    Polynomials are ascending lists of `Fraction`s; equality is tested by
     cross-multiplication, so no normal form is needed.
     """
 
-    __slots__ = ("M", "num", "den")
+    __slots__ = ("num", "den")
 
-    def __init__(self, M: int, num, den):
-        def conv(p):
-            out = []
-            for c in p:
-                if not isinstance(c, CycloElement):
-                    c = CycloElement.rational(M, c)
-                elif c.M != M:
-                    raise ValueError("coefficient conductor mismatch")
-                out.append(c)
-            return _ptrim(out)
-
-        num, den = conv(list(num)), conv(list(den))
+    def __init__(self, num, den):
+        num = _ptrim([exact_rational(c) for c in num])
+        den = _ptrim([exact_rational(c) for c in den])
         if not den:
             raise ZeroDivisionError("zero denominator")
-        object.__setattr__(self, "M", M)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -340,76 +329,50 @@ class RatFun:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFun):
             return NotImplemented
-        if self.M != other.M:
-            return NotImplemented
-        return _pmul(self.num, other.den, self.M) == _pmul(other.num, self.den, self.M)
+        return _pmul(self.num, other.den) == _pmul(other.num, self.den)
 
     def __hash__(self):
         raise TypeError("RatFun is unhashable (no normal form)")
 
     def __repr__(self):
-        return f"RatFun(M={self.M}, num={self.num}, den={self.den})"
+        return f"RatFun(num={self.num}, den={self.den})"
 
 
 def xi() -> RatFun:
     """Xi(w) = 1 - w over Q."""
-    return RatFun(1, [1, -1], [1])
+    return RatFun([1, -1], [1])
 
 
 def xi_c(c: int) -> RatFun:
     """Xi_c(w) = (1 - w)^{c^2} / (1 - w^c) over Q."""
-    one = CycloElement.rational(1, 1)
-    lin = [one, -one]
-    num = [one]
-    for _ in range(c * c):
-        num = _pmul(num, lin, 1)
-    den = [CycloElement.rational(1, 0)] * (c + 1)
-    den[0] = one
-    den[c] = -one
-    return RatFun(1, num, den)
-
-
-def _subst_rotate(p: list[CycloElement], j: int, d: int, D: int) -> list[CycloElement]:
-    """p(zeta_d^j w) over Q(zeta_D) (d | D): coeff_i *= zeta_d^{ji}."""
-    out = []
-    for i, c in enumerate(p):
-        out.append(c * CycloElement.zeta_pow(D, (j * i * (D // d)) % D))
-    return _ptrim(out)
+    num = [(-1) ** i * comb(c * c, i) for i in range(c * c + 1)]
+    return RatFun(num, [1] + [0] * (c - 1) + [-1])
 
 
 def norm_under_power(f: RatFun, d: int) -> RatFun:
     """prod_{j=0}^{d-1} f(zeta_d^j w), re-expressed in z = w^d over Q.
 
-    Requires f to have rational coefficients and nonzero constant terms; the
-    product must only involve exponents divisible by d with rational
-    coefficients (checked), else the input was not norm-equivariant.
+    Requires nonzero constant terms; the product must only involve exponents
+    divisible by d with rational coefficients (checked), else the input was
+    not norm-equivariant.
     """
-    if f.num[0].is_zero() or f.den[0].is_zero():
+    if not (f.num and f.num[0] and f.den[0]):
         raise ValueError("nonzero constant terms are required")
-    D = d
-    num = [c.rational_value() for c in f.num]
-    den = [c.rational_value() for c in f.den]
 
-    def to_big(p):
-        return [CycloElement.rational(D, c) for c in p]
-
-    big_num = [CycloElement.rational(D, 1)]
-    big_den = [CycloElement.rational(D, 1)]
-    for j in range(d):
-        big_num = _pmul(big_num, _subst_rotate(to_big(num), j, d, D), D)
-        big_den = _pmul(big_den, _subst_rotate(to_big(den), j, d, D), D)
-
-    def collapse(p):
+    def norm(p):
+        big = [CycloElement.rational(d, 1)]
+        for j in range(d):
+            # p(zeta_d^j w): coefficient i picks up zeta_d^{ji}
+            big = _pmul(big, [CycloElement.zeta_pow(d, j * i) * c for i, c in enumerate(p)])
         out = []
-        for i, c in enumerate(p):
-            if i % d == 0:
-                if not c.is_rational():
-                    raise ValueError("norm product has irrational coefficients")
-                out.append(CycloElement.rational(1, c.rational_value()))
-            elif not c.is_zero():
-                raise ValueError(
-                    f"norm product has exponent {i} not divisible by {d}"
-                )
+        for i, c in enumerate(big):
+            if i % d:
+                if c:
+                    raise ValueError(f"norm product has exponent {i} not divisible by {d}")
+            elif c and not c.is_rational():
+                raise ValueError("norm product has irrational coefficients")
+            else:
+                out.append(c.rational_value() if c else 0)
         return out
 
-    return RatFun(1, collapse(big_num), collapse(big_den))
+    return RatFun(norm(f.num), norm(f.den))

@@ -115,6 +115,14 @@ def test_qexp_rejects_non_prime_ell(ell, r):
     assert f"ell = {ell} must be prime" in out.stderr and out.stdout == ""
 
 
+@pytest.mark.parametrize("suite", ["bernoulli", "units", "residues"])
+def test_verify_rejects_non_prime_ell_with_one_message(suite):
+    # the torsor check (bernoulli) and the level check (units, residues) agree
+    out = run_cli("verify", "--suite", suite, "--ell", "4")
+    assert out.returncode == 2
+    assert out.stderr == "error: ell = 4 must be prime\n" and out.stdout == ""
+
+
 def test_residue_table_and_alias():
     a = run_cli("residue-table", "--N", "3", "--k", "2")
     b = run_cli("residue_table", "--N", "3", "--k", "2")

@@ -7,7 +7,8 @@ comparisons below are exact congruences at that modulus.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -53,7 +54,7 @@ def rand_measure(spec, vals):
 def test_dirac_moment_is_divided_power(x, y, k):
     spec = GroupSpec(8, 2)
     mu = dirac(spec, (x, y))
-    assert moment(mu, k) == divided_power((x, y), k, 2)
+    assert moment(mu, k) == divided_power((x, y), k)
 
 
 def test_dirac_moment_spot():
@@ -65,6 +66,51 @@ def test_dirac_moment_spot():
         + TSym.basis(2, (0, 2), coeff=4)
     )
     assert got == want
+
+
+# the moment is computed as its coefficients; the reference accumulates the
+# divided power of each point of the support, scaled by its value
+
+
+def ref_moment(mu, k, coord):
+    out = TSym.zero(mu.spec.d)
+    for x, v in sorted(mu.values.items()):
+        out = out + divided_power(tuple(coord(xi) for xi in x), k).scale(v)
+    return out
+
+
+def seeded_measure(spec, rng, npts=5):
+    pts = torsor_elements(spec)
+    pts = rng.sample(pts, min(npts, len(pts)))
+    return Measure(spec, {x: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for x in pts})
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_moments_equal_per_point_accumulation(ell):
+    rng = Random(f"moment-reference:{ell}")
+    for r in (0, 1, 2):
+        q = ell ** r
+        for N in (3, 4, 5, 7):
+            if gcd(ell, N) != 1:
+                continue
+            for d in (1, 2):
+                flavor = rng.choice(["reduction", "multiplication"])
+                group_fiber = TorsorSpec(ell, r, N, d, flavor, (0,) * d)
+                shifted = group_fiber.with_t(tuple(rng.randrange(N) for _ in range(d)))
+                mu0 = seeded_measure(group_fiber, rng)
+                mu1 = seeded_measure(shifted, rng)
+                for k in range(7):
+                    assert moment(mu0, k) == ref_moment(mu0, k, lambda xi: xi // N)
+                    for mu in (mu0, mu1):
+                        assert moment_torsor(mu, k) == ref_moment(mu, k, lambda xi: xi % q)
+
+
+@pytest.mark.parametrize("m, d", [(1, 1), (5, 1), (6, 2), (8, 2)])
+def test_group_moment_equals_per_point_accumulation(m, d):
+    rng = Random(f"moment-reference:group:{m}:{d}")
+    for mu in (seeded_measure(GroupSpec(m, d), rng), Measure(GroupSpec(m, d), {})):
+        for k in range(7):
+            assert moment(mu, k) == ref_moment(mu, k, lambda xi: xi)
 
 
 # convolution of measures maps to the product of moments (graded, summed)

@@ -6,7 +6,6 @@ from hypothesis import example, given, strategies as st
 from ellsoule.numutil import (
     ceil_div,
     exact_rational,
-    frac_part,
     is_prime,
     mod_inverse_reduce,
     parse_rat,
@@ -38,19 +37,6 @@ def test_vp_divides_exactly(n, p):
     k = vp(n, p)
     assert n % p**k == 0
     assert (n // p**k) % p != 0
-
-
-def test_frac_part():
-    assert frac_part(Fraction(7, 3)) == Fraction(1, 3)
-    assert frac_part(Fraction(-1, 3)) == Fraction(2, 3)
-    assert frac_part(Fraction(4)) == 0
-
-
-@given(st.fractions(max_denominator=1000))
-def test_frac_part_range(x):
-    f = frac_part(x)
-    assert 0 <= f < 1
-    assert (x - f).denominator == 1
 
 
 @given(st.integers(-10**9, 10**9), st.integers(1, 10**6).filter(lambda d: True))
@@ -90,14 +76,6 @@ def test_exact_rational_rejects_inexact_input(x):
         exact_rational(x)
     with pytest.raises(TypeError):
         rat_str(x)
-
-
-@given(st.floats() | st.booleans())
-@example(2.7)
-@example(True)
-def test_frac_part_rejects_inexact_input(x):
-    with pytest.raises(TypeError):
-        frac_part(x)
 
 
 @given(st.integers() | st.fractions())

@@ -13,7 +13,7 @@ from ellsoule.bernoulli import bern_eval
 from ellsoule.cyclotomic import CycloElement
 from ellsoule.formal import CycSym, FormalClass, WeightFunction
 from ellsoule.measures import GroupSpec, Measure, dirac, pushforward
-from ellsoule.numutil import exact_rational, frac_part, vp
+from ellsoule.numutil import exact_rational, vp
 from ellsoule.tsym import TSym, tsym_map
 from ellsoule.units import _e0
 
@@ -33,15 +33,18 @@ for bad in (0.1, True):
     rejects(TypeError, CycloElement, 3, [bad, 0])
     rejects(TypeError, CycloElement.zeta_pow(3, 1).__mul__, bad)
     rejects(TypeError, exact_rational, bad)
-    rejects(TypeError, frac_part, bad)
     rejects(TypeError, bern_eval, 2, bad)
     rejects(TypeError, WeightFunction, 2, 3, {(1, 0): bad})
     rejects(TypeError, FormalClass, {CycSym(2, 3, 1): bad})
     rejects(TypeError, Measure, GroupSpec(3, 1), {(1,): bad})
     for ring in ("Z", "Q", "Z/5"):
-        rejects(TypeError, TSym, 2, ring, {1: {(1, 0): bad}})
-rejects(TypeError, TSym, 2, "Z", {1: {(1, 0): 2.7}})
-rejects(TypeError, TSym, 2, "Z/5", {1: {(1, 0): 7.9}})
+        rejects(TypeError, TSym, 2, ring, {(1, 0): bad})
+    rejects(ValueError, TSym, 2, "Q", {(bad, 0): 3})
+rejects(TypeError, TSym, 2, "Z", {(1, 0): 2.7})
+rejects(TypeError, TSym, 2, "Z/5", {(1, 0): 7.9})
+rejects(ValueError, TSym, 1, "Q", {(1.5,): 3})
+rejects(ValueError, TSym, 2, "Q", {(-1, 0): 3})
+rejects(ValueError, TSym, 2, "Q", {1: {(1, 0): 1}})
 rejects(ValueError, _e0, 1, 2, 0)
 point = dirac(GroupSpec(8, 2), (1, 3))
 rejects(TypeError, pushforward, ("mult", 2.5), point)

@@ -169,8 +169,8 @@ def test_residue_measure_ignores_second_coordinate():
 
 
 def test_ratfun_equality_by_cross_multiplication():
-    a = RatFun(1, [1, -1], [1])
-    b = RatFun(1, [2, -2], [2])
+    a = RatFun([1, -1], [1])
+    b = RatFun([2, -2], [2])
     assert a == b
     with pytest.raises(TypeError):
         hash(a)
