@@ -12,6 +12,11 @@ Subcommands:
 Exit codes: 0 success / all checks passed; 1 a verification comparison
 failed; 2 invalid input or configuration; 3 the residue-zero precondition of
 the boundary formula was violated (the report carries the residue).
+
+`qexp` bounds its work: the level ell^r * N may be at most MAX_LEVEL, and
+--trunc may lie at most MAX_WINDOW past the leading exponent (in q^{1/M}
+units, the window the unit's product is built to).  An input over either cap
+exits 2 before any expansion is formed.
 """
 
 from __future__ import annotations
@@ -26,10 +31,17 @@ import time
 from .formal import ResiduePreconditionError, dir_closed, dir_via_me, residue_table
 from .numutil import rat_str
 from .serialize import formal_to_json, psi_from_json, series_to_json
-from .units import theta_qexp
+from .units import eta_exponent, theta_qexp
 from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["build_parser", "main"]
+
+# Sized from measured cost (2 vCPU, Python 3.11.7).  The dearest expansions
+# are dense ones at small levels: a window of 1000 takes about 5 s at level 2
+# and 0.7 s at level 12.  Large levels are sparse: level 1000 at window 2000
+# takes at most 0.35 s and 36 MB, most of it the x^k mod Phi_M table.
+MAX_LEVEL = 1000
+MAX_WINDOW = 1000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_qexp.add_argument("--c", type=int, default=5)
     p_qexp.add_argument("--x", type=int, default=1)
     p_qexp.add_argument("--y", type=int, default=0)
-    p_qexp.add_argument("--trunc", type=int, default=40)
+    p_qexp.add_argument(
+        "--trunc",
+        type=int,
+        default=40,
+        help=f"window in q^(1/M) units, at most {MAX_WINDOW} past the leading "
+        f"exponent (default 40); the level ell^r * N is at most {MAX_LEVEL}",
+    )
     p_qexp.add_argument("--out", metavar="FILE")
     p_qexp.set_defaults(func=_cmd_qexp)
 
@@ -163,7 +181,29 @@ def _cmd_verify(args) -> int:
     return 0 if report["all_pass"] else 1
 
 
+def _check_qexp_caps(args) -> None:
+    """Reject a level or window over its cap, without forming ell^r."""
+    level = abs(args.N)
+    # |ell| >= 2 and level >= 1 pass the cap within log2(MAX_LEVEL) + 1 steps
+    for _ in range(args.r if abs(args.ell) > 1 and level else 0):
+        level *= abs(args.ell)
+        if level > MAX_LEVEL:
+            break
+    if level > MAX_LEVEL:
+        raise ValueError(
+            f"level --ell^--r * --N = {args.ell}^{args.r} * {args.N} exceeds "
+            f"the cap {MAX_LEVEL}"
+        )
+    e0 = eta_exponent(args.ell, args.r, args.N, args.c, args.x)
+    if args.trunc - e0 > MAX_WINDOW:
+        raise ValueError(
+            f"--trunc {args.trunc} lies {args.trunc - e0} past the leading "
+            f"exponent {e0}; the cap is {MAX_WINDOW}"
+        )
+
+
 def _cmd_qexp(args) -> int:
+    _check_qexp_caps(args)
     f = theta_qexp(args.ell, args.r, args.N, args.c, (args.x, args.y), args.trunc)
     obj = series_to_json(f)
     obj["valuation"] = f"{min(f.terms)}/{f.M}"

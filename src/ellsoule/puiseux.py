@@ -16,16 +16,34 @@ products of many unit factors) track precision automatically:
 
 Negative exponents are allowed; zero coefficients are never stored, so the
 zero series is the empty map and representations are canonical.
+
+A product accumulates before it reduces: each operand's coordinates are put
+over one int denominator, every term pair that lands below the window adds
+its coordinate convolution into one unreduced int row per output exponent,
+and each row is reduced mod Phi_M and put in lowest terms once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .cyclotomic import CycloElement
+from .cyclotomic import CycloElement, _make, _reduce, euler_phi
 
 __all__ = ["PuiseuxSeries"]
+
+
+def _int_terms(terms: dict[int, CycloElement], bound: int):
+    """The terms with exponent below `bound`, ascending, each as its int
+    numerators over one common denominator (returned too)."""
+    kept = sorted((n, c) for n, c in terms.items() if n < bound)
+    den = 1
+    for _, c in kept:
+        den = den // gcd(den, c.den) * c.den
+    return [
+        (n, c.num if c.den == den else [a * (den // c.den) for a in c.num])
+        for n, c in kept
+    ], den
 
 
 class PuiseuxSeries:
@@ -134,18 +152,31 @@ class PuiseuxSeries:
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         f, g = self._common(other)
         T = min(f.T + g.val_lb(), g.T + f.val_lb())
-        out: dict[int, CycloElement] = {}
-        for n1, c1 in f.terms.items():
-            for n2, c2 in g.terms.items():
+        M = f.M
+        phi = euler_phi(M)
+        width = 2 * phi - 1
+        a_terms, a_den = _int_terms(f.terms, T - g.val_lb())
+        b_terms, b_den = _int_terms(g.terms, T - f.val_lb())
+        b_terms = [(n, [(j, b) for j, b in enumerate(num) if b]) for n, num in b_terms]
+        # one unreduced convolution row per output exponent, over the common
+        # denominator a_den * b_den; reduced and normalised once at the end
+        rows: dict[int, list[int]] = {}
+        for n1, num in a_terms:
+            a = [(i, ai) for i, ai in enumerate(num) if ai]
+            for n2, b in b_terms:
                 n = n1 + n2
                 if n >= T:
-                    continue
-                prod = c1 * c2
-                if n in out:
-                    out[n] = out[n] + prod
-                else:
-                    out[n] = prod
-        return PuiseuxSeries(f.M, T, out)
+                    break  # b_terms ascend in n2
+                row = rows.get(n)
+                if row is None:
+                    row = rows[n] = [0] * width
+                for i, ai in a:
+                    for j, bj in b:
+                        row[i + j] += ai * bj
+        den = a_den * b_den
+        return PuiseuxSeries(
+            M, T, {n: _make(M, _reduce(M, phi, row), den) for n, row in rows.items()}
+        )
 
     def shift(self, n0: int) -> "PuiseuxSeries":
         """Multiply by the exact monomial q^{n0/M}."""

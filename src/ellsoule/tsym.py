@@ -47,7 +47,15 @@ def _ring_normalize(ring: str, c):
 
 
 def exponent_tuples(d: int, k: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of length d with entries >= 0 summing to k."""
+    """All exponent tuples of length d with entries >= 0 summing to k.
+
+    Needs d >= 1 and k >= 0: there is no tuple of length 0, and none with
+    entries >= 0 sums to a negative k.
+    """
+    if d < 1:
+        raise ValueError(f"exponent tuples need length d >= 1, got {d}")
+    if k < 0:
+        raise ValueError(f"exponent tuples need degree k >= 0, got {k}")
     if d == 1:
         return [(k,)]
     out = []

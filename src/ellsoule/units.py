@@ -19,6 +19,13 @@ shifting the expansion index u -> u - 1 multiplies the product by
 the expansions are exactly norm-compatible: the product over the d^2
 preimages of a point under multiplication by d equals the base expansion.
 
+`theta_series` assembles the expansion as one running product of the sparse
+factors (1 - q^{e/M} zeta^v)^k behind it: (x, y, c^2), (x', y', -1), and
+the gtilde factors (nM -+ u, -+v, k) of each.  A factor's coefficients are
+read off the binomial series, so no power is formed by squaring and no
+series is inverted; a factor with e >= W, the window past q^{e0}, is 1 to
+that window and is left out, and an e = 0 factor (x = 0) is a constant.
+
 Everything downstream is read off this expansion: the residue measure at the
 cusp aggregates actual q-valuations over a fiber (with ramification factor
 ell^r), and the cusp (q = 0) value of the valuation-normalized unit is an
@@ -53,12 +60,20 @@ __all__ = [
 ]
 
 
+def _coord(v, M: int) -> int:
+    """A torsion coordinate reduced mod M; it must be an int, since a float
+    or a bool would be truncated to a different point."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"coordinate {v!r} must be an int, got {type(v).__name__}")
+    return v % M
+
+
 def _check_theta_args(M: int, c: int, point: tuple[int, int]) -> tuple[int, int]:
     if M < 2:
         raise ValueError("level must be >= 2")
     if c <= 1 or gcd(c, 6 * M) != 1:
         raise ValueError(f"need c > 1 with gcd(c, 6M) = gcd({c}, {6 * M}) = 1")
-    x, y = int(point[0]) % M, int(point[1]) % M
+    x, y = _coord(point[0], M), _coord(point[1], M)
     if (x, y) == (0, 0):
         raise ValueError("the unit has no expansion at the origin")
     return x, y
@@ -87,29 +102,21 @@ def _e0(M: int, c: int, x: int) -> int:
     return v.numerator
 
 
-def _one_minus(M: int, n: int, zexp: int, T: int) -> PuiseuxSeries:
-    """1 - q^{n/M} zeta_M^{zexp} at window T."""
-    terms = {0: CycloElement.rational(M, 1)}
-    z = -CycloElement.zeta_pow(M, zexp)
-    if n in terms:
-        terms[n] = terms[n] + z
-    else:
-        terms[n] = z
-    return PuiseuxSeries(M, T, terms)
+def _binomial_power(M: int, e: int, v: int, k: int, W: int) -> PuiseuxSeries:
+    """(1 - q^{e/M} zeta_M^v)^k at window W, for e > 0 and any integer k.
 
-
-def _gtilde(M: int, u: int, v: int, W: int) -> PuiseuxSeries:
-    """Truncated gtilde(u, v): factors n = 1 .. ceil(W/M) + 1.
-
-    Each omitted factor is 1 + O(q^{n - u/M}) with n - u/M > W/M, so the
-    window W is sound.
+    The coefficient of q^{ie/M} is (-1)^i C(k, i) zeta^{iv}; c_i = (-1)^i C(k, i)
+    follows the exact int recurrence c_{i+1} = -c_i (k - i) / (i + 1), which
+    ends at i = k for k >= 0 and gives the geometric series at k = -1.
     """
-    out = PuiseuxSeries.one(M, W)
-    n_max = ceil_div(max(W, 0), M) + 1
-    for n in range(1, n_max + 1):
-        out = out * _one_minus(M, n * M + u, v, W)
-        out = out * _one_minus(M, n * M - u, -v, W)
-    return out
+    terms = {}
+    c = 1
+    for i in range(ceil_div(W, e)):
+        if not c:
+            break
+        terms[i * e] = CycloElement.zeta_pow(M, i * v) * c
+        c = -c * (k - i) // (i + 1)
+    return PuiseuxSeries(M, W, terms)
 
 
 def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxSeries:
@@ -130,13 +137,29 @@ def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxS
     scalar = CycloElement.zeta_pow(M, (y * half + carry * c * y) % M)
     if (half + carry) % 2:
         scalar = -scalar
-    num = _one_minus(M, x, y, W) ** (c * c)
-    den = _one_minus(M, x2, y2, W)
-    series = num * den.invert()
-    series = series * (_gtilde(M, x, y, W) ** (c * c))
-    series = series * _gtilde(M, x2, y2, W).invert()
-    series = series.scale(scalar)
-    return series.shift(e0)
+    # the unit below q^{e0} is one product of factors (1 - q^{e/M} zeta^v)^k:
+    # (x, y, c^2) and (x', y', -1), each with its gtilde factors
+    # (nM - u, -v, k) and (nM + u, v, k).  Every factor has valuation 0, and
+    # one with e >= W is 1 modulo q^{W/M}, so only e < W are multiplied and
+    # the product's window stays W.  An e = 0 factor (x = 0) is the constant
+    # (1 - zeta^v)^k and joins the scalar.  Multiplying in descending e keeps
+    # the running product sparse until the dense low-e factors come last.
+    factors = []
+    for u, v, k in ((x, y, c * c), (x2, y2, -1)):
+        factors.append((u, v, k))
+        for n in range(1, W // M + 2):
+            factors += [(n * M - u, -v, k), (n * M + u, v, k)]
+    one = CycloElement.rational(M, 1)
+    series = None
+    for e, v, k in sorted(factors, reverse=True):
+        if e == 0:
+            scalar = scalar * (one - CycloElement.zeta_pow(M, v)) ** k
+        elif e < W:
+            f = _binomial_power(M, e, v, k, W)
+            series = f if series is None else series * f
+    if series is None:
+        series = PuiseuxSeries.one(M, W)
+    return series.scale(scalar).shift(e0)
 
 
 def theta_qexp(
@@ -156,7 +179,7 @@ def residue_elliptic_soule(ell: int, r: int, N: int, c: int, t: tuple[int, int])
     each valuation read off an assembled series (never the closed formula).
     """
     M = _level(ell, r, N, c)
-    t = (int(t[0]) % N, int(t[1]) % N)
+    t = (_coord(t[0], N), _coord(t[1], N))
     if t == (0, 0):
         raise ValueError("residue measure needs t != (0, 0)")
     spec = TorsorSpec(ell, r, N, 1, "reduction", (t[0],))
@@ -231,7 +254,7 @@ def epsilon_series(
 ) -> PuiseuxSeries:
     """theta / eta at `point`: the valuation-normalized unit (valuation 0)."""
     M = _level(ell, r, N, c)
-    x, y = int(point[0]) % M, int(point[1]) % M
+    x, y = _coord(point[0], M), _coord(point[1], M)
     n = eta_exponent(ell, r, N, c, x)
     theta = theta_qexp(ell, r, N, c, (x, y), trunc + n)
     return theta.shift(-n)
@@ -245,7 +268,7 @@ def cusp_value_closed(M: int, c: int, y: int) -> CycloElement:
     vanishes there, leaving the scalar (-beta)^{(c-c^2)/2} on the constant
     terms of the remaining factors.
     """
-    y = int(y) % M
+    y = _coord(y, M)
     if y == 0:
         raise ValueError("beta = 1 is outside the cusp-value domain")
     beta = CycloElement.zeta_pow(M, y)
@@ -271,7 +294,7 @@ def epsilon_cusp_eval(ell: int, r: int, N: int, c: int, y: int) -> CycloElement:
 
 def cusp_square_check(M: int, c: int, y: int) -> bool:
     """(cusp value)^2 == Xi_c(beta) * Xi_c(beta^{-1}) in Q(zeta_M)."""
-    y = int(y) % M
+    y = _coord(y, M)
     beta = CycloElement.zeta_pow(M, y)
     beta_inv = CycloElement.zeta_pow(M, (-y) % M)
     v = cusp_value_closed(M, c, y)

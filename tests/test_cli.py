@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from ellsoule import cli
 from ellsoule.cli import _verify_csv
+from ellsoule.units import theta_series
 from ellsoule.verify import _row
 
 CMD = [sys.executable, "-m", "ellsoule.cli"]
@@ -113,6 +115,57 @@ def test_qexp_rejects_non_prime_ell(ell, r):
     out = run_cli("qexp", "--ell", ell, "--r", r, "--N", "3", "--c", "5")
     assert out.returncode == 2
     assert f"ell = {ell} must be prime" in out.stderr and out.stdout == ""
+
+
+@pytest.fixture
+def qexp_calls(monkeypatch):
+    """Record what `qexp` would expand, and expand a small stand-in instead,
+    so a test never runs an input over a cap."""
+    calls = []
+
+    def fake(*args):
+        calls.append(args)
+        return theta_series(6, 5, (1, 1), 12)
+
+    monkeypatch.setattr(cli, "theta_qexp", fake)
+    return calls
+
+
+# each argv is a function of the window and level caps (W, L)
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (lambda W, L: ["--trunc", "1000000"], "--trunc"),
+        # level 6 at x = 1 leads at q^{2/6}, so the window W ends at trunc W + 2
+        (lambda W, L: ["--trunc", str(W + 3)], "--trunc"),
+        # level 48 at x = 24 leads at q^{-48/48}: the window counts from there
+        (lambda W, L: ["--r", "4", "--x", "24", "--y", "1", "--trunc", str(W)], "--trunc"),
+        (lambda W, L: ["--r", "1000000000"], "--r"),
+        (lambda W, L: ["--ell", "1009", "--N", "1", "--c", "5"], "--ell"),
+        (lambda W, L: ["--N", str(L + 1), "--r", "0", "--c", "7"], "--N"),
+    ],
+)
+def test_qexp_over_a_cap_exits_2_naming_the_flag(qexp_calls, capsys, argv, flag):
+    assert cli.main(["qexp", *argv(cli.MAX_WINDOW, cli.MAX_LEVEL)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and "cap" in err
+    assert qexp_calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the largest inputs the benchmark and the tests run: level 48, trunc 400
+        lambda W, L: ["--r", "4", "--x", "1", "--y", "5", "--trunc", "400"],
+        lambda W, L: ["--r", "4", "--x", "0", "--y", "5", "--trunc", "400"],
+        lambda W, L: ["--r", "1", "--x", "1", "--y", "1", "--trunc", str(W + 2)],
+        # level 1000 = 2^3 * 125 at x = 1 leads at q^{3979/1000}
+        lambda W, L: ["--ell", "2", "--r", "3", "--N", "125", "--c", "7", "--trunc", "4000"],
+    ],
+)
+def test_qexp_within_the_caps_is_expanded(qexp_calls, capsys, argv):
+    assert cli.main(["qexp", *argv(cli.MAX_WINDOW, cli.MAX_LEVEL)]) == 0
+    assert len(qexp_calls) == 1
 
 
 @pytest.mark.parametrize("suite", ["bernoulli", "units", "residues"])

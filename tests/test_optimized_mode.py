@@ -14,8 +14,8 @@ from ellsoule.cyclotomic import CycloElement
 from ellsoule.formal import CycSym, FormalClass, WeightFunction
 from ellsoule.measures import GroupSpec, Measure, dirac, pushforward
 from ellsoule.numutil import exact_rational, vp
-from ellsoule.tsym import TSym, tsym_map
-from ellsoule.units import _e0
+from ellsoule.tsym import TSym, exponent_tuples, tsym_map
+from ellsoule.units import _e0, cusp_value_closed, residue_elliptic_soule, theta_series
 
 if __debug__:
     raise SystemExit("probe must run under python -O")
@@ -52,6 +52,11 @@ rejects(TypeError, pushforward, ("mult", True), point)
 rejects(ValueError, pushforward, ("proj", -1), point)
 rejects(TypeError, tsym_map, True, TSym.basis(2, (1, 0), "Z"))
 rejects(ValueError, vp, 12, 1)
+rejects(TypeError, theta_series, 6, 5, (1.7, True), 12)
+rejects(TypeError, cusp_value_closed, 6, 5, 1.9)
+rejects(TypeError, residue_elliptic_soule, 2, 1, 3, 5, (1, 0.5))
+rejects(ValueError, exponent_tuples, 0, 0)
+rejects(ValueError, exponent_tuples, 1, -1)
 """
 
 

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ellsoule.cyclotomic import CycloElement
 from ellsoule.puiseux import PuiseuxSeries
@@ -120,3 +120,51 @@ def test_agree_up_to_ignores_tail():
     g = series_from(6, 10, [(1, 1), (7, 3)])
     assert f.agree_up_to(g, 7)
     assert not f.agree_up_to(g, 8)
+
+
+# the product against a per-pair schoolbook reference
+
+
+def schoolbook_mul(f, g):
+    """One CycloElement product per coefficient pair, summed per exponent."""
+    f, g = f._common(g)
+    T = min(f.T + g.val_lb(), g.T + f.val_lb())
+    out = {}
+    for n1, c1 in f.terms.items():
+        for n2, c2 in g.terms.items():
+            if n1 + n2 < T:
+                out[n1 + n2] = out.get(n1 + n2, CycloElement.rational(f.M, 0)) + c1 * c2
+    return PuiseuxSeries(f.M, T, out)
+
+
+@st.composite
+def cyclo_series(draw, M):
+    """Up to 6 terms at exponents in [-4, 12), each with phi(M) coordinates of
+    mixed denominators, over windows in [-2, 14)."""
+    phi = len(CycloElement.rational(M, 0).num)
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    terms = draw(
+        st.dictionaries(
+            st.integers(-4, 11), st.lists(coord, min_size=phi, max_size=phi), max_size=6
+        )
+    )
+    T = draw(st.integers(-2, 13))
+    return PuiseuxSeries(M, T, {n: CycloElement(M, c) for n, c in terms.items()})
+
+
+@given(cyclo_series(4), cyclo_series(6))
+@example(PuiseuxSeries(4, 5, {}), PuiseuxSeries(6, 3, {0: CycloElement(6, [1, 2])}))
+@example(
+    PuiseuxSeries(4, 6, {-2: CycloElement(4, [Fraction(1, 3), Fraction(-2, 5)])}),
+    PuiseuxSeries(6, 4, {-1: CycloElement(6, [Fraction(3, 2), 1]), 2: CycloElement(6, [0, Fraction(1, 7)])}),
+)
+def test_mul_matches_schoolbook_across_conductors(f, g):
+    # conductors 4 and 6 meet at 12 through _common
+    prod = f * g
+    assert prod.M == 12
+    assert prod == schoolbook_mul(f, g) == g * f
+
+
+@given(cyclo_series(12), cyclo_series(12))
+def test_mul_matches_schoolbook_at_one_conductor(f, g):
+    assert f * g == schoolbook_mul(f, g)

@@ -17,6 +17,22 @@ def test_exponent_tuples_rank2_dimension():
         assert len(exponent_tuples(2, k)) == k + 1
 
 
+@pytest.mark.parametrize("d, k", [(0, 0), (0, 2), (-1, 1)])
+def test_exponent_tuples_reject_rank_below_one(d, k):
+    # exponent_tuples(0, 0) used to recurse until RecursionError
+    with pytest.raises(ValueError, match="d >= 1"):
+        exponent_tuples(d, k)
+    with pytest.raises(ValueError, match="d >= 1"):
+        divided_power((), k)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_exponent_tuples_reject_negative_degree(d):
+    # (1, -1) used to give [(-1,)] and (2, -1) an empty list
+    with pytest.raises(ValueError, match="k >= 0"):
+        exponent_tuples(d, -1)
+
+
 def test_divided_power_binomial_product():
     # e^{[a]} e^{[b]} = prod C(a_i + b_i, a_i) e^{[a+b]}
     a = TSym.basis(2, (2, 1))

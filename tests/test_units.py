@@ -1,12 +1,15 @@
 """The smoothed theta unit: expansion, norm compatibility, cusp calculus."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from ellsoule import units
 from ellsoule.bernoulli import bernoulli_measure, smoothed_b2
 from ellsoule.cyclotomic import CycloElement
+from ellsoule.numutil import ceil_div
+from ellsoule.puiseux import PuiseuxSeries
 from ellsoule.units import (
     RatFun,
     cusp_square_check,
@@ -22,6 +25,73 @@ from ellsoule.units import (
     xi,
     xi_c,
 )
+
+
+# -- reference route: the direct assembly num * den^{-1} * gtilde^{c^2} *
+# gtilde'^{-1}, built with PuiseuxSeries.invert and ** ----------------------
+
+
+def _one_minus(M, n, zexp, T):
+    """1 - q^{n/M} zeta_M^{zexp} at window T."""
+    one = CycloElement.rational(M, 1)
+    z = CycloElement.zeta_pow(M, zexp)
+    terms = {0: one - z} if n == 0 else {0: one, n: -z}
+    return PuiseuxSeries(M, T, terms)
+
+
+def _gtilde(M, u, v, W):
+    """gtilde(u, v) through the factors n = 1 .. ceil(W/M) + 1."""
+    out = PuiseuxSeries.one(M, W)
+    for n in range(1, ceil_div(W, M) + 2):
+        out = out * _one_minus(M, n * M + u, v, W)
+        out = out * _one_minus(M, n * M - u, -v, W)
+    return out
+
+
+def reference_theta(M, c, point, trunc):
+    x, y = point[0] % M, point[1] % M
+    e0 = units._e0(M, c, x)
+    W = trunc - e0
+    x2, y2 = (c * x) % M, (c * y) % M
+    half = (c - c * c) // 2
+    carry = (c * x) // M
+    scalar = CycloElement.zeta_pow(M, (y * half + carry * c * y) % M)
+    if (half + carry) % 2:
+        scalar = -scalar
+    series = (_one_minus(M, x, y, W) ** (c * c)) * _one_minus(M, x2, y2, W).invert()
+    series = series * (_gtilde(M, x, y, W) ** (c * c))
+    series = series * _gtilde(M, x2, y2, W).invert()
+    return series.scale(scalar).shift(e0)
+
+
+@pytest.mark.parametrize("M", [2, 3, 6, 7, 12, 24, 42, 48])
+def test_theta_series_matches_reference_assembly(M):
+    # every x, x = 0 included, at four windows past the leading exponent;
+    # c = 7 where it is coprime to 6M, and y varies with x
+    c = 7 if gcd(7, 6 * M) == 1 else 5
+    for x in range(M):
+        y = (3 * x + 1) % M or 1
+        e0 = units._e0(M, c, x)
+        for trunc in (e0 + 1, e0 + 4, e0 + 37, e0 + 2 * M + 3):
+            got = theta_series(M, c, (x, y), trunc)
+            want = reference_theta(M, c, (x, y), trunc)
+            assert got.T == want.T == trunc
+            assert got.terms == want.terms, (M, c, x, y, trunc)
+
+
+@pytest.mark.parametrize("M, e, v, W", [(6, 1, 1, 12), (12, 5, 7, 40), (7, 3, -2, 20), (5, 9, 1, 9)])
+def test_geometric_factor_inverts_one_minus(M, e, v, W):
+    # the k = -1 binomial factor is the geometric series of 1 - q^e zeta^v
+    inv = units._binomial_power(M, e, v, -1, W)
+    prod = inv * _one_minus(M, e, v, W)
+    assert prod.T == W
+    assert prod == PuiseuxSeries.one(M, W)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 25])
+def test_binomial_factor_is_the_power(k):
+    M, e, v, W = 12, 2, 5, 30
+    assert units._binomial_power(M, e, v, k, W) == _one_minus(M, e, v, W) ** k
 
 
 def test_theta_argument_validation():
@@ -183,3 +253,33 @@ def test_norm_fixes_xi():
 
 def test_norm_fixes_smoothed_xi():
     assert norm_under_power(xi_c(5), 2) == xi_c(5)
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.0, True, Fraction(1), "1"])
+def test_coordinates_must_be_ints(bad):
+    # int(1.7) and int(True) used to turn these into the point (1, 1)
+    with pytest.raises(TypeError, match="must be an int"):
+        theta_series(6, 5, (bad, 1), 12)
+    with pytest.raises(TypeError, match="must be an int"):
+        theta_series(6, 5, (1, bad), 12)
+    with pytest.raises(TypeError, match="must be an int"):
+        norm_check_theta(3, 2, 5, (bad, 1), 12)
+    with pytest.raises(TypeError, match="must be an int"):
+        residue_elliptic_soule(2, 1, 3, 5, (bad, 1))
+    with pytest.raises(TypeError, match="must be an int"):
+        epsilon_series(2, 1, 3, 5, (1, bad), 8)
+    with pytest.raises(TypeError, match="must be an int"):
+        epsilon_cusp_eval(2, 1, 3, 5, bad)
+    with pytest.raises(TypeError, match="must be an int"):
+        cusp_value_closed(6, 5, bad)
+    with pytest.raises(TypeError, match="must be an int"):
+        cusp_square_check(6, 5, bad)
+
+
+def test_float_coordinate_is_not_truncated():
+    # cusp_value_closed(6, 5, 1.9) used to equal the value at y = 1
+    with pytest.raises(TypeError):
+        cusp_value_closed(6, 5, 1.9)
+    with pytest.raises(TypeError):
+        theta_series(6, 5, (1.7, True), 12)
+    assert theta_series(6, 5, (7, -5), 12) == theta_series(6, 5, (1, 1), 12)
