@@ -15,8 +15,9 @@ the boundary formula was violated (the report carries the residue).
 
 `qexp` bounds its work: the level ell^r * N may be at most MAX_LEVEL, and
 --trunc may lie at most MAX_WINDOW past the leading exponent (in q^{1/M}
-units, the window the unit's product is built to).  An input over either cap
-exits 2 before any expansion is formed.
+units, the window the unit's product is built to).  `verify` caps its
+--trunc, the window of the units suite's expansion, at MAX_WINDOW.  An input
+over a cap exits 2 before any expansion is formed.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["build_parser", "main"]
 
-# Sized from measured cost (2 vCPU, Python 3.11.7).  The dearest expansions
-# are dense ones at small levels: a window of 1000 takes about 5 s at level 2
-# and 0.7 s at level 12.  Large levels are sparse: level 1000 at window 2000
-# takes at most 0.35 s and 36 MB, most of it the x^k mod Phi_M table.
+# Sized from measured cost (2 vCPU, Python 3.11.7) at a window of 1000 past
+# the leading exponent, x in {0, 1}, with the smallest admissible c.  Dense
+# small levels take about 5 s at level 2 and 1 s at level 12.  Large levels
+# are not uniformly cheap: over levels 500-1000 the dearest was 935 = 5*11*17
+# (c = 7), 9-11 s at x = 0 and 7-9 s at x = 1 (peak RSS 47 MB), against
+# 0.2-0.4 s at level 998.  The cost grows with c, which has no cap.
 MAX_LEVEL = 1000
 MAX_WINDOW = 1000
 
@@ -65,7 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--rmax", type=int, default=2, help="largest level r (default 2)")
     p_verify.add_argument("--kmax", type=int, default=4, help="largest weight k (default 4)")
     p_verify.add_argument(
-        "--trunc", type=int, default=40, help="q-expansion window (default 40)"
+        "--trunc",
+        type=int,
+        default=40,
+        help=f"q-expansion window, at most {MAX_WINDOW} (default 40)",
     )
     p_verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p_verify.add_argument("--out", metavar="FILE", help="write the report to FILE")
@@ -160,6 +166,8 @@ def _verify_csv(report: dict) -> str:
 
 
 def _cmd_verify(args) -> int:
+    if args.trunc > MAX_WINDOW:
+        raise ValueError(f"--trunc {args.trunc} exceeds the cap {MAX_WINDOW}")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     started = time.perf_counter()
     report = run_suites(

@@ -25,10 +25,14 @@ The residue of Eis^k(psi) is computed directly, as the linear functional
 sum_t psi(t) res(Eis^k(t)); the symbol route residue(eis_of_psi(psi)) is
 kept as the reference it is checked against.
 
-A weight function is held as int numerators over one positive denominator,
-in lowest terms, and the residue functional, the parity projection, the
-generator and both boundary routes run in int arithmetic; a Fraction is
-built only for an output coefficient (or a nonzero residue).
+A weight function and a FormalClass are each held as int numerators over
+one positive denominator, in lowest terms, and every operation here (the
+residue functional, the parity projection, the generator, both boundary
+routes, class arithmetic, rewriting and the symbol-route residue) runs in
+int arithmetic with one gcd at the end; a Fraction is built only for an
+output coefficient or a residue.  The parity-canonical form of an
+Eisenstein or elliptic symbol, with its sign, is computed once per
+(k, N, c, t) and cached, like the closed residues.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from math import factorial, gcd, lcm
 from random import Random
 
 from .bernoulli import _bern_at, bernoulli_moment_closed
-from .numutil import exact_rational
+from .numutil import _coord, exact_rational
 
 __all__ = [
     "EisSym",
@@ -73,7 +77,7 @@ class ResiduePreconditionError(ValueError):
 
 
 def _norm_point(N: int, t) -> tuple[int, int]:
-    return (int(t[0]) % N, int(t[1]) % N)
+    return (_coord(t[0], N), _coord(t[1], N))
 
 
 @dataclass(frozen=True)
@@ -91,12 +95,20 @@ class EisSym:
 
 @dataclass(frozen=True)
 class SouleSym:
+    """SouleElliptic(k, N, c, t); c is an int > 1 prime to N, so that c t is
+    again a nonzero N-torsion point."""
+
     k: int
     N: int
     c: int
     t: tuple[int, int]
 
     def __post_init__(self):
+        c = self.c
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise TypeError(f"smoothing factor {c!r} must be an int, got {type(c).__name__}")
+        if c <= 1 or gcd(c, self.N) != 1:
+            raise ValueError(f"need c > 1 with gcd(c, N) = gcd({c}, {self.N}) = 1")
         t = _norm_point(self.N, self.t)
         if t == (0, 0):
             raise ValueError("elliptic symbols need t != (0, 0)")
@@ -112,7 +124,7 @@ class CycSym:
     b: int
 
     def __post_init__(self):
-        b = int(self.b) % self.N
+        b = _coord(self.b, self.N)
         if b == 0:
             raise ValueError("cyclotomic symbols need b != 0")
         object.__setattr__(self, "b", b)
@@ -121,73 +133,119 @@ class CycSym:
 Symbol = EisSym | SouleSym | CycSym
 
 
-def _parity_canonical(N: int, t: tuple[int, int]) -> tuple[tuple[int, int], bool]:
-    """The lexicographically smaller of t and -t, and whether a flip happened."""
+@lru_cache(maxsize=None, typed=True)
+def _canonical_at(k: int, N: int, c: int | None, t: tuple[int, int]):
+    """(sym, sign) with Eis^k(t) = sign * sym (c None), or
+    SouleElliptic(k, N, c, t) = sign * sym: sym sits at the lexicographically
+    smaller of t and -t, and sign = (-1)^k if that is -t.  (None, 0) when
+    t = -t and k is odd: the symbol is 2-torsion over Q, hence zero.
+
+    t is normalized; one cache entry per point met, and t and -t share one
+    symbol object.
+    """
     neg = ((-t[0]) % N, (-t[1]) % N)
+    if neg == t and k % 2:
+        return None, 0
     if neg < t:
-        return neg, True
-    return t, False
+        return _canonical_at(k, N, c, neg)[0], -1 if k % 2 else 1
+    return (EisSym(k, N, t) if c is None else SouleSym(k, N, c, t)), 1
+
+
+def _canonical_symbol(sym: Symbol):
+    """Parity-canonical form (sym, sign) of a single symbol; (None, 0) when it
+    vanishes.  Cyclotomic symbols are opaque and returned as they are."""
+    if isinstance(sym, CycSym):
+        return sym, 1
+    return _canonical_at(sym.k, sym.N, sym.c if isinstance(sym, SouleSym) else None, sym.t)
+
+
+@lru_cache(maxsize=None)
+def _cyc(k: int, N: int, b: int) -> CycSym:
+    return CycSym(k, N, b)
 
 
 class FormalClass:
-    """Canonicalized rational combination of class symbols."""
+    """Canonicalized rational combination of class symbols.
 
-    __slots__ = ("coeffs",)
+    Held as int numerators `num` {symbol: nonzero int} on parity-canonical
+    symbols over one positive `den`, in lowest terms (the empty class has
+    den 1), so equality and hashing compare the representation.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: dict[Symbol, Fraction] | None = None):
-        merged: dict[Symbol, Fraction] = {}
-        for sym, c in (coeffs or {}).items():
-            c = exact_rational(c)
-            if not c:
-                continue
-            sym2, c2 = _canonical_symbol(sym, c)
-            if sym2 is None:
-                continue
-            merged[sym2] = merged.get(sym2, Fraction(0)) + c2
-        object.__setattr__(
-            self, "coeffs", {s: v for s, v in merged.items() if v}
-        )
+        terms = []
+        for sym, v in (coeffs or {}).items():
+            v = exact_rational(v)
+            sym, sign = _canonical_symbol(sym)
+            if v and sym is not None:
+                terms.append((sym, sign * v.numerator, v.denominator))
+        den = lcm(*(d for _, _, d in terms))
+        num: dict[Symbol, int] = {}
+        for sym, n, d in terms:
+            num[sym] = num.get(sym, 0) + n * (den // d)
+        self._set(num, den)
 
     @classmethod
-    def _canonical(cls, coeffs: dict[Symbol, Fraction]) -> "FormalClass":
-        """Wrap Fraction coefficients on parity-canonical symbols, unchecked;
-        zero coefficients are dropped."""
+    def _make(cls, num: dict[Symbol, int], den: int) -> "FormalClass":
+        """num[sym] / den on parity-canonical symbols, unchecked; den > 0."""
         x = object.__new__(cls)
-        object.__setattr__(x, "coeffs", {s: v for s, v in coeffs.items() if v})
+        x._set(num, den)
         return x
+
+    def _set(self, num, den):
+        """Store num / den in lowest terms, dropping zero numerators."""
+        if 0 in num.values():
+            num = {s: v for s, v in num.items() if v}
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {s: v // g for s, v in num.items()}
+            den //= g
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("FormalClass is immutable")
 
+    @property
+    def coeffs(self) -> dict[Symbol, Fraction]:
+        """The nonzero coefficients {sym: Fraction}."""
+        return {s: Fraction(v, self.den) for s, v in self.num.items()}
+
     def __eq__(self, other):
         if not isinstance(other, FormalClass):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items(), key=lambda kv: repr(kv[0]))))
+        return hash((self.den, frozenset(self.num.items())))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __add__(self, other: "FormalClass") -> "FormalClass":
-        out = dict(self.coeffs)
-        for s, v in other.coeffs.items():
-            out[s] = out.get(s, Fraction(0)) + v
-        return FormalClass._canonical(out)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = {s: v * fa for s, v in self.num.items()}
+        for s, v in other.num.items():
+            out[s] = out.get(s, 0) + v * fb
+        return FormalClass._make(out, den)
 
     def __neg__(self):
-        return FormalClass._canonical({s: -v for s, v in self.coeffs.items()})
+        return FormalClass._make({s: -v for s, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "FormalClass":
         c = exact_rational(c)
-        return FormalClass._canonical({s: v * c for s, v in self.coeffs.items()})
+        return FormalClass._make(
+            {s: v * c.numerator for s, v in self.num.items()}, self.den * c.denominator
+        )
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.num:
             return "0"
         bits = []
         for s, v in sorted(self.coeffs.items(), key=lambda kv: repr(kv[0])):
@@ -195,54 +253,38 @@ class FormalClass:
         return " + ".join(bits)
 
 
-def _canonical_symbol(sym: Symbol, c: Fraction):
-    """Parity-canonical form of a single symbol with its sign folded in.
-
-    Symbols with t == -t and odd k are 2-torsion over Q, hence zero.
-    """
-    if isinstance(sym, CycSym):
-        return sym, c
-    N, k, t = sym.N, sym.k, sym.t
-    canon, flipped = _parity_canonical(N, t)
-    sign = (-1) ** k if flipped else 1
-    if t == ((-t[0]) % N, (-t[1]) % N) and k % 2 == 1:
-        return None, Fraction(0)
-    if isinstance(sym, EisSym):
-        return EisSym(k, N, canon), c * sign
-    return SouleSym(k, N, sym.c, canon), c * sign
-
-
 def soule_elliptic(k: int, N: int, c: int, t) -> FormalClass:
-    return FormalClass({SouleSym(k, N, c, _norm_point(N, t)): Fraction(1)})
+    return FormalClass({SouleSym(k, N, c, t): 1})
 
 
 def _soule_terms(sym: SouleSym):
-    """SouleElliptic(k, N, c, t) = -N (c^2 Eis^k(t) - c^{-k} Eis^k(c t)),
-    as the two (point, factor) pairs of the Eisenstein expansion."""
+    """SouleElliptic(k, N, c, t) = -N (c^2 Eis^k(t) - c^{-k} Eis^k(c t)), as
+    c^k and the two (point, int factor) pairs of c^k times the expansion:
+    (t, -N c^{k+2}) and (c t, N)."""
     k, N, c, t = sym.k, sym.N, sym.c, sym.t
-    ct = ((c * t[0]) % N, (c * t[1]) % N)
-    if ct == (0, 0):
-        raise ValueError("Eisenstein symbols need t != (0, 0)")
-    return ((t, -N * c * c), (ct, N * Fraction(1, c ** k)))
+    ck = c ** k
+    return ck, ((t, -N * ck * c * c), (((c * t[0]) % N, (c * t[1]) % N), N))
 
 
 def rewrite_soule(x: FormalClass) -> FormalClass:
     """Expand every elliptic symbol into the Eisenstein span:
 
         SouleElliptic(k, N, c, t) -> -N (c^2 Eis^k(t) - c^{-k} Eis^k(c t)).
+
+    Summed in ints over den * C, C the lcm of the c^k met.
     """
-    out: dict[Symbol, Fraction] = {}
-
-    def add(sym, v):
-        out[sym] = out.get(sym, Fraction(0)) + v
-
-    for sym, v in x.coeffs.items():
-        if isinstance(sym, SouleSym):
-            for t, f in _soule_terms(sym):
-                add(EisSym(sym.k, sym.N, t), v * f)
-        else:
-            add(sym, v)
-    return FormalClass(out)
+    C = lcm(*(s.c ** s.k for s in x.num if isinstance(s, SouleSym)))
+    out: dict[Symbol, int] = {}
+    for sym, v in x.num.items():
+        if not isinstance(sym, SouleSym):
+            out[sym] = out.get(sym, 0) + v * C
+            continue
+        ck, terms = _soule_terms(sym)
+        for t, f in terms:
+            eis, sign = _canonical_at(sym.k, sym.N, None, t)
+            if eis is not None:
+                out[eis] = out.get(eis, 0) + sign * v * f * (C // ck)
+    return FormalClass._make(out, x.den * C)
 
 
 @lru_cache(maxsize=None)
@@ -261,18 +303,27 @@ def residue(x: FormalClass) -> Fraction:
     An elliptic symbol's residue is defined through its Eisenstein expansion
     and summed term by term over it (no canonicalization is needed:
     res(Eis^k(-t)) = (-1)^k res(Eis^k(t)), so parity rewriting does not move
-    the sum); cyclotomic symbols have no residue and raise.
+    the sum); cyclotomic symbols have no residue and raise.  The int
+    numerators that share a residue key (k, N, a), and the divisor c^k of an
+    elliptic term, are summed first; each key then costs one Fraction product.
     """
-    total = Fraction(0)
-    for sym, v in x.coeffs.items():
+    acc: dict[tuple[int, int, int, int], int] = {}
+    for sym, v in x.num.items():
         if isinstance(sym, CycSym):
             raise ValueError("residue is undefined on cyclotomic symbols")
         if isinstance(sym, SouleSym):
-            for t, f in _soule_terms(sym):
-                total += v * f * _eis_residue(sym.k, sym.N, t[0])
+            ck, terms = _soule_terms(sym)
+            for t, f in terms:
+                key = (sym.k, sym.N, t[0], ck)
+                acc[key] = acc.get(key, 0) + v * f
         else:
-            total += v * _eis_residue(sym.k, sym.N, sym.t[0])
-    return total
+            key = (sym.k, sym.N, sym.t[0], 1)
+            acc[key] = acc.get(key, 0) + v
+    total = sum(
+        (Fraction(n, ck) * _eis_residue(k, N, a) for (k, N, a, ck), n in acc.items() if n),
+        Fraction(0),
+    )
+    return total / x.den
 
 
 def residue_soule_closed(k: int, N: int, c: int, t) -> Fraction:
@@ -356,12 +407,14 @@ class WeightFunction:
 
 
 def eis_of_psi(psi: WeightFunction) -> FormalClass:
-    """Eis^k(psi) = sum_t psi(t) Eis^k(t) (canonicalized)."""
-    out: dict[Symbol, Fraction] = {}
-    for t, v in psi.values.items():
-        sym = EisSym(psi.k, psi.N, t)
-        out[sym] = out.get(sym, Fraction(0)) + v
-    return FormalClass(out)
+    """Eis^k(psi) = sum_t psi(t) Eis^k(t) (canonicalized), over psi's den."""
+    k, N = psi.k, psi.N
+    out: dict[Symbol, int] = {}
+    for t, v in psi.num.items():
+        sym, sign = _canonical_at(k, N, None, t)
+        if sym is not None:
+            out[sym] = out.get(sym, 0) + sign * v
+    return FormalClass._make(out, psi.den)
 
 
 def parity_project(psi: WeightFunction) -> WeightFunction:
@@ -406,13 +459,12 @@ def dir_closed(psi: WeightFunction) -> FormalClass:
     if rho:
         raise ResiduePreconditionError(rho)
     k, N = psi.k, psi.N
-    scale = N * factorial(k) * psi.den
-    out: dict[Symbol, Fraction] = {}
+    out: dict[Symbol, int] = {}
     for b in range(1, N):
         v = psi.num.get((0, b))
         if v:
-            out[CycSym(k, N, b)] = Fraction(-v, scale)
-    return FormalClass._canonical(out)
+            out[_cyc(k, N, b)] = -v
+    return FormalClass._make(out, N * factorial(k) * psi.den)
 
 
 def dir_via_me(psi: WeightFunction, c: int) -> FormalClass:
@@ -431,8 +483,8 @@ def dir_via_me(psi: WeightFunction, c: int) -> FormalClass:
     out: result = -N^{k-1}/(c^2 - c^{-k}) * sum_b psi_k(0, b) me(0, b).
 
     The sum is accumulated in ints, scaled by 2 den * 2 k! N^k * c^k, and the
-    smoothing factor is divided out in the same single division per
-    coefficient: -N^{k-1} c^k / (c^{k+2} - 1) / (4 den k! N^k c^k)
+    smoothing factor is divided out in the class's one denominator:
+    -N^{k-1} c^k / (c^{k+2} - 1) / (4 den k! N^k c^k)
     = -1 / (4 den k! N (c^{k+2} - 1)).
     """
     k, N = psi.k, psi.N
@@ -465,22 +517,21 @@ def dir_via_me(psi: WeightFunction, c: int) -> FormalClass:
         add(c * b, -w)
         add(-c * b, -w * sign)
     den = 4 * psi.den * factorial(k) * N * (ck2 - 1)
-    return FormalClass._canonical(
-        {CycSym(k, N, b): Fraction(-v, den) for b, v in acc.items()}
-    )
+    return FormalClass._make({_cyc(k, N, b): -v for b, v in acc.items()}, den)
 
 
 def cyc_symmetrize(x: FormalClass, k: int) -> FormalClass:
     """Coefficient symmetrization lambda_b -> (lambda_b + (-1)^k lambda_{-b})/2
     on the cyclotomic span (the formal parity substitution for raw psi)."""
-    out: dict[Symbol, Fraction] = {}
-    for sym, v in x.coeffs.items():
+    sign = (-1) ** k
+    out: dict[Symbol, int] = {}
+    for sym, v in x.num.items():
         if not isinstance(sym, CycSym):
             raise ValueError("cyc_symmetrize acts on the cyclotomic span")
-        out[sym] = out.get(sym, Fraction(0)) + v / 2
-        mirror = CycSym(sym.k, sym.N, (-sym.b) % sym.N)
-        out[mirror] = out.get(mirror, Fraction(0)) + v * (-1) ** k / 2
-    return FormalClass(out)
+        out[sym] = out.get(sym, 0) + v
+        mirror = _cyc(sym.k, sym.N, (-sym.b) % sym.N)
+        out[mirror] = out.get(mirror, 0) + sign * v
+    return FormalClass._make(out, 2 * x.den)
 
 
 def residue_table(N: int, k: int) -> list[tuple[int, int, Fraction]]:

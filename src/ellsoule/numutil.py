@@ -49,6 +49,14 @@ def exact_rational(x) -> Fraction:
     return Fraction(x)
 
 
+def _coord(v, M: int) -> int:
+    """A torsion coordinate reduced mod M; it must be an int, since a float
+    or a bool would be truncated to a different point."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"coordinate {v!r} must be an int, got {type(v).__name__}")
+    return v % M
+
+
 def rat_str(x: Fraction | int) -> str:
     """Render an exact rational as "num/den" ("num" when den == 1)."""
     x = exact_rational(x)

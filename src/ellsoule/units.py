@@ -40,7 +40,7 @@ from math import comb, gcd
 from .bernoulli import smoothed_b2
 from .cyclotomic import CycloElement
 from .measures import Measure, TorsorSpec, torsor_elements
-from .numutil import ceil_div, exact_rational, is_prime
+from .numutil import _coord, ceil_div, exact_rational, is_prime
 from .puiseux import PuiseuxSeries
 
 __all__ = [
@@ -58,14 +58,6 @@ __all__ = [
     "xi_c",
     "norm_under_power",
 ]
-
-
-def _coord(v, M: int) -> int:
-    """A torsion coordinate reduced mod M; it must be an int, since a float
-    or a bool would be truncated to a different point."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError(f"coordinate {v!r} must be an int, got {type(v).__name__}")
-    return v % M
 
 
 def _check_theta_args(M: int, c: int, point: tuple[int, int]) -> tuple[int, int]:

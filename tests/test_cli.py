@@ -168,6 +168,33 @@ def test_qexp_within_the_caps_is_expanded(qexp_calls, capsys, argv):
     assert len(qexp_calls) == 1
 
 
+@pytest.fixture
+def suite_calls(monkeypatch):
+    """Record what `verify` would run, and run nothing, so a test never
+    expands a window over the cap."""
+    calls = []
+
+    def fake(names, **params):
+        calls.append((names, params))
+        return {"suite": "all", "all_pass": True, "suites": []}
+
+    monkeypatch.setattr(cli, "run_suites", fake)
+    return calls
+
+
+@pytest.mark.parametrize("suite", ["units", "all", "dir"])
+def test_verify_trunc_over_the_cap_exits_2_naming_the_flag(suite_calls, capsys, suite):
+    assert cli.main(["verify", "--suite", suite, "--trunc", str(cli.MAX_WINDOW + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--trunc" in err and "cap" in err
+    assert suite_calls == []
+
+
+def test_verify_trunc_at_the_cap_is_run(suite_calls, capsys):
+    assert cli.main(["verify", "--suite", "units", "--trunc", str(cli.MAX_WINDOW)]) == 0
+    assert [params["trunc"] for _, params in suite_calls] == [cli.MAX_WINDOW]
+
+
 @pytest.mark.parametrize("suite", ["bernoulli", "units", "residues"])
 def test_verify_rejects_non_prime_ell_with_one_message(suite):
     # the torsor check (bernoulli) and the level check (units, residues) agree

@@ -30,6 +30,7 @@ from ellsoule.formal import (
     rewrite_soule,
     soule_elliptic,
 )
+import ellsoule.formal as formal
 from ellsoule.formal import Symbol, _eis_residue
 from ellsoule.serialize import psi_to_json
 from ellsoule.verify import DIR_GRID
@@ -476,11 +477,12 @@ def test_residue_sums_the_expansion_like_rewrite_soule(x):
 
 
 def test_residue_and_rewrite_reject_a_vanishing_smoothed_point():
-    x = soule_elliptic(2, 3, 3, (1, 0))  # c t = 0 mod 3
+    # c t = 0 mod 3: the symbol is refused at construction, so neither
+    # rewrite_soule nor residue ever meets it
     with pytest.raises(ValueError):
-        rewrite_soule(x)
+        soule_elliptic(2, 3, 3, (1, 0))
     with pytest.raises(ValueError):
-        residue(x)
+        SouleSym(2, 6, 5 * 3, (2, 0))
 
 
 @given(mixed_classes(), mixed_classes(), st.fractions(max_denominator=7))
@@ -492,3 +494,159 @@ def test_class_arithmetic_matches_the_checked_constructor(x, y, c):
     assert (-x).coeffs == FormalClass({s: -v for s, v in x.coeffs.items()}).coeffs
     assert x.scale(c).coeffs == FormalClass({s: v * c for s, v in x.coeffs.items()}).coeffs
     assert not x - x
+
+
+# -- coordinates and smoothing factors are checked where they come in
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.0, True, Fraction(1), "1"])
+def test_symbol_and_weight_function_coordinates_must_be_ints(bad):
+    # int() used to truncate: EisSym(2, 5, (1.7, True)) was the symbol at
+    # (1, 1), CycSym(2, 5, 2.9) had b = 2, and a key (1.5, 0) merged with (1, 0)
+    with pytest.raises(TypeError):
+        EisSym(2, 5, (bad, 1))
+    with pytest.raises(TypeError):
+        EisSym(2, 5, (1, bad))
+    with pytest.raises(TypeError):
+        SouleSym(2, 5, 7, (bad, 1))
+    with pytest.raises(TypeError):
+        CycSym(2, 5, bad)
+    with pytest.raises(TypeError):
+        WeightFunction(2, 5, {(bad, 0): 1, (1, 0): 2})
+    with pytest.raises(TypeError):
+        WeightFunction(2, 5, {(1, 0): 1})((1, bad))
+    with pytest.raises(TypeError):
+        eis_residue_closed(2, 5, (bad, 0))
+    with pytest.raises(TypeError):
+        residue_soule_closed(2, 5, 7, (bad, 0))
+
+
+@pytest.mark.parametrize(
+    "c, exc",
+    [
+        (4.5, TypeError),  # used to fail later, in bernoulli._bern_at
+        (7.0, TypeError),
+        (True, TypeError),
+        (Fraction(7), TypeError),
+        (1, ValueError),
+        (0, ValueError),
+        (-7, ValueError),
+        (5, ValueError),  # shares the factor 5 with N: c t = 0 at t = (1, 0)
+        (15, ValueError),
+    ],
+)
+def test_smoothing_factor_is_checked_at_construction(c, exc):
+    with pytest.raises(exc):
+        SouleSym(2, 5, c, (1, 0))
+    with pytest.raises(exc):
+        soule_elliptic(2, 5, c, (1, 0))
+
+
+@pytest.mark.parametrize("c", [2, 3, 4, 6])
+def test_smoothing_factor_need_not_be_prime_to_6(c):
+    # the expansion -N (c^2 Eis^k(t) - c^{-k} Eis^k(c t)) and its residue
+    # need c prime to N only; gcd(c, 6) = 1 is a condition of the theta unit
+    for k in (1, 2, 3):
+        for t in ((1, 0), (2, 3), (0, 4)):
+            x = soule_elliptic(k, 5, c, t)
+            assert residue(x) == residue_soule_closed(k, 5, c, t)
+            assert residue(rewrite_soule(x)) == residue(x)
+
+
+# -- the int representation of classes, against Fraction references
+
+
+def _ref_eis_of_psi(psi: WeightFunction) -> dict:
+    """{EisSym: Fraction}: psi(t) Eis^k(t) summed at the smaller of t, -t,
+    with (-1)^k for a flip; t = -t at odd k is 2-torsion and dropped."""
+    k, N = psi.k, psi.N
+    out = {}
+    for (a, b), v in psi.values.items():
+        neg = ((-a) % N, (-b) % N)
+        if neg == (a, b) and k % 2:
+            continue
+        sign = (-1) ** k if neg < (a, b) else 1
+        sym = EisSym(k, N, min((a, b), neg))
+        out[sym] = out.get(sym, Fraction(0)) + sign * v
+    return {s: v for s, v in out.items() if v}
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("k", range(7))
+def test_eis_of_psi_matches_the_fraction_reference(N, k):
+    rng = Random(f"eis:{N}:{k}")
+    points = [(a, b) for a in range(N) for b in range(N) if (a, b) != (0, 0)]
+    psi = WeightFunction(
+        k, N, {t: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for t in points}
+    )
+    got = eis_of_psi(psi)
+    assert got.coeffs == _ref_eis_of_psi(psi)
+    two_torsion = {t for t in points if t == ((-t[0]) % N, (-t[1]) % N)}
+    kept = {s.t for s in got.num} & two_torsion
+    if k % 2:
+        assert not kept
+    else:
+        assert kept == {t for t in two_torsion if psi(t)}
+    # a function of parity (-1)^(k+1) has no weight-k class
+    opposite = parity_project(WeightFunction(k + 1, N, psi.values))
+    assert not eis_of_psi(WeightFunction(k, N, opposite.values))
+
+
+def test_the_symbol_route_never_reads_the_residue_functional(monkeypatch):
+    psis = [
+        random_residue_zero_psi(N, k, Random(f"dir:0:{N}:{k}"))
+        for N, _ in DIR_GRID
+        for k in range(1, 6)
+        for _ in range(50)
+    ]
+
+    def forbidden(*args):
+        raise AssertionError("the symbol route read the residue functional")
+
+    monkeypatch.setattr(formal, "_residue_ints", forbidden)
+    monkeypatch.setattr(formal, "psi_residue", forbidden)
+    assert all(residue(eis_of_psi(p)) == 0 for p in psis)
+    assert residue(eis_of_psi(WeightFunction(2, 3, {(1, 0): 1}))) == Fraction(-13, 720)
+
+
+def _assert_canonical(x: FormalClass):
+    assert type(x.den) is int and x.den > 0
+    assert 0 not in x.num.values()
+    assert gcd(x.den, *x.num.values()) == 1
+    assert all(type(v) is int for v in x.num.values())
+    if not x:
+        assert x.den == 1
+
+
+@given(mixed_classes(), mixed_classes(), st.fractions(max_denominator=7))
+def test_class_representation_is_canonical(x, y, c):
+    for z in (x, y, x + y, x - y, -x, x.scale(c), rewrite_soule(x), x - x):
+        _assert_canonical(z)
+    assert (x - x).den == 1 and FormalClass({}).den == 1 and x.scale(0).den == 1
+
+
+@given(mixed_classes(), st.integers(1, 6))
+def test_equal_classes_hash_equal_whatever_the_route(x, g):
+    same = [
+        FormalClass(x.coeffs),
+        x + FormalClass({}),
+        x.scale(Fraction(1, g)).scale(g),
+        x.scale(g) - x.scale(g - 1),
+        FormalClass({s: v * g for s, v in x.coeffs.items()}).scale(Fraction(1, g)),
+    ]
+    for y in same:
+        assert y == x and hash(y) == hash(x) and (y.num, y.den) == (x.num, x.den)
+    assert hash(x - x) == hash(FormalClass({})) == hash(FormalClass({EisSym(2, 3, (1, 0)): 0}))
+
+
+@given(grid_psis())
+def test_boundary_routes_build_equal_hashes(case):
+    _, cpair, zero = case
+    closed = dir_closed(parity_project(zero))
+    rebuilt = FormalClass(closed.coeffs)
+    symmetrized = cyc_symmetrize(dir_closed(zero), zero.k)
+    for c in cpair:
+        via_me = dir_via_me(zero, c)
+        _assert_canonical(via_me)
+        assert via_me == closed == rebuilt == symmetrized
+        assert hash(via_me) == hash(closed) == hash(rebuilt) == hash(symmetrized)

@@ -11,7 +11,7 @@ SRC = os.path.dirname(os.path.dirname(ellsoule.__file__))
 PROBE = """
 from ellsoule.bernoulli import bern_eval
 from ellsoule.cyclotomic import CycloElement
-from ellsoule.formal import CycSym, FormalClass, WeightFunction
+from ellsoule.formal import CycSym, EisSym, FormalClass, SouleSym, WeightFunction
 from ellsoule.measures import GroupSpec, Measure, dirac, pushforward
 from ellsoule.numutil import exact_rational, vp
 from ellsoule.tsym import TSym, exponent_tuples, tsym_map
@@ -55,6 +55,11 @@ rejects(ValueError, vp, 12, 1)
 rejects(TypeError, theta_series, 6, 5, (1.7, True), 12)
 rejects(TypeError, cusp_value_closed, 6, 5, 1.9)
 rejects(TypeError, residue_elliptic_soule, 2, 1, 3, 5, (1, 0.5))
+rejects(TypeError, EisSym, 2, 5, (1.7, True))
+rejects(TypeError, CycSym, 2, 5, 2.9)
+rejects(TypeError, WeightFunction, 2, 5, {(1.5, 0): 1, (1, 0): 2})
+rejects(TypeError, SouleSym, 2, 5, 4.5, (1, 0))
+rejects(ValueError, SouleSym, 2, 5, 10, (1, 0))
 rejects(ValueError, exponent_tuples, 0, 0)
 rejects(ValueError, exponent_tuples, 1, -1)
 """
