@@ -13,21 +13,28 @@ Exit codes: 0 success / all checks passed; 1 a verification comparison
 failed; 2 invalid input or configuration; 3 the residue-zero precondition of
 the boundary formula was violated (the report carries the residue).
 
-`qexp` bounds its work: the level ell^r * N may be at most MAX_LEVEL, and
---trunc may lie at most MAX_WINDOW past the leading exponent (in q^{1/M}
-units, the window the unit's product is built to).  `verify` caps its
---trunc, the window of the units suite's expansion, at MAX_WINDOW.  An input
-over a cap exits 2 before any expansion is formed.
+`qexp` bounds its work: the level ell^r * N may be at most MAX_LEVEL, --c at
+most MAX_C, and --trunc may lie at most MAX_WINDOW past the leading exponent
+(in q^{1/M} units, the window the unit's product is built to).  `verify`
+caps its level ell^rmax * N at MAX_LEVEL, its --c at MAX_C and its --trunc,
+the window of the units suite's expansion, at MAX_WINDOW.  An input over a
+cap exits 2 before any expansion is formed.
+
+Every JSON document is written by `_dumps`, whose output equals
+`json.dumps(obj, indent=2)`, and `main` builds its parser once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .formal import ResiduePreconditionError, dir_closed, dir_via_me, residue_table
 from .numutil import rat_str
@@ -42,9 +49,14 @@ __all__ = ["build_parser", "main"]
 # small levels take about 5 s at level 2 and 1 s at level 12.  Large levels
 # are not uniformly cheap: over levels 500-1000 the dearest was 935 = 5*11*17
 # (c = 7), 9-11 s at x = 0 and 7-9 s at x = 1 (peak RSS 47 MB), against
-# 0.2-0.4 s at level 998.  The cost grows with c, which has no cap.
+# 0.2-0.4 s at level 998.  The cost grows with c: at level 935, x = 0 it was
+# 9.5 s at c = 7, 9.9 s at 31, 15.9 s at 49 and 68 s at 97; at level 2,
+# 5.2 s at c = 5 and 9.6 s at 49.  MAX_C keeps 49, the largest c admissible
+# at level 935 below it.  The residues suite of `verify` took 0.23 s at
+# level 48, c = 49, and 9.4 s at levels 6 and 12 with c = 1001.
 MAX_LEVEL = 1000
 MAX_WINDOW = 1000
+MAX_C = 50
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,8 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--ell", type=int, default=2, help="prime ell (default 2)")
     p_verify.add_argument("--N", type=int, default=3, help="tame level N (default 3)")
-    p_verify.add_argument("--c", type=int, default=5, help="smoothing factor (default 5)")
-    p_verify.add_argument("--rmax", type=int, default=2, help="largest level r (default 2)")
+    p_verify.add_argument(
+        "--c", type=int, default=5, help=f"smoothing factor, |c| at most {MAX_C} (default 5)"
+    )
+    p_verify.add_argument(
+        "--rmax",
+        type=int,
+        default=2,
+        help=f"largest level r (default 2); the level ell^rmax * N is at most {MAX_LEVEL}",
+    )
     p_verify.add_argument("--kmax", type=int, default=4, help="largest weight k (default 4)")
     p_verify.add_argument(
         "--trunc",
@@ -90,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qexp.add_argument("--ell", type=int, default=2)
     p_qexp.add_argument("--r", type=int, default=1)
     p_qexp.add_argument("--N", type=int, default=3)
-    p_qexp.add_argument("--c", type=int, default=5)
+    p_qexp.add_argument("--c", type=int, default=5, help=f"|c| at most {MAX_C} (default 5)")
     p_qexp.add_argument("--x", type=int, default=1)
     p_qexp.add_argument("--y", type=int, default=0)
     p_qexp.add_argument(
@@ -126,6 +145,98 @@ def build_parser() -> argparse.ArgumentParser:
     p_dir.set_defaults(func=_cmd_dir)
 
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads argv with, built once per process: building
+    one costs more than ten times parsing with it."""
+    return build_parser()
+
+
+def _dumps(obj) -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte.
+
+    With an indent, `json.dumps` runs its pure-Python encoder; this writer
+    escapes strings with the C encoder, collects the pieces in one list and
+    joins them once.
+    """
+    pieces: list[str] = []
+    _put(obj, pieces.append, "\n")
+    return "".join(pieces)
+
+
+def _put(o, put, nl: str) -> None:
+    """Pass the pieces of o's encoding to `put`; `nl` is the newline and
+    indent of o's own line.  A module-level function, not a closure, so the
+    piece list is freed with the output and not left to the cyclic GC."""
+    if isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = nl + "  "
+        lead = "{" + inner
+        for k, v in o.items():
+            if isinstance(k, str):
+                key = lead + _encode_str(k) + ": "
+            elif isinstance(k, (int, float)) or k is None:
+                key = lead + _encode_str(_scalar(k)) + ": "
+            else:
+                raise TypeError(
+                    f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
+                )
+            if isinstance(v, (dict, list, tuple)):
+                put(key)
+                _put(v, put, inner)
+            else:
+                put(key + _scalar(v))
+            lead = "," + inner
+        put(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        try:  # a list of strings, such as the coefficients of an element
+            put("[" + inner + sep.join(map(_encode_str, o)) + nl + "]")
+            return
+        except TypeError:
+            pass
+        lead = "[" + inner
+        for v in o:
+            if isinstance(v, (dict, list, tuple)):
+                put(lead)
+                _put(v, put, inner)
+            else:
+                put(lead + _scalar(v))
+            lead = sep
+        put(nl + "]")
+    else:
+        put(_scalar(o))
+
+
+def _scalar(o) -> str:
+    """A value that is not a dict, list or tuple, as `json.dumps` writes it."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -168,6 +279,7 @@ def _verify_csv(report: dict) -> str:
 def _cmd_verify(args) -> int:
     if args.trunc > MAX_WINDOW:
         raise ValueError(f"--trunc {args.trunc} exceeds the cap {MAX_WINDOW}")
+    _check_level_and_c(args.ell, args.rmax, args.N, args.c, "--rmax")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     started = time.perf_counter()
     report = run_suites(
@@ -185,23 +297,30 @@ def _cmd_verify(args) -> int:
     if args.format == "csv":
         _emit(_verify_csv(report), args.out)
     else:
-        _emit(json.dumps(report, indent=2), args.out)
+        _emit(_dumps(report), args.out)
     return 0 if report["all_pass"] else 1
 
 
-def _check_qexp_caps(args) -> None:
-    """Reject a level or window over its cap, without forming ell^r."""
-    level = abs(args.N)
+def _check_level_and_c(ell: int, r: int, N: int, c: int, r_flag: str) -> None:
+    """Reject a level ell^r * N over MAX_LEVEL, without forming ell^r, and
+    a smoothing factor |c| over MAX_C."""
+    level = abs(N)
     # |ell| >= 2 and level >= 1 pass the cap within log2(MAX_LEVEL) + 1 steps
-    for _ in range(args.r if abs(args.ell) > 1 and level else 0):
-        level *= abs(args.ell)
+    for _ in range(r if abs(ell) > 1 and level else 0):
+        level *= abs(ell)
         if level > MAX_LEVEL:
             break
     if level > MAX_LEVEL:
         raise ValueError(
-            f"level --ell^--r * --N = {args.ell}^{args.r} * {args.N} exceeds "
-            f"the cap {MAX_LEVEL}"
+            f"level --ell^{r_flag} * --N = {ell}^{r} * {N} exceeds the cap {MAX_LEVEL}"
         )
+    if abs(c) > MAX_C:
+        raise ValueError(f"|--c| = {abs(c)} exceeds the cap {MAX_C}")
+
+
+def _check_qexp_caps(args) -> None:
+    """Reject a level, smoothing factor or window over its cap."""
+    _check_level_and_c(args.ell, args.r, args.N, args.c, "--r")
     e0 = eta_exponent(args.ell, args.r, args.N, args.c, args.x)
     if args.trunc - e0 > MAX_WINDOW:
         raise ValueError(
@@ -215,7 +334,7 @@ def _cmd_qexp(args) -> int:
     f = theta_qexp(args.ell, args.r, args.N, args.c, (args.x, args.y), args.trunc)
     obj = series_to_json(f)
     obj["valuation"] = f"{min(f.terms)}/{f.M}"
-    _emit(json.dumps(obj, indent=2), args.out)
+    _emit(_dumps(obj), args.out)
     return 0
 
 
@@ -234,7 +353,7 @@ def _cmd_table(args) -> int:
             "k": args.k,
             "rows": [{"a": a, "b": b, "value": rat_str(v)} for a, b, v in rows],
         }
-        _emit(json.dumps(obj, indent=2), args.out)
+        _emit(_dumps(obj), args.out)
     return 0
 
 
@@ -251,21 +370,16 @@ def _cmd_dir(args) -> int:
     if args.route == "both":
         out["match"] = out["closed"] == out["me"]
         ok = out["match"]
-    _emit(json.dumps(out, indent=2), args.out)
+    _emit(_dumps(out), args.out)
     return 0 if ok else 1
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ResiduePreconditionError as e:
-        print(
-            json.dumps(
-                {"error": "nonzero residue", "residue": rat_str(e.residue)}, indent=2
-            )
-        )
+        print(_dumps({"error": "nonzero residue", "residue": rat_str(e.residue)}))
         return 3
     except (ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product as _iproduct
 from math import gcd
 
-from .numutil import exact_rational, is_prime, mod_inverse_reduce
+from .numutil import _coord, exact_rational, is_prime, mod_inverse_reduce
 
 __all__ = [
     "TorsorSpec",
@@ -60,7 +60,7 @@ class TorsorSpec:
             raise ValueError("rank must be 1 or 2")
         if self.flavor not in ("reduction", "multiplication"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        t = tuple(int(x) % self.N for x in self.t)
+        t = tuple(_coord(x, self.N) for x in self.t)
         if len(t) != self.d:
             raise ValueError("base point rank mismatch")
         object.__setattr__(self, "t", t)
@@ -114,7 +114,10 @@ def torsor_elements(spec: Spec) -> list[tuple[int, ...]]:
 
 
 def _key(spec: Spec, x) -> tuple[int, ...]:
-    x = tuple(int(v) % spec.modulus for v in (x if isinstance(x, (tuple, list)) else (x,)))
+    """x as a point of the fiber; each coordinate must be an int (TypeError
+    for a float or a bool, which would be truncated to another point)."""
+    m = spec.modulus
+    x = tuple(_coord(v, m) for v in (x if isinstance(x, (tuple, list)) else (x,)))
     if not spec.contains(x):
         raise ValueError(f"{x} is not in the fiber of {spec}")
     return x

@@ -52,6 +52,7 @@ __all__ = [
     "epsilon_series",
     "cusp_value_closed",
     "epsilon_cusp_eval",
+    "CuspMismatchError",
     "cusp_square_check",
     "RatFun",
     "xi",
@@ -268,9 +269,22 @@ def cusp_value_closed(M: int, c: int, y: int) -> CycloElement:
     return ((-beta) ** half) * _xi_c_at(beta, c)
 
 
+class CuspMismatchError(AssertionError):
+    """The normalized unit's constant term at a cusp differs from the closed
+    form; carries both values."""
+
+    def __init__(self, constant_term: CycloElement, closed: CycloElement):
+        super().__init__(
+            f"cusp constant term {constant_term!r} differs from closed form {closed!r}"
+        )
+        self.constant_term = constant_term
+        self.closed = closed
+
+
 def epsilon_cusp_eval(ell: int, r: int, N: int, c: int, y: int) -> CycloElement:
-    """Constant term of the normalized unit at (0, y), asserted equal to the
-    closed cyclotomic formula; returns the common value."""
+    """Constant term of the normalized unit at (0, y), checked equal to the
+    closed cyclotomic formula (CuspMismatchError otherwise); returns the
+    common value."""
     M = _level(ell, r, N, c)
     eps = epsilon_series(ell, r, N, c, (0, y), 4)  # only the constant term is read
     if eps.terms and min(eps.terms) < 0:
@@ -278,9 +292,7 @@ def epsilon_cusp_eval(ell: int, r: int, N: int, c: int, y: int) -> CycloElement:
     ct = eps.constant_term()
     closed = cusp_value_closed(M, c, y)
     if ct != closed:
-        raise AssertionError(
-            f"cusp constant term {ct!r} differs from closed form {closed!r}"
-        )
+        raise CuspMismatchError(ct, closed)
     return closed
 
 

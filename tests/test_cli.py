@@ -1,15 +1,20 @@
 import csv
+import gc
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from ellsoule import cli
-from ellsoule.cli import _verify_csv
-from ellsoule.units import theta_series
+from ellsoule import cli, units
+from ellsoule.cli import _dumps, _verify_csv
+from ellsoule.serialize import cyclo_to_json
+from ellsoule.units import eta_exponent, theta_series
 from ellsoule.verify import _row
 
 CMD = [sys.executable, "-m", "ellsoule.cli"]
@@ -143,6 +148,8 @@ def qexp_calls(monkeypatch):
         (lambda W, L: ["--r", "1000000000"], "--r"),
         (lambda W, L: ["--ell", "1009", "--N", "1", "--c", "5"], "--ell"),
         (lambda W, L: ["--N", str(L + 1), "--r", "0", "--c", "7"], "--N"),
+        (lambda W, L: ["--c", str(cli.MAX_C + 1)], "--c"),
+        (lambda W, L: ["--c", "1000001"], "--c"),
     ],
 )
 def test_qexp_over_a_cap_exits_2_naming_the_flag(qexp_calls, capsys, argv, flag):
@@ -161,11 +168,20 @@ def test_qexp_over_a_cap_exits_2_naming_the_flag(qexp_calls, capsys, argv, flag)
         lambda W, L: ["--r", "1", "--x", "1", "--y", "1", "--trunc", str(W + 2)],
         # level 1000 = 2^3 * 125 at x = 1 leads at q^{3979/1000}
         lambda W, L: ["--ell", "2", "--r", "3", "--N", "125", "--c", "7", "--trunc", "4000"],
+        # the largest admissible c under the cap at level 6
+        lambda W, L: [
+            "--c", str(_largest_c(6)),
+            "--trunc", str(eta_exponent(2, 1, 3, _largest_c(6), 1) + W),
+        ],
     ],
 )
 def test_qexp_within_the_caps_is_expanded(qexp_calls, capsys, argv):
     assert cli.main(["qexp", *argv(cli.MAX_WINDOW, cli.MAX_LEVEL)]) == 0
     assert len(qexp_calls) == 1
+
+
+def _largest_c(M):
+    return max(c for c in range(2, cli.MAX_C + 1) if math.gcd(c, 6 * M) == 1)
 
 
 @pytest.fixture
@@ -193,6 +209,59 @@ def test_verify_trunc_over_the_cap_exits_2_naming_the_flag(suite_calls, capsys, 
 def test_verify_trunc_at_the_cap_is_run(suite_calls, capsys):
     assert cli.main(["verify", "--suite", "units", "--trunc", str(cli.MAX_WINDOW)]) == 0
     assert [params["trunc"] for _, params in suite_calls] == [cli.MAX_WINDOW]
+
+
+# each argv is a function of the level cap L
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (lambda L: ["--rmax", "9"], "--rmax"),
+        (lambda L: ["--rmax", "1000000000"], "--rmax"),
+        (lambda L: ["--N", str(L + 1), "--rmax", "1"], "--N"),
+        (lambda L: ["--ell", "1009", "--N", "1", "--rmax", "1"], "--ell"),
+        (lambda L: ["--c", str(cli.MAX_C + 1)], "--c"),
+        (lambda L: ["--c", str(-cli.MAX_C - 1)], "--c"),
+    ],
+)
+def test_verify_over_a_cap_exits_2_naming_the_flag(suite_calls, capsys, argv, flag):
+    assert cli.main(["verify", *argv(cli.MAX_LEVEL)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and "cap" in err
+    assert suite_calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        # 2^8 * 3 = 768 and 2^9 * 3 = 1536 bracket the level cap
+        (["--rmax", "8"], {"rmax": 8}),
+        (["--ell", "3", "--N", "4", "--rmax", "5"], {"ell": 3, "N": 4, "rmax": 5}),
+        (["--c", str(cli.MAX_C)], {"c": cli.MAX_C}),
+    ],
+)
+def test_verify_within_the_caps_is_run(suite_calls, capsys, argv, params):
+    assert cli.main(["verify", "--suite", "bernoulli", *argv]) == 0
+    [(_, got)] = suite_calls
+    assert {k: got[k] for k in params} == params
+
+
+def test_cusp_mismatch_is_a_failing_row_of_a_written_report(monkeypatch, capsys):
+    # used to escape cli.main as an AssertionError, with no report written
+    right = units.cusp_value_closed
+
+    def wrong(M, c, y):
+        v = right(M, c, y)
+        return v + v if (M, y) == (6, 5) else v
+
+    monkeypatch.setattr(units, "cusp_value_closed", wrong)
+    assert cli.main(["verify", "--suite", "units"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    failing = [row for row in rep["cases"] if not row["pass"]]
+    assert [row["case"] for row in failing] == ["cusp_value_r1_y5"]
+    assert failing[0]["r"] == 1 and failing[0]["y"] == 5
+    assert failing[0]["constant_term"] == cyclo_to_json(right(6, 5, 5))
+    assert failing[0]["closed"] == cyclo_to_json(wrong(6, 5, 5))
+    assert rep["summary"]["failed"] == 1
 
 
 @pytest.mark.parametrize("suite", ["bernoulli", "units", "residues"])
@@ -327,3 +396,85 @@ def test_verify_rejects_parameters_that_leave_no_cases(args, named):
     out = run_cli("verify", *args)
     assert out.returncode == 2
     assert named in out.stderr and out.stdout == ""
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(2**100), 10**300])
+    | st.floats()
+    | st.text()
+)
+_json_keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_json_values = st.recursive(
+    _json_scalars,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(_json_keys, kids),
+    max_leaves=40,
+)
+
+
+@given(_json_values)
+@example([-0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324])
+@example({"q\"uote": 'a "b" \\ \n\t\x00\x1f', "é": "ζ_M 𝔽", 1.5: [], None: {}, True: ()})
+@example({"coeffs": ["1", "-3/2", "\u2028"], "n": -7, "M": (12, [])})
+def test_dumps_equals_json_dumps_indent_2(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [object(), {"a": [1, {2}]}, {(1, 2): 3}, [b"bytes"]])
+def test_dumps_rejects_what_json_dumps_rejects(obj):
+    with pytest.raises(TypeError) as ours:
+        _dumps(obj)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(obj, indent=2)
+    assert str(ours.value) == str(theirs.value)
+
+
+def _call(argv, capsys):
+    try:
+        rc = cli.main(argv)
+    except SystemExit as e:  # argparse exits 2 on a parse error
+        rc = e.code
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+def test_one_parser_serves_every_command_in_a_process(psi_file, capsys):
+    argvs = [
+        ["qexp", "--x", "1", "--y", "1", "--trunc", "12"],
+        ["verify", "--suite", "tsym"],
+        ["qexp", "--nosuch", "1"],
+        ["residue-table", "--N", "3", "--k", "2"],
+        ["dir", "--psi", str(psi_file), "--c", "7"],
+    ]
+    first = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        first.append(_call(argv, capsys))
+    parser = cli._parser()
+    assert [_call(argv, capsys) for argv in argvs] == first
+    assert cli._parser() is parser
+    assert [rc for rc, _, _ in first] == [0, 0, 2, 0, 0]
+    assert "unrecognized arguments: --nosuch" in first[2][2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qexp", "--x", "1", "--y", "1", "--trunc", "12"],
+        ["residue-table", "--N", "3", "--k", "2"],
+    ],
+)
+def test_a_main_call_leaves_no_cyclic_garbage(argv):
+    # the parser was rebuilt per call, leaving 295 objects to the cyclic GC
+    with redirect_stdout(io.StringIO()):
+        cli.main(argv)  # builds the parser and warms the library caches
+    gc.collect()
+    gc.disable()
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

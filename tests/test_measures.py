@@ -191,3 +191,29 @@ def test_inexact_values_are_rejected(x):
         Measure(GroupSpec(3, 1), {(1,): x})
     with pytest.raises(TypeError):
         Measure(spec, {(1,): 2}).scale(x)
+
+
+@pytest.mark.parametrize("x", [2.9, 1.7, 2.0, True])
+def test_inexact_coordinates_are_rejected(x):
+    # int() used to truncate them: {(2.9,): 1, (2,): 3} kept only {(2,): 3},
+    # dirac at 1.7 was the point mass at 1, and a base point 1.7 became (1,)
+    group = GroupSpec(8, 1)
+    with pytest.raises(TypeError):
+        Measure(group, {(x,): 1, (2,): 3})
+    with pytest.raises(TypeError):
+        dirac(group, (x,))
+    with pytest.raises(TypeError):
+        dirac(group, x)
+    with pytest.raises(TypeError):
+        dirac(group, (1,))(x)
+    with pytest.raises(TypeError):
+        TorsorSpec(2, 1, 3, 1, "reduction", (x,))
+    with pytest.raises(TypeError):
+        dirac(GroupSpec(8, 2), (1, x))
+
+
+def test_int_coordinates_reduce_mod_the_modulus():
+    group = GroupSpec(8, 1)
+    assert Measure(group, {(10,): 1, (-6,): 2}).values == {(2,): Fraction(2)}
+    assert dirac(group, -1) == dirac(group, (7,))
+    assert TorsorSpec(2, 1, 3, 1, "reduction", (-2,)).t == (1,)

@@ -12,7 +12,7 @@ PROBE = """
 from ellsoule.bernoulli import bern_eval
 from ellsoule.cyclotomic import CycloElement
 from ellsoule.formal import CycSym, EisSym, FormalClass, SouleSym, WeightFunction
-from ellsoule.measures import GroupSpec, Measure, dirac, pushforward
+from ellsoule.measures import GroupSpec, Measure, TorsorSpec, dirac, pushforward
 from ellsoule.numutil import exact_rational, vp
 from ellsoule.tsym import TSym, exponent_tuples, tsym_map
 from ellsoule.units import _e0, cusp_value_closed, residue_elliptic_soule, theta_series
@@ -62,6 +62,10 @@ rejects(TypeError, SouleSym, 2, 5, 4.5, (1, 0))
 rejects(ValueError, SouleSym, 2, 5, 10, (1, 0))
 rejects(ValueError, exponent_tuples, 0, 0)
 rejects(ValueError, exponent_tuples, 1, -1)
+for bad in (2.9, True):
+    rejects(TypeError, Measure, GroupSpec(8, 1), {(bad,): 1, (2,): 3})
+    rejects(TypeError, dirac, GroupSpec(8, 1), (bad,))
+    rejects(TypeError, TorsorSpec, 2, 1, 3, 1, "reduction", (bad,))
 """
 
 
