@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .measures import Measure, TorsorSpec, torsor_elements
-from .numutil import exact_rational
+from .numutil import _coord, _int, exact_rational
 
 __all__ = [
     "bernoulli_poly",
@@ -64,11 +64,24 @@ def bern_eval(k: int, x) -> Fraction:
     return acc
 
 
-@lru_cache(maxsize=None, typed=True)
-def _bern_at(n: int, a: int, N: int) -> Fraction:
-    """B_n({a/N}); callers pass a mod N, one cache entry per residue (typed,
-    so a float never reads an int's entry)."""
-    return bern_eval(n, Fraction(a % N, N))
+@lru_cache(maxsize=None)
+def _bern_ints(n: int) -> tuple[tuple[int, ...], int]:
+    """(b, D) with B_n(x) = sum b_i x^i / D: int numerators over the least
+    common denominator D of B_n's coefficients."""
+    coeffs = bernoulli_poly(n)
+    D = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (D // c.denominator) for c in coeffs), D
+
+
+def _bern_num(b: tuple[int, ...], a: int, N: int) -> int:
+    """R(a, N) = sum b_i a^i N^{n-i} for (b, D) = _bern_ints(n), so that
+    B_n(a/N) = R(a, N) / (D N^n); an int Horner sum.  Every closed Bernoulli
+    value is read through here, with a = t mod N for B_n({t/N})."""
+    acc, p = b[-1], 1
+    for bi in b[-2::-1]:
+        p *= N
+        acc = acc * a + bi * p
+    return acc
 
 
 def smoothed_b2(M: int, c: int, x: int) -> Fraction:
@@ -100,11 +113,16 @@ def bernoulli_measure(ell: int, r: int, N: int, c: int, t: int) -> Measure:
 
 def bernoulli_moment_closed(k: int, N: int, c: int, t: int) -> Fraction:
     """Closed form of the limit degree-k moment over the fiber at t (the
-    right side of the congruence above); smoothed_b2 is its k = 0 case."""
-    b = _bern_at(k + 2, t % N, N)
-    cb = _bern_at(k + 2, c * t % N, N)
-    return (
-        Fraction(N) ** (k + 1)
-        / (Fraction(c) ** k * (k + 2))
-        * (Fraction(c) ** (k + 2) * b - cb)
-    )
+    right side of the congruence above); smoothed_b2 is its k = 0 case.
+
+    With B_{k+2}({a/N}) = R(a, N) / (D N^{k+2}) it is the one fraction
+    (c^{k+2} R(t) - R(c t)) / (c^k (k+2) D N).  k, N, c and t must be ints
+    (a float or a bool raises TypeError).
+    """
+    k, N, c = _int(k, "k"), _int(N, "N"), _int(c, "c")
+    a = _coord(t, N)
+    b, D = _bern_ints(k + 2)
+    num = c ** (k + 2) * _bern_num(b, a, N) - _bern_num(b, c * a % N, N)
+    if k < 0:  # c^k is not an int: keep the value exact
+        return Fraction(num, (k + 2) * D * N) / Fraction(c) ** k
+    return Fraction(num, c ** k * (k + 2) * D * N)

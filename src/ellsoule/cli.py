@@ -16,9 +16,10 @@ the boundary formula was violated (the report carries the residue).
 `qexp` bounds its work: the level ell^r * N may be at most MAX_LEVEL, --c at
 most MAX_C, and --trunc may lie at most MAX_WINDOW past the leading exponent
 (in q^{1/M} units, the window the unit's product is built to).  `verify`
-caps its level ell^rmax * N at MAX_LEVEL, its --c at MAX_C and its --trunc,
-the window of the units suite's expansion, at MAX_WINDOW.  An input over a
-cap exits 2 before any expansion is formed.
+caps its level ell^rmax * N at MAX_LEVEL (at MAX_RESIDUES_LEVEL when the
+residues suite runs), its --c at MAX_C and its --trunc, the window of the
+units suite's expansion, at MAX_WINDOW.  An input over a cap exits 2 before
+any expansion is formed.
 
 Every JSON document is written by `_dumps`, whose output equals
 `json.dumps(obj, indent=2)`, and `main` builds its parser once per process.
@@ -46,17 +47,24 @@ __all__ = ["build_parser", "main"]
 
 # Sized from measured cost (2 vCPU, Python 3.11.7) at a window of 1000 past
 # the leading exponent, x in {0, 1}, with the smallest admissible c.  Dense
-# small levels take about 5 s at level 2 and 1 s at level 12.  Large levels
-# are not uniformly cheap: over levels 500-1000 the dearest was 935 = 5*11*17
-# (c = 7), 9-11 s at x = 0 and 7-9 s at x = 1 (peak RSS 47 MB), against
-# 0.2-0.4 s at level 998.  The cost grows with c: at level 935, x = 0 it was
-# 9.5 s at c = 7, 9.9 s at 31, 15.9 s at 49 and 68 s at 97; at level 2,
-# 5.2 s at c = 5 and 9.6 s at 49.  MAX_C keeps 49, the largest c admissible
-# at level 935 below it.  The residues suite of `verify` took 0.23 s at
-# level 48, c = 49, and 9.4 s at levels 6 and 12 with c = 1001.
+# small levels take about 5 s at level 2 and 1 s at level 12.  Over levels
+# 500-1000, x = 0 took at most 0.22 s (level 991); at x = 1 the dearest was
+# 935 = 5*11*17 (c = 7) at 7.9-9.6 s (peak RSS 47 MB), then 665 and 805
+# (c = 11) at 6.1-6.5 s, and 26 of the 501 levels took over 1 s; level 998
+# took 0.16 s.  The cost grows with c: at level 935, x = 1 it was 5.1 s at
+# c = 31 and 21 s at 49, and x = 0 0.27 s at 49; at level 2, 5.2 s at c = 5
+# and 9.6 s at 49.  MAX_C keeps 49, the largest c admissible at level 935
+# below it.
 MAX_LEVEL = 1000
 MAX_WINDOW = 1000
 MAX_C = 50
+# The residues suite expands the unit at every point of every fiber: about
+# 1.25 L^2 expansions at level L = ell^rmax * N, so its time grows about 4x
+# per doubling of the level, and with c.  Measured (same host): level 96
+# (2^5 * 3) took 0.47 s at c = 5 and 1.0 s at c = 49; level 98 (2 * 49,
+# c = 47) 3.7 s and level 100 (2^2 * 25, c = 49) 2.4 s; level 192 (2^6 * 3)
+# 1.9 s at c = 5 and 6.9 s at c = 49, level 194 (2 * 97, c = 49) 34 s.
+MAX_RESIDUES_LEVEL = 100
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--rmax",
         type=int,
         default=2,
-        help=f"largest level r (default 2); the level ell^rmax * N is at most {MAX_LEVEL}",
+        help=f"largest level r (default 2); the level ell^rmax * N is at most "
+        f"{MAX_LEVEL}, and {MAX_RESIDUES_LEVEL} when the residues suite runs",
     )
     p_verify.add_argument("--kmax", type=int, default=4, help="largest weight k (default 4)")
     p_verify.add_argument(
@@ -279,8 +288,9 @@ def _verify_csv(report: dict) -> str:
 def _cmd_verify(args) -> int:
     if args.trunc > MAX_WINDOW:
         raise ValueError(f"--trunc {args.trunc} exceeds the cap {MAX_WINDOW}")
-    _check_level_and_c(args.ell, args.rmax, args.N, args.c, "--rmax")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+    cap = MAX_RESIDUES_LEVEL if "residues" in names else MAX_LEVEL
+    _check_level_and_c(args.ell, args.rmax, args.N, args.c, "--rmax", cap)
     started = time.perf_counter()
     report = run_suites(
         names,
@@ -301,18 +311,20 @@ def _cmd_verify(args) -> int:
     return 0 if report["all_pass"] else 1
 
 
-def _check_level_and_c(ell: int, r: int, N: int, c: int, r_flag: str) -> None:
-    """Reject a level ell^r * N over MAX_LEVEL, without forming ell^r, and
-    a smoothing factor |c| over MAX_C."""
+def _check_level_and_c(
+    ell: int, r: int, N: int, c: int, r_flag: str, cap: int = MAX_LEVEL
+) -> None:
+    """Reject a level ell^r * N over `cap`, without forming ell^r, and a
+    smoothing factor |c| over MAX_C."""
     level = abs(N)
-    # |ell| >= 2 and level >= 1 pass the cap within log2(MAX_LEVEL) + 1 steps
+    # |ell| >= 2 and level >= 1 pass the cap within log2(cap) + 1 steps
     for _ in range(r if abs(ell) > 1 and level else 0):
         level *= abs(ell)
-        if level > MAX_LEVEL:
+        if level > cap:
             break
-    if level > MAX_LEVEL:
+    if level > cap:
         raise ValueError(
-            f"level --ell^{r_flag} * --N = {ell}^{r} * {N} exceeds the cap {MAX_LEVEL}"
+            f"level --ell^{r_flag} * --N = {ell}^{r} * {N} exceeds the cap {cap}"
         )
     if abs(c) > MAX_C:
         raise ValueError(f"|--c| = {abs(c)} exceeds the cap {MAX_C}")

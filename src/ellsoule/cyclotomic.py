@@ -12,9 +12,15 @@ equality and hashing compare the representation directly; `coeffs` gives
 them as `Fraction`s.  Ring operations run in int arithmetic, and every
 reduction uses one cached table of x^k mod Phi_M for 0 <= k < M: its rows
 are integral because Phi_M is monic, and zeta^M = 1 folds any exponent
-into that range.  Inversion stays in this representation: a^{-1} is the
+into that range.
+
+The library's paths invert only elements 1 - zeta^w and raise them to
+powers, and they take the closed forms `one_minus_zeta_inverse` and
+`one_minus_zeta_pow`: one reduction of M folded terms each.  `inverse` is the
+general field operation, kept with `__truediv__` and negative powers as ring
+operations (the reference routes the tests compare against): a^{-1} is the
 product of the other Galois conjugates of a divided by the rational norm
-N(a), so it needs only multiplication and the Galois action.
+N(a), which costs phi(M) - 1 full products.
 
 All arithmetic is pure and exact; no floats, no complex embeddings.  Every
 coordinate enters through `_rat`, which accepts int and `Fraction` only.
@@ -188,6 +194,36 @@ class CycloElement:
         for i, r in _xpow(M)[k % M]:
             num[i] = r
         return _make(M, num, 1)
+
+    @staticmethod
+    def one_minus_zeta_pow(M: int, w: int, k: int) -> "CycloElement":
+        """(1 - zeta_M^w)^k for k >= 0 by the binomial theorem:
+        sum_{i<=k} (-1)^i C(k, i) zeta^{wi}, folded mod M and reduced once."""
+        if k < 0:
+            raise ValueError(f"exponent {k} must be >= 0; see one_minus_zeta_inverse")
+        poly = [0] * M
+        b = 1  # (-1)^i C(k, i)
+        for i in range(k + 1):
+            poly[w * i % M] += b
+            b = -b * (k - i) // (i + 1)
+        return _make(M, _reduce(M, euler_phi(M), poly), 1)
+
+    @staticmethod
+    def one_minus_zeta_inverse(M: int, w: int) -> "CycloElement":
+        """(1 - zeta_M^w)^{-1} in closed form, for w != 0 mod M.
+
+        zeta = zeta_M^w has order m = M / gcd(w, M) > 1, and
+        sum_{j<m} j zeta^j = m / (zeta - 1), so
+        (1 - zeta)^{-1} = -(1/m) sum_{j<m} j zeta^j.
+        """
+        w %= M
+        if not w:
+            raise ZeroDivisionError("1 - zeta^0 = 0 has no inverse")
+        m = M // gcd(w, M)
+        poly = [0] * M
+        for j in range(1, m):
+            poly[j * w % M] = -j
+        return _make(M, _reduce(M, euler_phi(M), poly), m)
 
     # -- structure ----------------------------------------------------
     def is_zero(self) -> bool:

@@ -43,7 +43,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from random import Random
 
-from .bernoulli import _bern_at, bernoulli_moment_closed
+from .bernoulli import _bern_ints, _bern_num, bernoulli_moment_closed
 from .numutil import _coord, exact_rational
 
 __all__ = [
@@ -289,7 +289,9 @@ def rewrite_soule(x: FormalClass) -> FormalClass:
 
 @lru_cache(maxsize=None)
 def _eis_residue(k: int, N: int, a: int) -> Fraction:
-    return -Fraction(N ** k, factorial(k) * (k + 2)) * _bern_at(k + 2, a, N)
+    # -(N^k/(k!(k+2))) B_{k+2}({a/N}), with B_{k+2}({a/N}) = R / (D N^{k+2})
+    b, D = _bern_ints(k + 2)
+    return Fraction(-_bern_num(b, a % N, N), factorial(k) * (k + 2) * D * N * N)
 
 
 def eis_residue_closed(k: int, N: int, t) -> Fraction:

@@ -49,12 +49,18 @@ def exact_rational(x) -> Fraction:
     return Fraction(x)
 
 
+def _int(v, what: str) -> int:
+    """v, which must be an int: a float or a bool would be truncated or read
+    as 0 or 1."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"{what} {v!r} must be an int, got {type(v).__name__}")
+    return v
+
+
 def _coord(v, M: int) -> int:
     """A torsion coordinate reduced mod M; it must be an int, since a float
     or a bool would be truncated to a different point."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError(f"coordinate {v!r} must be an int, got {type(v).__name__}")
-    return v % M
+    return _int(v, "coordinate") % M
 
 
 def rat_str(x: Fraction | int) -> str:

@@ -24,7 +24,9 @@ factors (1 - q^{e/M} zeta^v)^k behind it: (x, y, c^2), (x', y', -1), and
 the gtilde factors (nM -+ u, -+v, k) of each.  A factor's coefficients are
 read off the binomial series, so no power is formed by squaring and no
 series is inverted; a factor with e >= W, the window past q^{e0}, is 1 to
-that window and is left out, and an e = 0 factor (x = 0) is a constant.
+that window and is left out, and an e = 0 factor (x = 0) is a constant,
+taken in closed form (`CycloElement.one_minus_zeta_pow` and
+`one_minus_zeta_inverse`), so no element is inverted through its norm.
 
 Everything downstream is read off this expansion: the residue measure at the
 cusp aggregates actual q-valuations over a fiber (with ramification factor
@@ -42,6 +44,7 @@ from .cyclotomic import CycloElement
 from .measures import Measure, TorsorSpec, torsor_elements
 from .numutil import _coord, ceil_div, exact_rational, is_prime
 from .puiseux import PuiseuxSeries
+from .serialize import cyclo_to_json
 
 __all__ = [
     "theta_series",
@@ -142,11 +145,13 @@ def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxS
         factors.append((u, v, k))
         for n in range(1, W // M + 2):
             factors += [(n * M - u, -v, k), (n * M + u, v, k)]
-    one = CycloElement.rational(M, 1)
     series = None
     for e, v, k in sorted(factors, reverse=True):
-        if e == 0:
-            scalar = scalar * (one - CycloElement.zeta_pow(M, v)) ** k
+        if e == 0:  # k = c^2 for (x, y), -1 for (x', y'), and v != 0
+            if k < 0:
+                scalar = scalar * CycloElement.one_minus_zeta_inverse(M, v)
+            else:
+                scalar = scalar * CycloElement.one_minus_zeta_pow(M, v, k)
         elif e < W:
             f = _binomial_power(M, e, v, k, W)
             series = f if series is None else series * f
@@ -196,7 +201,9 @@ def norm_check_theta(M: int, d: int, c: int, point: tuple[int, int], window: int
     The product of the level-dM expansions over the d^2 preimages
     (x + iM, y + jM) of `point` must equal the level-M expansion rescaled to
     q^{1/dM}, coefficient by coefficient, for all exponents below `window`
-    (in q^{1/dM} units).  Reports the sound comparison window actually used.
+    (in q^{1/dM} units).  Reports the sound comparison window actually used;
+    on a coefficient mismatch, also the first mismatching exponent with both
+    coefficients (`first_mismatch`: n, base, product).
     """
     if gcd(d, c) != 1:
         raise ValueError(f"gcd(d, c) = gcd({d}, {c}) != 1")
@@ -233,7 +240,15 @@ def norm_check_theta(M: int, d: int, c: int, point: tuple[int, int], window: int
     for n in sorted(set(f.terms) | set(g.terms)):
         if n < W and f.coeff(n) != g.coeff(n):
             mism.append(n)
-    return {"ok": not mism, "window": W, "level": d * M, "mismatches": mism}
+    out = {"ok": not mism, "window": W, "level": d * M, "mismatches": mism}
+    if mism:
+        n = mism[0]
+        out["first_mismatch"] = {
+            "n": n,
+            "base": cyclo_to_json(f.coeff(n)),
+            "product": cyclo_to_json(g.coeff(n)),
+        }
+    return out
 
 
 def eta_exponent(ell: int, r: int, N: int, c: int, x1: int) -> int:
@@ -264,9 +279,12 @@ def cusp_value_closed(M: int, c: int, y: int) -> CycloElement:
     y = _coord(y, M)
     if y == 0:
         raise ValueError("beta = 1 is outside the cusp-value domain")
-    beta = CycloElement.zeta_pow(M, y)
+    # (-beta)^h = (-1)^h zeta^{yh}, h = (c - c^2)/2 an integer
     half = (c - c * c) // 2
-    return ((-beta) ** half) * _xi_c_at(beta, c)
+    scalar = CycloElement.zeta_pow(M, y * half)
+    if half % 2:
+        scalar = -scalar
+    return scalar * _xi_c_at(M, y, c)
 
 
 class CuspMismatchError(AssertionError):
@@ -299,15 +317,14 @@ def epsilon_cusp_eval(ell: int, r: int, N: int, c: int, y: int) -> CycloElement:
 def cusp_square_check(M: int, c: int, y: int) -> bool:
     """(cusp value)^2 == Xi_c(beta) * Xi_c(beta^{-1}) in Q(zeta_M)."""
     y = _coord(y, M)
-    beta = CycloElement.zeta_pow(M, y)
-    beta_inv = CycloElement.zeta_pow(M, (-y) % M)
     v = cusp_value_closed(M, c, y)
-    return v * v == _xi_c_at(beta, c) * _xi_c_at(beta_inv, c)
+    return v * v == _xi_c_at(M, y, c) * _xi_c_at(M, -y, c)
 
 
-def _xi_c_at(b: CycloElement, c: int) -> CycloElement:
-    one = CycloElement.rational(b.M, 1)
-    return ((one - b) ** (c * c)) * (one - b ** c).inverse()
+def _xi_c_at(M: int, y: int, c: int) -> CycloElement:
+    """Xi_c(zeta_M^y) = (1 - zeta^y)^{c^2} / (1 - zeta^{cy})."""
+    num = CycloElement.one_minus_zeta_pow(M, y, c * c)
+    return num * CycloElement.one_minus_zeta_inverse(M, c * y)
 
 
 # ---------------------------------------------------------------------------

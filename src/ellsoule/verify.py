@@ -13,6 +13,7 @@ serialized reports are byte-stable for a fixed seed and parameter set.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, gcd
 from random import Random
 
@@ -616,6 +617,7 @@ def suite_units(ell: int = 2, N: int = 3, c: int = 5, trunc: int = 40) -> dict:
                 level=rep["level"],
                 window=rep["window"],
                 mismatches=rep["mismatches"],
+                **{k: v for k, v in rep.items() if k == "first_mismatch"},
             )
         )
 
@@ -720,12 +722,18 @@ def suite_residues(
 DIR_GRID = ((3, (7, 13)), (4, (5, 13)), (5, (11, 31)))
 
 
-def _first_miss(seed: int, psis: list, oks) -> dict:
-    """{} if every check in oks (lazy, one per psi) holds; else the seed, the
-    index of the first failing psi and that psi, to reproduce the row."""
-    for i, (p, ok) in enumerate(zip(psis, oks)):
-        if not ok:
-            return {"seed": seed, "index": i, "psi": psi_to_json(p)}
+def _first_miss(seed: int, psis: list, check) -> dict:
+    """{} if check(i, psis[i]) holds for every i; else the seed, the index of
+    the first failing psi and that psi, to reproduce the row.  A check that
+    raises fails too, and the row also carries the exception text."""
+    for i, p in enumerate(psis):
+        try:
+            if check(i, p):
+                continue
+            error = {}
+        except Exception as e:  # a raising route is a failing row, not a crash
+            error = {"error": f"{type(e).__name__}: {e}"}
+        return {"seed": seed, "index": i, "psi": psi_to_json(p), **error}
     return {}
 
 
@@ -763,14 +771,13 @@ def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID) -> d
             rng = Random(f"dir:{seed}:{N}:{k}")
             psis = [random_residue_zero_psi(N, k, rng) for _ in range(count)]
             # the symbol route, independent of the functional the generator solves with
-            miss = _first_miss(seed, psis, (residue(eis_of_psi(p)) == 0 for p in psis))
+            miss = _first_miss(seed, psis, lambda i, p: residue(eis_of_psi(p)) == 0)
             rows.append(
                 _row(f"residue_zero_N{N}_k{k}", not miss, count=count, **miss)
             )
-            closed = [dir_closed(p) for p in psis]
+            closed = cache(lambda i: dir_closed(psis[i]))  # shared by both c
             for c in cpair:
-                oks = (d == dir_via_me(p, c) for p, d in zip(psis, closed))
-                miss = _first_miss(seed, psis, oks)
+                miss = _first_miss(seed, psis, lambda i, p: closed(i) == dir_via_me(p, c))
                 rows.append(
                     _row(
                         f"two_route_N{N}_k{k}_c{c}",
@@ -785,11 +792,11 @@ def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID) -> d
             raw = [
                 random_residue_zero_psi(N, k, rng, parity=False) for _ in range(5)
             ]
-            oks = (
-                cyc_symmetrize(dir_closed(p), k) == dir_via_me(p, cpair[0])
-                for p in raw
+            miss = _first_miss(
+                seed,
+                raw,
+                lambda i, p: cyc_symmetrize(dir_closed(p), k) == dir_via_me(p, cpair[0]),
             )
-            miss = _first_miss(seed, raw, oks)
             rows.append(
                 _row(f"raw_symmetrized_N{N}_k{k}", not miss, c=cpair[0], count=5, **miss)
             )

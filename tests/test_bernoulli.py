@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ellsoule.bernoulli import (
+    _bern_ints,
+    _bern_num,
     bern_eval,
     bernoulli_measure,
     bernoulli_moment_closed,
@@ -32,6 +34,31 @@ def test_bernoulli_poly_spot():
 def test_bern_eval_rejects_inexact_input(x):
     with pytest.raises(TypeError):
         bern_eval(2, x)
+
+
+residues = st.integers(1, 1000).flatmap(lambda N: st.tuples(st.just(N), st.integers(0, N - 1)))
+
+
+@given(st.integers(0, 12), residues)
+@example(0, (1, 0))
+@example(12, (1000, 999))
+def test_int_numerators_are_bernoulli_values(n, Na):
+    # B_n(a/N) = R(a, N) / (D N^n) for every residue a
+    N, a = Na
+    b, D = _bern_ints(n)
+    assert len(b) == n + 1 and D > 0
+    assert Fraction(_bern_num(b, a, N), D * N ** n) == bern_eval(n, Fraction(a, N))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1, 3, 7, 1.0), (1, 3, 7, True), (1, 3, 7.0, 1), (1, 3, True, 1), (1, 3.0, 7, 1),
+     (1, True, 7, 1), (1.0, 3, 7, 1), (True, 3, 7, 1)],
+)
+def test_closed_moment_rejects_inexact_arguments(args):
+    # a bool t used to be read as 0 or 1
+    with pytest.raises(TypeError):
+        bernoulli_moment_closed(*args)
 
 
 def test_bern_eval_spots():

@@ -245,6 +245,46 @@ def test_verify_within_the_caps_is_run(suite_calls, capsys, argv, params):
     assert {k: got[k] for k in params} == params
 
 
+@pytest.mark.parametrize("suite", ["residues", "all"])
+def test_verify_residues_over_its_level_cap_exits_2_naming_rmax(suite_calls, capsys, suite):
+    # 2^5 * 3 = 96 and 2^6 * 3 = 192 bracket the residues cap
+    assert cli.MAX_RESIDUES_LEVEL < 192
+    assert cli.main(["verify", "--suite", suite, "--rmax", "6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--rmax" in err and "cap" in err
+    assert suite_calls == []
+    assert cli.main(["verify", "--suite", suite, "--rmax", "5"]) == 0
+    assert [params["rmax"] for _, params in suite_calls] == [5]
+
+
+@pytest.mark.parametrize("suite", ["bernoulli", "units", "dir"])
+def test_verify_other_suites_keep_the_level_cap(suite_calls, suite):
+    assert cli.main(["verify", "--suite", suite, "--rmax", "8"]) == 0
+    assert [params["rmax"] for _, params in suite_calls] == [8]
+
+
+def test_raising_boundary_route_is_a_failing_row_of_a_written_report(monkeypatch, capsys):
+    # used to escape cli.main with the exception, writing nothing
+    from ellsoule import verify
+
+    real, calls = verify.dir_via_me, []
+
+    def seventh_call_raises(psi, c):
+        calls.append(psi)
+        if len(calls) == 7:
+            raise AssertionError("weightless term survived")
+        return real(psi, c)
+
+    monkeypatch.setattr(verify, "dir_via_me", seventh_call_raises)
+    assert cli.main(["verify", "--suite", "dir"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    failing = [row for row in rep["cases"] if not row["pass"]]
+    assert [row["case"] for row in failing] == ["two_route_N3_k1_c7"]
+    assert failing[0]["index"] == 6 and failing[0]["seed"] == 0
+    assert failing[0]["error"] == "AssertionError: weightless term survived"
+    assert rep["summary"]["failed"] == 1
+
+
 def test_cusp_mismatch_is_a_failing_row_of_a_written_report(monkeypatch, capsys):
     # used to escape cli.main as an AssertionError, with no report written
     right = units.cusp_value_closed

@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ellsoule.bernoulli import bern_eval, bernoulli_moment_closed, smoothed_b2
 from ellsoule.formal import _eis_residue, _norm_point, residue_soule_closed
@@ -71,6 +72,19 @@ def test_residue_forms_match_references(c):
                 for b in range(N):
                     got = residue_soule_closed(k, N, c, (a, b))
                     assert got == ref_residue_soule_closed(k, N, c, (a, b)), (k, N, c, a, b)
+
+
+@given(
+    st.integers(-1, 8),
+    st.integers(1, 60),
+    st.sampled_from(CS + (-7, 49)),
+    st.integers(-(10 ** 30), 10 ** 30),
+)
+@example(-1, 3, 7, -1)
+@example(8, 60, 49, 10 ** 30 + 1)
+def test_moment_closed_matches_reference_at_any_t(k, N, c, t):
+    got = bernoulli_moment_closed(k, N, c, t)
+    assert type(got) is Fraction and got == ref_moment_closed(k, N, c, t)
 
 
 def test_moment_closed_stays_exact_for_negative_k():

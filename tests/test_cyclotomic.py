@@ -93,6 +93,43 @@ def test_inverse(M, data):
         assert a * a.inverse() == one
 
 
+@pytest.mark.parametrize("M", [*range(2, 61), 935, 979, 990, 997, 998])
+def test_closed_inverse_of_one_minus_zeta(M):
+    # every w != 0 mod M, gcd(w, M) > 1 included.  The product with
+    # 1 - zeta^w is formed in Z[x]/(x^M - 1) and reduced once: exact, and at
+    # the large levels far cheaper than the dense field product, which is
+    # checked up to M = 60; up to M = 42 the closed form is also the norm
+    # inverse, too slow to compare at the large levels
+    one = CycloElement.rational(M, 1)
+    for w in range(1, M):
+        inv = CycloElement.one_minus_zeta_inverse(M, w)
+        lift = [0] * M
+        for i, a in enumerate(inv.num):
+            lift[i] += a
+            lift[(i + w) % M] -= a
+        assert CycloElement.from_poly(M, lift) == CycloElement.rational(M, inv.den), (M, w)
+        if M <= 60:
+            a = one - CycloElement.zeta_pow(M, w)
+            assert a * inv == one, (M, w)
+            if M <= 42:
+                assert inv == a.inverse(), (M, w)
+    assert CycloElement.one_minus_zeta_inverse(M, -1) == inv  # w = M - 1 last
+    for w in (0, M, -M):
+        with pytest.raises(ZeroDivisionError):
+            CycloElement.one_minus_zeta_inverse(M, w)
+
+
+@pytest.mark.parametrize("M", [2, 3, 6, 7, 12, 35, 48])
+def test_closed_power_of_one_minus_zeta(M):
+    one = CycloElement.rational(M, 1)
+    for w in range(-1, M + 1):
+        a = one - CycloElement.zeta_pow(M, w)
+        for k in (0, 1, 2, 25, 49):
+            assert CycloElement.one_minus_zeta_pow(M, w, k) == a**k, (M, w, k)
+    with pytest.raises(ValueError):
+        CycloElement.one_minus_zeta_pow(M, 1, -1)
+
+
 @given(elements(M=12), st.sampled_from([1, 5, 7, 11]))
 def test_galois_is_ring_map(a, j):
     b = CycloElement.zeta_pow(12, 1)

@@ -524,7 +524,7 @@ def test_symbol_and_weight_function_coordinates_must_be_ints(bad):
 @pytest.mark.parametrize(
     "c, exc",
     [
-        (4.5, TypeError),  # used to fail later, in bernoulli._bern_at
+        (4.5, TypeError),  # used to fail later, in the Bernoulli evaluation
         (7.0, TypeError),
         (True, TypeError),
         (Fraction(7), TypeError),

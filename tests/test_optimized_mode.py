@@ -9,7 +9,7 @@ import ellsoule
 SRC = os.path.dirname(os.path.dirname(ellsoule.__file__))
 
 PROBE = """
-from ellsoule.bernoulli import bern_eval
+from ellsoule.bernoulli import bern_eval, bernoulli_moment_closed
 from ellsoule.cyclotomic import CycloElement
 from ellsoule.formal import CycSym, EisSym, FormalClass, SouleSym, WeightFunction
 from ellsoule.measures import GroupSpec, Measure, TorsorSpec, dirac, pushforward
@@ -34,6 +34,9 @@ for bad in (0.1, True):
     rejects(TypeError, CycloElement.zeta_pow(3, 1).__mul__, bad)
     rejects(TypeError, exact_rational, bad)
     rejects(TypeError, bern_eval, 2, bad)
+    rejects(TypeError, bernoulli_moment_closed, 1, 3, 7, bad)
+    rejects(TypeError, bernoulli_moment_closed, 1, 3, bad, 1)
+    rejects(TypeError, bernoulli_moment_closed, 1, bad, 7, 1)
     rejects(TypeError, WeightFunction, 2, 3, {(1, 0): bad})
     rejects(TypeError, FormalClass, {CycSym(2, 3, 1): bad})
     rejects(TypeError, Measure, GroupSpec(3, 1), {(1,): bad})

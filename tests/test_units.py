@@ -10,6 +10,7 @@ from ellsoule.bernoulli import bernoulli_measure, smoothed_b2
 from ellsoule.cyclotomic import CycloElement
 from ellsoule.numutil import ceil_div
 from ellsoule.puiseux import PuiseuxSeries
+from ellsoule.serialize import cyclo_to_json
 from ellsoule.units import (
     RatFun,
     cusp_square_check,
@@ -139,6 +140,30 @@ def test_norm_compatibility_small():
     assert norm_check_theta(4, 3, 5, (1, 1), 8)["ok"]
 
 
+def test_norm_check_names_the_first_mismatch_with_both_values(monkeypatch):
+    assert set(norm_check_theta(6, 2, 5, (1, 1), 24)) == {"ok", "window", "level", "mismatches"}
+    real = units.theta_series
+
+    def perturbed(M, c, point, trunc):
+        # one wrong coefficient in one level-12 preimage
+        f = real(M, c, point, trunc)
+        if (M, point) == (12, (1, 1)):
+            n = min(f.terms) + 3
+            f = PuiseuxSeries(M, f.T, {**f.terms, n: f.coeff(n) + 1})
+        return f
+
+    monkeypatch.setattr(units, "theta_series", perturbed)
+    rep = norm_check_theta(6, 2, 5, (1, 1), 24)
+    assert not rep["ok"] and rep["level"] == 12
+    first = rep["first_mismatch"]
+    n = first["n"]
+    assert n == rep["mismatches"][0]
+    base = real(6, 5, (1, 1), ceil_div(24, 2) + 3).rescale(12)
+    assert first["base"] == cyclo_to_json(base.coeff(n))
+    assert first["product"] != first["base"]
+    assert first["product"]["M"] == 12
+
+
 def test_eta_exponent_matches_prefactor():
     for x in range(6):
         assert eta_exponent(2, 1, 3, 5, x) == int(smoothed_b2(6, 5, x))
@@ -225,6 +250,35 @@ def test_cusp_eval_with_odd_half_exponent():
 def test_cusp_squaring_identity():
     for y in range(1, 12):
         assert cusp_square_check(12, 5, y)
+
+
+def reference_cusp_value(M, c, y):
+    """(-beta)^{(c-c^2)/2} (1 - beta)^{c^2} / (1 - beta^c), through a
+    negative power and the norm inverse."""
+    beta = CycloElement.zeta_pow(M, y)
+    one = CycloElement.rational(M, 1)
+    return (-beta) ** ((c - c * c) // 2) * (one - beta) ** (c * c) * (one - beta**c).inverse()
+
+
+@pytest.mark.parametrize("M, c", [(2, 5), (6, 5), (6, 7), (12, 7), (24, 5), (42, 5), (10, 49)])
+def test_cusp_value_matches_the_norm_inverse_route(M, c):
+    for y in range(1, M):
+        assert cusp_value_closed(M, c, y) == reference_cusp_value(M, c, y), (M, c, y)
+
+
+def test_library_paths_take_no_norm_inverse(monkeypatch):
+    def refuse(self):
+        raise AssertionError("norm inverse on a library path")
+
+    M, c = 48, 5
+    trunc = units._e0(M, c, 0) + 20
+    want = reference_theta(M, c, (0, 7), trunc)  # takes the norm inverse
+    monkeypatch.setattr(CycloElement, "inverse", refuse)
+    assert theta_series(M, c, (0, 7), trunc).terms == want.terms
+    assert epsilon_cusp_eval(2, 2, 3, c, 5) == cusp_value_closed(12, c, 5)
+    assert all(cusp_square_check(12, c, y) for y in range(1, 12))
+    # the fiber over t = (0, 1) contains x = 0
+    assert residue_elliptic_soule(2, 2, 3, c, (0, 1)) == bernoulli_measure(2, 2, 3, c, 0)
 
 
 def test_residue_measure_equals_bernoulli():

@@ -39,18 +39,44 @@ def test_bernoulli_suite_takes_one_family():
 
 
 def test_dir_suite_evaluates_each_bernoulli_value_once(monkeypatch):
-    # every closed form reads one cache of B_n({a/N}): a cold dir pass
-    # evaluates a Bernoulli polynomial once per (n, a, N) it meets
+    # every closed form reads int numerators off one table per degree n: a
+    # cold dir pass converts each B_n it meets once (n = k + 2 for k = 1..6)
+    # and never evaluates a Bernoulli polynomial in Fractions
     import ellsoule.bernoulli as bernoulli
     import ellsoule.formal as formal
 
-    calls = []
-    real = bernoulli.bern_eval
-    monkeypatch.setattr(bernoulli, "bern_eval", lambda n, x: calls.append(n) or real(n, x))
-    for cached in (bernoulli._bern_at, formal._eis_residue, formal._residue_ints):
+    def refuse(n, x):
+        raise AssertionError("Fraction evaluation on a library path")
+
+    monkeypatch.setattr(bernoulli, "bern_eval", refuse)
+    for cached in (bernoulli._bern_ints, formal._eis_residue, formal._residue_ints):
         cached.cache_clear()
     assert suite_dir(seed=1, kmax=4)["all_pass"]
-    assert 0 < len(calls) <= 300
+    assert bernoulli._bern_ints.cache_info().misses == 6
+
+
+@pytest.mark.parametrize("route", ["dir_via_me", "dir_closed"])
+def test_a_raising_boundary_route_is_a_failing_dir_row(monkeypatch, route):
+    # used to escape suite_dir (and `ellsoule verify`) with no report
+    real, calls = getattr(verify, route), []
+
+    def seventh_call_raises(*args):
+        calls.append(args)
+        if len(calls) == 7:
+            raise AssertionError("weightless term survived")
+        return real(*args)
+
+    monkeypatch.setattr(verify, route, seventh_call_raises)
+    seed, count = 2, 10
+    rep = suite_dir(count=count, seed=seed, kmax=1, grid=((3, (7, 13)),))
+    rng = Random(f"dir:{seed}:3:1")
+    psis = [random_residue_zero_psi(3, 1, rng) for _ in range(count)]
+    failing = [row for row in rep["cases"] if not row["pass"]]
+    assert [row["case"] for row in failing] == ["two_route_N3_k1_c7"]
+    row = failing[0]
+    assert (row["seed"], row["index"], row["psi"]) == (seed, 6, psi_to_json(psis[6]))
+    assert row["error"] == "AssertionError: weightless term survived"
+    assert list(row)[-1] == "pass"
 
 
 def test_unknown_suite_is_rejected():
