@@ -47,14 +47,14 @@ __all__ = ["build_parser", "main"]
 
 # Sized from measured cost (2 vCPU, Python 3.11.7) at a window of 1000 past
 # the leading exponent, x in {0, 1}, with the smallest admissible c.  Dense
-# small levels take about 5 s at level 2 and 1 s at level 12.  Over levels
-# 500-1000, x = 0 took at most 0.22 s (level 991); at x = 1 the dearest was
-# 935 = 5*11*17 (c = 7) at 7.9-9.6 s (peak RSS 47 MB), then 665 and 805
-# (c = 11) at 6.1-6.5 s, and 26 of the 501 levels took over 1 s; level 998
-# took 0.16 s.  The cost grows with c: at level 935, x = 1 it was 5.1 s at
-# c = 31 and 21 s at 49, and x = 0 0.27 s at 49; at level 2, 5.2 s at c = 5
-# and 9.6 s at 49.  MAX_C keeps 49, the largest c admissible at level 935
-# below it.
+# small levels take 0.9-1.6 s at level 2, 0.8 s at level 3 and 0.2 s at
+# level 12 (x = 1).  Over levels 500-1000, x = 0 took at most 0.19 s (level
+# 787); at x = 1 the dearest was 935 = 5*11*17 (c = 7) at 7.9-9.9 s (peak
+# RSS 46 MB), then 665 and 805 (c = 11) at 5.2-5.8 s, and 16 of the 501
+# levels took over 1 s; level 998 took 0.21 s.  The cost grows with c: at
+# level 935, x = 1 it was 4.7-5.1 s at c = 31 and 23 s at 49 (peak RSS
+# 100 MB), and x = 0 0.36 s at 49; at level 2, 5.3 s at c = 49.  MAX_C
+# keeps 49, the largest c admissible at level 935 below it.
 MAX_LEVEL = 1000
 MAX_WINDOW = 1000
 MAX_C = 50

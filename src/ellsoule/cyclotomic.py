@@ -10,9 +10,9 @@ The coordinates are stored as a tuple of int numerators `num` over one
 positive int denominator `den`, in lowest terms (gcd(den, *num) == 1), so
 equality and hashing compare the representation directly; `coeffs` gives
 them as `Fraction`s.  Ring operations run in int arithmetic, and every
-reduction uses one cached table of x^k mod Phi_M for 0 <= k < M: its rows
-are integral because Phi_M is monic, and zeta^M = 1 folds any exponent
-into that range.
+reduction uses one table of x^k mod Phi_M for 0 <= k < M: its rows are
+integral because Phi_M is monic, and zeta^M = 1 folds any exponent into
+that range.  The tables of the last `_XPOW_LEVELS` levels used are cached.
 
 The library's paths invert only elements 1 - zeta^w and raise them to
 powers, and they take the closed forms `one_minus_zeta_inverse` and
@@ -106,7 +106,14 @@ def _common_den(coeffs) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
-@lru_cache(maxsize=None)
+# Levels whose x^k mod Phi_M table is kept.  A table holds M rows, dense at
+# composite levels (5.7 MB at M = 935), so an unbounded cache grows with
+# every level a process meets; one computation touches a few levels (M and
+# dM in a norm check), far fewer than this.
+_XPOW_LEVELS = 8
+
+
+@lru_cache(maxsize=_XPOW_LEVELS)
 def _xpow(M: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """x^k mod Phi_M for 0 <= k < M, each row as its nonzero (index, coeff) pairs."""
     phi_poly = cyclo_poly(M)

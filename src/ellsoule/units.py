@@ -21,11 +21,16 @@ preimages of a point under multiplication by d equals the base expansion.
 
 `theta_series` assembles the expansion as one running product of the sparse
 factors (1 - q^{e/M} zeta^v)^k behind it: (x, y, c^2), (x', y', -1), and
-the gtilde factors (nM -+ u, -+v, k) of each.  A factor's coefficients are
-read off the binomial series, so no power is formed by squaring and no
-series is inverted; a factor with e >= W, the window past q^{e0}, is 1 to
-that window and is left out, and an e = 0 factor (x = 0) is a constant,
-taken in closed form (`CycloElement.one_minus_zeta_pow` and
+the gtilde factors (nM -+ u, -+v, k) of each.  The unit part (the
+expansion over q^{e0}) is held as W lists of int coordinates in the reduced
+power basis (W the window past q^{e0}; the denominator is 1, since every
+factor lies in Z[zeta][[q]]), and each factor is multiplied in place:
+k = -1 is the recurrence P[n] += zeta^v P[n - e], and k = c^2 adds the
+binomial terms (-1)^i C(k, i) zeta^{iv} P[n - ie], each new P[n] reduced
+mod Phi_M once.  So no power is formed by squaring, no series is inverted,
+and each coefficient becomes a `CycloElement` once, at the end.  A factor with
+e >= W is 1 to that window and is left out, and an e = 0 factor (x = 0) is
+a constant, taken in closed form (`CycloElement.one_minus_zeta_pow` and
 `one_minus_zeta_inverse`), so no element is inverted through its norm.
 
 Everything downstream is read off this expansion: the residue measure at the
@@ -40,9 +45,9 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .bernoulli import smoothed_b2
-from .cyclotomic import CycloElement
+from .cyclotomic import CycloElement, _make, _reduce, euler_phi
 from .measures import Measure, TorsorSpec, torsor_elements
-from .numutil import _coord, ceil_div, exact_rational, is_prime
+from .numutil import _coord, _int, ceil_div, exact_rational, is_prime
 from .puiseux import PuiseuxSeries
 from .serialize import cyclo_to_json
 
@@ -65,6 +70,7 @@ __all__ = [
 
 
 def _check_theta_args(M: int, c: int, point: tuple[int, int]) -> tuple[int, int]:
+    M, c = _int(M, "level"), _int(c, "c")
     if M < 2:
         raise ValueError("level must be >= 2")
     if c <= 1 or gcd(c, 6 * M) != 1:
@@ -78,6 +84,8 @@ def _check_theta_args(M: int, c: int, point: tuple[int, int]) -> tuple[int, int]
 def _level(ell: int, r: int, N: int, c: int) -> int:
     """M = ell^r * N, after the family check: ell prime, gcd(ell, N) = 1,
     c > 1 with gcd(c, 6 ell N) = 1, and r >= 0 (else M is a fraction)."""
+    for v, what in ((ell, "ell"), (r, "r"), (N, "N"), (c, "c")):
+        _int(v, what)
     if not is_prime(ell):
         raise ValueError(f"ell = {ell} must be prime")
     if gcd(ell, N) != 1:
@@ -98,21 +106,60 @@ def _e0(M: int, c: int, x: int) -> int:
     return v.numerator
 
 
-def _binomial_power(M: int, e: int, v: int, k: int, W: int) -> PuiseuxSeries:
-    """(1 - q^{e/M} zeta_M^v)^k at window W, for e > 0 and any integer k.
+def _apply_factor(P: list, M: int, e: int, v: int, k: int) -> None:
+    """Multiply the unit part P (P[n] the reduced int coordinates of the
+    coefficient of q^{n/M}, or None for zero, for n below the window
+    W = len(P)) by (1 - q^{e/M} zeta^v)^k in place, for e > 0 and k = -1 or
+    k >= 0.
 
-    The coefficient of q^{ie/M} is (-1)^i C(k, i) zeta^{iv}; c_i = (-1)^i C(k, i)
-    follows the exact int recurrence c_{i+1} = -c_i (k - i) / (i + 1), which
-    ends at i = k for k >= 0 and gives the geometric series at k = -1.
+    k = -1 is the recurrence P[n] += zeta^v P[n - e], run in ascending n so
+    that P[n - e] is already the new value.  For k > 0 every source P[m] is
+    read before any P[n] is written: each binomial term
+    (-1)^i C(k, i) zeta^{iv} q^{ie/M} adds P[m]'s nonzero coordinates into
+    the unreduced P[m + ie].  A new P[n] is summed modulo x^M - 1, at index
+    (j + iv) mod M for coordinate j, and reduced mod Phi_M once.
     """
-    terms = {}
-    c = 1
-    for i in range(ceil_div(W, e)):
-        if not c:
-            break
-        terms[i * e] = CycloElement.zeta_pow(M, i * v) * c
-        c = -c * (k - i) // (i + 1)
-    return PuiseuxSeries(M, W, terms)
+    W, phi = len(P), euler_phi(M)
+    pad = [0] * (M - phi)
+
+    def at(s):  # coordinate j of zeta^s * src lands at (j + s) mod M
+        return [(j + s) % M for j in range(phi)]
+
+    if k < 0:
+        idx = at(v)
+        for n in range(e, W):
+            src = P[n - e]
+            if src is not None:
+                old = P[n]
+                acc = old + pad if old is not None else [0] * M
+                for t, a in zip(idx, src):
+                    if a:
+                        acc[t] += a
+                P[n] = _reduce(M, phi, acc)
+        return
+    terms = []
+    b = 1
+    for i in range(1, min(k, (W - 1) // e) + 1):
+        b = -b * (k - i + 1) // i  # (-1)^i C(k, i)
+        terms.append((i * e, b, at(i * v)))
+    accs = {}
+    for m in range(W - e):
+        src = P[m]
+        if src is None:
+            continue
+        src = [(j, a) for j, a in enumerate(src) if a]
+        for d, b, idx in terms:
+            n = m + d
+            if n >= W:
+                break
+            acc = accs.get(n)
+            if acc is None:
+                old = P[n]
+                acc = accs[n] = old + pad if old is not None else [0] * M
+            for j, a in src:
+                acc[idx[j]] += b * a
+    for n, acc in accs.items():
+        P[n] = _reduce(M, phi, acc)
 
 
 def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxSeries:
@@ -120,7 +167,7 @@ def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxS
     (in q^{1/M} units)."""
     x, y = _check_theta_args(M, c, point)
     e0 = _e0(M, c, x)
-    W = trunc - e0
+    W = _int(trunc, "trunc") - e0
     if W <= 0:
         raise ValueError(
             f"truncation {trunc} too small to represent the leading term q^{e0}/{M}"
@@ -145,7 +192,9 @@ def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxS
         factors.append((u, v, k))
         for n in range(1, W // M + 2):
             factors += [(n * M - u, -v, k), (n * M + u, v, k)]
-    series = None
+    # every factor lies in Z[zeta][[q]], so the unit part has denominator 1
+    P = [None] * W
+    P[0] = [1] + [0] * (euler_phi(M) - 1)
     for e, v, k in sorted(factors, reverse=True):
         if e == 0:  # k = c^2 for (x, y), -1 for (x', y'), and v != 0
             if k < 0:
@@ -153,11 +202,9 @@ def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxS
             else:
                 scalar = scalar * CycloElement.one_minus_zeta_pow(M, v, k)
         elif e < W:
-            f = _binomial_power(M, e, v, k, W)
-            series = f if series is None else series * f
-    if series is None:
-        series = PuiseuxSeries.one(M, W)
-    return series.scale(scalar).shift(e0)
+            _apply_factor(P, M, e, v, k)
+    terms = {n: _make(M, num, 1) for n, num in enumerate(P) if num is not None}
+    return PuiseuxSeries(M, W, terms).scale(scalar).shift(e0)
 
 
 def theta_qexp(
@@ -205,9 +252,12 @@ def norm_check_theta(M: int, d: int, c: int, point: tuple[int, int], window: int
     on a coefficient mismatch, also the first mismatching exponent with both
     coefficients (`first_mismatch`: n, base, product).
     """
+    x, y = _check_theta_args(M, c, point)
+    d, window = _int(d, "d"), _int(window, "window")
+    if d < 1:
+        raise ValueError(f"d = {d} must be >= 1")
     if gcd(d, c) != 1:
         raise ValueError(f"gcd(d, c) = gcd({d}, {c}) != 1")
-    x, y = _check_theta_args(M, c, point)
     if d == 1:
         return {"ok": True, "window": window, "level": M, "mismatches": []}
     margin = 3  # extra window on every factor
@@ -264,7 +314,7 @@ def epsilon_series(
     M = _level(ell, r, N, c)
     x, y = _coord(point[0], M), _coord(point[1], M)
     n = eta_exponent(ell, r, N, c, x)
-    theta = theta_qexp(ell, r, N, c, (x, y), trunc + n)
+    theta = theta_qexp(ell, r, N, c, (x, y), _int(trunc, "trunc") + n)
     return theta.shift(-n)
 
 
@@ -276,9 +326,10 @@ def cusp_value_closed(M: int, c: int, y: int) -> CycloElement:
     vanishes there, leaving the scalar (-beta)^{(c-c^2)/2} on the constant
     terms of the remaining factors.
     """
-    y = _coord(y, M)
+    y = _coord(y, _int(M, "level"))
     if y == 0:
         raise ValueError("beta = 1 is outside the cusp-value domain")
+    c = _int(c, "c")
     # (-beta)^h = (-1)^h zeta^{yh}, h = (c - c^2)/2 an integer
     half = (c - c * c) // 2
     scalar = CycloElement.zeta_pow(M, y * half)

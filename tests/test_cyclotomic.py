@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
+from ellsoule import cyclotomic
 from ellsoule.cyclotomic import CycloElement, cyclo_poly, euler_phi
 
 
@@ -268,3 +269,11 @@ def test_inexact_coordinates_are_rejected(x, M):
     with pytest.raises(TypeError):
         CycloElement.zeta_pow(M, 1) + x
 
+
+
+def test_xpow_cache_stays_bounded_over_many_levels():
+    # one table per level met used to stay for the life of the process
+    for M in range(2, 3 * cyclotomic._XPOW_LEVELS + 2):
+        assert CycloElement.zeta_pow(M, M + 1) == CycloElement.zeta_pow(M, 1)
+        assert cyclotomic._xpow.cache_info().currsize <= cyclotomic._XPOW_LEVELS
+    assert cyclotomic._xpow.cache_info().currsize == cyclotomic._XPOW_LEVELS

@@ -15,16 +15,20 @@ from ellsoule.formal import CycSym, EisSym, FormalClass, SouleSym, WeightFunctio
 from ellsoule.measures import GroupSpec, Measure, TorsorSpec, dirac, pushforward
 from ellsoule.numutil import exact_rational, vp
 from ellsoule.tsym import TSym, exponent_tuples, tsym_map
-from ellsoule.units import _e0, cusp_value_closed, residue_elliptic_soule, theta_series
+from ellsoule.units import (
+    _e0, cusp_value_closed, norm_check_theta, residue_elliptic_soule, theta_qexp, theta_series,
+)
 
 if __debug__:
     raise SystemExit("probe must run under python -O")
 
-def rejects(exc, fn, *args):
+def rejects(exc, fn, *args, names=None):
     try:
         fn(*args)
-    except exc:
-        return
+    except exc as e:
+        if names is None or names in str(e):
+            return
+        raise SystemExit(f"{fn.__name__}{args!r} raised {e!r}, which does not name {names!r}")
     raise SystemExit(f"{fn.__name__}{args!r} did not raise {exc.__name__}")
 
 for bad in (0.1, True):
@@ -65,6 +69,20 @@ rejects(TypeError, SouleSym, 2, 5, 4.5, (1, 0))
 rejects(ValueError, SouleSym, 2, 5, 10, (1, 0))
 rejects(ValueError, exponent_tuples, 0, 0)
 rejects(ValueError, exponent_tuples, 1, -1)
+# norm_check_theta(6, True, ...) used to read d = True as 1 and pass; a float
+# level, c, window or d died in math.gcd or range without naming it
+for bad in (12.0, True):
+    rejects(TypeError, theta_series, bad, 5, (1, 1), 12, names=f"level {bad!r}")
+    rejects(TypeError, theta_series, 6, bad, (1, 1), 12, names=f"c {bad!r}")
+    rejects(TypeError, theta_series, 6, 5, (1, 1), bad, names=f"trunc {bad!r}")
+    rejects(TypeError, norm_check_theta, bad, 2, 5, (1, 1), 24, names=f"level {bad!r}")
+    rejects(TypeError, norm_check_theta, 6, bad, 5, (1, 1), 24, names=f"d {bad!r}")
+    rejects(TypeError, norm_check_theta, 6, 2, bad, (1, 1), 24, names=f"c {bad!r}")
+    rejects(TypeError, norm_check_theta, 6, 2, 5, (1, 1), bad, names=f"window {bad!r}")
+    rejects(TypeError, theta_qexp, 2, 1, 3, bad, (1, 1), 12, names=f"c {bad!r}")
+    rejects(TypeError, theta_qexp, 2, bad, 3, 5, (1, 1), 12, names=f"r {bad!r}")
+    rejects(TypeError, cusp_value_closed, bad, 5, 1, names=f"level {bad!r}")
+rejects(ValueError, norm_check_theta, 6, -1, 5, (1, 1), 24, names="d = -1")
 for bad in (2.9, True):
     rejects(TypeError, Measure, GroupSpec(8, 1), {(bad,): 1, (2,): 3})
     rejects(TypeError, dirac, GroupSpec(8, 1), (bad,))

@@ -4,10 +4,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from ellsoule import units
 from ellsoule.bernoulli import bernoulli_measure, smoothed_b2
-from ellsoule.cyclotomic import CycloElement
+from ellsoule.cyclotomic import CycloElement, euler_phi
 from ellsoule.numutil import ceil_div
 from ellsoule.puiseux import PuiseuxSeries
 from ellsoule.serialize import cyclo_to_json
@@ -49,20 +50,70 @@ def _gtilde(M, u, v, W):
     return out
 
 
-def reference_theta(M, c, point, trunc):
+def _prefactor(M, c, point, trunc):
+    """The point, its smoothed image (x', y'), the leading exponent, the window
+    past it and the scalar (-zeta^y)^{(c-c^2)/2} (-1)^m zeta^{mcy}."""
     x, y = point[0] % M, point[1] % M
     e0 = units._e0(M, c, x)
-    W = trunc - e0
-    x2, y2 = (c * x) % M, (c * y) % M
     half = (c - c * c) // 2
     carry = (c * x) // M
     scalar = CycloElement.zeta_pow(M, (y * half + carry * c * y) % M)
     if (half + carry) % 2:
         scalar = -scalar
+    return x, y, (c * x) % M, (c * y) % M, e0, trunc - e0, scalar
+
+
+def reference_theta(M, c, point, trunc):
+    x, y, x2, y2, e0, W, scalar = _prefactor(M, c, point, trunc)
     series = (_one_minus(M, x, y, W) ** (c * c)) * _one_minus(M, x2, y2, W).invert()
     series = series * (_gtilde(M, x, y, W) ** (c * c))
     series = series * _gtilde(M, x2, y2, W).invert()
     return series.scale(scalar).shift(e0)
+
+
+# -- second reference route: the sparse factors as binomial series, each
+# multiplied into the running product by PuiseuxSeries.__mul__ -------------
+
+
+def _binomial_power(M, e, v, k, W):
+    """(1 - q^{e/M} zeta_M^v)^k at window W, for e > 0 and any integer k, read
+    off the binomial series: c_i = (-1)^i C(k, i) follows the int recurrence
+    c_{i+1} = -c_i (k - i) / (i + 1)."""
+    terms = {}
+    c = 1
+    for i in range(ceil_div(W, e)):
+        if not c:
+            break
+        terms[i * e] = CycloElement.zeta_pow(M, i * v) * c
+        c = -c * (k - i) // (i + 1)
+    return PuiseuxSeries(M, W, terms)
+
+
+def reference_factor_product(M, c, point, trunc):
+    x, y, x2, y2, e0, W, scalar = _prefactor(M, c, point, trunc)
+    series = PuiseuxSeries.one(M, W)
+    for u, v, k in ((x, y, c * c), (x2, y2, -1)):
+        factors = [(u, v)]
+        for n in range(1, W // M + 2):
+            factors += [(n * M - u, -v), (n * M + u, v)]
+        for e, w in factors:
+            if e == 0:
+                one = CycloElement.rational(M, 1)
+                scalar = scalar * (one - CycloElement.zeta_pow(M, w)) ** k
+            elif e < W:
+                series = series * _binomial_power(M, e, w, k, W)
+    return series.scale(scalar).shift(e0)
+
+
+def _factor_applied_to_one(M, e, v, k, W):
+    """One factor (1 - q^{e/M} zeta^v)^k put through the in-place update of
+    `theta_series`, starting from the unit part 1."""
+    P = [None] * W
+    P[0] = [1] + [0] * (euler_phi(M) - 1)
+    units._apply_factor(P, M, e, v, k)
+    return PuiseuxSeries(
+        M, W, {n: CycloElement(M, num) for n, num in enumerate(P) if num is not None}
+    )
 
 
 @pytest.mark.parametrize("M", [2, 3, 6, 7, 12, 24, 42, 48])
@@ -80,19 +131,60 @@ def test_theta_series_matches_reference_assembly(M):
             assert got.terms == want.terms, (M, c, x, y, trunc)
 
 
+@pytest.mark.parametrize(
+    "M, c, x, W",
+    [
+        (2, 5, 1, 300),  # x = M/2: the two factor families share each exponent
+        (3, 5, 1, 300),
+        (3, 7, 0, 300),  # x = 0: the e = 0 factors are closed constants
+        (6, 5, 1, 300),
+        (6, 5, 3, 300),
+        (7, 5, 1, 300),
+        (7, 5, 0, 300),
+        (48, 5, 1, 400),
+        (48, 5, 24, 400),
+    ],
+)
+def test_theta_series_matches_factor_product_at_large_windows(M, c, x, W):
+    y = 1
+    trunc = units._e0(M, c, x) + W
+    got = theta_series(M, c, (x, y), trunc)
+    want = reference_factor_product(M, c, (x, y), trunc)
+    assert got.T == want.T == trunc
+    assert got.terms == want.terms
+
+
+@given(
+    st.integers(2, 30),
+    st.sampled_from([5, 7, 11, 13]),
+    st.integers(0, 29),
+    st.integers(0, 29),
+    st.integers(1, 40),
+)
+@example(2, 5, 1, 1, 40)
+@example(12, 5, 6, 0, 30)
+def test_theta_series_matches_reference_property(M, c, x, y, W):
+    assume(gcd(c, 6 * M) == 1 and (x % M, y % M) != (0, 0))
+    trunc = units._e0(M, c, x % M) + W
+    got = theta_series(M, c, (x, y), trunc)
+    assert got == reference_theta(M, c, (x, y), trunc)
+
+
 @pytest.mark.parametrize("M, e, v, W", [(6, 1, 1, 12), (12, 5, 7, 40), (7, 3, -2, 20), (5, 9, 1, 9)])
 def test_geometric_factor_inverts_one_minus(M, e, v, W):
-    # the k = -1 binomial factor is the geometric series of 1 - q^e zeta^v
-    inv = units._binomial_power(M, e, v, -1, W)
+    # the k = -1 update (P[n] += zeta^v P[n - e], ascending) is the geometric
+    # series of 1 - q^e zeta^v
+    inv = _factor_applied_to_one(M, e, v, -1, W)
     prod = inv * _one_minus(M, e, v, W)
     assert prod.T == W
     assert prod == PuiseuxSeries.one(M, W)
+    assert inv == _one_minus(M, e, v, W) ** -1
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 5, 25])
 def test_binomial_factor_is_the_power(k):
     M, e, v, W = 12, 2, 5, 30
-    assert units._binomial_power(M, e, v, k, W) == _one_minus(M, e, v, W) ** k
+    assert _factor_applied_to_one(M, e, v, k, W) == _one_minus(M, e, v, W) ** k
 
 
 def test_theta_argument_validation():
