@@ -47,14 +47,14 @@ __all__ = ["build_parser", "main"]
 
 # Sized from measured cost (2 vCPU, Python 3.11.7) at a window of 1000 past
 # the leading exponent, x in {0, 1}, with the smallest admissible c.  Dense
-# small levels take 0.9-1.6 s at level 2, 0.8 s at level 3 and 0.2 s at
-# level 12 (x = 1).  Over levels 500-1000, x = 0 took at most 0.19 s (level
-# 787); at x = 1 the dearest was 935 = 5*11*17 (c = 7) at 7.9-9.9 s (peak
-# RSS 46 MB), then 665 and 805 (c = 11) at 5.2-5.8 s, and 16 of the 501
-# levels took over 1 s; level 998 took 0.21 s.  The cost grows with c: at
-# level 935, x = 1 it was 4.7-5.1 s at c = 31 and 23 s at 49 (peak RSS
-# 100 MB), and x = 0 0.36 s at 49; at level 2, 5.3 s at c = 49.  MAX_C
-# keeps 49, the largest c admissible at level 935 below it.
+# small levels take 0.81-0.86 s at level 2, 0.67-0.74 s at level 3 and
+# 0.16-0.24 s at level 12 (x = 1).  Over levels 500-1000, x = 0 took at most
+# 0.19 s (level 989); at x = 1 the dearest were 805, 665, 595 (c = 11) and
+# 770 (c = 13) at 0.75-1.4 s, and 3 of the 501 levels took over 1 s; level
+# 935 = 5*11*17 (c = 7) took 0.45-0.71 s (peak RSS 45 MB).  The cost grows
+# with c: at level 935, x = 1 it was 7.2-9.7 s at c = 31 (peak RSS 140 MB)
+# and 9.9-10.7 s at 49 (218 MB), and x = 0 0.29 s at 49; at level 2, 2.7-3.4 s
+# at c = 49.  MAX_C keeps 49, the largest c admissible at level 935 below it.
 MAX_LEVEL = 1000
 MAX_WINDOW = 1000
 MAX_C = 50

@@ -24,14 +24,15 @@ factors (1 - q^{e/M} zeta^v)^k behind it: (x, y, c^2), (x', y', -1), and
 the gtilde factors (nM -+ u, -+v, k) of each.  The unit part (the
 expansion over q^{e0}) is held as W lists of int coordinates in the reduced
 power basis (W the window past q^{e0}; the denominator is 1, since every
-factor lies in Z[zeta][[q]]), and each factor is multiplied in place:
-k = -1 is the recurrence P[n] += zeta^v P[n - e], and k = c^2 adds the
-binomial terms (-1)^i C(k, i) zeta^{iv} P[n - ie], each new P[n] reduced
-mod Phi_M once.  So no power is formed by squaring, no series is inverted,
-and each coefficient becomes a `CycloElement` once, at the end.  A factor with
-e >= W is 1 to that window and is left out, and an e = 0 factor (x = 0) is
-a constant, taken in closed form (`CycloElement.one_minus_zeta_pow` and
-`one_minus_zeta_inverse`), so no element is inverted through its norm.
+factor lies in Z[zeta][[q]]).  It starts at the scalar -+zeta^s, and each
+factor is multiplied in place: k = -1 is the recurrence P[n] += zeta^v P[n - e],
+and k = c^2 adds the binomial terms (-1)^i C(k, i) zeta^{iv} P[n - ie], each
+new P[n] reduced mod Phi_M once.  So no power is formed by squaring, no
+series is inverted, and each coefficient becomes a `CycloElement` once, in
+the one series a call builds.  A factor with e >= W is 1 to that window and
+is left out; at x = 0 the two e = 0 factors are the constant Xi_c(zeta^y),
+taken in closed form (`_xi_c_at`) onto the few stored coefficients, so no
+element is inverted through its norm.
 
 Everything downstream is read off this expansion: the residue measure at the
 cusp aggregates actual q-valuations over a fiber (with ramification factor
@@ -172,39 +173,32 @@ def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxS
         raise ValueError(
             f"truncation {trunc} too small to represent the leading term q^{e0}/{M}"
         )
-    x2, y2 = (c * x) % M, (c * y) % M
-    # scalar prefactor: (-zeta^y)^{(c-c^2)/2} and the index-reduction carry
-    # (-1)^m zeta^{mcy}, m = floor(cx/M); (c - c^2)/2 is an integer, c odd
-    half = (c - c * c) // 2
-    carry = (c * x) // M
-    scalar = CycloElement.zeta_pow(M, (y * half + carry * c * y) % M)
-    if (half + carry) % 2:
-        scalar = -scalar
     # the unit below q^{e0} is one product of factors (1 - q^{e/M} zeta^v)^k:
     # (x, y, c^2) and (x', y', -1), each with its gtilde factors
     # (nM - u, -v, k) and (nM + u, v, k).  Every factor has valuation 0, and
     # one with e >= W is 1 modulo q^{W/M}, so only e < W are multiplied and
-    # the product's window stays W.  An e = 0 factor (x = 0) is the constant
-    # (1 - zeta^v)^k and joins the scalar.  Multiplying in descending e keeps
-    # the running product sparse until the dense low-e factors come last.
+    # the product's window stays W.  Multiplying in descending e keeps the
+    # running product sparse until the dense low-e factors come last.
     factors = []
-    for u, v, k in ((x, y, c * c), (x2, y2, -1)):
+    for u, v, k in ((x, y, c * c), (c * x % M, c * y % M, -1)):
         factors.append((u, v, k))
         for n in range(1, W // M + 2):
             factors += [(n * M - u, -v, k), (n * M + u, v, k)]
-    # every factor lies in Z[zeta][[q]], so the unit part has denominator 1
+    # P starts at the scalar -+zeta^s = (-zeta^y)^{(c-c^2)/2} (-1)^m zeta^{mcy},
+    # m = floor(cx/M) the index-reduction carry, (c - c^2)/2 an integer (c odd);
+    # it and every factor lie in Z[zeta][[q]], so P has denominator 1
+    half, carry = (c - c * c) // 2, c * x // M
+    sign = -1 if (half + carry) % 2 else 1
     P = [None] * W
-    P[0] = [1] + [0] * (euler_phi(M) - 1)
+    P[0] = [sign * a for a in CycloElement.zeta_pow(M, y * half + carry * c * y).num]
     for e, v, k in sorted(factors, reverse=True):
-        if e == 0:  # k = c^2 for (x, y), -1 for (x', y'), and v != 0
-            if k < 0:
-                scalar = scalar * CycloElement.one_minus_zeta_inverse(M, v)
-            else:
-                scalar = scalar * CycloElement.one_minus_zeta_pow(M, v, k)
-        elif e < W:
+        if 0 < e < W:
             _apply_factor(P, M, e, v, k)
-    terms = {n: _make(M, num, 1) for n, num in enumerate(P) if num is not None}
-    return PuiseuxSeries(M, W, terms).scale(scalar).shift(e0)
+    terms = {e0 + n: _make(M, num, 1) for n, num in enumerate(P) if num is not None}
+    if x == 0:  # the e = 0 factors are Xi_c(zeta^y); every M-th term is stored
+        xi = _xi_c_at(M, y, c)
+        terms = {n: a * xi for n, a in terms.items()}
+    return PuiseuxSeries(M, e0 + W, terms)
 
 
 def theta_qexp(
@@ -254,27 +248,29 @@ def norm_check_theta(M: int, d: int, c: int, point: tuple[int, int], window: int
     """
     x, y = _check_theta_args(M, c, point)
     d, window = _int(d, "d"), _int(window, "window")
+    if window < 1:
+        raise ValueError(f"window = {window} must be >= 1")
     if d < 1:
         raise ValueError(f"d = {d} must be >= 1")
     if gcd(d, c) != 1:
         raise ValueError(f"gcd(d, c) = gcd({d}, {c}) != 1")
     if d == 1:
         return {"ok": True, "window": window, "level": M, "mismatches": []}
-    margin = 3  # extra window on every factor
-    base = theta_series(M, c, (x, y), ceil_div(window, d) + margin)
-    base_rescaled = base.rescale(d * M)
-    # leading exponents of the preimage factors can be negative, so each
-    # factor's window is sized so the product window reaches `window`
+    # leading exponents of the preimage factors can be negative, so each factor's
+    # window is sized so the product window reaches `window` and passes its valuation V
     lead = {
         (i, j): _e0(d * M, c, (x + i * M) % (d * M))
         for i in range(d)
         for j in range(d)
     }
     V = sum(lead.values())
+    span = max(window, V + 1)
+    margin = 3  # extra window on every factor
+    base_rescaled = theta_series(M, c, (x, y), ceil_div(span, d) + margin).rescale(d * M)
     prod = None
     for i in range(d):
         for j in range(d):
-            T_ij = window + margin - (V - lead[i, j])
+            T_ij = span + margin - (V - lead[i, j])
             f = theta_series(d * M, c, (x + i * M, y + j * M), T_ij)
             prod = f if prod is None else prod * f
     W = min(window, base_rescaled.T, prod.T)
@@ -310,12 +306,12 @@ def eta_exponent(ell: int, r: int, N: int, c: int, x1: int) -> int:
 def epsilon_series(
     ell: int, r: int, N: int, c: int, point: tuple[int, int], trunc: int
 ) -> PuiseuxSeries:
-    """theta / eta at `point`: the valuation-normalized unit (valuation 0)."""
+    """theta / eta at `point` to the window `trunc` >= 1: the valuation-0 unit."""
     M = _level(ell, r, N, c)
-    x, y = _coord(point[0], M), _coord(point[1], M)
-    n = eta_exponent(ell, r, N, c, x)
-    theta = theta_qexp(ell, r, N, c, (x, y), _int(trunc, "trunc") + n)
-    return theta.shift(-n)
+    n, trunc = _e0(M, c, _coord(point[0], M)), _int(trunc, "trunc")
+    if trunc < 1:
+        raise ValueError(f"trunc = {trunc} must be >= 1")
+    return theta_series(M, c, point, trunc + n).shift(-n)
 
 
 def cusp_value_closed(M: int, c: int, y: int) -> CycloElement:
@@ -355,7 +351,8 @@ def epsilon_cusp_eval(ell: int, r: int, N: int, c: int, y: int) -> CycloElement:
     closed cyclotomic formula (CuspMismatchError otherwise); returns the
     common value."""
     M = _level(ell, r, N, c)
-    eps = epsilon_series(ell, r, N, c, (0, y), 4)  # only the constant term is read
+    n = _e0(M, c, 0)
+    eps = theta_series(M, c, (0, y), n + 4).shift(-n)  # only the constant term is read
     if eps.terms and min(eps.terms) < 0:
         raise AssertionError("normalized unit has negative valuation")
     ct = eps.constant_term()

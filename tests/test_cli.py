@@ -79,6 +79,26 @@ def test_verify_bernoulli_csv_bytes_are_pinned(args, lines, digest):
     assert hashlib.sha256(out.stdout).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "ell, N, c, x, digest",
+    [
+        (3, 35, 11, 0, "47376b52d2e0243cb380ddde10e73e8de521df34c11c10d6c3ddcda7e7f5382e"),
+        (3, 35, 11, 1, "2efc45103c6635e2b3fcd26b37c5736acc69da7b10e97a3d42e195f4c7ae3927"),
+        (5, 187, 7, 0, "ba16a8d55a093ca451bdedea8b403f88911bcc99da42357ba4f228e68472683a"),
+        (5, 187, 7, 1, "af930e83a5512db342b0b053ad8ab73c9a6e2a064d280ef68ad4865628f62d56"),
+    ],
+)
+def test_qexp_bytes_at_dense_composite_levels_are_pinned(ell, N, c, x, digest):
+    # levels 105 and 935, where the rows of x^k mod Phi_M are dense, at a
+    # window of 40 past the leading exponent
+    trunc = units._e0(ell * N, c, x) + 40
+    argv = ["qexp", "--ell", str(ell), "--N", str(N), "--c", str(c), "--x", str(x)]
+    argv += ["--y", "1", "--trunc", str(trunc)]
+    out = subprocess.run(CMD + argv, capture_output=True, timeout=300)  # raw bytes
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout).hexdigest() == digest
+
+
 def test_bernoulli_csv_columns_are_the_row_fields():
     # the columns are read from the rows, so they follow what _row writes
     report = {"suite": "bernoulli", "cases": [_row("a", True, p=1, q="2/3")]}

@@ -16,7 +16,8 @@ from ellsoule.measures import GroupSpec, Measure, TorsorSpec, dirac, pushforward
 from ellsoule.numutil import exact_rational, vp
 from ellsoule.tsym import TSym, exponent_tuples, tsym_map
 from ellsoule.units import (
-    _e0, cusp_value_closed, norm_check_theta, residue_elliptic_soule, theta_qexp, theta_series,
+    _e0, cusp_value_closed, epsilon_series, norm_check_theta, residue_elliptic_soule,
+    theta_qexp, theta_series,
 )
 
 if __debug__:
@@ -83,6 +84,8 @@ for bad in (12.0, True):
     rejects(TypeError, theta_qexp, 2, bad, 3, 5, (1, 1), 12, names=f"r {bad!r}")
     rejects(TypeError, cusp_value_closed, bad, 5, 1, names=f"level {bad!r}")
 rejects(ValueError, norm_check_theta, 6, -1, 5, (1, 1), 24, names="d = -1")
+rejects(ValueError, norm_check_theta, 6, 1, 5, (1, 1), -3, names="window = -3")
+rejects(ValueError, epsilon_series, 2, 1, 3, 5, (1, 0), 0, names="trunc = 0")
 for bad in (2.9, True):
     rejects(TypeError, Measure, GroupSpec(8, 1), {(bad,): 1, (2,): 3})
     rejects(TypeError, dirac, GroupSpec(8, 1), (bad,))

@@ -143,6 +143,10 @@ def test_theta_series_matches_reference_assembly(M):
         (7, 5, 0, 300),
         (48, 5, 1, 400),
         (48, 5, 24, 400),
+        # a dense composite level: the rows of x^k mod Phi_105 are dense, so
+        # the seeded monomial -+zeta^s is too
+        (105, 11, 0, 300),
+        (105, 11, 1, 300),
     ],
 )
 def test_theta_series_matches_factor_product_at_large_windows(M, c, x, W):
@@ -152,6 +156,24 @@ def test_theta_series_matches_factor_product_at_large_windows(M, c, x, W):
     want = reference_factor_product(M, c, (x, y), trunc)
     assert got.T == want.T == trunc
     assert got.terms == want.terms
+
+
+@pytest.mark.parametrize("x", [1, 0, 6])  # x = 0 takes the closed constant, 6 = M/2
+def test_theta_series_builds_one_series(monkeypatch, x):
+    # the prefactor seeds the product and the x = 0 constant goes onto the
+    # stored coefficients, so no scale or shift builds a second series
+    built = []
+    init = PuiseuxSeries.__init__
+
+    def counted(self, M, T, terms):
+        built.append((M, T))
+        init(self, M, T, terms)
+
+    monkeypatch.setattr(PuiseuxSeries, "__init__", counted)
+    trunc = units._e0(12, 5, x) + 30
+    f = theta_series(12, 5, (x, 1), trunc)
+    assert built == [(12, trunc)]
+    assert f.T == trunc
 
 
 @given(
@@ -232,6 +254,22 @@ def test_norm_compatibility_small():
     assert norm_check_theta(4, 3, 5, (1, 1), 8)["ok"]
 
 
+@pytest.mark.parametrize("M, d, x", [(6, 2, 1), (6, 3, 1), (12, 2, 6)])
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 24])
+def test_norm_check_takes_windows_below_the_leading_exponent(M, d, x, window):
+    # a window at or below the product's valuation V still gives every factor
+    # a window past its leading exponent, and the report keeps that window
+    rep = norm_check_theta(M, d, 5, (x, 1), window)
+    assert rep == {"ok": True, "window": window, "level": d * M, "mismatches": []}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("window", [0, -3])
+def test_norm_check_rejects_a_window_below_one(d, window):
+    with pytest.raises(ValueError, match=f"window = {window} must be >= 1"):
+        norm_check_theta(6, d, 5, (1, 1), window)
+
+
 def test_norm_check_names_the_first_mismatch_with_both_values(monkeypatch):
     assert set(norm_check_theta(6, 2, 5, (1, 1), 24)) == {"ok", "window", "level", "mismatches"}
     real = units.theta_series
@@ -281,6 +319,30 @@ def test_epsilon_is_normalized():
     e = epsilon_series(2, 1, 3, 5, (1, 1), 8)
     assert e.valuation() == 0
     assert not e.constant_term().is_zero()
+
+
+@pytest.mark.parametrize("trunc", [0, -4])
+def test_epsilon_names_its_own_window(trunc):
+    # the error names the window the caller passed, not the theta window trunc + e0
+    with pytest.raises(ValueError, match=f"trunc = {trunc} must be >= 1"):
+        epsilon_series(2, 1, 3, 5, (1, 0), trunc)
+    e = epsilon_series(2, 1, 3, 5, (1, 0), 1)
+    assert e.T == 1 and list(e.terms) == [0]
+
+
+def test_epsilon_paths_check_the_family_once(monkeypatch):
+    calls = []
+    level = units._level
+
+    def counted(*args):
+        calls.append(args)
+        return level(*args)
+
+    monkeypatch.setattr(units, "_level", counted)
+    epsilon_series(2, 1, 3, 5, (1, 1), 8)
+    assert calls == [(2, 1, 3, 5)]
+    epsilon_cusp_eval(2, 2, 3, 5, 1)
+    assert calls == [(2, 1, 3, 5), (2, 2, 3, 5)]
 
 
 def test_cusp_value_power_of_two():
