@@ -177,6 +177,9 @@ class CycloElement:
     def __setattr__(self, *a):  # immutable
         raise AttributeError("CycloElement is immutable")
 
+    def __reduce__(self):
+        return CycloElement, (self.M, self.coeffs)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The phi(M) coordinates as `Fraction`s."""

@@ -32,19 +32,21 @@ routes, class arithmetic, rewriting and the symbol-route residue) runs in
 int arithmetic with one gcd at the end; a Fraction is built only for an
 output coefficient or a residue.  The parity-canonical form of an
 Eisenstein or elliptic symbol, with its sign, is computed once per
-(k, N, c, t) and cached, like the closed residues.
+(k, N, c, t) and cached, like the closed residues; `eis_of_psi` reads it
+from a per-(k, N) table.  The symbols are slotted records (`numutil._Record`)
+whose int fields are checked and whose hash is computed once, at
+construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from random import Random
 
 from .bernoulli import _bern_ints, _bern_num, bernoulli_moment_closed
-from .numutil import _coord, exact_rational
+from .numutil import _Record, _coord, _int, exact_rational
 
 __all__ = [
     "EisSym",
@@ -80,54 +82,46 @@ def _norm_point(N: int, t) -> tuple[int, int]:
     return (_coord(t[0], N), _coord(t[1], N))
 
 
-@dataclass(frozen=True)
-class EisSym:
-    k: int
-    N: int
-    t: tuple[int, int]
+class EisSym(_Record):
+    """Eis(k, N, t); t is normalized mod N and nonzero."""
 
-    def __post_init__(self):
-        t = _norm_point(self.N, self.t)
+    __slots__ = ("k", "N", "t")
+
+    def __init__(self, k: int, N: int, t: tuple[int, int]):
+        k, N = _int(k, "weight k"), _int(N, "level N")
+        t = _norm_point(N, t)
         if t == (0, 0):
             raise ValueError("Eisenstein symbols need t != (0, 0)")
-        object.__setattr__(self, "t", t)
+        self._fix(k, N, t)
 
 
-@dataclass(frozen=True)
-class SouleSym:
+class SouleSym(_Record):
     """SouleElliptic(k, N, c, t); c is an int > 1 prime to N, so that c t is
     again a nonzero N-torsion point."""
 
-    k: int
-    N: int
-    c: int
-    t: tuple[int, int]
+    __slots__ = ("k", "N", "c", "t")
 
-    def __post_init__(self):
-        c = self.c
-        if isinstance(c, bool) or not isinstance(c, int):
-            raise TypeError(f"smoothing factor {c!r} must be an int, got {type(c).__name__}")
-        if c <= 1 or gcd(c, self.N) != 1:
-            raise ValueError(f"need c > 1 with gcd(c, N) = gcd({c}, {self.N}) = 1")
-        t = _norm_point(self.N, self.t)
+    def __init__(self, k: int, N: int, c: int, t: tuple[int, int]):
+        k, N, c = _int(k, "weight k"), _int(N, "level N"), _int(c, "smoothing factor")
+        if c <= 1 or gcd(c, N) != 1:
+            raise ValueError(f"need c > 1 with gcd(c, N) = gcd({c}, {N}) = 1")
+        t = _norm_point(N, t)
         if t == (0, 0):
             raise ValueError("elliptic symbols need t != (0, 0)")
-        object.__setattr__(self, "t", t)
+        self._fix(k, N, c, t)
 
 
-@dataclass(frozen=True)
-class CycSym:
+class CycSym(_Record):
     """ctilde_{k+1}(zeta_N^b); the stored k is the weight of the source."""
 
-    k: int
-    N: int
-    b: int
+    __slots__ = ("k", "N", "b")
 
-    def __post_init__(self):
-        b = _coord(self.b, self.N)
+    def __init__(self, k: int, N: int, b: int):
+        k, N = _int(k, "weight k"), _int(N, "level N")
+        b = _coord(b, N)
         if b == 0:
             raise ValueError("cyclotomic symbols need b != 0")
-        object.__setattr__(self, "b", b)
+        self._fix(k, N, b)
 
 
 Symbol = EisSym | SouleSym | CycSym
@@ -207,6 +201,9 @@ class FormalClass:
 
     def __setattr__(self, *a):
         raise AttributeError("FormalClass is immutable")
+
+    def __reduce__(self):
+        return FormalClass, (self.coeffs,)
 
     @property
     def coeffs(self) -> dict[Symbol, Fraction]:
@@ -300,32 +297,37 @@ def eis_residue_closed(k: int, N: int, t) -> Fraction:
 
 
 def residue(x: FormalClass) -> Fraction:
-    """Linear extension of the closed Eisenstein residue.
+    """Linear extension of the closed Eisenstein residue, summed in ints.
 
     An elliptic symbol's residue is defined through its Eisenstein expansion
     and summed term by term over it (no canonicalization is needed:
     res(Eis^k(-t)) = (-1)^k res(Eis^k(t)), so parity rewriting does not move
-    the sum); cyclotomic symbols have no residue and raise.  The int
-    numerators that share a residue key (k, N, a), and the divisor c^k of an
-    elliptic term, are summed first; each key then costs one Fraction product.
+    the sum); cyclotomic symbols have no residue and raise.  The numerators
+    are summed per residue key (k, N, a) over den * C, C the lcm of the c^k
+    met (as in `rewrite_soule`); the closed residues met are put over their
+    lcm Q, and one Fraction is built, over den * C * Q.
     """
-    acc: dict[tuple[int, int, int, int], int] = {}
-    for sym, v in x.num.items():
+    C = 1
+    for sym in x.num:
         if isinstance(sym, CycSym):
             raise ValueError("residue is undefined on cyclotomic symbols")
         if isinstance(sym, SouleSym):
+            C = lcm(C, sym.c ** sym.k)
+    acc: dict[tuple[int, int, int], int] = {}
+    for sym, v in x.num.items():
+        if isinstance(sym, SouleSym):
             ck, terms = _soule_terms(sym)
+            v *= C // ck
             for t, f in terms:
-                key = (sym.k, sym.N, t[0], ck)
+                key = (sym.k, sym.N, t[0])
                 acc[key] = acc.get(key, 0) + v * f
         else:
-            key = (sym.k, sym.N, sym.t[0], 1)
-            acc[key] = acc.get(key, 0) + v
-    total = sum(
-        (Fraction(n, ck) * _eis_residue(k, N, a) for (k, N, a, ck), n in acc.items() if n),
-        Fraction(0),
-    )
-    return total / x.den
+            key = (sym.k, sym.N, sym.t[0])
+            acc[key] = acc.get(key, 0) + v * C
+    res = [(n, _eis_residue(*key)) for key, n in acc.items() if n]
+    Q = lcm(*(r.denominator for _, r in res))
+    total = sum(n * r.numerator * (Q // r.denominator) for n, r in res)
+    return Fraction(total, x.den * C * Q)
 
 
 def residue_soule_closed(k: int, N: int, c: int, t) -> Fraction:
@@ -386,6 +388,9 @@ class WeightFunction:
     def __setattr__(self, *a):
         raise AttributeError("WeightFunction is immutable")
 
+    def __reduce__(self):
+        return WeightFunction, (self.k, self.N, self.values)
+
     @property
     def values(self) -> dict[tuple[int, int], Fraction]:
         """The nonzero values {t: psi(t)}."""
@@ -408,12 +413,22 @@ class WeightFunction:
         return f"WeightFunction(k={self.k}, N={self.N}, {self.values})"
 
 
+@lru_cache(maxsize=None)
+def _eis_points(k: int, N: int) -> dict:
+    """{t: (sym, sign)} = `_canonical_at(k, N, None, t)`, filled per point met."""
+    return {}
+
+
 def eis_of_psi(psi: WeightFunction) -> FormalClass:
     """Eis^k(psi) = sum_t psi(t) Eis^k(t) (canonicalized), over psi's den."""
     k, N = psi.k, psi.N
+    table = _eis_points(k, N)
     out: dict[Symbol, int] = {}
     for t, v in psi.num.items():
-        sym, sign = _canonical_at(k, N, None, t)
+        entry = table.get(t)
+        if entry is None:
+            entry = table[t] = _canonical_at(k, N, None, t)
+        sym, sign = entry
         if sym is not None:
             out[sym] = out.get(sym, 0) + sign * v
     return FormalClass._make(out, psi.den)
@@ -498,26 +513,21 @@ def dir_via_me(psi: WeightFunction, c: int) -> FormalClass:
     if rho:
         raise ResiduePreconditionError(rho)
     sign = (-1) ** k
-    acc: dict[int, int] = {}
-
-    def add(b, v):
-        b %= N
-        if b == 0:
-            if v:
-                raise AssertionError("weightless term survived at b = 0")
-            return
-        acc[b] = acc.get(b, 0) + v
-
     ck2 = c ** (k + 2)
+    acc: dict[int, int] = {}
     for b in range(1, N):
         # 2 den psi_k(0, b)
         w = psi.num.get((0, b), 0) + sign * psi.num.get((0, N - b), 0)
         if not w:
             continue
-        add(b, w * ck2)
-        add(-b, w * ck2 * sign)
-        add(c * b, -w)
-        add(-c * b, -w * sign)
+        cb = c * b % N
+        if not cb:
+            raise AssertionError("weightless term survived at b = 0")
+        v = w * ck2
+        acc[b] = acc.get(b, 0) + v
+        acc[N - b] = acc.get(N - b, 0) + v * sign
+        acc[cb] = acc.get(cb, 0) - w
+        acc[N - cb] = acc.get(N - cb, 0) - w * sign
     den = 4 * psi.den * factorial(k) * N * (ck2 - 1)
     return FormalClass._make({_cyc(k, N, b): -v for b, v in acc.items()}, den)
 
@@ -549,6 +559,13 @@ def residue_table(N: int, k: int) -> list[tuple[int, int, Fraction]]:
     return rows
 
 
+@lru_cache(maxsize=16)
+def _points(N: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero points of (Z/N)^2, in lexicographic order (N^2 - 1 of
+    them, so only the last few levels are kept)."""
+    return tuple((a, b) for a in range(N) for b in range(N) if (a, b) != (0, 0))
+
+
 def random_residue_zero_psi(N: int, k: int, rng: Random, parity: bool = True) -> WeightFunction:
     """A random weight function with residue(Eis^k(psi)) = 0.
 
@@ -558,17 +575,15 @@ def random_residue_zero_psi(N: int, k: int, rng: Random, parity: bool = True) ->
     parity=True the function is parity-projected afterwards (which preserves
     the residue), so it has exact parity (-1)^k.
     """
-    points = [(a, b) for a in range(N) for b in range(N) if (a, b) != (0, 0)]
+    points = _points(N)
     R, _ = _residue_ints(k, N)
     t_star = next((t for t in points if t[0] != 0 and R[t[0]]), None)
     if t_star is None:
         raise ValueError(f"no usable pivot for N={N}, k={k}")
     # psi(t*) = -sum_{t != t*} psi(t) R[a] / R[a*], over den = |R[a*]|
     den = abs(R[t_star[0]])
-    num: dict[tuple[int, int], int] = {}
-    for t in points:
-        if t != t_star:
-            num[t] = rng.randint(-20, 20) * den
+    draw = rng.randrange  # randint(-20, 20) is randrange(-20, 21)
+    num = {t: draw(-20, 21) * den for t in points if t != t_star}
     partial = sum(v * R[a] for (a, _), v in num.items())
     num[t_star] = -partial // R[t_star[0]]
     psi = WeightFunction._from_num(k, N, num, den)

@@ -15,12 +15,11 @@ are supported for the plain convolution-algebra laws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
 from math import gcd
 
-from .numutil import _coord, exact_rational, is_prime, mod_inverse_reduce
+from .numutil import _Record, _coord, _int, exact_rational, is_prime, mod_inverse_reduce
 
 __all__ = [
     "TorsorSpec",
@@ -36,34 +35,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TorsorSpec:
+class TorsorSpec(_Record):
     """Fiber over t of the level-r surjection (Z/ell^r N)^d -> (Z/N)^d."""
 
-    ell: int
-    r: int
-    N: int
-    d: int = 1
-    flavor: str = "reduction"
-    t: tuple[int, ...] = (0,)
+    __slots__ = ("ell", "r", "N", "d", "flavor", "t")
 
-    def __post_init__(self):
-        if not is_prime(self.ell):
-            raise ValueError(f"ell = {self.ell} must be prime")
-        if self.r < 0:
+    def __init__(
+        self,
+        ell: int,
+        r: int,
+        N: int,
+        d: int = 1,
+        flavor: str = "reduction",
+        t: tuple[int, ...] = (0,),
+    ):
+        ell, r = _int(ell, "prime ell"), _int(r, "level r")
+        N, d = _int(N, "level N"), _int(d, "rank d")
+        if not is_prime(ell):
+            raise ValueError(f"ell = {ell} must be prime")
+        if r < 0:
             raise ValueError("level r must be >= 0")
-        if self.N < 2:
+        if N < 2:
             raise ValueError("N must be >= 2")
-        if gcd(self.ell, self.N) != 1:
-            raise ValueError(f"gcd(ell, N) = gcd({self.ell}, {self.N}) != 1")
-        if self.d not in (1, 2):
+        if gcd(ell, N) != 1:
+            raise ValueError(f"gcd(ell, N) = gcd({ell}, {N}) != 1")
+        if d not in (1, 2):
             raise ValueError("rank must be 1 or 2")
-        if self.flavor not in ("reduction", "multiplication"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        t = tuple(_coord(x, self.N) for x in self.t)
-        if len(t) != self.d:
+        if flavor not in ("reduction", "multiplication"):
+            raise ValueError(f"unknown flavor {flavor!r}")
+        t = tuple(_coord(x, N) for x in t)
+        if len(t) != d:
             raise ValueError("base point rank mismatch")
-        object.__setattr__(self, "t", t)
+        self._fix(ell, r, N, d, flavor, t)
 
     @property
     def modulus(self) -> int:
@@ -79,18 +82,18 @@ class TorsorSpec:
         return TorsorSpec(self.ell, self.r, self.N, self.d, self.flavor, tuple(t))
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(_Record):
     """A bare product group (Z/m)^d (no torsor structure)."""
 
-    m: int
-    d: int = 1
+    __slots__ = ("m", "d")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, d: int = 1):
+        m, d = _int(m, "modulus m"), _int(d, "rank d")
+        if m < 1:
             raise ValueError("modulus must be positive")
-        if self.d not in (1, 2):
+        if d not in (1, 2):
             raise ValueError("rank must be 1 or 2")
+        self._fix(m, d)
 
     @property
     def modulus(self) -> int:
@@ -139,6 +142,9 @@ class Measure:
 
     def __setattr__(self, *a):
         raise AttributeError("Measure is immutable")
+
+    def __reduce__(self):
+        return Measure, (self.spec, self.values)
 
     def __call__(self, x) -> Fraction:
         return self.values.get(_key(self.spec, x), Fraction(0))

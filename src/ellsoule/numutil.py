@@ -1,4 +1,5 @@
-"""Small integer/rational helpers shared across the package."""
+"""Small integer/rational helpers shared across the package, and the base
+of its immutable value records."""
 
 from __future__ import annotations
 
@@ -61,6 +62,53 @@ def _coord(v, M: int) -> int:
     """A torsion coordinate reduced mod M; it must be an int, since a float
     or a bool would be truncated to a different point."""
     return _int(v, "coordinate") % M
+
+
+class _Record:
+    """Base of the immutable value records (symbols, torsor and group specs).
+
+    A record class subclasses this base directly: its `__slots__` name its
+    fields in order, and its `__init__` stores the checked values once
+    through `_fix`.  Equality compares the fields within one class, the
+    hash is that of the field tuple (as for a frozen dataclass) and is
+    computed once, at construction, and the repr is `Name(field=value, ...)`.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls):
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _fix(self, *values) -> None:
+        for store, v in zip(self._setters, values):
+            store(self, v)
+        _store_hash(self, hash(values))
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._fields() == other._fields()
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+_store_hash = _Record._hash.__set__
 
 
 def rat_str(x: Fraction | int) -> str:

@@ -1,7 +1,11 @@
-"""Every name a module lists in `__all__` exists, so no export dangles."""
+"""Every name a module lists in `__all__` exists, so no export dangles, and
+the package imports no more of the standard library than it uses."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -15,3 +19,20 @@ def test_all_exports_resolve(name):
     mod = importlib.import_module(f"ellsoule.{name}")
     missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
     assert missing == []
+
+
+def test_import_pulls_in_neither_dataclasses_nor_inspect():
+    # the value records are plain slotted classes; `dataclasses` (which
+    # imports `inspect`) was most of the package's import time
+    src = os.path.dirname(os.path.dirname(ellsoule.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, ellsoule, ellsoule.cli, ellsoule.verify\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -476,6 +476,74 @@ def test_residue_sums_the_expansion_like_rewrite_soule(x):
     assert residue(x) == via_rewrite
 
 
+def reference_residue(x: FormalClass) -> Fraction:
+    """The residue summed with one Fraction product per key (k, N, a, c^k)."""
+    acc = {}
+    for sym, v in x.num.items():
+        if isinstance(sym, CycSym):
+            raise ValueError("residue is undefined on cyclotomic symbols")
+        if isinstance(sym, SouleSym):
+            ck, terms = formal._soule_terms(sym)
+            for t, f in terms:
+                key = (sym.k, sym.N, t[0], ck)
+                acc[key] = acc.get(key, 0) + v * f
+        else:
+            key = (sym.k, sym.N, sym.t[0], 1)
+            acc[key] = acc.get(key, 0) + v
+    total = sum(
+        (Fraction(n, ck) * _eis_residue(k, N, a) for (k, N, a, ck), n in acc.items() if n),
+        Fraction(0),
+    )
+    return total / x.den
+
+
+@st.composite
+def varied_classes(draw):
+    """Classes mixing Eis and elliptic symbols of several k, N and c."""
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 8))):
+        N = draw(st.integers(2, 6))
+        k = draw(st.integers(0, 5))
+        t = draw(st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)).filter(any))
+        if draw(st.booleans()):
+            sym = EisSym(k, N, t)
+        else:
+            c = draw(st.sampled_from([c for c in (2, 3, 5, 7, 11, 13) if gcd(c, N) == 1]))
+            sym = SouleSym(k, N, c, t)
+        coeffs[sym] = draw(st.fractions(min_value=-9, max_value=9, max_denominator=8))
+    return FormalClass(coeffs)
+
+
+@given(varied_classes())
+@example(FormalClass({}))
+@example(FormalClass({SouleSym(1, 2, 3, (1, 0)): 1, SouleSym(4, 5, 2, (2, 1)): -3}))
+def test_residue_matches_the_fraction_reference(x):
+    got = residue(x)
+    assert type(got) is Fraction and got == reference_residue(x)
+    y = x + FormalClass({CycSym(2, 3, 1): 1})
+    for route in (residue, reference_residue):
+        with pytest.raises(ValueError):
+            route(y)
+
+
+# sha256 of the JSON of every draw of the dir suite at seed 0: per (N, k) on
+# DIR_GRID, k = 1..5, 50 parity-projected then 5 raw weight functions from
+# Random(f"dir:0:{N}:{k}"); recorded with the randint generator.  Reports
+# show a psi only when a row fails, so their bytes cannot catch a new draw.
+DIR_DRAWS = "9d2def6b1b3c32c102893a25433cdc17176d53b0d19f25b531c87974b436f8f1"
+
+
+def test_dir_suite_draws_are_pinned():
+    h = hashlib.sha256()
+    for N, _ in DIR_GRID:
+        for k in range(1, 6):
+            rng = Random(f"dir:0:{N}:{k}")
+            for parity in [True] * 50 + [False] * 5:
+                psi = random_residue_zero_psi(N, k, rng, parity=parity)
+                h.update(json.dumps(psi_to_json(psi), sort_keys=True).encode())
+    assert h.hexdigest() == DIR_DRAWS
+
+
 def test_residue_and_rewrite_reject_a_vanishing_smoothed_point():
     # c t = 0 mod 3: the symbol is refused at construction, so neither
     # rewrite_soule nor residue ever meets it

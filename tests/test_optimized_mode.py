@@ -90,6 +90,16 @@ for bad in (2.9, True):
     rejects(TypeError, Measure, GroupSpec(8, 1), {(bad,): 1, (2,): 3})
     rejects(TypeError, dirac, GroupSpec(8, 1), (bad,))
     rejects(TypeError, TorsorSpec, 2, 1, 3, 1, "reduction", (bad,))
+# record fields: EisSym(True, 3, (1, 0)) had weight 1, a float level stored
+# float coordinates, and True passed as a level, rank or modulus
+rejects(TypeError, EisSym, True, 3, (1, 0), names="weight k")
+rejects(TypeError, EisSym, 2, 3.0, (1, 0), names="level N")
+rejects(TypeError, SouleSym, 2, 3.0, 5, (1, 0), names="level N")
+rejects(TypeError, CycSym, 2, 3.0, 1, names="level N")
+rejects(TypeError, TorsorSpec, 2, True, 3, names="level r")
+rejects(TypeError, TorsorSpec, 2, 1, 3, 2.0, names="rank d")
+rejects(TypeError, GroupSpec, True, names="modulus m")
+rejects(TypeError, GroupSpec, 3.0, names="modulus m")
 """
 
 

@@ -1,0 +1,149 @@
+"""The immutable value types: the record contract of the symbols and specs,
+their int field checks, and pickling and deep copies of every type."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from ellsoule.cyclotomic import CycloElement
+from ellsoule.formal import CycSym, EisSym, FormalClass, SouleSym, WeightFunction
+from ellsoule.measures import GroupSpec, Measure, TorsorSpec
+from ellsoule.numutil import _Record
+
+RECORDS = [
+    (EisSym(2, 3, (4, 0)), (2, 3, (1, 0))),
+    (SouleSym(2, 3, 5, (4, 3)), (2, 3, 5, (1, 0))),
+    (CycSym(2, 3, -1), (2, 3, 2)),
+    (TorsorSpec(2, 1, 3), (2, 1, 3, 1, "reduction", (0,))),
+    (TorsorSpec(3, 2, 4, 2, "multiplication", (5, -1)), (3, 2, 4, 2, "multiplication", (1, 3))),
+    (GroupSpec(8), (8, 1)),
+    (GroupSpec(5, 2), (5, 2)),
+]
+
+# reprs of the frozen dataclasses these records replaced
+REPRS = [
+    "EisSym(k=2, N=3, t=(1, 0))",
+    "SouleSym(k=2, N=3, c=5, t=(1, 0))",
+    "CycSym(k=2, N=3, b=2)",
+    "TorsorSpec(ell=2, r=1, N=3, d=1, flavor='reduction', t=(0,))",
+    "TorsorSpec(ell=3, r=2, N=4, d=2, flavor='multiplication', t=(1, 3))",
+    "GroupSpec(m=8, d=1)",
+    "GroupSpec(m=5, d=2)",
+]
+
+
+NAMES = {
+    EisSym: ("k", "N", "t"),
+    SouleSym: ("k", "N", "c", "t"),
+    CycSym: ("k", "N", "b"),
+    TorsorSpec: ("ell", "r", "N", "d", "flavor", "t"),
+    GroupSpec: ("m", "d"),
+}
+
+
+@pytest.mark.parametrize("rec, fields", RECORDS)
+def test_records_hash_and_compare_as_their_field_tuples(rec, fields):
+    assert hash(rec) == hash(fields)
+    same = type(rec)(*fields)
+    assert same == rec and hash(same) == hash(rec) and not same != rec
+    names = NAMES[type(rec)]
+    assert tuple(getattr(rec, name) for name in names) == fields
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+
+
+def test_record_reprs_are_unchanged():
+    assert [repr(rec) for rec, _ in RECORDS] == REPRS
+    x = FormalClass(
+        {EisSym(2, 3, (1, 0)): Fraction(1, 3), SouleSym(3, 5, 7, (1, 2)): -2, CycSym(1, 4, 3): 5}
+    )
+    assert repr(x) == (
+        "(5)*CycSym(k=1, N=4, b=3) + (1/3)*EisSym(k=2, N=3, t=(1, 0)) + "
+        "(-2)*SouleSym(k=3, N=5, c=7, t=(1, 2))"
+    )
+
+
+class Pair(_Record):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self._fix(a, b)
+
+
+class OtherPair(_Record):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self._fix(a, b)
+
+
+def test_records_of_different_classes_are_unequal():
+    assert Pair(1, (2,)) == Pair(1, (2,))
+    assert OtherPair(1, (2,)) != Pair(1, (2,)) and Pair(1, (2,)) != OtherPair(1, (2,))
+    assert hash(OtherPair(1, (2,))) == hash(Pair(1, (2,)))
+    assert len({Pair(1, 2), OtherPair(1, 2), Pair(1, 2)}) == 2
+    assert repr(OtherPair(1, (2,))) == "OtherPair(a=1, b=(2,))"
+    eis = EisSym(2, 3, (1, 0))
+    assert eis != CycSym(2, 3, 1) and GroupSpec(3, 1) != TorsorSpec(3, 1, 2, 1)
+    assert eis != (2, 3, (1, 0)) and (eis == (2, 3, (1, 0))) is False
+
+
+def test_records_take_keywords_and_defaults():
+    assert TorsorSpec(ell=2, r=1, N=3) == TorsorSpec(2, 1, 3, 1, "reduction", (0,))
+    assert TorsorSpec(2, 1, 5, t=(7,), flavor="multiplication").t == (2,)
+    assert GroupSpec(m=6) == GroupSpec(6, 1)
+    assert SouleSym(k=1, N=4, c=3, t=(1, 1)).c == 3
+    assert EisSym(t=(1, 1), N=2, k=0) == EisSym(0, 2, (1, 1))
+    assert CycSym(b=5, N=4, k=2).b == 1
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        # each was accepted: EisSym(True, 3, (1, 0)) took weight 1, a float
+        # level stored float coordinates, and True passed as a level or rank
+        (lambda: EisSym(True, 3, (1, 0)), "weight k"),
+        (lambda: EisSym(2, 3.0, (1, 0)), "level N"),
+        (lambda: SouleSym(2.0, 3, 5, (1, 0)), "weight k"),
+        (lambda: SouleSym(2, 3.0, 5, (1, 0)), "level N"),
+        (lambda: CycSym(2, 3.0, 1), "level N"),
+        (lambda: CycSym(False, 3, 1), "weight k"),
+        (lambda: TorsorSpec(2, True, 3), "level r"),
+        (lambda: TorsorSpec(2.0, 1, 3), "prime ell"),
+        (lambda: TorsorSpec(2, 1, 3.0), "level N"),
+        (lambda: TorsorSpec(2, 1, 3, True), "rank d"),
+        (lambda: GroupSpec(True), "modulus m"),
+        (lambda: GroupSpec(3.0), "modulus m"),
+        (lambda: GroupSpec(3, True), "rank d"),
+    ],
+)
+def test_record_int_fields_reject_floats_and_bools(make, field):
+    with pytest.raises(TypeError, match=field):
+        make()
+
+
+VALUES = [rec for rec, _ in RECORDS] + [
+    FormalClass({EisSym(2, 3, (1, 0)): Fraction(1, 3), SouleSym(3, 5, 7, (1, 2)): -2}),
+    FormalClass({CycSym(1, 4, 3): 5}),
+    FormalClass({}),
+    WeightFunction(2, 3, {(1, 0): Fraction(1, 2), (0, 2): -4}),
+    CycloElement(5, [1, Fraction(1, 2), 0, 3]),
+    Measure(TorsorSpec(2, 1, 3, 1, "reduction", (1,)), {(4,): Fraction(2, 3), (1,): 1}),
+    Measure(GroupSpec(4, 2), {(1, 3): Fraction(-1, 7)}),
+]
+
+
+@pytest.mark.parametrize("x", VALUES, ids=lambda x: type(x).__name__)
+def test_values_survive_pickle_and_deepcopy(x):
+    # deepcopy and pickle raised AttributeError ("... is immutable") for the
+    # classes, weight functions, cyclotomic elements and measures
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert type(y) is type(x)
+        assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
