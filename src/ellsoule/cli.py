@@ -18,8 +18,11 @@ most MAX_C, and --trunc may lie at most MAX_WINDOW past the leading exponent
 (in q^{1/M} units, the window the unit's product is built to).  `verify`
 caps its level ell^rmax * N at MAX_LEVEL (at MAX_RESIDUES_LEVEL when the
 residues suite runs), its --c at MAX_C and its --trunc, the window of the
-units suite's expansion, at MAX_WINDOW.  An input over a cap exits 2 before
-any expansion is formed.
+units suite's expansion, at MAX_WINDOW.  `residue-table` caps --N at
+MAX_RESIDUES_LEVEL, and `dir` the level N of its weight function at
+MAX_LEVEL.  The weight (`residue-table --k`, `verify --kmax` and the k of
+`dir`'s weight function) is capped at MAX_WEIGHT.  An input over a cap exits
+2 before any work is done.
 
 Every JSON document is written by `_dumps`, whose output equals
 `json.dumps(obj, indent=2)`, and `main` builds its parser once per process.
@@ -55,6 +58,8 @@ __all__ = ["build_parser", "main"]
 # with c: at level 935, x = 1 it was 7.2-9.7 s at c = 31 (peak RSS 140 MB)
 # and 9.9-10.7 s at 49 (218 MB), and x = 0 0.29 s at 49; at level 2, 2.7-3.4 s
 # at c = 49.  MAX_C keeps 49, the largest c admissible at level 935 below it.
+# `dir` caps its weight function's level N here too: its cost is linear in N,
+# 0.008 s at N = 1000 and 0.46 s at N = 100,000.
 MAX_LEVEL = 1000
 MAX_WINDOW = 1000
 MAX_C = 50
@@ -64,7 +69,14 @@ MAX_C = 50
 # (2^5 * 3) took 0.47 s at c = 5 and 1.0 s at c = 49; level 98 (2 * 49,
 # c = 47) 3.7 s and level 100 (2^2 * 25, c = 49) 2.4 s; level 192 (2^6 * 3)
 # 1.9 s at c = 5 and 6.9 s at c = 49, level 194 (2 * 97, c = 49) 34 s.
+# `residue-table --N` shares the cap: its table has N^2 - 1 rows, and took
+# 0.07 s at N = 100 and 2.0 s (peak RSS 206 MB) at N = 500.
 MAX_RESIDUES_LEVEL = 100
+# A weight-k residue or moment is built from B_{k+2} in Fractions, at about
+# O(k^3) (same host, single runs): `residue-table --N 3` took 0.13 s at
+# k = 50, 0.75 s at 100 and 20 s at 300, and `verify --suite all --kmax 50`
+# 2.45 s.
+MAX_WEIGHT = 50
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"largest level r (default 2); the level ell^rmax * N is at most "
         f"{MAX_LEVEL}, and {MAX_RESIDUES_LEVEL} when the residues suite runs",
     )
-    p_verify.add_argument("--kmax", type=int, default=4, help="largest weight k (default 4)")
+    p_verify.add_argument(
+        "--kmax", type=int, default=4, help=f"largest weight k, at most {MAX_WEIGHT} (default 4)"
+    )
     p_verify.add_argument(
         "--trunc",
         type=int,
@@ -136,8 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
         aliases=["residue_table"],
         help="closed residues of all weight-k classes at level N",
     )
-    p_table.add_argument("--N", type=int, default=3)
-    p_table.add_argument("--k", type=int, default=2)
+    p_table.add_argument(
+        "--N", type=int, default=3, help=f"level, at most {MAX_RESIDUES_LEVEL} (default 3)"
+    )
+    p_table.add_argument(
+        "--k", type=int, default=2, help=f"weight, at most {MAX_WEIGHT} (default 2)"
+    )
     p_table.add_argument("--format", choices=("json", "csv"), default="json")
     p_table.add_argument("--out", metavar="FILE")
     p_table.set_defaults(func=_cmd_table)
@@ -146,7 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
         "dir", help="boundary value of a weight function (requires residue zero)"
     )
     p_dir.add_argument(
-        "--psi", required=True, metavar="FILE", help="weight function as JSON"
+        "--psi",
+        required=True,
+        metavar="FILE",
+        help=f"weight function as JSON; its level N is at most {MAX_LEVEL} and "
+        f"its weight k at most {MAX_WEIGHT}",
     )
     p_dir.add_argument("--c", type=int, default=5, help="smoothing factor for the me route")
     p_dir.add_argument("--route", choices=("closed", "me", "both"), default="both")
@@ -285,9 +307,14 @@ def _verify_csv(report: dict) -> str:
     return buf.getvalue().rstrip("\n")
 
 
+def _check_cap(name: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{name} = {value} exceeds the cap {cap}")
+
+
 def _cmd_verify(args) -> int:
-    if args.trunc > MAX_WINDOW:
-        raise ValueError(f"--trunc {args.trunc} exceeds the cap {MAX_WINDOW}")
+    _check_cap("--trunc", args.trunc, MAX_WINDOW)
+    _check_cap("--kmax", args.kmax, MAX_WEIGHT)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     cap = MAX_RESIDUES_LEVEL if "residues" in names else MAX_LEVEL
     _check_level_and_c(args.ell, args.rmax, args.N, args.c, "--rmax", cap)
@@ -326,8 +353,7 @@ def _check_level_and_c(
         raise ValueError(
             f"level --ell^{r_flag} * --N = {ell}^{r} * {N} exceeds the cap {cap}"
         )
-    if abs(c) > MAX_C:
-        raise ValueError(f"|--c| = {abs(c)} exceeds the cap {MAX_C}")
+    _check_cap("|--c|", abs(c), MAX_C)
 
 
 def _check_qexp_caps(args) -> None:
@@ -351,6 +377,8 @@ def _cmd_qexp(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    _check_cap("--N", args.N, MAX_RESIDUES_LEVEL)
+    _check_cap("--k", args.k, MAX_WEIGHT)
     rows = residue_table(args.N, args.k)
     if args.format == "csv":
         buf = io.StringIO()
@@ -372,6 +400,8 @@ def _cmd_table(args) -> int:
 def _cmd_dir(args) -> int:
     with open(args.psi) as fh:
         psi = psi_from_json(json.load(fh))
+    _check_cap("the weight function's level N", psi.N, MAX_LEVEL)
+    _check_cap("the weight function's weight k", psi.k, MAX_WEIGHT)
     out: dict = {"k": psi.k, "N": psi.N, "route": args.route}
     if args.route in ("closed", "both"):
         out["closed"] = formal_to_json(dir_closed(psi))

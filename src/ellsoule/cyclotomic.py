@@ -14,13 +14,10 @@ reduction uses one table of x^k mod Phi_M for 0 <= k < M: its rows are
 integral because Phi_M is monic, and zeta^M = 1 folds any exponent into
 that range.  The tables of the last `_XPOW_LEVELS` levels used are cached.
 
-The library's paths invert only elements 1 - zeta^w and raise them to
-powers, and they take the closed forms `one_minus_zeta_inverse` and
-`one_minus_zeta_pow`: one reduction of M folded terms each.  `inverse` is the
-general field operation, kept with `__truediv__` and negative powers as ring
-operations (the reference routes the tests compare against): a^{-1} is the
-product of the other Galois conjugates of a divided by the rational norm
-N(a), which costs phi(M) - 1 full products.
+The only denominators the library meets are elements 1 - zeta^w, so there
+is no general field inverse, no `/` and no negative power: the closed forms
+`one_minus_zeta_inverse` and `one_minus_zeta_pow` give (1 - zeta^w)^{-1} and
+(1 - zeta^w)^k with one reduction of M folded terms each.
 
 All arithmetic is pure and exact; no floats, no complex embeddings.  Every
 coordinate enters through `_rat`, which accepts int and `Fraction` only.
@@ -30,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 
 from .numutil import exact_rational
 
@@ -305,28 +302,9 @@ class CycloElement:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CycloElement":
-        """Multiplicative inverse through the Galois norm.
-
-        With c = prod sigma_u(a) over u in (Z/M)^x, u != 1, the norm
-        N(a) = a * c is a nonzero rational, so a^{-1} = c / N(a).
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(zeta_M)")
-        M = self.M
-        conj = prod(
-            (self.galois(u) for u in range(2, M) if gcd(u, M) == 1),
-            start=CycloElement.rational(M, 1),
-        )
-        return conj * (1 / (self * conj).rational_value())
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
     def __pow__(self, n: int) -> "CycloElement":
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError(f"exponent {n} must be >= 0; see one_minus_zeta_inverse")
         result = CycloElement.rational(self.M, 1)
         base = self
         while n:

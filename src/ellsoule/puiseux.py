@@ -5,14 +5,12 @@ meaning q^{n/M}) together with a truncation window T: it represents
 
     f = sum_{n < T} a_n q^{n/M} + O(q^{T/M}).
 
-Every series carries its own window, and binary operations compute the
-tightest window that is still sound, so heterogeneous products (e.g. norm
-products of many unit factors) track precision automatically:
-
-  * add:   min(T_f, T_g)
-  * mul:   min(T_f + val_lb(g), T_g + val_lb(f)), val_lb = least stored
-           exponent (or the window itself when no term is stored)
-  * invert (valuation v, unit constant term): T - 2v
+Every series carries its own window, and a product takes the tightest
+window that is still sound, min(T_f + val_lb(g), T_g + val_lb(f)) with
+val_lb the least stored exponent (or the window itself when no term is
+stored), so products of many unit factors track precision automatically.
+The library only multiplies series: there is no sum, inverse or negative
+power.
 
 Negative exponents are allowed; zero coefficients are never stored, so the
 zero series is the empty map and representations are canonical.
@@ -71,11 +69,6 @@ class PuiseuxSeries:
     def __setattr__(self, *a):
         raise AttributeError("PuiseuxSeries is immutable")
 
-    # -- constructors ---------------------------------------------------
-    @staticmethod
-    def one(M: int, T: int) -> "PuiseuxSeries":
-        return PuiseuxSeries(M, T, {0: CycloElement.rational(M, 1)})
-
     # -- inspection -------------------------------------------------------
     def val_lb(self) -> int:
         """Least stored exponent, or T when no terms are stored."""
@@ -129,26 +122,6 @@ class PuiseuxSeries:
         return self.rescale(M2), other.rescale(M2)
 
     # -- arithmetic --------------------------------------------------------
-    def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        f, g = self._common(other)
-        T = min(f.T, g.T)
-        terms = dict(f.terms)
-        for n, c in g.terms.items():
-            terms[n] = terms[n] + c if n in terms else c
-        return PuiseuxSeries(f.M, T, terms)
-
-    def __neg__(self) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.M, self.T, {n: -c for n, c in self.terms.items()})
-
-    def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        return self + (-other)
-
-    def scale(self, c) -> "PuiseuxSeries":
-        """Multiply by a scalar (rational or CycloElement of conductor M)."""
-        if not isinstance(c, CycloElement):
-            c = CycloElement.rational(self.M, c)
-        return PuiseuxSeries(self.M, self.T, {n: a * c for n, a in self.terms.items()})
-
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         f, g = self._common(other)
         T = min(f.T + g.val_lb(), g.T + f.val_lb())
@@ -184,37 +157,9 @@ class PuiseuxSeries:
             self.M, self.T + n0, {n + n0: c for n, c in self.terms.items()}
         )
 
-    def invert(self) -> "PuiseuxSeries":
-        """Multiplicative inverse; requires a nonzero lowest-order term.
-
-        If f = q^{v/M} * u with u(0) a unit, the inverse is computed by the
-        standard coefficient recurrence on the unit part and carries the
-        sound window T - 2v.
-        """
-        if not self.terms:
-            raise ZeroDivisionError("series is zero to its truncation order")
-        v = min(self.terms)
-        W = self.T - v  # window of the unit part
-        u = {n - v: c for n, c in self.terms.items()}
-        u0 = u[0]
-        u0_inv = u0.inverse()
-        inv: dict[int, CycloElement] = {0: u0_inv}
-        zero = CycloElement.rational(self.M, 0)
-        for n in range(1, W):
-            acc = zero
-            for m, um in u.items():
-                if 0 < m <= n:
-                    b = inv.get(n - m)
-                    if b is not None and not b.is_zero():
-                        acc = acc + um * b
-            if not acc.is_zero():
-                inv[n] = -(u0_inv * acc)
-        # unit-part inverse has window W; shifting by -v gives T - 2v
-        return PuiseuxSeries(self.M, W - v, {n - v: c for n, c in inv.items()})
-
     def __pow__(self, k: int) -> "PuiseuxSeries":
         if k < 0:
-            return self.invert() ** (-k)
+            raise ValueError(f"exponent {k} must be >= 0")
         # power by repeated squaring; window bookkeeping is handled by mul
         base = self
         acc = None
@@ -227,20 +172,5 @@ class PuiseuxSeries:
                 base = base * base
         if acc is None:
             # k == 0: exact 1 with the window of self as a safe default
-            return PuiseuxSeries.one(self.M, self.T)
+            return PuiseuxSeries(self.M, self.T, {0: 1})
         return acc
-
-    def agree_up_to(self, other: "PuiseuxSeries", W: int) -> bool:
-        """Coefficient-by-coefficient equality for all exponents < W.
-
-        Both windows must reach W (common conductor taken automatically).
-        """
-        f, g = self._common(other)
-        if f.T < W or g.T < W:
-            raise ValueError(
-                f"insufficient truncation: windows {f.T}, {g.T} < required {W}"
-            )
-        for n in set(f.terms) | set(g.terms):
-            if n < W and f.coeff(n) != g.coeff(n):
-                return False
-        return True

@@ -31,8 +31,7 @@ new P[n] reduced mod Phi_M once.  So no power is formed by squaring, no
 series is inverted, and each coefficient becomes a `CycloElement` once, in
 the one series a call builds.  A factor with e >= W is 1 to that window and
 is left out; at x = 0 the two e = 0 factors are the constant Xi_c(zeta^y),
-taken in closed form (`_xi_c_at`) onto the few stored coefficients, so no
-element is inverted through its norm.
+taken in closed form (`_xi_c_at`) onto the few stored coefficients.
 
 Everything downstream is read off this expansion: the residue measure at the
 cusp aggregates actual q-valuations over a fiber (with ramification factor

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -281,6 +282,48 @@ def test_verify_residues_over_its_level_cap_exits_2_naming_rmax(suite_calls, cap
 def test_verify_other_suites_keep_the_level_cap(suite_calls, suite):
     assert cli.main(["verify", "--suite", suite, "--rmax", "8"]) == 0
     assert [params["rmax"] for _, params in suite_calls] == [8]
+
+
+def _with_psi_file(tmp_path, argv):
+    """argv, with a `dir` weight function given as {"k", "N"} (no values)
+    written to a file and passed as --psi."""
+    if argv[0] != "dir":
+        return argv
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({**argv[1], "values": []}))
+    return ["dir", "--psi", str(path), *argv[2:]]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["residue-table", "--N", str(10**9)], "--N"),
+        (["residue-table", "--k", str(10**6)], "--k"),
+        (["verify", "--kmax", str(10**6)], "--kmax"),
+        (["dir", {"k": 2, "N": 10**9}], "level N"),
+        (["dir", {"k": 10**6, "N": 3}], "weight k"),
+    ],
+)
+def test_level_and_weight_over_their_caps_exit_2_at_once(tmp_path, capsys, argv, named):
+    started = time.perf_counter()
+    assert cli.main(_with_psi_file(tmp_path, argv)) == 2
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["residue-table", "--N", str(cli.MAX_RESIDUES_LEVEL)],
+        ["residue-table", "--k", str(cli.MAX_WEIGHT)],
+        ["verify", "--suite", "bernoulli", "--kmax", str(cli.MAX_WEIGHT)],
+        # c = 1 mod N and coprime to 6N, as the me route needs
+        ["dir", {"k": cli.MAX_WEIGHT, "N": cli.MAX_LEVEL}, "--c", str(cli.MAX_LEVEL + 1)],
+    ],
+)
+def test_level_and_weight_at_their_caps_exit_0(tmp_path, capsys, argv):
+    assert cli.main(_with_psi_file(tmp_path, argv)) == 0
 
 
 def test_raising_boundary_route_is_a_failing_row_of_a_written_report(monkeypatch, capsys):

@@ -76,31 +76,12 @@ def test_mul_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-# at M <= 2 the product of the other Galois conjugates is empty; at 5, 7
-# and 42 products wrap past zeta^M = 1
-inverse_levels = st.sampled_from([1, 2, 5, 7, 12, 42])
-
-
-@given(inverse_levels, st.data())
-def test_inverse(M, data):
-    a = data.draw(elements(M=M))
-    one = CycloElement.rational(M, 1)
-    if a.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            a.inverse()
-        with pytest.raises(ZeroDivisionError):
-            one / a
-    else:
-        assert a * a.inverse() == one
-
-
 @pytest.mark.parametrize("M", [*range(2, 61), 935, 979, 990, 997, 998])
 def test_closed_inverse_of_one_minus_zeta(M):
-    # every w != 0 mod M, gcd(w, M) > 1 included.  The product with
-    # 1 - zeta^w is formed in Z[x]/(x^M - 1) and reduced once: exact, and at
-    # the large levels far cheaper than the dense field product, which is
-    # checked up to M = 60; up to M = 42 the closed form is also the norm
-    # inverse, too slow to compare at the large levels
+    # every w != 0 mod M, gcd(w, M) > 1 included; a * inv == 1 makes inv the
+    # inverse, since inverses are unique.  The product with 1 - zeta^w is
+    # formed in Z[x]/(x^M - 1) and reduced once: exact, and at the large
+    # levels far cheaper than the dense field product, checked up to M = 60
     one = CycloElement.rational(M, 1)
     for w in range(1, M):
         inv = CycloElement.one_minus_zeta_inverse(M, w)
@@ -112,8 +93,6 @@ def test_closed_inverse_of_one_minus_zeta(M):
         if M <= 60:
             a = one - CycloElement.zeta_pow(M, w)
             assert a * inv == one, (M, w)
-            if M <= 42:
-                assert inv == a.inverse(), (M, w)
     assert CycloElement.one_minus_zeta_inverse(M, -1) == inv  # w = M - 1 last
     for w in (0, M, -M):
         with pytest.raises(ZeroDivisionError):
@@ -129,6 +108,9 @@ def test_closed_power_of_one_minus_zeta(M):
             assert CycloElement.one_minus_zeta_pow(M, w, k) == a**k, (M, w, k)
     with pytest.raises(ValueError):
         CycloElement.one_minus_zeta_pow(M, 1, -1)
+    # there is no general inverse, so no negative power either
+    with pytest.raises(ValueError, match="exponent -1 must be >= 0"):
+        a**-1
 
 
 @given(elements(M=12), st.sampled_from([1, 5, 7, 11]))
@@ -153,14 +135,6 @@ def test_embed_compatible():
 def test_minus_one_is_half_turn():
     assert CycloElement.zeta_pow(6, 1) ** 3 == -CycloElement.rational(6, 1)
     assert CycloElement.zeta_pow(8, 1) ** 4 == -CycloElement.rational(8, 1)
-
-
-@given(inverse_levels, st.data())
-def test_pow_negative_is_inverse_power(M, data):
-    a = data.draw(elements(M=M))
-    if not a.is_zero():
-        assert a**-2 == a.inverse() ** 2
-        assert a**-2 * a**2 == CycloElement.rational(M, 1)
 
 
 def test_cyclotomic_relation_reduces():

@@ -10,10 +10,12 @@ SRC = os.path.dirname(os.path.dirname(ellsoule.__file__))
 
 PROBE = """
 from ellsoule.bernoulli import bern_eval, bernoulli_moment_closed
+from ellsoule.cli import main
 from ellsoule.cyclotomic import CycloElement
 from ellsoule.formal import CycSym, EisSym, FormalClass, SouleSym, WeightFunction
 from ellsoule.measures import GroupSpec, Measure, TorsorSpec, dirac, pushforward
 from ellsoule.numutil import exact_rational, vp
+from ellsoule.puiseux import PuiseuxSeries
 from ellsoule.tsym import TSym, exponent_tuples, tsym_map
 from ellsoule.units import (
     _e0, cusp_value_closed, epsilon_series, norm_check_theta, residue_elliptic_soule,
@@ -100,6 +102,11 @@ rejects(TypeError, TorsorSpec, 2, True, 3, names="level r")
 rejects(TypeError, TorsorSpec, 2, 1, 3, 2.0, names="rank d")
 rejects(TypeError, GroupSpec, True, names="modulus m")
 rejects(TypeError, GroupSpec, 3.0, names="modulus m")
+# a negative power would loop for ever: -1 >> 1 == -1
+rejects(ValueError, CycloElement.zeta_pow(3, 1).__pow__, -1, names="exponent -1")
+rejects(ValueError, PuiseuxSeries(3, 4, {0: 1}).__pow__, -1, names="exponent -1")
+if main(["residue-table", "--N", "1000000000"]) != 2:
+    raise SystemExit("residue-table --N 1000000000 did not exit 2")
 """
 
 

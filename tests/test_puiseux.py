@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from ellsoule.cyclotomic import CycloElement
@@ -50,22 +51,9 @@ def test_monomial_and_coeff():
 # ring laws on a shared window
 
 
-@given(small_series(), small_series(), small_series())
-def test_add_associates(f, g, h):
-    assert (f + g) + h == f + (g + h)
-
-
 @given(small_series(), small_series())
 def test_mul_commutes(f, g):
     assert f * g == g * f
-
-
-@given(small_series(), small_series(), small_series())
-def test_mul_distributes(f, g, h):
-    lhs = f * (g + h)
-    rhs = f * g + f * h
-    # both sides carry the same sound window by construction
-    assert lhs.agree_up_to(rhs, min(lhs.T, rhs.T))
 
 
 def test_mul_window_rule():
@@ -73,24 +61,6 @@ def test_mul_window_rule():
     g = series_from(6, 8, [(-1, 1), (3, 2)])
     # T = min(T_f + v(g), T_g + v(f)) = min(10 + (-1), 8 + 2) = 9
     assert (f * g).T == 9
-
-
-def test_invert_window_rule():
-    f = series_from(6, 10, [(2, 1), (4, 5)])
-    inv = f.invert()
-    # window T - 2v = 10 - 4 = 6 and f * f^{-1} = 1 on it
-    assert inv.T == 6
-    one = PuiseuxSeries.one(6, 6)
-    assert (f * inv).agree_up_to(one, 6)
-
-
-@given(small_series())
-def test_invert_roundtrip(f):
-    if not f.terms:
-        return
-    prod = f * f.invert()
-    W = prod.T
-    assert prod.agree_up_to(PuiseuxSeries.one(6, W), W)
 
 
 def test_rescale_embeds_exponents():
@@ -111,15 +81,9 @@ def test_shift_moves_valuation():
 def test_pow_matches_repeated_product():
     f = series_from(6, 12, [(0, 1), (1, 1)])
     assert f**3 == f * f * f
-    # negative exponents invert first
-    assert f**-1 == f.invert()
-
-
-def test_agree_up_to_ignores_tail():
-    f = series_from(6, 10, [(1, 1), (7, 2)])
-    g = series_from(6, 10, [(1, 1), (7, 3)])
-    assert f.agree_up_to(g, 7)
-    assert not f.agree_up_to(g, 8)
+    # there is no series inverse, so no negative power either
+    with pytest.raises(ValueError, match="exponent -1 must be >= 0"):
+        f**-1
 
 
 # the product against a per-pair schoolbook reference
