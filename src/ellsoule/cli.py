@@ -40,7 +40,7 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .formal import ResiduePreconditionError, dir_closed, dir_via_me, residue_table
+from .formal import ResiduePreconditionError, cyc_symmetrize, dir_closed, dir_via_me, residue_table
 from .numutil import rat_str
 from .serialize import formal_to_json, psi_from_json, series_to_json
 from .units import eta_exponent, theta_qexp
@@ -379,6 +379,8 @@ def _cmd_qexp(args) -> int:
 def _cmd_table(args) -> int:
     _check_cap("--N", args.N, MAX_RESIDUES_LEVEL)
     _check_cap("--k", args.k, MAX_WEIGHT)
+    if args.k < 0:
+        raise ValueError(f"--k = {args.k} must be >= 0")
     rows = residue_table(args.N, args.k)
     if args.format == "csv":
         buf = io.StringIO()
@@ -404,13 +406,18 @@ def _cmd_dir(args) -> int:
     _check_cap("the weight function's weight k", psi.k, MAX_WEIGHT)
     out: dict = {"k": psi.k, "N": psi.N, "route": args.route}
     if args.route in ("closed", "both"):
-        out["closed"] = formal_to_json(dir_closed(psi))
+        closed = dir_closed(psi)
+        out["closed"] = formal_to_json(closed)
     if args.route in ("me", "both"):
-        out["me"] = formal_to_json(dir_via_me(psi, args.c))
+        me = dir_via_me(psi, args.c)
+        out["me"] = formal_to_json(me)
         out["c"] = args.c
     ok = True
     if args.route == "both":
-        out["match"] = out["closed"] == out["me"]
+        # the me route pairs with psi's parity projection, so it is compared
+        # with the closed value symmetrized the same way (the two agree
+        # unsymmetrized when psi has parity (-1)^k)
+        out["match"] = cyc_symmetrize(closed, psi.k) == me
         ok = out["match"]
     _emit(_dumps(out), args.out)
     return 0 if ok else 1

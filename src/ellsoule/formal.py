@@ -251,7 +251,12 @@ class FormalClass:
 
 
 def soule_elliptic(k: int, N: int, c: int, t) -> FormalClass:
-    return FormalClass({SouleSym(k, N, c, t): 1})
+    """The class of the single symbol SouleElliptic(k, N, c, t), checked by
+    `SouleSym` and built from its cached parity-canonical form (the zero
+    class when that vanishes: `_make` drops the zero numerator)."""
+    sym = SouleSym(k, N, c, t)
+    canon, sign = _canonical_at(sym.k, sym.N, sym.c, sym.t)
+    return FormalClass._make({canon: sign}, 1)
 
 
 def _soule_terms(sym: SouleSym):
@@ -292,7 +297,9 @@ def _eis_residue(k: int, N: int, a: int) -> Fraction:
 
 
 def eis_residue_closed(k: int, N: int, t) -> Fraction:
-    """res(Eis^k(a, b)) = -(N^k/(k!(k+2))) * B_{k+2}({a/N})."""
+    """res(Eis^k(a, b)) = -(N^k/(k!(k+2))) * B_{k+2}({a/N}); needs k >= 0."""
+    if k < 0:
+        raise ValueError(f"weight k = {k} must be >= 0")
     return _eis_residue(k, N, _norm_point(N, t)[0])
 
 
@@ -348,10 +355,12 @@ class WeightFunction:
     """psi: (Z/N)^2 \\ {0} -> Q, with a weight k attached.
 
     Held as int numerators `num` (nonzero only) over one positive `den`, in
-    lowest terms, so equality and hashing compare the representation.
+    lowest terms, so equality and hashing compare the representation.  The
+    object is immutable, so `psi_residue` keeps its value in `_res` (None
+    until first asked for), which equality, hashing and pickling ignore.
     """
 
-    __slots__ = ("k", "N", "num", "den")
+    __slots__ = ("k", "N", "num", "den", "_res")
 
     def __init__(self, k: int, N: int, values: dict):
         if not (type(k) is int and k >= 0 and type(N) is int and N >= 1):
@@ -384,6 +393,7 @@ class WeightFunction:
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_res", None)
 
     def __setattr__(self, *a):
         raise AttributeError("WeightFunction is immutable")
@@ -436,13 +446,22 @@ def eis_of_psi(psi: WeightFunction) -> FormalClass:
 
 def parity_project(psi: WeightFunction) -> WeightFunction:
     """psi_k(t) = (psi(t) + (-1)^k psi(-t)) / 2."""
-    N, sign = psi.N, (-1) ** psi.k
+    return WeightFunction._from_num(psi.k, psi.N, _parity_num(psi.k, psi.N, psi.num), 2 * psi.den)
+
+
+def _parity_num(k: int, N: int, num: dict) -> dict:
+    """The numerators of psi_k over 2 den, for psi = num / den; zero entries
+    of num are skipped, so that raw and reduced numerators give the same
+    key order."""
+    sign = (-1) ** k
     out: dict[tuple[int, int], int] = {}
-    for (a, b), v in psi.num.items():
+    for (a, b), v in num.items():
+        if not v:
+            continue
         neg = ((-a) % N, (-b) % N)
         out[(a, b)] = out.get((a, b), 0) + v
         out[neg] = out.get(neg, 0) + sign * v
-    return WeightFunction._from_num(psi.k, N, out, 2 * psi.den)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -460,11 +479,16 @@ def psi_residue(psi: WeightFunction) -> Fraction:
     res(Eis^k(-t)) = (-1)^k res(Eis^k(t)) since B_n(1-x) = (-1)^n B_n(x), so
     parity canonicalization does not move the sum, and the symbols it drops
     (t = -t with k odd) have residue zero.  Summed in ints as
-    sum_t num(t) R[a] over den * Q.
+    sum_t num(t) R[a] over den * Q, once per weight function: the value is
+    kept in psi's `_res` slot, which both boundary routes read.
     """
-    R, Q = _residue_ints(psi.k, psi.N)
-    total = sum(v * R[a] for (a, _), v in psi.num.items())
-    return Fraction(total, psi.den * Q) if total else Fraction(0)
+    res = psi._res
+    if res is None:
+        R, Q = _residue_ints(psi.k, psi.N)
+        total = sum(v * R[a] for (a, _), v in psi.num.items())
+        res = Fraction(total, psi.den * Q) if total else Fraction(0)
+        object.__setattr__(psi, "_res", res)
+    return res
 
 
 def dir_closed(psi: WeightFunction) -> FormalClass:
@@ -547,7 +571,8 @@ def cyc_symmetrize(x: FormalClass, k: int) -> FormalClass:
 
 
 def residue_table(N: int, k: int) -> list[tuple[int, int, Fraction]]:
-    """Rows (a, b, res(Eis^k(a, b))) over all t != 0, sorted; needs N >= 2."""
+    """Rows (a, b, res(Eis^k(a, b))) over all t != 0, sorted; needs N >= 2
+    and k >= 0 (`eis_residue_closed` checks k)."""
     if N < 2:
         raise ValueError(f"residue tables need N >= 2, got N = {N}")
     rows = []
@@ -572,8 +597,10 @@ def random_residue_zero_psi(N: int, k: int, rng: Random, parity: bool = True) ->
     All but one value are drawn uniformly from [-20, 20]; the last is
     solved exactly at a point t* (with a* != 0 and nonzero residue
     coefficient) so the single linear residue constraint holds.  With
-    parity=True the function is parity-projected afterwards (which preserves
-    the residue), so it has exact parity (-1)^k.
+    parity=True the drawn numerators are parity-projected before the one
+    reduction to lowest terms (the result equals `parity_project` of the
+    raw draw, and the projection preserves the residue), so the function has
+    exact parity (-1)^k.
     """
     points = _points(N)
     R, _ = _residue_ints(k, N)
@@ -586,7 +613,6 @@ def random_residue_zero_psi(N: int, k: int, rng: Random, parity: bool = True) ->
     num = {t: draw(-20, 21) * den for t in points if t != t_star}
     partial = sum(v * R[a] for (a, _), v in num.items())
     num[t_star] = -partial // R[t_star[0]]
-    psi = WeightFunction._from_num(k, N, num, den)
     if parity:
-        psi = parity_project(psi)
-    return psi
+        return WeightFunction._from_num(k, N, _parity_num(k, N, num), 2 * den)
+    return WeightFunction._from_num(k, N, num, den)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product as _iproduct
 from math import gcd
 
-from .numutil import _Record, _coord, _int, exact_rational, is_prime, mod_inverse_reduce
+from .numutil import _Record, _coord, _int, _rational, is_prime, mod_inverse_reduce
 
 __all__ = [
     "TorsorSpec",
@@ -127,14 +127,19 @@ def _key(spec: Spec, x) -> tuple[int, ...]:
 
 
 class Measure:
-    """Exact-rational-valued measure supported on one fiber (or bare group)."""
+    """Exact-rational-valued measure supported on one fiber (or bare group).
+
+    `values` holds each nonzero value as an int when it is integral and as a
+    lowest-terms Fraction otherwise (the two compare and hash equal), so the
+    maps below sum integral measures in int arithmetic.
+    """
 
     __slots__ = ("spec", "values")
 
     def __init__(self, spec: Spec, values: dict):
-        vals: dict[tuple[int, ...], Fraction] = {}
+        vals: dict[tuple[int, ...], int | Fraction] = {}
         for x, v in values.items():
-            v = exact_rational(v)
+            v = _rational(v)
             if v:
                 vals[_key(spec, x)] = v
         object.__setattr__(self, "spec", spec)
@@ -146,8 +151,8 @@ class Measure:
     def __reduce__(self):
         return Measure, (self.spec, self.values)
 
-    def __call__(self, x) -> Fraction:
-        return self.values.get(_key(self.spec, x), Fraction(0))
+    def __call__(self, x) -> int | Fraction:
+        return self.values.get(_key(self.spec, x), 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Measure):
@@ -162,7 +167,7 @@ class Measure:
             raise ValueError("measures live on different fibers")
         vals = dict(self.values)
         for x, v in other.values.items():
-            vals[x] = vals.get(x, Fraction(0)) + v
+            vals[x] = vals.get(x, 0) + v
         return Measure(self.spec, vals)
 
     def __neg__(self) -> "Measure":
@@ -172,11 +177,11 @@ class Measure:
         return self + (-other)
 
     def scale(self, c) -> "Measure":
-        c = exact_rational(c)
+        c = _rational(c)
         return Measure(self.spec, {x: v * c for x, v in self.values.items()})
 
     def total_mass(self) -> Fraction:
-        return sum(self.values.values(), Fraction(0))
+        return Fraction(sum(self.values.values()))
 
     def __repr__(self):
         body = ", ".join(
@@ -187,7 +192,7 @@ class Measure:
 
 def dirac(spec: Spec, x) -> Measure:
     """Unit mass at a point of the fiber."""
-    return Measure(spec, {_key(spec, x): Fraction(1)})
+    return Measure(spec, {_key(spec, x): 1})
 
 
 def _map(phi, spec: Spec):
@@ -243,10 +248,10 @@ def pushforward(phi, mu: Measure) -> Measure:
 
 def _push(mu: Measure, image: Spec, f) -> Measure:
     """The measure on `image` summing mu over the fibers of the point map f."""
-    vals: dict[tuple[int, ...], Fraction] = {}
+    vals: dict[tuple[int, ...], int | Fraction] = {}
     for x, v in mu.values.items():
         y = f(x)
-        vals[y] = vals.get(y, Fraction(0)) + v
+        vals[y] = vals.get(y, 0) + v
     return Measure(image, vals)
 
 
@@ -275,21 +280,25 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
     else:
         raise ValueError("cannot convolve a bare-group with a torsor measure")
     m = spec.modulus
-    vals: dict[tuple[int, ...], Fraction] = {}
+    vals: dict[tuple[int, ...], int | Fraction] = {}
     for x, vx in mu.values.items():
         for y, vy in nu.values.items():
             z = tuple((a + b) % m for a, b in zip(x, y))
-            vals[z] = vals.get(z, Fraction(0)) + vx * vy
+            vals[z] = vals.get(z, 0) + vx * vy
     return Measure(spec, vals)
 
 
 def integrate(mu: Measure, f) -> object:
-    """sum_x mu(x) f(*x); f receives one argument per component."""
+    """sum_x mu(x) f(*x); f receives one argument per component.  A sum that
+    comes out as an int (int values and an int-valued f) is returned as a
+    Fraction, as is the empty sum."""
     total = None
     for x, v in sorted(mu.values.items()):
         term = f(*x) * v
         total = term if total is None else total + term
-    return Fraction(0) if total is None else total
+    if total is None:
+        return Fraction(0)
+    return Fraction(total) if type(total) is int else total
 
 
 def reduce_mod(mu: Measure, q: int, ell: int | None = None) -> dict[tuple[int, ...], int]:

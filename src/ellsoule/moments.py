@@ -78,7 +78,7 @@ def modified_moment(mu: Measure, k: int) -> Fraction:
     if not isinstance(spec, TorsorSpec) or spec.d != 1:
         raise ValueError("modified_moment is the rank-1 torsor path")
     mom = moment_torsor(mu, k).coeff((k,))
-    return Fraction(mom) / (Fraction(spec.N) ** k * factorial(k))
+    return Fraction(mom, spec.N ** k * factorial(k))
 
 
 def redeclare(mu: Measure, m: int) -> Measure:

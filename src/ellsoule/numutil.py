@@ -50,6 +50,15 @@ def exact_rational(x) -> Fraction:
     return Fraction(x)
 
 
+def _rational(x) -> int | Fraction:
+    """x checked as by `exact_rational`, in its canonical stored form: an int
+    when x is integral, otherwise a Fraction (in lowest terms)."""
+    if type(x) is int:
+        return x
+    x = exact_rational(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _int(v, what: str) -> int:
     """v, which must be an int: a float or a bool would be truncated or read
     as 0 or 1."""
@@ -113,6 +122,8 @@ _store_hash = _Record._hash.__set__
 
 def rat_str(x: Fraction | int) -> str:
     """Render an exact rational as "num/den" ("num" when den == 1)."""
+    if type(x) is int:
+        return str(x)
     x = exact_rational(x)
     if x.denominator == 1:
         return str(x.numerator)

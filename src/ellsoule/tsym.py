@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import comb, factorial, gcd
 
-from .numutil import exact_rational
+from .numutil import _rational, exact_rational
 
 __all__ = [
     "TSym",
@@ -31,7 +31,7 @@ __all__ = [
 def _ring_normalize(ring: str, c):
     """Coerce an exact rational coefficient into the given ring's canonical form."""
     if ring == "Q":
-        return exact_rational(c)
+        return _rational(c)
     if type(c) is not int:  # an int is already exact and needs no Fraction
         c = exact_rational(c)
     if ring == "Z":
@@ -70,7 +70,10 @@ class TSym:
 
     terms maps an exponent tuple n to the coefficient of e^{[n]}, whose
     degree is sum(n); zero coefficients are dropped, so representations are
-    canonical.
+    canonical.  Over "Z" and "Z/m" a coefficient is an int (in [0, m) for
+    "Z/m"); over "Q" it is an int when integral, otherwise a Fraction in
+    lowest terms, so products and sums of integral elements stay in int
+    arithmetic (an int and a Fraction compare and hash equal).
     """
 
     __slots__ = ("d", "ring", "terms")
@@ -146,7 +149,7 @@ class TSym:
         return self + (-other)
 
     def scale(self, c) -> "TSym":
-        c = exact_rational(c)
+        c = _rational(c)
         return TSym(self.d, self.ring, {n: v * c for n, v in self.terms.items()})
 
     # -- the divided-power product ------------------------------------------

@@ -414,6 +414,27 @@ def test_dir_both_routes(psi_file):
     assert coeffs == ["-13/6", "-13/6"]
 
 
+def test_dir_both_symmetrizes_a_weight_function_of_mixed_parity(tmp_path, capsys):
+    # residue zero, odd under t -> -t at even weight: the closed route keeps
+    # the odd part, which the me route's parity projection removes; "match"
+    # used to compare the raw fields, reporting false with exit 1
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({
+        "k": 2, "N": 3, "values": [{"t": [0, 1], "v": "1"}, {"t": [0, 2], "v": "-1"}],
+    }))
+    argv = ["dir", "--psi", str(path), "--c", "7"]
+    assert cli.main(argv + ["--route", "both"]) == 0
+    both = json.loads(capsys.readouterr().out)
+    assert both["match"] is True
+    assert [row["coeff"] for row in both["closed"]] == ["-1/6", "1/6"]
+    assert both["me"] == []
+    # the route fields are the single routes' values, unsymmetrized
+    assert cli.main(argv + ["--route", "closed"]) == 0
+    assert json.loads(capsys.readouterr().out)["closed"] == both["closed"]
+    assert cli.main(argv + ["--route", "me"]) == 0
+    assert json.loads(capsys.readouterr().out)["me"] == both["me"]
+
+
 def test_dir_nonzero_residue_exit_code(tmp_path):
     from ellsoule.formal import WeightFunction
     from ellsoule.serialize import psi_to_json
@@ -476,6 +497,17 @@ def test_programming_error_is_not_reported_as_bad_input(psi_file, monkeypatch):
     monkeypatch.setattr(cli, "dir_closed", broken)
     with pytest.raises(TypeError):
         cli.main(["dir", "--psi", str(psi_file), "--route", "closed"])
+
+
+@pytest.mark.parametrize("k", ["-1", "-100000000"])
+def test_residue_table_rejects_a_negative_weight_naming_the_flag(capsys, k):
+    # used to exit 2 with "factorial() not defined for negative values" or
+    # "degree must be >= 0", which name no flag
+    started = time.perf_counter()
+    assert cli.main(["residue-table", "--N", "3", "--k", k]) == 2
+    assert time.perf_counter() - started < 1
+    out = capsys.readouterr()
+    assert out.err == f"error: --k = {k} must be >= 0\n" and out.out == ""
 
 
 @pytest.mark.parametrize("N", ["0", "-3", "1"])

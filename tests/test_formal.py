@@ -1,7 +1,9 @@
 """Formal class calculus: symbols, rewriting, residues, boundary values."""
 
+import copy
 import hashlib
 import json
+import pickle
 from fractions import Fraction
 from math import factorial, gcd
 from random import Random
@@ -718,3 +720,87 @@ def test_boundary_routes_build_equal_hashes(case):
         _assert_canonical(via_me)
         assert via_me == closed == rebuilt == symmetrized
         assert hash(via_me) == hash(closed) == hash(rebuilt) == hash(symmetrized)
+
+
+# -- one normalization per parity draw, one residue per weight function
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 7, 11])
+def test_parity_draw_equals_projecting_the_raw_draw(N):
+    # the draw is projected before its one reduction to lowest terms
+    for k in range(1, 6):
+        for seed in range(4):
+            tag = f"fused:{seed}:{N}:{k}"
+            fused = random_residue_zero_psi(N, k, Random(tag))
+            raw = random_residue_zero_psi(N, k, Random(tag), parity=False)
+            projected = parity_project(raw)
+            assert fused == projected and fused.den == projected.den
+            assert list(fused.num.items()) == list(projected.num.items())
+
+
+def test_psi_residue_is_kept_per_weight_function(monkeypatch):
+    # residue-zero and nonzero-residue weight functions of one (k, N), in
+    # turn: each keeps its own value, so none can read another's
+    psis = []
+    for seed in range(3):
+        psis.append(random_residue_zero_psi(3, 2, Random(seed)))
+        psis.append(WeightFunction(2, 3, {(1, 0): seed + 1, (0, 1): seed}))
+    first = [psi_residue(p) for p in psis]
+    assert first == [residue(eis_of_psi(p)) for p in psis]
+    assert first[1] == Fraction(-13, 720) and all(first[1::2]) and not any(first[::2])
+
+    def forbidden(*args):
+        raise AssertionError("the residue was computed again")
+
+    monkeypatch.setattr(formal, "_residue_ints", forbidden)
+    assert [psi_residue(p) for p in psis] == first
+    for p, res in zip(psis, first):
+        if res:
+            for route in (dir_closed, lambda q: dir_via_me(q, 7)):
+                with pytest.raises(ResiduePreconditionError) as e:
+                    route(p)
+                assert e.value.residue == res
+        else:
+            assert dir_closed(p) == dir_via_me(p, 7)
+
+
+@given(weight_functions())
+@example(WeightFunction(2, 3, {(1, 0): 1}))
+def test_a_kept_residue_leaves_equality_hash_and_pickling_alone(psi):
+    fresh = WeightFunction(psi.k, psi.N, psi.values)
+    res = psi_residue(psi)
+    for other in (fresh, pickle.loads(pickle.dumps(psi)), copy.deepcopy(psi)):
+        assert other == psi and hash(other) == hash(psi)
+        assert psi_residue(other) == res == residue(eis_of_psi(other))
+    assert psi_residue(psi) == res
+
+
+@pytest.mark.parametrize("N, c", [(2, 5), (3, 5), (4, 7), (6, 7)])
+def test_soule_elliptic_equals_the_checked_constructor(N, c):
+    for k in range(5):
+        for a in range(N):
+            for b in range(N):
+                if (a, b) == (0, 0):
+                    continue
+                x = soule_elliptic(k, N, c, (a, b))
+                y = FormalClass({SouleSym(k, N, c, (a, b)): 1})
+                assert (x.num, x.den) == (y.num, y.den) and hash(x) == hash(y)
+
+
+@pytest.mark.parametrize(
+    "args, exc",
+    [((2, 3, 3, (1, 0)), ValueError), ((2, 3, 5, (0, 0)), ValueError),
+     ((2, 3, 5.0, (1, 0)), TypeError), ((2, 3, 5, (1.5, 0)), TypeError)],
+)
+def test_soule_elliptic_checks_its_symbol(args, exc):
+    with pytest.raises(exc):
+        soule_elliptic(*args)
+
+
+@pytest.mark.parametrize("k", [-1, -100000000])
+def test_negative_weights_are_rejected_naming_k(k):
+    # used to raise from factorial() or bernoulli_poly, naming no argument
+    with pytest.raises(ValueError, match=f"k = {k}"):
+        eis_residue_closed(k, 3, (1, 0))
+    with pytest.raises(ValueError, match=f"k = {k}"):
+        residue_table(3, k)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from ellsoule.measures import (
     torsor_elements,
     trace,
 )
+from ellsoule.serialize import measure_to_json
 
 
 def rand_measure(spec, rng_values):
@@ -217,3 +219,69 @@ def test_int_coordinates_reduce_mod_the_modulus():
     assert Measure(group, {(10,): 1, (-6,): 2}).values == {(2,): Fraction(2)}
     assert dirac(group, -1) == dirac(group, (7,))
     assert TorsorSpec(2, 1, 3, 1, "reduction", (-2,)).t == (1,)
+
+
+# -- the canonical stored form: an int when integral, else a lowest-terms Fraction
+
+rationals = st.integers(-30, 30) | st.fractions(-30, 30, max_denominator=6)
+SPEC4 = TorsorSpec(2, 2, 3, 1, "reduction", (1,))
+MIXED = {(1,): Fraction(4, 2), (4,): Fraction(1, 3), (7,): -5, (10,): Fraction(-6, 4)}
+
+
+def _assert_stored_canonically(mu):
+    for v in mu.values.values():
+        assert type(v) in (int, Fraction) and v
+        assert (type(v) is int) == (Fraction(v).denominator == 1)
+
+
+def test_integral_values_are_stored_as_ints():
+    mu = Measure(SPEC4, MIXED)
+    assert mu.values == {(1,): 2, (4,): Fraction(1, 3), (7,): -5, (10,): Fraction(-3, 2)}
+    assert [type(v) for v in mu.values.values()] == [int, Fraction, int, Fraction]
+    assert type(Measure(SPEC4, {(1,): Fraction(4, 2)}).values[(1,)]) is int
+    assert type(dirac(SPEC4, (4,)).values[(4,)]) is int
+
+
+@given(st.lists(rationals, min_size=4, max_size=4), st.lists(rationals, min_size=4, max_size=4), rationals)
+@example([Fraction(4, 2), Fraction(1, 3), 0, -1], [Fraction(3, 2), Fraction(2, 3), 1, 0], Fraction(3))
+def test_every_operation_keeps_the_canonical_form(a, b, c):
+    pts = torsor_elements(SPEC4)
+    mu, nu = Measure(SPEC4, dict(zip(pts, a))), Measure(SPEC4, dict(zip(pts, b)))
+    for x in (mu, mu + nu, mu - nu, -mu, mu.scale(c), convolve(mu, nu),
+              pushforward("neg", mu), pushforward(("mult", 5), mu), trace(mu)):
+        _assert_stored_canonically(x)
+
+
+@given(st.lists(rationals, min_size=4, max_size=4))
+def test_values_built_from_fractions_equal_and_hash_like_ints(vals):
+    pts = torsor_elements(SPEC4)
+    as_fractions = Measure(SPEC4, {x: Fraction(v) for x, v in zip(pts, vals)})
+    as_given = Measure(SPEC4, dict(zip(pts, vals)))
+    assert as_fractions == as_given and hash(as_fractions) == hash(as_given)
+    assert as_fractions.values == as_given.values
+    assert [type(v) for v in as_fractions.values.values()] == [
+        type(v) for v in as_given.values.values()
+    ]
+
+
+def test_json_and_repr_bytes_are_unchanged():
+    # pinned from the all-Fraction representation
+    mu = Measure(SPEC4, MIXED)
+    assert json.dumps(measure_to_json(mu)) == (
+        '{"spec": {"kind": "torsor", "ell": 2, "r": 2, "N": 3, "d": 1, '
+        '"flavor": "reduction", "t": [1]}, "values": [{"x": [1], "v": "2"}, '
+        '{"x": [4], "v": "1/3"}, {"x": [7], "v": "-5"}, {"x": [10], "v": "-3/2"}]}'
+    )
+    assert repr(mu) == (
+        "Measure(TorsorSpec(ell=2, r=2, N=3, d=1, flavor='reduction', t=(1,)), "
+        "{(1,): 2, (4,): 1/3, (7,): -5, (10,): -3/2})"
+    )
+
+
+def test_computed_scalars_stay_fractions():
+    mu = Measure(SPEC4, {(1,): 2, (7,): -5})
+    for value in (mu.total_mass(), integrate(mu, lambda x: x),
+                  Measure(SPEC4, {}).total_mass(), integrate(Measure(SPEC4, {}), lambda x: x)):
+        assert type(value) is Fraction
+    assert mu.total_mass() == -3 and integrate(mu, lambda x: x) == -33
+    assert mu((1,)) == 2 and mu((4,)) == 0

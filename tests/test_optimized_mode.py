@@ -9,10 +9,16 @@ import ellsoule
 SRC = os.path.dirname(os.path.dirname(ellsoule.__file__))
 
 PROBE = """
+import io
+from contextlib import redirect_stderr
+from fractions import Fraction
+
 from ellsoule.bernoulli import bern_eval, bernoulli_moment_closed
 from ellsoule.cli import main
 from ellsoule.cyclotomic import CycloElement
-from ellsoule.formal import CycSym, EisSym, FormalClass, SouleSym, WeightFunction
+from ellsoule.formal import (
+    CycSym, EisSym, FormalClass, SouleSym, WeightFunction, eis_residue_closed, residue_table,
+)
 from ellsoule.measures import GroupSpec, Measure, TorsorSpec, dirac, pushforward
 from ellsoule.numutil import exact_rational, vp
 from ellsoule.puiseux import PuiseuxSeries
@@ -107,6 +113,22 @@ rejects(ValueError, CycloElement.zeta_pow(3, 1).__pow__, -1, names="exponent -1"
 rejects(ValueError, PuiseuxSeries(3, 4, {0: 1}).__pow__, -1, names="exponent -1")
 if main(["residue-table", "--N", "1000000000"]) != 2:
     raise SystemExit("residue-table --N 1000000000 did not exit 2")
+# a negative weight used to reach factorial() or bernoulli_poly unnamed
+for k in (-1, -100000000):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["residue-table", "--N", "3", "--k", str(k)])
+    if code != 2 or "--k" not in err.getvalue():
+        raise SystemExit(f"residue-table --k {k} exited {code}: {err.getvalue()!r}")
+    rejects(ValueError, residue_table, 3, k, names=f"k = {k}")
+    rejects(ValueError, eis_residue_closed, k, 3, (1, 0), names=f"k = {k}")
+# the stored form: an int when integral, a lowest-terms Fraction otherwise
+mu = Measure(GroupSpec(4, 1), {(1,): Fraction(4, 2), (2,): Fraction(2, 6)})
+a = TSym(1, "Q", {(1,): Fraction(4, 2), (2,): Fraction(2, 6)})
+for stored in (mu.values, a.terms):
+    two, third = stored[(1,)], stored[(2,)]
+    if type(two) is not int or two != 2 or type(third) is not Fraction or third != Fraction(1, 3):
+        raise SystemExit(f"not stored canonically: {stored!r}")
 """
 
 

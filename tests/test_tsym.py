@@ -1,9 +1,13 @@
+import json
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from ellsoule.moments import moment_torsor
+from ellsoule.measures import Measure, TorsorSpec
+from ellsoule.serialize import tsym_to_json
 from ellsoule.tsym import TSym, divided_power, exponent_tuples, sym_to_tsym, tsym_map
 
 
@@ -177,3 +181,83 @@ def test_nested_degree_form_is_rejected():
     # a {degree: {n: c}} map: its key 1 is not an exponent tuple
     with pytest.raises(ValueError):
         TSym(2, "Q", {1: {(1, 0): 1}})
+
+
+# -- the canonical stored form over "Q": an int when integral, else a Fraction
+
+rationals = st.integers(-30, 30) | st.fractions(-30, 30, max_denominator=6)
+BASIS2 = [(1, 0), (0, 1), (2, 0), (1, 1)]
+MIXED = {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (2, 0): -5, (1, 1): Fraction(-6, 4)}
+
+
+def _assert_stored_canonically(a):
+    for c in a.terms.values():
+        assert type(c) in (int, Fraction) and c
+        assert (type(c) is int) == (Fraction(c).denominator == 1)
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    a = TSym(2, "Q", MIXED)
+    assert a.terms == {(1, 0): 2, (0, 1): Fraction(1, 3), (2, 0): -5, (1, 1): Fraction(-3, 2)}
+    assert [type(c) for c in a.terms.values()] == [int, Fraction, int, Fraction]
+    assert type(TSym.basis(1, (2,), coeff=Fraction(4, 2)).terms[(2,)]) is int
+
+
+@given(
+    st.lists(rationals, min_size=4, max_size=4),
+    st.lists(rationals, min_size=4, max_size=4),
+    rationals,
+)
+@example([Fraction(4, 2), Fraction(1, 3), 0, 1], [Fraction(3, 2), Fraction(2, 3), 1, 0], Fraction(3))
+def test_every_operation_keeps_the_canonical_form(a, b, c):
+    x, y = TSym(2, "Q", dict(zip(BASIS2, a))), TSym(2, "Q", dict(zip(BASIS2, b)))
+    for z in (x, x + y, x - y, -x, x * y, x.scale(c), tsym_map(3, x),
+              tsym_map([[1, 2], [0, 1]], x)):
+        _assert_stored_canonically(z)
+
+
+@given(st.lists(rationals, min_size=4, max_size=4))
+def test_coefficients_built_from_fractions_equal_and_hash_like_ints(vals):
+    as_fractions = TSym(2, "Q", {n: Fraction(v) for n, v in zip(BASIS2, vals)})
+    as_given = TSym(2, "Q", dict(zip(BASIS2, vals)))
+    assert as_fractions == as_given and hash(as_fractions) == hash(as_given)
+    assert [type(c) for c in as_fractions.terms.values()] == [
+        type(c) for c in as_given.terms.values()
+    ]
+
+
+def test_json_bytes_are_unchanged():
+    # pinned from the all-Fraction representation
+    a = TSym(2, "Q", MIXED)
+    assert json.dumps(tsym_to_json(a)) == (
+        '{"d": 2, "ring": "Q", "components": [{"k": 1, "terms": [{"n": [0, 1], '
+        '"c": "1/3"}, {"n": [1, 0], "c": "2"}]}, {"k": 2, "terms": [{"n": [1, 1], '
+        '"c": "-3/2"}, {"n": [2, 0], "c": "-5"}]}]}'
+    )
+    assert json.dumps(tsym_to_json(a * a)) == (
+        '{"d": 2, "ring": "Q", "components": [{"k": 2, "terms": [{"n": [0, 2], '
+        '"c": "2/9"}, {"n": [1, 1], "c": "4/3"}, {"n": [2, 0], "c": "8"}]}, '
+        '{"k": 3, "terms": [{"n": [1, 2], "c": "-2"}, {"n": [2, 1], "c": "-46/3"}, '
+        '{"n": [3, 0], "c": "-60"}]}, {"k": 4, "terms": [{"n": [2, 2], "c": "9"}, '
+        '{"n": [3, 1], "c": "45"}, {"n": [4, 0], "c": "150"}]}]}'
+    )
+    mu = Measure(
+        TorsorSpec(2, 2, 3, 1, "reduction", (1,)),
+        {(1,): Fraction(4, 2), (4,): Fraction(1, 3), (7,): -5, (10,): Fraction(-6, 4)},
+    )
+    assert json.dumps(tsym_to_json(moment_torsor(mu, 3))) == (
+        '{"d": 1, "ring": "Q", "components": [{"k": 3, "terms": [{"n": [3], "c": "-145"}]}]}'
+    )
+
+
+@pytest.mark.parametrize(
+    "ring, given_value, stored",
+    [("Z", Fraction(4, 2), 2), ("Z", -3, -3), ("Z/5", Fraction(1, 2), 3), ("Z/5", Fraction(8, 2), 4)],
+)
+def test_integral_rings_are_unchanged(ring, given_value, stored):
+    c = TSym(1, ring, {(1,): given_value}).terms[(1,)]
+    assert type(c) is int and c == stored
+    with pytest.raises(ValueError):
+        TSym(1, "Z", {(1,): Fraction(1, 3)})
+    with pytest.raises(ArithmeticError):
+        TSym(1, "Z/6", {(1,): Fraction(1, 3)})
