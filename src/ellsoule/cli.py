@@ -48,16 +48,18 @@ from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["build_parser", "main"]
 
-# Sized from measured cost (2 vCPU, Python 3.11.7) at a window of 1000 past
-# the leading exponent, x in {0, 1}, with the smallest admissible c.  Dense
-# small levels take 0.81-0.86 s at level 2, 0.67-0.74 s at level 3 and
-# 0.16-0.24 s at level 12 (x = 1).  Over levels 500-1000, x = 0 took at most
-# 0.19 s (level 989); at x = 1 the dearest were 805, 665, 595 (c = 11) and
-# 770 (c = 13) at 0.75-1.4 s, and 3 of the 501 levels took over 1 s; level
-# 935 = 5*11*17 (c = 7) took 0.45-0.71 s (peak RSS 45 MB).  The cost grows
-# with c: at level 935, x = 1 it was 7.2-9.7 s at c = 31 (peak RSS 140 MB)
-# and 9.9-10.7 s at 49 (218 MB), and x = 0 0.29 s at 49; at level 2, 2.7-3.4 s
-# at c = 49.  MAX_C keeps 49, the largest c admissible at level 935 below it.
+# Sized from measured cost (2 vCPU, Python 3.11.7, shared host; single runs,
+# one process each) at a window of 1000 past the leading exponent, y = 1.
+# The expansion: over levels 500-1000 at the smallest admissible c, at most
+# 0.03 s at x = 1 and 0.20 s at x = 0.  Level 935 = 5*11*17 at c = 7, 31, 49:
+# x = 1 0.07-0.10, 0.10-0.12, 0.10-0.14 s (peak RSS 28, 36, 44 MB); x = 0
+# 0.14-0.22, 0.24-0.26, 0.34-0.56 s (22 MB, the closed Xi_c constant).  The
+# whole x = 1 `qexp` call writes 9-45 MB of JSON: 0.24-0.34 s (86 MB),
+# 0.59-0.68 s (151 MB), 0.85-1.16 s (210 MB).  At c = 49, x = 1, levels 2, 3
+# and 12 take 2.1-4.1, 1.1-2.2 and 0.28-0.59 s (16-19 MB), against 0.34-0.44,
+# 0.27-0.32 and 0.06-0.07 s at c = 5: the (x, y, c^2) factor's min(c^2, W)
+# binomial terms grow with c, so MAX_C is still needed.  It keeps 49, the
+# largest c admissible at level 935 below it.
 # `dir` caps its weight function's level N here too: its cost is linear in N,
 # 0.008 s at N = 1000 and 0.46 s at N = 100,000.
 MAX_LEVEL = 1000

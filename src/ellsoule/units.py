@@ -21,17 +21,20 @@ preimages of a point under multiplication by d equals the base expansion.
 
 `theta_series` assembles the expansion as one running product of the sparse
 factors (1 - q^{e/M} zeta^v)^k behind it: (x, y, c^2), (x', y', -1), and
-the gtilde factors (nM -+ u, -+v, k) of each.  The unit part (the
-expansion over q^{e0}) is held as W lists of int coordinates in the reduced
-power basis (W the window past q^{e0}; the denominator is 1, since every
-factor lies in Z[zeta][[q]]).  It starts at the scalar -+zeta^s, and each
-factor is multiplied in place: k = -1 is the recurrence P[n] += zeta^v P[n - e],
-and k = c^2 adds the binomial terms (-1)^i C(k, i) zeta^{iv} P[n - ie], each
-new P[n] reduced mod Phi_M once.  So no power is formed by squaring, no
-series is inverted, and each coefficient becomes a `CycloElement` once, in
-the one series a call builds.  A factor with e >= W is 1 to that window and
-is left out; at x = 0 the two e = 0 factors are the constant Xi_c(zeta^y),
-taken in closed form (`_xi_c_at`) onto the few stored coefficients.
+the gtilde factors (nM -+ u, -+v, k) of each.  Each factor monomial is
+t^a q^b for t = q^{x/M} zeta^y (Kato, Asterisque 295, section 1), a = -+1
+or -+c.  So with g = gcd(x, M) (M at x = 0), the coefficient of q^{n/M}
+vanishes unless g | n, and its zeta-exponents form one coset of
+h = g / gcd(g, y) elements: the unit part (W terms past q^{e0}) is a series
+over Z[w]/(w^h - 1), one bare int per term when h = 1 (every x prime to M),
+else a list of h ints.  It starts at the sign of the scalar -+zeta^s, and
+`_mul_factor` multiplies in each factor, (1 - w^r z^e)^k there, in place:
+no power is formed by squaring, no series is inverted and nothing is
+reduced mod Phi_M; each stored coefficient is folded into Q(zeta_M) once,
+at the end, in the one series a call builds.  A factor with e >= W is 1 to
+that window and is left out; at x = 0 the two e = 0 factors are the
+constant Xi_c(zeta^y), taken in closed form (`_xi_c_at`) onto the few
+stored coefficients.
 
 Everything downstream is read off this expansion: the residue measure at the
 cusp aggregates actual q-valuations over a fiber (with ramification factor
@@ -45,7 +48,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .bernoulli import smoothed_b2
-from .cyclotomic import CycloElement, _make, _reduce, euler_phi
+from .cyclotomic import CycloElement, _make, _xpow, euler_phi
 from .measures import Measure, TorsorSpec, torsor_elements
 from .numutil import _coord, _int, ceil_div, exact_rational, is_prime
 from .puiseux import PuiseuxSeries
@@ -106,60 +109,48 @@ def _e0(M: int, c: int, x: int) -> int:
     return v.numerator
 
 
-def _apply_factor(P: list, M: int, e: int, v: int, k: int) -> None:
-    """Multiply the unit part P (P[n] the reduced int coordinates of the
-    coefficient of q^{n/M}, or None for zero, for n below the window
-    W = len(P)) by (1 - q^{e/M} zeta^v)^k in place, for e > 0 and k = -1 or
-    k >= 0.
+def _mul_factor(P: list, h: int, e: int, k: int, r: int) -> None:
+    """Multiply P by (1 - w^r z^e)^k in place, for e > 0 and k = -1 or k >= 0.
 
-    k = -1 is the recurrence P[n] += zeta^v P[n - e], run in ascending n so
-    that P[n - e] is already the new value.  For k > 0 every source P[m] is
-    read before any P[n] is written: each binomial term
-    (-1)^i C(k, i) zeta^{iv} q^{ie/M} adds P[m]'s nonzero coordinates into
-    the unreduced P[m + ie].  A new P[n] is summed modulo x^M - 1, at index
-    (j + iv) mod M for coordinate j, and reduced mod Phi_M once.
+    P[n] is the coefficient of z^n, n below the window W = len(P), in
+    Z[w]/(w^h - 1): a bare int when h = 1, else a list of h ints (slot j the
+    coefficient of w^j) or None for zero; w^r moves slot j to (j + r) mod h.
+
+    k = -1 is the recurrence P[n] += w^r P[n - e], run in ascending n so
+    that P[n - e] is already the new value.  For k > 0 each source P[m] adds
+    its binomial terms (-1)^i C(k, i) w^{ir} P[m] into P[m + ie], in
+    descending m, so every row is read as a source before anything is added
+    into it.  Only the nonzero slots of a source are visited.
     """
-    W, phi = len(P), euler_phi(M)
-    pad = [0] * (M - phi)
-
-    def at(s):  # coordinate j of zeta^s * src lands at (j + s) mod M
-        return [(j + s) % M for j in range(phi)]
-
+    W = len(P)
     if k < 0:
-        idx = at(v)
-        for n in range(e, W):
-            src = P[n - e]
-            if src is not None:
-                old = P[n]
-                acc = old + pad if old is not None else [0] * M
-                for t, a in zip(idx, src):
-                    if a:
-                        acc[t] += a
-                P[n] = _reduce(M, phi, acc)
-        return
-    terms = []
-    b = 1
-    for i in range(1, min(k, (W - 1) // e) + 1):
-        b = -b * (k - i + 1) // i  # (-1)^i C(k, i)
-        terms.append((i * e, b, at(i * v)))
-    accs = {}
-    for m in range(W - e):
+        terms = [(e, 1, r % h)]
+    else:
+        terms, b = [], 1
+        for i in range(1, min(k, (W - 1) // e) + 1):
+            b = -b * (k - i + 1) // i  # (-1)^i C(k, i)
+            terms.append((i * e, b, i * r % h))
+    for m in (range(W - e) if k < 0 else range(W - e - 1, -1, -1)):
         src = P[m]
-        if src is None:
+        if not src:
+            continue
+        if h == 1:
+            for d, b, _ in terms:
+                n = m + d
+                if n >= W:
+                    break
+                P[n] += b * src
             continue
         src = [(j, a) for j, a in enumerate(src) if a]
-        for d, b, idx in terms:
+        for d, b, s in terms:
             n = m + d
             if n >= W:
                 break
-            acc = accs.get(n)
-            if acc is None:
-                old = P[n]
-                acc = accs[n] = old + pad if old is not None else [0] * M
+            row = P[n]
+            if row is None:
+                row = P[n] = [0] * h
             for j, a in src:
-                acc[idx[j]] += b * a
-    for n, acc in accs.items():
-        P[n] = _reduce(M, phi, acc)
+                row[(j + s) % h] += b * a
 
 
 def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxSeries:
@@ -176,24 +167,39 @@ def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxS
     # (x, y, c^2) and (x', y', -1), each with its gtilde factors
     # (nM - u, -v, k) and (nM + u, v, k).  Every factor has valuation 0, and
     # one with e >= W is 1 modulo q^{W/M}, so only e < W are multiplied and
-    # the product's window stays W.  Multiplying in descending e keeps the
-    # running product sparse until the dense low-e factors come last.
+    # the product's window stays W.  A factor is kept as (e, a, k), its
+    # monomial t^a q^b: (x', y') = c (x, y) - m (M, 0).  Multiplying in
+    # descending e keeps the product sparse until the dense low-e factors.
     factors = []
-    for u, v, k in ((x, y, c * c), (c * x % M, c * y % M, -1)):
-        factors.append((u, v, k))
+    for u, a, k in ((x, 1, c * c), (c * x % M, c, -1)):
+        factors.append((u, a, k))
         for n in range(1, W // M + 2):
-            factors += [(n * M - u, -v, k), (n * M + u, v, k)]
-    # P starts at the scalar -+zeta^s = (-zeta^y)^{(c-c^2)/2} (-1)^m zeta^{mcy},
-    # m = floor(cx/M) the index-reduction carry, (c - c^2)/2 an integer (c odd);
-    # it and every factor lie in Z[zeta][[q]], so P has denominator 1
+            factors += [(n * M - u, -a, k), (n * M + u, a, k)]
+    # slot j of row n is the coefficient of zeta^{s + (A_n + j step) y},
+    # A_n = (n/g) inv, so t^a q^b moves slots by (a - (e/g) inv) / step
+    g = gcd(x, M)  # M at x = 0
+    step, h = M // g, g // gcd(g, y)
+    inv = pow(x // g, -1, step)
+    # the scalar is -+zeta^s = (-zeta^y)^{(c-c^2)/2} (-1)^m zeta^{mcy},
+    # m = floor(cx/M) the index-reduction carry, (c - c^2)/2 an integer (c odd)
     half, carry = (c - c * c) // 2, c * x // M
     sign = -1 if (half + carry) % 2 else 1
-    P = [None] * W
-    P[0] = [sign * a for a in CycloElement.zeta_pow(M, y * half + carry * c * y).num]
-    for e, v, k in sorted(factors, reverse=True):
+    P = [0] * W if h == 1 else [None] * W
+    P[0] = sign if h == 1 else [sign] + [0] * (h - 1)
+    for e, a, k in sorted(factors, reverse=True):
         if 0 < e < W:
-            _apply_factor(P, M, e, v, k)
-    terms = {e0 + n: _make(M, num, 1) for n, num in enumerate(P) if num is not None}
+            _mul_factor(P, h, e, k, (a - e // g * inv) // step)
+    s, rows, phi = y * half + carry * c * y, _xpow(M), euler_phi(M)
+    terms = {}
+    for n in range(0, W, g):
+        if P[n]:
+            num = [0] * phi
+            lead = s + n // g * inv * y
+            for j, a in enumerate((P[n],) if h == 1 else P[n]):
+                if a:
+                    for i, t in rows[(lead + j * step * y) % M]:
+                        num[i] += a * t
+            terms[e0 + n] = _make(M, num, 1)
     if x == 0:  # the e = 0 factors are Xi_c(zeta^y); every M-th term is stored
         xi = _xi_c_at(M, y, c)
         terms = {n: a * xi for n, a in terms.items()}
@@ -214,7 +220,10 @@ def residue_elliptic_soule(ell: int, r: int, N: int, c: int, t: tuple[int, int])
 
         (1/ell^r) * sum over y with (x, y) == t mod N of M * valuation(theta at (x, y)),
 
-    each valuation read off an assembled series (never the closed formula).
+    each valuation read off an assembled series.  This is not independent of
+    the closed formula: `theta_series` places its leading term at `_e0`, the
+    closed smoothed_b2 value that `bernoulli_measure` also uses (a route that
+    does not is ROADMAP item 2).
     """
     M = _level(ell, r, N, c)
     t = (_coord(t[0], N), _coord(t[1], N))

@@ -87,11 +87,16 @@ def test_verify_bernoulli_csv_bytes_are_pinned(args, lines, digest):
         (3, 35, 11, 1, "2efc45103c6635e2b3fcd26b37c5736acc69da7b10e97a3d42e195f4c7ae3927"),
         (5, 187, 7, 0, "ba16a8d55a093ca451bdedea8b403f88911bcc99da42357ba4f228e68472683a"),
         (5, 187, 7, 1, "af930e83a5512db342b0b053ad8ab73c9a6e2a064d280ef68ad4865628f62d56"),
+        (5, 187, 31, 1, "d01e4944effb4ad0a42da34969d30d0ecf357ff8c16dd32b82b7226b9223c0af"),
+        # gcd(x, M) = 55 and 15: each coefficient is a row of h = 55 and 15 slots
+        (5, 187, 7, 55, "5f8616efe69828e94776b91b09ff8665fbc9f07c5f6605991bde7d8c3a6a507c"),
+        (3, 35, 11, 15, "d08826db43f9620cc144dd348434d3be24c41fc97375ae4b327ebcc897fc49bf"),
     ],
 )
 def test_qexp_bytes_at_dense_composite_levels_are_pinned(ell, N, c, x, digest):
     # levels 105 and 935, where the rows of x^k mod Phi_M are dense, at a
-    # window of 40 past the leading exponent
+    # window of 40 past the leading exponent; c = 31 and the points with
+    # gcd(x, M) > 1 were pinned from the assembly before the row kernel
     trunc = units._e0(ell * N, c, x) + 40
     argv = ["qexp", "--ell", str(ell), "--N", str(N), "--c", str(c), "--x", str(x)]
     argv += ["--y", "1", "--trunc", str(trunc)]

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from ellsoule import units
 from ellsoule.bernoulli import bernoulli_measure, smoothed_b2
-from ellsoule.cyclotomic import CycloElement, euler_phi
+from ellsoule.cyclotomic import CycloElement
 from ellsoule.numutil import ceil_div
 from ellsoule.puiseux import PuiseuxSeries
 from ellsoule.serialize import cyclo_to_json
@@ -115,14 +115,26 @@ def reference_factor_product(M, c, point, trunc):
 
 
 def _factor_applied_to_one(M, e, v, k, W):
-    """One factor (1 - q^{e/M} zeta^v)^k put through the in-place update of
-    `theta_series`, starting from the unit part 1."""
-    P = [None] * W
-    P[0] = [1] + [0] * (euler_phi(M) - 1)
-    units._apply_factor(P, M, e, v, k)
-    return PuiseuxSeries(
-        M, W, {n: CycloElement(M, num) for n, num in enumerate(P) if num is not None}
-    )
+    """One factor (1 - q^{e/M} zeta^v)^k put through the row kernel of
+    `theta_series`, starting from 1, and the row length h it ran at.
+
+    The factor is t q^b for t = q^{x/M} zeta^y, (x, y) = (e mod M, v mod M):
+    with g = gcd(x, M) (M at x = 0), q^{n/M} is reached by t-exponents
+    A = (n/g) inv + j M/g, and row n, slot j is the coefficient of
+    zeta^{A y}; zeta^{(M/g) y} has order h = g / gcd(g, y)."""
+    x, y = e % M, v % M
+    g = gcd(x, M)
+    step, h = M // g, g // gcd(g, y)
+    inv = pow(x // g, -1, step)
+    P = [0] * W if h == 1 else [None] * W
+    P[0] = 1 if h == 1 else [1] + [0] * (h - 1)
+    units._mul_factor(P, h, e, k, (1 - e // g * inv) // step)
+    terms = {}
+    for n, row in enumerate(P):
+        for j, a in enumerate([row] if h == 1 else row or []):
+            z = CycloElement.zeta_pow(M, (n // g * inv + j * step) * y)
+            terms[n] = terms.get(n, 0) + a * z
+    return PuiseuxSeries(M, W, terms), h
 
 
 @pytest.mark.parametrize("M", [2, 3, 6, 7, 12, 24, 42, 48])
@@ -156,6 +168,12 @@ def test_theta_series_matches_reference_assembly(M):
         # the seeded monomial -+zeta^s is too
         (105, 11, 0, 300),
         (105, 11, 1, 300),
+        # g = gcd(x, M) > 1 with g not dividing y: each coefficient is a row
+        # of h = g > 1 slots, moved by the factors' slot shifts
+        (48, 5, 6, 400),
+        (105, 11, 15, 300),
+        (105, 11, 35, 300),
+        (12, 5, 4, 300),
     ],
 )
 def test_theta_series_matches_factor_product_at_large_windows(M, c, x, W):
@@ -195,6 +213,9 @@ def test_theta_series_builds_one_series(monkeypatch, x):
 @example(2, 5, 1, 1, 40)
 @example(12, 5, 6, 0, 30)
 @example(48, 5, 0, 7, 20)  # x = 0: the e = 0 factors are closed constants
+@example(12, 5, 4, 1, 40)  # gcd(x, M) > 1: rows of h = 4 slots
+@example(30, 7, 10, 3, 40)  # h = 10
+@example(24, 5, 6, 4, 40)  # h = 6 / gcd(6, 4) = 3
 def test_theta_series_matches_reference_property(M, c, x, y, W):
     assume(gcd(c, 6 * M) == 1 and (x % M, y % M) != (0, 0))
     trunc = units._e0(M, c, x % M) + W
@@ -204,11 +225,24 @@ def test_theta_series_matches_reference_property(M, c, x, y, W):
     assert got * den == num
 
 
-@pytest.mark.parametrize("M, e, v, W", [(6, 1, 1, 12), (12, 5, 7, 40), (7, 3, -2, 20), (5, 9, 1, 9)])
+@pytest.mark.parametrize(
+    "M, e, v, W",
+    [
+        (6, 1, 1, 12),
+        (12, 5, 7, 40),
+        (7, 3, -2, 20),
+        (5, 9, 1, 9),
+        # rows of length h = 2, 3, 6, 6 (the last at x = 0)
+        (12, 14, 1, 40),
+        (18, 21, 2, 50),
+        (12, 6, 1, 30),
+        (6, 12, 1, 40),
+    ],
+)
 def test_geometric_factor_inverts_one_minus(M, e, v, W):
-    # the k = -1 update (P[n] += zeta^v P[n - e], ascending) is the geometric
+    # the k = -1 update (P[n] += w^r P[n - e], ascending) is the geometric
     # series of 1 - q^e zeta^v
-    inv = _factor_applied_to_one(M, e, v, -1, W)
+    inv, _ = _factor_applied_to_one(M, e, v, -1, W)
     prod = inv * _one_minus(M, e, v, W)
     assert prod.T == W
     assert prod == PuiseuxSeries(M, W, {0: 1})
@@ -217,7 +251,20 @@ def test_geometric_factor_inverts_one_minus(M, e, v, W):
 @pytest.mark.parametrize("k", [0, 1, 2, 5, 25])
 def test_binomial_factor_is_the_power(k):
     M, e, v, W = 12, 2, 5, 30
-    assert _factor_applied_to_one(M, e, v, k, W) == _one_minus(M, e, v, W) ** k
+    got, h = _factor_applied_to_one(M, e, v, k, W)
+    assert h == 2
+    assert got == _one_minus(M, e, v, W) ** k
+
+
+@pytest.mark.parametrize(
+    "M, e, v, h", [(6, 1, 1, 1), (12, 14, 1, 2), (18, 21, 2, 3), (12, 6, 1, 6), (6, 12, 1, 6)]
+)
+@pytest.mark.parametrize("k", [1, 3, 25])
+def test_binomial_factor_on_rows_of_each_length(M, e, v, h, k):
+    W = 60
+    got, length = _factor_applied_to_one(M, e, v, k, W)
+    assert length == h
+    assert got == _one_minus(M, e, v, W) ** k
 
 
 def test_theta_argument_validation():
