@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .numutil import exact_rational
+from .numutil import _int, _Value, exact_rational
 
 __all__ = [
     "cyclo_poly",
@@ -157,25 +157,17 @@ def _make(M: int, num, den: int) -> "CycloElement":
     return self
 
 
-class CycloElement:
+class CycloElement(_Value):
     """An element of Q(zeta_M), reduced modulo Phi_M."""
 
     __slots__ = ("M", "num", "den")
 
     def __init__(self, M: int, coeffs):
-        phi = euler_phi(M)
+        phi = euler_phi(_int(M, "conductor M"))
         num, den = _common_den(coeffs)
         if len(num) != phi:
             raise ValueError(f"need {phi} coordinates for conductor {M}")
-        _set_M(self, M)
-        _set_num(self, tuple(num))
-        _set_den(self, den)
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("CycloElement is immutable")
-
-    def __reduce__(self):
-        return CycloElement, (self.M, self.coeffs)
+        self._fix(M, tuple(num), den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -243,14 +235,6 @@ class CycloElement:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.num[0], self.den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycloElement):
-            return NotImplemented
-        return self.M == other.M and self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.M, self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -348,8 +332,6 @@ class CycloElement:
         return " + ".join(terms) if terms else "0"
 
 
-# slot setters: immutable elements are built without going through __setattr__
-_set_M = CycloElement.M.__set__
-_set_num = CycloElement.num.__set__
-_set_den = CycloElement.den.__set__
+# unpacked once, so that `_make`, run per stored coefficient, loops over nothing
+_set_M, _set_num, _set_den = CycloElement._setters
 

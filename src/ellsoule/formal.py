@@ -33,9 +33,9 @@ int arithmetic with one gcd at the end; a Fraction is built only for an
 output coefficient or a residue.  The parity-canonical form of an
 Eisenstein or elliptic symbol, with its sign, is computed once per
 (k, N, c, t) and cached, like the closed residues; `eis_of_psi` reads it
-from a per-(k, N) table.  The symbols are slotted records (`numutil._Record`)
-whose int fields are checked and whose hash is computed once, at
-construction.
+from a per-(k, N) table.  The symbols are records (`numutil._Record`) whose
+int fields are checked and whose hash is computed once, at construction;
+they, classes and weight functions are immutable values (`numutil._Value`).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from math import factorial, gcd, lcm
 from random import Random
 
 from .bernoulli import _bern_ints, _bern_num, bernoulli_moment_closed
-from .numutil import _Record, _coord, _int, exact_rational
+from .numutil import _Record, _Value, _coord, _int, _lowest, _rebuild, exact_rational
 
 __all__ = [
     "EisSym",
@@ -158,7 +158,7 @@ def _cyc(k: int, N: int, b: int) -> CycSym:
     return CycSym(k, N, b)
 
 
-class FormalClass:
+class FormalClass(_Value):
     """Canonicalized rational combination of class symbols.
 
     Held as int numerators `num` {symbol: nonzero int} on parity-canonical
@@ -179,44 +179,21 @@ class FormalClass:
         num: dict[Symbol, int] = {}
         for sym, n, d in terms:
             num[sym] = num.get(sym, 0) + n * (den // d)
-        self._set(num, den)
+        self._fix(*_lowest(num, den))
 
     @classmethod
     def _make(cls, num: dict[Symbol, int], den: int) -> "FormalClass":
         """num[sym] / den on parity-canonical symbols, unchecked; den > 0."""
         x = object.__new__(cls)
-        x._set(num, den)
+        num, den = _lowest(num, den)
+        _set_num(x, num)
+        _set_den(x, den)
         return x
-
-    def _set(self, num, den):
-        """Store num / den in lowest terms, dropping zero numerators."""
-        if 0 in num.values():
-            num = {s: v for s, v in num.items() if v}
-        g = gcd(den, *num.values())
-        if g != 1:
-            num = {s: v // g for s, v in num.items()}
-            den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FormalClass is immutable")
-
-    def __reduce__(self):
-        return FormalClass, (self.coeffs,)
 
     @property
     def coeffs(self) -> dict[Symbol, Fraction]:
         """The nonzero coefficients {sym: Fraction}."""
         return {s: Fraction(v, self.den) for s, v in self.num.items()}
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalClass):
-            return NotImplemented
-        return self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.den, frozenset(self.num.items())))
 
     def __bool__(self):
         return bool(self.num)
@@ -248,6 +225,9 @@ class FormalClass:
         for s, v in sorted(self.coeffs.items(), key=lambda kv: repr(kv[0])):
             bits.append(f"({v})*{s}")
         return " + ".join(bits)
+
+
+_set_num, _set_den = FormalClass._setters
 
 
 def soule_elliptic(k: int, N: int, c: int, t) -> FormalClass:
@@ -351,7 +331,7 @@ def residue_soule_closed(k: int, N: int, c: int, t) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class WeightFunction:
+class WeightFunction(_Value):
     """psi: (Z/N)^2 \\ {0} -> Q, with a weight k attached.
 
     Held as int numerators `num` (nonzero only) over one positive `den`, in
@@ -378,28 +358,12 @@ class WeightFunction:
         # the lcm of lowest-terms denominators leaves the numerators coprime to it
         den = lcm(*(v.denominator for v in vals.values()))
         num = {t: v.numerator * (den // v.denominator) for t, v in vals.items()}
-        self._set(k, N, num, den)
+        self._fix(k, N, num, den)
 
     @classmethod
     def _from_num(cls, k: int, N: int, num: dict, den: int) -> "WeightFunction":
         """num[t] / den on normalized points t != 0, unchecked; den > 0."""
-        psi = object.__new__(cls)
-        g = gcd(den, *num.values())
-        psi._set(k, N, {t: v // g for t, v in num.items() if v}, den // g)
-        return psi
-
-    def _set(self, k, N, num, den):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_res", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("WeightFunction is immutable")
-
-    def __reduce__(self):
-        return WeightFunction, (self.k, self.N, self.values)
+        return _rebuild(cls, (k, N, *_lowest(num, den)))
 
     @property
     def values(self) -> dict[tuple[int, int], Fraction]:
@@ -409,18 +373,11 @@ class WeightFunction:
     def __call__(self, t) -> Fraction:
         return Fraction(self.num.get(_norm_point(self.N, t), 0), self.den)
 
-    def __eq__(self, other):
-        if not isinstance(other, WeightFunction):
-            return NotImplemented
-        return (self.k, self.N, self.den, self.num) == (
-            other.k, other.N, other.den, other.num
-        )
-
-    def __hash__(self):
-        return hash((self.k, self.N, self.den, frozenset(self.num.items())))
-
     def __repr__(self):
         return f"WeightFunction(k={self.k}, N={self.N}, {self.values})"
+
+
+_set_res = WeightFunction._res.__set__
 
 
 @lru_cache(maxsize=None)
@@ -487,7 +444,7 @@ def psi_residue(psi: WeightFunction) -> Fraction:
         R, Q = _residue_ints(psi.k, psi.N)
         total = sum(v * R[a] for (a, _), v in psi.num.items())
         res = Fraction(total, psi.den * Q) if total else Fraction(0)
-        object.__setattr__(psi, "_res", res)
+        _set_res(psi, res)
     return res
 
 

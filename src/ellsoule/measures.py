@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product as _iproduct
 from math import gcd
 
-from .numutil import _Record, _coord, _int, _rational, is_prime, mod_inverse_reduce
+from .numutil import _Record, _Value, _coord, _int, _rational, is_prime, mod_inverse_reduce
 
 __all__ = [
     "TorsorSpec",
@@ -126,7 +126,7 @@ def _key(spec: Spec, x) -> tuple[int, ...]:
     return x
 
 
-class Measure:
+class Measure(_Value):
     """Exact-rational-valued measure supported on one fiber (or bare group).
 
     `values` holds each nonzero value as an int when it is integral and as a
@@ -142,25 +142,11 @@ class Measure:
             v = _rational(v)
             if v:
                 vals[_key(spec, x)] = v
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Measure is immutable")
-
-    def __reduce__(self):
-        return Measure, (self.spec, self.values)
+        _set_spec(self, spec)
+        _set_values(self, vals)
 
     def __call__(self, x) -> int | Fraction:
         return self.values.get(_key(self.spec, x), 0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Measure):
-            return NotImplemented
-        return self.spec == other.spec and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.spec, tuple(sorted(self.values.items()))))
 
     def __add__(self, other: "Measure") -> "Measure":
         if self.spec != other.spec:
@@ -188,6 +174,9 @@ class Measure:
             f"{x}: {v}" for x, v in sorted(self.values.items())
         )
         return f"Measure({self.spec}, {{{body}}})"
+
+
+_set_spec, _set_values = Measure._setters
 
 
 def dirac(spec: Spec, x) -> Measure:

@@ -1,10 +1,11 @@
-"""Small integer/rational helpers shared across the package, and the base
-of its immutable value records."""
+"""Small integer/rational helpers shared across the package, and `_Value`,
+the base of every immutable value type."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 
 def is_prime(n: int) -> bool:
@@ -73,51 +74,98 @@ def _coord(v, M: int) -> int:
     return _int(v, "coordinate") % M
 
 
-class _Record:
-    """Base of the immutable value records (symbols, torsor and group specs).
+class _Value:
+    """Base of every immutable value type.
 
-    A record class subclasses this base directly: its `__slots__` name its
-    fields in order, and its `__init__` stores the checked values once
-    through `_fix`.  Equality compares the fields within one class, the
-    hash is that of the field tuple (as for a frozen dataclass) and is
-    computed once, at construction, and the repr is `Name(field=value, ...)`.
+    A subclass's public `__slots__` are its fields, in order; a slot with a
+    leading underscore is a cache, which starts as None and which `==`,
+    `hash` and pickling ignore.  `_setters` holds the fields' slot setters
+    (a hot constructor unpacks them once, at module level), and `_fix`
+    stores the fields through them.  Setting or deleting an attribute
+    raises AttributeError.  `==` compares the field tuples within one
+    class, `hash` hashes the field tuple (a dict field as the frozenset of
+    its items), and pickling and copies rebuild from the field tuple.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        names = cls.__slots__
+        fields = cls._names = tuple(n for n in names if n[0] != "_")
+        cls._setters = tuple(getattr(cls, n).__set__ for n in fields)
+        cls._caches = tuple(getattr(cls, n).__set__ for n in names if n[0] == "_")
+        # x._fields(x) is the field tuple, built in C by attrgetter (which
+        # gives a bare value, not a tuple, for one name)
+        cls._fields = staticmethod(
+            attrgetter(*fields) if len(fields) > 1
+            else lambda x: tuple(getattr(x, n) for n in fields)
+        )
 
     def _fix(self, *values) -> None:
         for store, v in zip(self._setters, values):
             store(self, v)
-        _store_hash(self, hash(values))
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        for store in self._caches:
+            store(self, None)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._hash == other._hash and self._fields() == other._fields()
+        get = self._fields
+        return get(self) == get(other)
 
     def __hash__(self):
-        return self._hash
+        fields = self._fields(self)
+        return hash(tuple([frozenset(v.items()) if type(v) is dict else v for v in fields]))
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
 
-    def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({body})"
-
     def __reduce__(self):
-        return type(self), self._fields()
+        return _rebuild, (type(self), self._fields(self))
+
+
+def _rebuild(cls, fields: tuple) -> _Value:
+    """The value of class `cls` with the given fields (see `_Value.__reduce__`)."""
+    x = object.__new__(cls)
+    x._fix(*fields)
+    return x
+
+
+class _Record(_Value):
+    """Base of the records (symbols, torsor and group specs): a `_Value`
+    whose hash is computed once, at construction, and whose repr is
+    `Name(field=value, ...)`.  A record's `__init__` checks its arguments
+    and stores them once through `_fix`; a record has no cache slots."""
+
+    __slots__ = ("_hash",)
+
+    def _fix(self, *values) -> None:
+        for store, v in zip(self._setters, values):
+            store(self, v)
+        _store_hash(self, hash(values))
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._names, self._fields(self)))
+        return f"{type(self).__qualname__}({body})"
 
 
 _store_hash = _Record._hash.__set__
+
+
+def _lowest(num: dict, den: int) -> tuple[dict, int]:
+    """The int numerators `num` over `den` > 0 in lowest terms, zeros dropped."""
+    if 0 in num.values():
+        num = {k: v for k, v in num.items() if v}
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {k: v // g for k, v in num.items()}
+        den //= g
+    return num, den
 
 
 def rat_str(x: Fraction | int) -> str:

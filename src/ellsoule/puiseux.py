@@ -27,6 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclotomic import CycloElement, _make, _reduce, euler_phi
+from .numutil import _int, _Value
 
 __all__ = ["PuiseuxSeries"]
 
@@ -44,13 +45,13 @@ def _int_terms(terms: dict[int, CycloElement], bound: int):
     ], den
 
 
-class PuiseuxSeries:
+class PuiseuxSeries(_Value):
     """Truncated Laurent–Puiseux series over Q(zeta_M) in q^{1/M}."""
 
     __slots__ = ("M", "T", "terms")
 
     def __init__(self, M: int, T: int, terms: dict[int, CycloElement]):
-        if M < 1:
+        if _int(M, "exponent denominator M") < 1:
             raise ValueError("exponent denominator must be positive")
         clean: dict[int, CycloElement] = {}
         for n, c in terms.items():
@@ -62,12 +63,9 @@ class PuiseuxSeries:
                 raise ValueError("coefficient conductor must equal series M")
             if not c.is_zero():
                 clean[n] = c
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PuiseuxSeries is immutable")
+        _set_M(self, M)
+        _set_T(self, _int(T, "window T"))
+        _set_terms(self, clean)
 
     # -- inspection -------------------------------------------------------
     def val_lb(self) -> int:
@@ -85,16 +83,6 @@ class PuiseuxSeries:
 
     def coeff(self, n: int) -> CycloElement:
         return self.terms.get(n, CycloElement.rational(self.M, 0))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PuiseuxSeries):
-            return NotImplemented
-        return (
-            self.M == other.M and self.T == other.T and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.M, self.T, tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
         bits = [
@@ -174,3 +162,6 @@ class PuiseuxSeries:
             # k == 0: exact 1 with the window of self as a safe default
             return PuiseuxSeries(self.M, self.T, {0: 1})
         return acc
+
+
+_set_M, _set_T, _set_terms = PuiseuxSeries._setters

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import comb, factorial, gcd
 
-from .numutil import _rational, exact_rational
+from .numutil import _int, _rational, _Value, exact_rational
 
 __all__ = [
     "TSym",
@@ -65,7 +65,7 @@ def exponent_tuples(d: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-class TSym:
+class TSym(_Value):
     """An element of the truncated divided-power algebra, rank d over a ring.
 
     terms maps an exponent tuple n to the coefficient of e^{[n]}, whose
@@ -79,7 +79,7 @@ class TSym:
     __slots__ = ("d", "ring", "terms")
 
     def __init__(self, d: int, ring: str, terms: dict[tuple[int, ...], object]):
-        if d not in (1, 2):
+        if _int(d, "rank d") not in (1, 2):
             raise ValueError("rank must be 1 or 2")
         clean = {}
         for n, c in terms.items():
@@ -92,12 +92,9 @@ class TSym:
             c = _ring_normalize(ring, c)
             if c:
                 clean[n] = c
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TSym is immutable")
+        _set_d(self, d)
+        _set_ring(self, ring)
+        _set_terms(self, clean)
 
     # -- constructors ----------------------------------------------------
     @staticmethod
@@ -114,16 +111,6 @@ class TSym:
         return TSym(d, ring, {tuple(n): coeff})
 
     # -- structure ---------------------------------------------------------
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TSym):
-            return NotImplemented
-        return (
-            self.d == other.d and self.ring == other.ring and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.d, self.ring, frozenset(self.terms.items())))
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -170,6 +157,9 @@ class TSym:
         """Move coefficients into another ring (Z -> Q, Z -> Z/m, Q -> Z/m
         when denominators are invertible)."""
         return TSym(self.d, ring, self.terms)
+
+
+_set_d, _set_ring, _set_terms = TSym._setters
 
 
 def divided_power(coords, k: int, ring: str = "Q") -> TSym:

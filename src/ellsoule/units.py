@@ -50,7 +50,7 @@ from math import comb, gcd
 from .bernoulli import smoothed_b2
 from .cyclotomic import CycloElement, _make, _xpow, euler_phi
 from .measures import Measure, TorsorSpec, torsor_elements
-from .numutil import _coord, _int, ceil_div, exact_rational, is_prime
+from .numutil import _Value, _coord, _int, ceil_div, exact_rational, is_prime
 from .puiseux import PuiseuxSeries
 from .serialize import cyclo_to_json
 
@@ -406,11 +406,11 @@ def _pmul(a: list, b: list) -> list:
     return _ptrim(out)
 
 
-class RatFun:
+class RatFun(_Value):
     """A ratio of polynomials in w with rational coefficients.
 
     Polynomials are ascending lists of `Fraction`s; equality is tested by
-    cross-multiplication, so no normal form is needed.
+    cross-multiplication, so there is no normal form and no hash.
     """
 
     __slots__ = ("num", "den")
@@ -420,19 +420,12 @@ class RatFun:
         den = _ptrim([exact_rational(c) for c in den])
         if not den:
             raise ZeroDivisionError("zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatFun is immutable")
+        self._fix(num, den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFun):
             return NotImplemented
         return _pmul(self.num, other.den) == _pmul(other.num, self.den)
-
-    def __hash__(self):
-        raise TypeError("RatFun is unhashable (no normal form)")
 
     def __repr__(self):
         return f"RatFun(num={self.num}, den={self.den})"

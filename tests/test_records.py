@@ -1,16 +1,25 @@
 """The immutable value types: the record contract of the symbols and specs,
-their int field checks, and pickling and deep copies of every type."""
+their int field checks, immutability, pickling and deep copies of every
+type, and the one base they all share."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ellsoule
 from ellsoule.cyclotomic import CycloElement
 from ellsoule.formal import CycSym, EisSym, FormalClass, SouleSym, WeightFunction
 from ellsoule.measures import GroupSpec, Measure, TorsorSpec
-from ellsoule.numutil import _Record
+from ellsoule.numutil import _Record, _Value
+from ellsoule.puiseux import PuiseuxSeries
+from ellsoule.tsym import TSym
+from ellsoule.units import RatFun
 
 RECORDS = [
     (EisSym(2, 3, (4, 0)), (2, 3, (1, 0))),
@@ -122,6 +131,13 @@ def test_records_take_keywords_and_defaults():
         (lambda: GroupSpec(True), "modulus m"),
         (lambda: GroupSpec(3.0), "modulus m"),
         (lambda: GroupSpec(3, True), "rank d"),
+        # the value constructors took these too: a float or bool conductor,
+        # series denominator, window or rank
+        (lambda: CycloElement(6.0, [1, 0]), "conductor M"),
+        (lambda: CycloElement(True, [1]), "conductor M"),
+        (lambda: PuiseuxSeries(True, 5, {0: 1}), "exponent denominator M"),
+        (lambda: PuiseuxSeries(6, 12.5, {0: 1}), "window T"),
+        (lambda: TSym(True, "Q", {(1,): 1}), "rank d"),
     ],
 )
 def test_record_int_fields_reject_floats_and_bools(make, field):
@@ -137,13 +153,62 @@ VALUES = [rec for rec, _ in RECORDS] + [
     CycloElement(5, [1, Fraction(1, 2), 0, 3]),
     Measure(TorsorSpec(2, 1, 3, 1, "reduction", (1,)), {(4,): Fraction(2, 3), (1,): 1}),
     Measure(GroupSpec(4, 2), {(1, 3): Fraction(-1, 7)}),
+    PuiseuxSeries(6, 12, {-2: CycloElement(6, [1, Fraction(1, 2)]), 3: 5}),
+    PuiseuxSeries(1, 4, {}),
+    TSym(2, "Q", {(1, 0): Fraction(1, 2), (0, 2): 3}),
+    TSym(1, "Z/9", {(2,): 5}),
+    RatFun([1, -1], [1, Fraction(1, 3)]),
 ]
 
 
 @pytest.mark.parametrize("x", VALUES, ids=lambda x: type(x).__name__)
 def test_values_survive_pickle_and_deepcopy(x):
     # deepcopy and pickle raised AttributeError ("... is immutable") for the
-    # classes, weight functions, cyclotomic elements and measures
+    # classes, weight functions, cyclotomic elements and measures, and later
+    # for series, divided-power tensors and rational functions
     for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
-        assert type(y) is type(x)
-        assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+        assert type(y) is type(x) and y == x
+        if type(x).__hash__ is not None:  # RatFun has no normal form to hash
+            assert hash(y) == hash(x)
+        if type(x).__repr__ is not object.__repr__:  # TSym's names its address
+            assert repr(y) == repr(x)
+
+
+@pytest.mark.parametrize("x", VALUES, ids=lambda x: type(x).__name__)
+def test_values_refuse_setattr_and_delattr(x):
+    # `del` succeeded on the fields of every type but the records
+    before = copy.deepcopy(x)
+    for name in type(x).__slots__:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(x, name)
+    assert x == before
+
+
+def _package_classes():
+    for info in pkgutil.iter_modules(ellsoule.__path__):
+        mod = importlib.import_module(f"ellsoule.{info.name}")
+        for _, cls in inspect.getmembers(mod, inspect.isclass):
+            if cls.__module__ == mod.__name__:
+                yield cls
+
+
+def test_every_value_type_subclasses_the_one_base():
+    slotted = [
+        cls
+        for cls in _package_classes()
+        if "__slots__" in vars(cls) and not issubclass(cls, BaseException)
+    ]
+    assert {cls.__name__ for cls in slotted} >= {
+        "CycloElement", "PuiseuxSeries", "Measure", "TSym", "FormalClass",
+        "WeightFunction", "RatFun", "EisSym", "SouleSym", "CycSym",
+        "TorsorSpec", "GroupSpec",
+    }
+    for cls in slotted:
+        assert issubclass(cls, _Value), cls
+    for cls in _package_classes():
+        if cls is not _Value:
+            assert not {"__setattr__", "__delattr__", "__reduce__"} & set(vars(cls)), cls
+    for path in Path(ellsoule.__file__).parent.glob("*.py"):
+        assert "object.__setattr__" not in path.read_text(), path
