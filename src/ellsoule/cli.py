@@ -24,8 +24,10 @@ MAX_LEVEL.  The weight (`residue-table --k`, `verify --kmax` and the k of
 `dir`'s weight function) is capped at MAX_WEIGHT.  An input over a cap exits
 2 before any work is done.
 
-Every JSON document is written by `_dumps`, whose output equals
-`json.dumps(obj, indent=2)`, and `main` builds its parser once per process.
+The `qexp` document is streamed by `serialize.series_json`, one term block
+per write, so neither a dict of the series nor the whole text is built;
+every other JSON document is written by `_dumps`, whose output equals
+`json.dumps(obj, indent=2)`.  `main` builds its parser once per process.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from .formal import ResiduePreconditionError, cyc_symmetrize, dir_closed, dir_via_me, residue_table
 from .numutil import rat_str
-from .serialize import formal_to_json, psi_from_json, series_to_json
+from .serialize import formal_to_json, psi_from_json, series_json
 from .units import eta_exponent, theta_qexp
 from .verify import SUITE_NAMES, run_suites
 
@@ -54,23 +56,26 @@ __all__ = ["build_parser", "main"]
 # 0.03 s at x = 1 and 0.20 s at x = 0.  Level 935 = 5*11*17 at c = 7, 31, 49:
 # x = 1 0.07-0.10, 0.10-0.12, 0.10-0.14 s (peak RSS 28, 36, 44 MB); x = 0
 # 0.14-0.22, 0.24-0.26, 0.34-0.56 s (22 MB, the closed Xi_c constant).  The
-# whole x = 1 `qexp` call writes 9-45 MB of JSON: 0.24-0.34 s (86 MB),
-# 0.59-0.68 s (151 MB), 0.85-1.16 s (210 MB).  At c = 49, x = 1, levels 2, 3
-# and 12 take 2.1-4.1, 1.1-2.2 and 0.28-0.59 s (16-19 MB), against 0.34-0.44,
-# 0.27-0.32 and 0.06-0.07 s at c = 5: the (x, y, c^2) factor's min(c^2, W)
-# binomial terms grow with c, so MAX_C is still needed.  It keeps 49, the
-# largest c admissible at level 935 below it.
+# whole `qexp` call (two to five runs each), streaming its 9, 27 and 45 MB of
+# JSON at x = 1, took 0.14-0.24, 0.25-0.38 and 0.50-0.78 s (peak RSS 29, 37,
+# 46 MB), and at x = 0 0.13-0.14, 0.14-0.18 and 0.32-0.36 s (23-25 MB).
+# At c = 49, x = 1, levels 2, 3 and 12 take 2.1-4.1, 1.1-2.2 and
+# 0.28-0.59 s (16-19 MB), against 0.34-0.44, 0.27-0.32 and 0.06-0.07 s at
+# c = 5: the (x, y, c^2) factor's min(c^2, W) binomial terms grow with c,
+# so MAX_C is still needed.  It keeps 49, the largest c admissible at level
+# 935 below it.
 # `dir` caps its weight function's level N here too: its cost is linear in N,
 # 0.008 s at N = 1000 and 0.46 s at N = 100,000.
 MAX_LEVEL = 1000
 MAX_WINDOW = 1000
 MAX_C = 50
 # The residues suite expands the unit at every point of every fiber: about
-# 1.25 L^2 expansions at level L = ell^rmax * N, so its time grows about 4x
-# per doubling of the level, and with c.  Measured (same host): level 96
-# (2^5 * 3) took 0.47 s at c = 5 and 1.0 s at c = 49; level 98 (2 * 49,
-# c = 47) 3.7 s and level 100 (2^2 * 25, c = 49) 2.4 s; level 192 (2^6 * 3)
-# 1.9 s at c = 5 and 6.9 s at c = 49, level 194 (2 * 97, c = 49) 34 s.
+# 1.25 L^2 expansions at level L = ell^rmax * N, so its cost grows with the
+# level and with c.  Measured (same host, `run_suites` in one process, two
+# runs each): level 96 (2^5 * 3) took 0.17-0.24 s at c = 5 and 0.38-0.49 s
+# at c = 49; level 98 (2 * 49, c = 47) 0.69-0.84 s and level 100 (2^2 * 25,
+# c = 49) 0.65-0.81 s; level 192 (2^6 * 3) 0.68-0.69 s at c = 5 and
+# 1.22-1.47 s at c = 49, level 194 (2 * 97, c = 49) 3.2-3.4 s.
 # `residue-table --N` shares the cap: its table has N^2 - 1 rows, and took
 # 0.07 s at N = 100 and 2.0 s (peak RSS 206 MB) at N = 500.
 MAX_RESIDUES_LEVEL = 100
@@ -230,12 +235,6 @@ def _put(o, put, nl: str) -> None:
             put("[]")
             return
         inner = nl + "  "
-        sep = "," + inner
-        try:  # a list of strings, such as the coefficients of an element
-            put("[" + inner + sep.join(map(_encode_str, o)) + nl + "]")
-            return
-        except TypeError:
-            pass
         lead = "[" + inner
         for v in o:
             if isinstance(v, (dict, list, tuple)):
@@ -243,7 +242,7 @@ def _put(o, put, nl: str) -> None:
                 _put(v, put, inner)
             else:
                 put(lead + _scalar(v))
-            lead = sep
+            lead = "," + inner
         put(nl + "]")
     else:
         put(_scalar(o))
@@ -272,12 +271,17 @@ def _scalar(o) -> str:
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit(pieces, out: str | None) -> None:
+    """Write a document's pieces, one write each, and a newline to the
+    file `out`, else to stdout."""
+    fh = open(out, "w") if out else sys.stdout
+    try:
+        for piece in pieces:
+            fh.write(piece)
+        fh.write("\n")
+    finally:
+        if out:
+            fh.close()
 
 
 def _verify_csv(report: dict) -> str:
@@ -334,9 +338,9 @@ def _cmd_verify(args) -> int:
     if args.timing:
         report["timing"] = {"elapsed_s": round(time.perf_counter() - started, 3)}
     if args.format == "csv":
-        _emit(_verify_csv(report), args.out)
+        _emit([_verify_csv(report)], args.out)
     else:
-        _emit(_dumps(report), args.out)
+        _emit([_dumps(report)], args.out)
     return 0 if report["all_pass"] else 1
 
 
@@ -372,9 +376,7 @@ def _check_qexp_caps(args) -> None:
 def _cmd_qexp(args) -> int:
     _check_qexp_caps(args)
     f = theta_qexp(args.ell, args.r, args.N, args.c, (args.x, args.y), args.trunc)
-    obj = series_to_json(f)
-    obj["valuation"] = f"{min(f.terms)}/{f.M}"
-    _emit(_dumps(obj), args.out)
+    _emit(series_json(f), args.out)
     return 0
 
 
@@ -390,14 +392,14 @@ def _cmd_table(args) -> int:
         writer.writerow(["a", "b", "value"])
         for a, b, v in rows:
             writer.writerow([a, b, rat_str(v)])
-        _emit(buf.getvalue().rstrip("\n"), args.out)
+        _emit([buf.getvalue().rstrip("\n")], args.out)
     else:
         obj = {
             "N": args.N,
             "k": args.k,
             "rows": [{"a": a, "b": b, "value": rat_str(v)} for a, b, v in rows],
         }
-        _emit(_dumps(obj), args.out)
+        _emit([_dumps(obj)], args.out)
     return 0
 
 
@@ -421,7 +423,7 @@ def _cmd_dir(args) -> int:
         # unsymmetrized when psi has parity (-1)^k)
         out["match"] = cyc_symmetrize(closed, psi.k) == me
         ok = out["match"]
-    _emit(_dumps(out), args.out)
+    _emit([_dumps(out)], args.out)
     return 0 if ok else 1
 
 

@@ -2,8 +2,10 @@
 
 All rational numbers are rendered as strings "num/den" (or "num" when the
 denominator is 1), so no value is rounded; every list is emitted in a
-canonical sorted order so serialized output is byte-stable.  The one decoder,
-`psi_from_json`, reads the weight-function input of `ellsoule dir`.
+canonical sorted order so serialized output is byte-stable.  A series, the
+one large document, is not built as a dict: `series_json` yields its text
+one term block at a time.  The one decoder, `psi_from_json`, reads the
+weight-function input of `ellsoule dir`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .tsym import TSym
 
 __all__ = [
     "cyclo_to_json",
-    "series_to_json",
+    "series_json",
     "measure_to_json",
     "tsym_to_json",
     "formal_to_json",
@@ -40,15 +42,39 @@ def cyclo_to_json(x: CycloElement) -> dict:
     return {"M": x.M, "coeffs": [_ratio_str(a, den) for a in x.num]}
 
 
-def series_to_json(f: PuiseuxSeries) -> dict:
-    return {
-        "M": f.M,
-        "T": f.T,
-        "terms": [
-            {"n": n, "coeff": cyclo_to_json(c)}
-            for n, c in sorted(f.terms.items())
-        ],
-    }
+# One term block of a series document, as `json.dumps(..., indent=2)` lays
+# it out: the separator from the previous block, n, M and the joined
+# coordinate strings (digits, "-" and "/" only, so none needs escaping).
+_TERM = (
+    '%s\n    {\n      "n": %d,\n      "coeff": {\n        "M": %d,\n'
+    '        "coeffs": [\n          "%s"\n        ]\n      }\n    }'
+)
+_COORD_SEP = '",\n          "'
+
+
+def series_json(f: PuiseuxSeries):
+    """Yield the `qexp` document of a nonzero series f in pieces: the head,
+    one block per term in ascending n, the tail.  Joined, they equal the
+    `json.dumps(..., indent=2)` of {"M", "T", "terms": [{"n": n, "coeff":
+    cyclo_to_json(a_n)}, ...], "valuation": "<min n>/<M>"}.  No dict and no
+    `Fraction` is built: a coordinate is its numerator when the denominator
+    is 1, else put in lowest terms with one gcd.
+    """
+    terms = sorted(f.terms.items())
+    if not terms:
+        raise ValueError("series is zero to its truncation order")
+    M = f.M
+    yield f'{{\n  "M": {M},\n  "T": {f.T},\n  "terms": ['
+    lead = ""
+    for n, c in terms:
+        den = c.den
+        if den == 1:
+            coords = _COORD_SEP.join(map(str, c.num))
+        else:
+            coords = _COORD_SEP.join([_ratio_str(a, den) for a in c.num])
+        yield _TERM % (lead, n, M, coords)
+        lead = ","
+    yield f'\n  ],\n  "valuation": "{terms[0][0]}/{M}"\n}}'
 
 
 def _spec_to_json(spec) -> dict:

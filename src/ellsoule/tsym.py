@@ -117,6 +117,10 @@ class TSym(_Value):
     def coeff(self, n: tuple[int, ...]):
         return self.terms.get(tuple(n), 0)
 
+    def __repr__(self):
+        body = ", ".join(f"{n}: {c}" for n, c in sorted(self.terms.items()))
+        return f"TSym({self.d}, {self.ring!r}, {{{body}}})"
+
     # -- linear structure ---------------------------------------------------
     def _check(self, other: "TSym"):
         if self.d != other.d or self.ring != other.ring:

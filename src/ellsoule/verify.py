@@ -512,7 +512,7 @@ def suite_moments(seed: int = 0, kmax: int = 4) -> dict:
     )
     wt_raw = raw1 / Fraction(3)
     wt_mod = modified_moment(mu181, 1)
-    wt_closed = closed / (Fraction(3) ** 1 * 1)
+    wt_closed = closed / 3
     rows.append(
         _row(
             "spot_weighted_moment",

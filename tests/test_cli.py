@@ -105,6 +105,42 @@ def test_qexp_bytes_at_dense_composite_levels_are_pinned(ell, N, c, x, digest):
     assert hashlib.sha256(out.stdout).hexdigest() == digest
 
 
+class _RecordedStdout(io.StringIO):
+    """A stdout that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("x", [0, 1, 15])
+def test_qexp_is_streamed_a_term_block_per_write_and_out_matches_stdout(x, tmp_path):
+    # level 105 at a window of 40 past the leading exponent, as pinned above
+    trunc = units._e0(105, 11, x) + 40
+    argv = ["qexp", "--ell", "3", "--N", "35", "--c", "11", "--x", str(x)]
+    argv += ["--y", "1", "--trunc", str(trunc)]
+    stdout = _RecordedStdout()
+    with redirect_stdout(stdout):
+        assert cli.main(argv) == 0
+    text = stdout.getvalue()
+    f = units.theta_qexp(3, 1, 35, 11, (x, 1), trunc)
+    terms = [{"n": n, "coeff": cyclo_to_json(c)} for n, c in sorted(f.terms.items())]
+    doc = {"M": f.M, "T": f.T, "terms": terms, "valuation": f"{min(f.terms)}/{f.M}"}
+    assert text == json.dumps(doc, indent=2) + "\n"
+    # a term block is the term's own dump, indented under "terms", after ","
+    block = max(len(",\n    " + json.dumps(t, indent=2).replace("\n", "\n    ")) for t in terms)
+    head = text.index("[") + 1
+    assert len(stdout.sizes) > len(terms)
+    assert max(stdout.sizes) <= head + block
+    path = tmp_path / "qexp.json"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == text.encode()
+
+
 def test_bernoulli_csv_columns_are_the_row_fields():
     # the columns are read from the rows, so they follow what _row writes
     report = {"suite": "bernoulli", "cases": [_row("a", True, p=1, q="2/3")]}

@@ -1,10 +1,13 @@
 """JSON encodings: each encoder's output is pinned to an exact value, so a
-change of format fails here; the CLI input `psi_from_json` round-trips."""
+change of format fails here; the streamed series document equals the
+`json.dumps` of a dict reference; the CLI input `psi_from_json` round-trips."""
 
 import json
 from fractions import Fraction
+from math import gcd
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from ellsoule.cyclotomic import CycloElement, euler_phi
 from ellsoule.formal import CycSym, EisSym, FormalClass, SouleSym, WeightFunction, dir_closed
@@ -17,10 +20,11 @@ from ellsoule.serialize import (
     measure_to_json,
     psi_from_json,
     psi_to_json,
-    series_to_json,
+    series_json,
     tsym_to_json,
 )
 from ellsoule.tsym import TSym
+from ellsoule.units import _e0, theta_series
 
 
 small_rats = st.fractions(max_denominator=30)
@@ -43,20 +47,77 @@ def test_cyclo_encoding_is_pinned():
     assert cyclo_to_json(y) == {"M": 6, "coeffs": ["1/4", "0"]}
 
 
+def series_ref(f: PuiseuxSeries) -> dict:
+    """The series as a dict tree, the encoding `series_json` streams."""
+    return {
+        "M": f.M,
+        "T": f.T,
+        "terms": [{"n": n, "coeff": cyclo_to_json(c)} for n, c in sorted(f.terms.items())],
+    }
+
+
 def test_series_roundtrip():
     f = PuiseuxSeries(
         6,
         9,
         {-2: CycloElement.zeta_pow(6, 1), 3: CycloElement.rational(6, Fraction(7, 2))},
     )
-    assert series_to_json(f) == {
+    assert json.loads("".join(series_json(f))) == {
         "M": 6,
         "T": 9,
         "terms": [
             {"n": -2, "coeff": {"M": 6, "coeffs": ["0", "1"]}},
             {"n": 3, "coeff": {"M": 6, "coeffs": ["7/2", "0"]}},
         ],
+        "valuation": "-2/6",
     }
+
+
+def test_series_json_refuses_the_zero_series():
+    with pytest.raises(ValueError, match="zero"):
+        next(series_json(PuiseuxSeries(6, 9, {})))
+
+
+def _smallest_c(M):
+    return next(c for c in range(5, 6 * M) if gcd(c, 6 * M) == 1)
+
+
+@st.composite
+def theta_points(draw):
+    M = draw(st.integers(2, 60))
+    x = draw(st.integers(0, M - 1))
+    y = draw(st.integers(1 if x == 0 else 0, M - 1))
+    return M, x, y, draw(st.integers(1, 12))
+
+
+def _assert_streams_as_the_reference(f):
+    doc = series_ref(f) | {"valuation": f"{min(f.terms)}/{f.M}"}
+    assert "".join(series_json(f)) == json.dumps(doc, indent=2)
+
+
+@given(theta_points())
+@example((6, 0, 1, 13))  # x = 0: the Xi_c constant, every M-th term stored
+@example((12, 0, 5, 30))
+@example((12, 6, 1, 12))  # x = M/2 leads at a negative exponent
+@example((60, 30, 7, 5))
+@example((12, 4, 2, 12))  # gcd(x, M) > 1: h = 4 / gcd(4, 2) = 2
+@example((60, 15, 0, 8))
+def test_series_json_of_theta_units_is_json_dumps_of_the_reference(point):
+    M, x, y, window = point
+    c = _smallest_c(M)
+    _assert_streams_as_the_reference(theta_series(M, c, (x, y), _e0(M, c, x) + window))
+
+
+@given(st.sampled_from([1, 3, 4, 6, 12]), st.data())
+def test_series_json_over_rational_coordinates_is_json_dumps_of_the_reference(M, data):
+    # a theta unit's coordinates are integers (Xi_c is integral too), so the
+    # den > 1 branch is reached only by series like these
+    phi = euler_phi(M)
+    exponents = data.draw(st.sets(st.integers(-20, 20), min_size=1, max_size=6))
+    coords = st.lists(small_rats, min_size=phi, max_size=phi)
+    f = PuiseuxSeries(M, 21, {n: CycloElement(M, data.draw(coords)) for n in exponents})
+    assume(f.terms)
+    _assert_streams_as_the_reference(f)
 
 
 def test_measure_roundtrip_torsor():

@@ -261,3 +261,13 @@ def test_integral_rings_are_unchanged(ring, given_value, stored):
         TSym(1, "Z", {(1,): Fraction(1, 3)})
     with pytest.raises(ArithmeticError):
         TSym(1, "Z/6", {(1,): Fraction(1, 3)})
+
+
+def test_repr_names_rank_ring_and_sorted_terms():
+    # the repr was object's, so a failing comparison showed only an address
+    a = TSym(2, "Q", MIXED)
+    assert repr(a) == "TSym(2, 'Q', {(0, 1): 1/3, (1, 0): 2, (1, 1): -3/2, (2, 0): -5})"
+    assert repr(a.base_change("Z/7")) == "TSym(2, 'Z/7', {(0, 1): 5, (1, 0): 2, (1, 1): 2, (2, 0): 2})"
+    assert repr(TSym.zero(1)) == "TSym(1, 'Q', {})"
+    b = a + TSym.basis(2, (1, 1))
+    assert "(1, 1): -1/2" in repr(b) and "(1, 1): -3/2" in repr(a)
