@@ -108,7 +108,15 @@ def bernoulli_measure(ell: int, r: int, N: int, c: int, t: int) -> Measure:
                 f"value {v} at {x} not integral despite gcd(c, 6*ell*N) = 1"
             )
         values[x] = v
-    return Measure(spec, values)
+    return Measure._make(spec, values)
+
+
+def _moment_ints(k: int, N: int, c: int, a: int) -> tuple[int, int]:
+    """(n, d) with the closed moment at a = n / (c^k d), for ints k >= -1,
+    N >= 1 and 0 <= a < N: n = c^{k+2} R(a) - R(c a) and d = (k+2) D N,
+    with B_{k+2}({a/N}) = R(a, N) / (D N^{k+2})."""
+    b, D = _bern_ints(k + 2)
+    return c ** (k + 2) * _bern_num(b, a, N) - _bern_num(b, c * a % N, N), (k + 2) * D * N
 
 
 def bernoulli_moment_closed(k: int, N: int, c: int, t: int) -> Fraction:
@@ -117,12 +125,18 @@ def bernoulli_moment_closed(k: int, N: int, c: int, t: int) -> Fraction:
 
     With B_{k+2}({a/N}) = R(a, N) / (D N^{k+2}) it is the one fraction
     (c^{k+2} R(t) - R(c t)) / (c^k (k+2) D N).  k, N, c and t must be ints
-    (a float or a bool raises TypeError).
+    (a float or a bool raises TypeError); k >= -1 (at k = -2 the factor
+    1/(k+2) has no value), N >= 1, and c != 0 unless k = 0 (c^k divides),
+    else ValueError naming the argument.
     """
     k, N, c = _int(k, "k"), _int(N, "N"), _int(c, "c")
-    a = _coord(t, N)
-    b, D = _bern_ints(k + 2)
-    num = c ** (k + 2) * _bern_num(b, a, N) - _bern_num(b, c * a % N, N)
-    if k < 0:  # c^k is not an int: keep the value exact
-        return Fraction(num, (k + 2) * D * N) / Fraction(c) ** k
-    return Fraction(num, c ** k * (k + 2) * D * N)
+    if k < -1:
+        raise ValueError(f"k = {k} must be >= -1")
+    if N < 1:
+        raise ValueError(f"level N = {N} must be >= 1")
+    if c == 0 and k:
+        raise ValueError(f"c = 0 has no power c^{k} to divide by")
+    n, d = _moment_ints(k, N, c, _coord(t, N))
+    if k < 0:  # c^k = 1/c: keep the value exact
+        return Fraction(n * c, d)
+    return Fraction(n, c ** k * d)

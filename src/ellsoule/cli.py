@@ -81,8 +81,9 @@ MAX_C = 50
 MAX_RESIDUES_LEVEL = 100
 # A weight-k residue or moment is built from B_{k+2} in Fractions, at about
 # O(k^3) (same host, single runs): `residue-table --N 3` took 0.13 s at
-# k = 50, 0.75 s at 100 and 20 s at 300, and `verify --suite all --kmax 50`
-# 2.45 s.
+# k = 50, 0.75 s at 100 and 20 s at 300.  Timed in-process in three fresh
+# processes each (2 vCPU, Python 3.11.7, a shared host), `residue-table --N 3
+# --k 50` took 0.10-0.18 s and `verify --suite all --kmax 50` 1.8-2.5 s.
 MAX_WEIGHT = 50
 
 

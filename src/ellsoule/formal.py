@@ -45,7 +45,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from random import Random
 
-from .bernoulli import _bern_ints, _bern_num, bernoulli_moment_closed
+from .bernoulli import _bern_ints, _bern_num, _moment_ints
 from .numutil import _Record, _Value, _coord, _int, _lowest, _rebuild, exact_rational
 
 __all__ = [
@@ -154,8 +154,10 @@ def _canonical_symbol(sym: Symbol):
 
 
 @lru_cache(maxsize=None)
-def _cyc(k: int, N: int, b: int) -> CycSym:
-    return CycSym(k, N, b)
+def _cyc_row(k: int, N: int) -> tuple:
+    """(None, CycSym(k, N, 1), ..., CycSym(k, N, N - 1)): the cyclotomic
+    symbols of one (k, N), indexed by b."""
+    return (None, *(CycSym(k, N, b) for b in range(1, N)))
 
 
 class FormalClass(_Value):
@@ -233,10 +235,10 @@ _set_num, _set_den = FormalClass._setters
 def soule_elliptic(k: int, N: int, c: int, t) -> FormalClass:
     """The class of the single symbol SouleElliptic(k, N, c, t), checked by
     `SouleSym` and built from its cached parity-canonical form (the zero
-    class when that vanishes: `_make` drops the zero numerator)."""
+    class when that vanishes), already in lowest terms over den 1."""
     sym = SouleSym(k, N, c, t)
     canon, sign = _canonical_at(sym.k, sym.N, sym.c, sym.t)
-    return FormalClass._make({canon: sign}, 1)
+    return _rebuild(FormalClass, ({canon: sign} if sign else {}, 1))
 
 
 def _soule_terms(sym: SouleSym):
@@ -277,10 +279,15 @@ def _eis_residue(k: int, N: int, a: int) -> Fraction:
 
 
 def eis_residue_closed(k: int, N: int, t) -> Fraction:
-    """res(Eis^k(a, b)) = -(N^k/(k!(k+2))) * B_{k+2}({a/N}); needs k >= 0."""
+    """res(Eis^k(a, b)) = -(N^k/(k!(k+2))) * B_{k+2}({a/N}).
+
+    Refuses what `EisSym(k, N, t)` refuses (t = (0, 0) raises ValueError),
+    and a weight k < 0 (ValueError).
+    """
+    sym = EisSym(k, N, t)
     if k < 0:
         raise ValueError(f"weight k = {k} must be >= 0")
-    return _eis_residue(k, N, _norm_point(N, t)[0])
+    return _eis_residue(k, N, sym.t[0])
 
 
 def residue(x: FormalClass) -> Fraction:
@@ -289,31 +296,42 @@ def residue(x: FormalClass) -> Fraction:
     An elliptic symbol's residue is defined through its Eisenstein expansion
     and summed term by term over it (no canonicalization is needed:
     res(Eis^k(-t)) = (-1)^k res(Eis^k(t)), so parity rewriting does not move
-    the sum); cyclotomic symbols have no residue and raise.  The numerators
-    are summed per residue key (k, N, a) over den * C, C the lcm of the c^k
-    met (as in `rewrite_soule`); the closed residues met are put over their
-    lcm Q, and one Fraction is built, over den * C * Q.
+    the sum); cyclotomic symbols have no residue and raise.  One pass over
+    the symbols sums the numerators per residue key (k, N, a) over den * C,
+    C the lcm of the c^k met so far (as in `rewrite_soule`; the sums are
+    rescaled when a new c^k raises it); the closed residues met are put
+    over their lcm Q, and one Fraction is built, over den * C * Q.
     """
     C = 1
-    for sym in x.num:
-        if isinstance(sym, CycSym):
-            raise ValueError("residue is undefined on cyclotomic symbols")
-        if isinstance(sym, SouleSym):
-            C = lcm(C, sym.c ** sym.k)
     acc: dict[tuple[int, int, int], int] = {}
     for sym, v in x.num.items():
-        if isinstance(sym, SouleSym):
+        cls = sym.__class__
+        if cls is EisSym:
+            key = (sym.k, sym.N, sym.t[0])
+            acc[key] = acc.get(key, 0) + v * C
+        elif cls is SouleSym:
             ck, terms = _soule_terms(sym)
+            if C % ck:  # a new c^k: put the sums so far over the lcm
+                g = lcm(C, ck) // C
+                if acc:
+                    acc = {key: n * g for key, n in acc.items()}
+                C *= g
             v *= C // ck
             for t, f in terms:
                 key = (sym.k, sym.N, t[0])
                 acc[key] = acc.get(key, 0) + v * f
         else:
-            key = (sym.k, sym.N, sym.t[0])
-            acc[key] = acc.get(key, 0) + v * C
-    res = [(n, _eis_residue(*key)) for key, n in acc.items() if n]
-    Q = lcm(*(r.denominator for _, r in res))
-    total = sum(n * r.numerator * (Q // r.denominator) for n, r in res)
+            raise ValueError("residue is undefined on cyclotomic symbols")
+    total, Q = 0, 1
+    for key, n in acc.items():
+        if n:
+            r = _eis_residue(*key)
+            q = r.denominator
+            if Q % q:
+                g = lcm(Q, q) // Q
+                total *= g
+                Q *= g
+            total += n * r.numerator * (Q // q)
     return Fraction(total, x.den * C * Q)
 
 
@@ -321,9 +339,17 @@ def residue_soule_closed(k: int, N: int, c: int, t) -> Fraction:
     """The residue formula: res(SouleElliptic(k, N, c, (a, b))) is the
     degree-k moment of the c-smoothed Bernoulli measure at a, over k!,
 
-        N^{k+1}/(k!(k+2)) * (c^2 B_{k+2}({a/N}) - c^{-k} B_{k+2}({c a/N})).
+        N^{k+1}/(k!(k+2)) * (c^2 B_{k+2}({a/N}) - c^{-k} B_{k+2}({c a/N})),
+
+    built as one Fraction from the moment's int numerator and denominator.
+    Refuses what `SouleSym(k, N, c, t)` refuses (c <= 1, gcd(c, N) != 1 or
+    t = (0, 0) raise ValueError), and a weight k < 0 (ValueError).
     """
-    return bernoulli_moment_closed(k, N, c, _norm_point(N, t)[0]) / factorial(k)
+    sym = SouleSym(k, N, c, t)
+    if k < 0:
+        raise ValueError(f"weight k = {k} must be >= 0")
+    n, d = _moment_ints(k, N, c, sym.t[0])
+    return Fraction(n, c ** k * d * factorial(k))
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +437,22 @@ def _parity_num(k: int, N: int, num: dict) -> dict:
     of num are skipped, so that raw and reduced numerators give the same
     key order."""
     sign = (-1) ** k
+    minus = _minus(N)
     out: dict[tuple[int, int], int] = {}
-    for (a, b), v in num.items():
+    for t, v in num.items():
         if not v:
             continue
-        neg = ((-a) % N, (-b) % N)
-        out[(a, b)] = out.get((a, b), 0) + v
+        a, b = t
+        neg = (minus[a], minus[b])
+        out[t] = out.get(t, 0) + v
         out[neg] = out.get(neg, 0) + sign * v
     return out
+
+
+@lru_cache(maxsize=16)
+def _minus(N: int) -> tuple[int, ...]:
+    """(-a) mod N for 0 <= a < N."""
+    return tuple((-a) % N for a in range(N))
 
 
 @lru_cache(maxsize=None)
@@ -457,11 +491,12 @@ def dir_closed(psi: WeightFunction) -> FormalClass:
     if rho:
         raise ResiduePreconditionError(rho)
     k, N = psi.k, psi.N
+    row = _cyc_row(k, N)
     out: dict[Symbol, int] = {}
     for b in range(1, N):
         v = psi.num.get((0, b))
         if v:
-            out[_cyc(k, N, b)] = -v
+            out[row[b]] = -v
     return FormalClass._make(out, N * factorial(k) * psi.den)
 
 
@@ -495,22 +530,24 @@ def dir_via_me(psi: WeightFunction, c: int) -> FormalClass:
         raise ResiduePreconditionError(rho)
     sign = (-1) ** k
     ck2 = c ** (k + 2)
-    acc: dict[int, int] = {}
+    num = psi.num
+    acc = [0] * N  # acc[b]: the coefficient of ct_b
     for b in range(1, N):
         # 2 den psi_k(0, b)
-        w = psi.num.get((0, b), 0) + sign * psi.num.get((0, N - b), 0)
+        w = num.get((0, b), 0) + sign * num.get((0, N - b), 0)
         if not w:
             continue
         cb = c * b % N
         if not cb:
             raise AssertionError("weightless term survived at b = 0")
         v = w * ck2
-        acc[b] = acc.get(b, 0) + v
-        acc[N - b] = acc.get(N - b, 0) + v * sign
-        acc[cb] = acc.get(cb, 0) - w
-        acc[N - cb] = acc.get(N - cb, 0) - w * sign
+        acc[b] += v
+        acc[N - b] += v * sign
+        acc[cb] -= w
+        acc[N - cb] -= w * sign
     den = 4 * psi.den * factorial(k) * N * (ck2 - 1)
-    return FormalClass._make({_cyc(k, N, b): -v for b, v in acc.items()}, den)
+    row = _cyc_row(k, N)
+    return FormalClass._make({row[b]: -v for b, v in enumerate(acc) if v}, den)
 
 
 def cyc_symmetrize(x: FormalClass, k: int) -> FormalClass:
@@ -522,22 +559,22 @@ def cyc_symmetrize(x: FormalClass, k: int) -> FormalClass:
         if not isinstance(sym, CycSym):
             raise ValueError("cyc_symmetrize acts on the cyclotomic span")
         out[sym] = out.get(sym, 0) + v
-        mirror = _cyc(sym.k, sym.N, (-sym.b) % sym.N)
+        mirror = _cyc_row(sym.k, sym.N)[(-sym.b) % sym.N]
         out[mirror] = out.get(mirror, 0) + sign * v
     return FormalClass._make(out, 2 * x.den)
 
 
 def residue_table(N: int, k: int) -> list[tuple[int, int, Fraction]]:
     """Rows (a, b, res(Eis^k(a, b))) over all t != 0, sorted; needs N >= 2
-    and k >= 0 (`eis_residue_closed` checks k)."""
+    and k >= 0 (`eis_residue_closed` checks k and N, once).  The residue
+    depends on a only, so it is read once per a."""
     if N < 2:
         raise ValueError(f"residue tables need N >= 2, got N = {N}")
+    eis_residue_closed(k, N, (0, 1))
     rows = []
     for a in range(N):
-        for b in range(N):
-            if (a, b) == (0, 0):
-                continue
-            rows.append((a, b, eis_residue_closed(k, N, (a, b))))
+        res = _eis_residue(k, N, a)
+        rows += [(a, b, res) for b in range(N) if a or b]
     return rows
 
 

@@ -145,6 +145,17 @@ class Measure(_Value):
         _set_spec(self, spec)
         _set_values(self, vals)
 
+    @classmethod
+    def _make(cls, spec: Spec, values: dict) -> "Measure":
+        """Measure(spec, values) without the `_key` check, for values whose
+        points are already points of spec's fiber (carried over from a
+        measure on spec, or enumerated by `torsor_elements`); each value is
+        still put in its stored form (`_rational`), and zeros dropped."""
+        x = object.__new__(cls)
+        _set_spec(x, spec)
+        _set_values(x, {p: v for p, v in zip(values, map(_rational, values.values())) if v})
+        return x
+
     def __call__(self, x) -> int | Fraction:
         return self.values.get(_key(self.spec, x), 0)
 
@@ -154,17 +165,17 @@ class Measure(_Value):
         vals = dict(self.values)
         for x, v in other.values.items():
             vals[x] = vals.get(x, 0) + v
-        return Measure(self.spec, vals)
+        return Measure._make(self.spec, vals)
 
     def __neg__(self) -> "Measure":
-        return Measure(self.spec, {x: -v for x, v in self.values.items()})
+        return Measure._make(self.spec, {x: -v for x, v in self.values.items()})
 
     def __sub__(self, other: "Measure") -> "Measure":
         return self + (-other)
 
     def scale(self, c) -> "Measure":
         c = _rational(c)
-        return Measure(self.spec, {x: v * c for x, v in self.values.items()})
+        return Measure._make(self.spec, {x: v * c for x, v in self.values.items()})
 
     def total_mass(self) -> Fraction:
         return Fraction(sum(self.values.values()))

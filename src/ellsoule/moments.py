@@ -38,7 +38,7 @@ def _moment(mu: Measure, k: int, coord) -> TSym:
     """sum_x mu(x) x^{[k]}, each coordinate read through `coord`: the
     coefficient of e^{[n]} is sum_x mu(x) prod_i coord(x_i)^{n_i}."""
     points = [(tuple(coord(xi) for xi in x), v) for x, v in mu.values.items()]
-    return TSym(
+    return TSym._make(
         mu.spec.d,
         "Q",
         {

@@ -63,6 +63,8 @@ def _rational(x) -> int | Fraction:
 def _int(v, what: str) -> int:
     """v, which must be an int: a float or a bool would be truncated or read
     as 0 or 1."""
+    if type(v) is int:
+        return v
     if isinstance(v, bool) or not isinstance(v, int):
         raise TypeError(f"{what} {v!r} must be an int, got {type(v).__name__}")
     return v

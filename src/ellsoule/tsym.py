@@ -46,6 +46,16 @@ def _ring_normalize(ring: str, c):
     raise ValueError(f"unknown ring tag {ring!r}")
 
 
+def _clean(ring: str, terms: dict) -> dict:
+    """terms with each coefficient normalized into the ring, zeros dropped."""
+    out = {}
+    for n, c in terms.items():
+        c = _ring_normalize(ring, c)
+        if c:
+            out[n] = c
+    return out
+
+
 def exponent_tuples(d: int, k: int) -> list[tuple[int, ...]]:
     """All exponent tuples of length d with entries >= 0 summing to k.
 
@@ -81,20 +91,28 @@ class TSym(_Value):
     def __init__(self, d: int, ring: str, terms: dict[tuple[int, ...], object]):
         if _int(d, "rank d") not in (1, 2):
             raise ValueError("rank must be 1 or 2")
-        clean = {}
-        for n, c in terms.items():
+        for n in terms:
             if not (
                 type(n) is tuple
                 and len(n) == d
                 and all(type(x) is int and x >= 0 for x in n)
             ):
                 raise ValueError(f"bad exponent tuple {n!r} for rank {d}")
-            c = _ring_normalize(ring, c)
-            if c:
-                clean[n] = c
         _set_d(self, d)
         _set_ring(self, ring)
-        _set_terms(self, clean)
+        _set_terms(self, _clean(ring, terms))
+
+    @classmethod
+    def _make(cls, d: int, ring: str, terms: dict) -> "TSym":
+        """TSym(d, ring, terms) without the checks on d and the exponent
+        tuples, for terms built from checked values (or from
+        `exponent_tuples`); the coefficients are still normalized into the
+        ring, so a float or bool among them still raises TypeError."""
+        x = object.__new__(cls)
+        _set_d(x, d)
+        _set_ring(x, ring)
+        _set_terms(x, _clean(ring, terms))
+        return x
 
     # -- constructors ----------------------------------------------------
     @staticmethod
@@ -131,17 +149,17 @@ class TSym(_Value):
         terms = dict(self.terms)
         for n, c in other.terms.items():
             terms[n] = terms.get(n, 0) + c
-        return TSym(self.d, self.ring, terms)
+        return TSym._make(self.d, self.ring, terms)
 
     def __neg__(self) -> "TSym":
-        return TSym(self.d, self.ring, {n: -c for n, c in self.terms.items()})
+        return TSym._make(self.d, self.ring, {n: -c for n, c in self.terms.items()})
 
     def __sub__(self, other: "TSym") -> "TSym":
         return self + (-other)
 
     def scale(self, c) -> "TSym":
         c = _rational(c)
-        return TSym(self.d, self.ring, {n: v * c for n, v in self.terms.items()})
+        return TSym._make(self.d, self.ring, {n: v * c for n, v in self.terms.items()})
 
     # -- the divided-power product ------------------------------------------
     def __mul__(self, other: "TSym") -> "TSym":
@@ -154,13 +172,13 @@ class TSym(_Value):
                 for a, b in zip(n1, n2):
                     w *= comb(a + b, a)
                 terms[n] = terms.get(n, 0) + c1 * c2 * w
-        return TSym(self.d, self.ring, terms)
+        return TSym._make(self.d, self.ring, terms)
 
     # -- base change ----------------------------------------------------------
     def base_change(self, ring: str) -> "TSym":
         """Move coefficients into another ring (Z -> Q, Z -> Z/m, Q -> Z/m
         when denominators are invertible)."""
-        return TSym(self.d, ring, self.terms)
+        return TSym._make(self.d, ring, self.terms)
 
 
 _set_d, _set_ring, _set_terms = TSym._setters
@@ -173,14 +191,18 @@ def divided_power(coords, k: int, ring: str = "Q") -> TSym:
     of the addition law (g+h)^{[k]} = sum g^{[m]} h^{[n]}.
     """
     coords = tuple(coords)
+    d = len(coords)
+    tuples = exponent_tuples(d, k)  # refuses d < 1 and k < 0
+    if d > 2:
+        raise ValueError("rank must be 1 or 2")
     terms = {}
-    for n in exponent_tuples(len(coords), k):
+    for n in tuples:
         c = 1
         for x, e in zip(coords, n):
             if e:
                 c = c * (x ** e)
         terms[n] = c
-    return TSym(len(coords), ring, terms)
+    return TSym._make(d, ring, terms)
 
 
 def sym_to_tsym(monomial: tuple[int, ...]) -> TSym:
@@ -207,7 +229,7 @@ def tsym_map(phi, a: TSym) -> TSym:
     if isinstance(phi, bool):
         raise TypeError("tsym_map needs an int scalar or an integer matrix, got bool")
     if isinstance(phi, int):
-        return TSym(a.d, a.ring, {n: c * phi ** sum(n) for n, c in a.terms.items()})
+        return TSym._make(a.d, a.ring, {n: c * phi ** sum(n) for n, c in a.terms.items()})
     rows = [list(r) for r in phi]
     if any(isinstance(x, bool) for r in rows for x in r):
         raise TypeError("tsym_map matrix entries must be ints, not bools")

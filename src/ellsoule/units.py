@@ -241,7 +241,7 @@ def residue_elliptic_soule(ell: int, r: int, N: int, c: int, t: tuple[int, int])
             series = theta_series(M, c, (x[0], t[1] + N * j), T)
             acc += M * series.valuation()
         values[x] = acc / q
-    return Measure(spec, values)
+    return Measure._make(spec, values)
 
 
 def norm_check_theta(M: int, d: int, c: int, point: tuple[int, int], window: int) -> dict:

@@ -61,6 +61,27 @@ def test_closed_moment_rejects_inexact_arguments(args):
         bernoulli_moment_closed(*args)
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [((-2, 3, 7, 1), "k = -2"),  # used to raise ZeroDivisionError: Fraction(0, 0)
+     ((-5, 3, 7, 1), "k = -5"),
+     ((1, 0, 7, 1), "N = 0"),  # used to raise integer modulo by zero
+     ((1, -3, 7, 1), "N = -3"),
+     ((1, 3, 0, 1), "c = 0"),  # c^k divides: used to raise ZeroDivisionError
+     ((-1, 3, 0, 1), "c = 0")],
+)
+def test_closed_moment_names_a_bad_argument(args, named):
+    with pytest.raises(ValueError, match=named):
+        bernoulli_moment_closed(*args)
+
+
+def test_closed_moment_keeps_its_edge_values():
+    # k = -1 is kept exact, and c = 0 has a value at k = 0 (no power of c divides)
+    # k = -1: c (c B_1(1/3) - B_1(7/3 mod 1)), with B_1(1/3) = -1/6
+    assert bernoulli_moment_closed(-1, 3, 7, 1) == 7 * (7 - 1) * Fraction(-1, 6)
+    assert bernoulli_moment_closed(0, 6, 0, 1) == smoothed_b2(6, 0, 1) == Fraction(-1, 2)
+
+
 def test_bern_eval_spots():
     assert bern_eval(3, Fraction(1, 3)) == Fraction(1, 27)
     assert bern_eval(4, Fraction(1, 3)) == Fraction(13, 810)

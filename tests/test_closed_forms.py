@@ -7,7 +7,7 @@ factors (including c that share a factor with the level).
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -70,6 +70,11 @@ def test_residue_forms_match_references(c):
                 assert _eis_residue(k, N, a % N) == ref_eis_residue(k, N, a % N)
             for a in range(N):
                 for b in range(N):
+                    if gcd(c, N) != 1 or (a, b) == (0, 0):
+                        # no symbol SouleElliptic(k, N, c, (a, b)): its residue is refused
+                        with pytest.raises(ValueError):
+                            residue_soule_closed(k, N, c, (a, b))
+                        continue
                     got = residue_soule_closed(k, N, c, (a, b))
                     assert got == ref_residue_soule_closed(k, N, c, (a, b)), (k, N, c, a, b)
 

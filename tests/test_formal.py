@@ -804,3 +804,41 @@ def test_negative_weights_are_rejected_naming_k(k):
         eis_residue_closed(k, 3, (1, 0))
     with pytest.raises(ValueError, match=f"k = {k}"):
         residue_table(3, k)
+
+
+def _refusal(f, *args):
+    """The exception type f(*args) raises, or None."""
+    try:
+        f(*args)
+    except (ValueError, TypeError) as e:
+        return type(e)
+    return None
+
+
+@given(st.integers(-2, 6), st.integers(1, 8), st.integers(-3, 16), st.integers(-9, 9),
+       st.integers(-9, 9))
+@example(2, 3, 3, 1, 0)  # gcd(c, N) = 3: used to return 1
+@example(2, 3, 1, 1, 0)  # c = 1: used to return 0
+@example(2, 3, 5, 3, -3)  # t = (0, 0) mod N: used to return 0
+@example(-1, 3, 5, 1, 0)  # used to leak factorial()'s message
+def test_closed_residues_refuse_what_their_symbols_refuse(k, N, c, a, b):
+    t = (a, b)
+    soule = _refusal(SouleSym, k, N, c, t) or (ValueError if k < 0 else None)
+    assert _refusal(residue_soule_closed, k, N, c, t) is soule
+    if soule is None:
+        assert residue_soule_closed(k, N, c, t) == residue(soule_elliptic(k, N, c, t))
+    eis = _refusal(EisSym, k, N, t) or (ValueError if k < 0 else None)
+    assert _refusal(eis_residue_closed, k, N, t) is eis
+    if eis is None:
+        assert eis_residue_closed(k, N, t) == residue(FormalClass({EisSym(k, N, t): 1}))
+
+
+def test_closed_residue_refusals_name_the_fault():
+    with pytest.raises(ValueError, match="gcd"):
+        residue_soule_closed(2, 3, 3, (1, 0))
+    with pytest.raises(ValueError, match="t != \\(0, 0\\)"):
+        residue_soule_closed(1, 4, 5, (4, 8))
+    with pytest.raises(ValueError, match="k = -1"):
+        residue_soule_closed(-1, 3, 5, (1, 0))
+    with pytest.raises(ValueError, match="t != \\(0, 0\\)"):
+        eis_residue_closed(2, 3, (0, 0))

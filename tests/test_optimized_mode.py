@@ -17,7 +17,8 @@ from ellsoule.bernoulli import bern_eval, bernoulli_moment_closed
 from ellsoule.cli import main
 from ellsoule.cyclotomic import CycloElement
 from ellsoule.formal import (
-    CycSym, EisSym, FormalClass, SouleSym, WeightFunction, eis_residue_closed, residue_table,
+    CycSym, EisSym, FormalClass, SouleSym, WeightFunction, eis_residue_closed,
+    residue_soule_closed, residue_table,
 )
 from ellsoule.measures import GroupSpec, Measure, TorsorSpec, dirac, pushforward
 from ellsoule.numutil import exact_rational, vp
@@ -122,6 +123,19 @@ for k in (-1, -100000000):
         raise SystemExit(f"residue-table --k {k} exited {code}: {err.getvalue()!r}")
     rejects(ValueError, residue_table, 3, k, names=f"k = {k}")
     rejects(ValueError, eis_residue_closed, k, 3, (1, 0), names=f"k = {k}")
+# the closed residues refuse what their symbols refuse: these used to return
+# 1 (gcd(c, N) = 3), 0 (c = 1), 0 (t = 0) and a value at the origin, and a
+# negative k leaked factorial()'s message
+rejects(ValueError, residue_soule_closed, 2, 3, 3, (1, 0), names="gcd")
+rejects(ValueError, residue_soule_closed, 2, 3, 1, (1, 0), names="c > 1")
+rejects(ValueError, residue_soule_closed, 2, 3, 5, (3, -3), names="(0, 0)")
+rejects(ValueError, residue_soule_closed, -1, 3, 5, (1, 0), names="k = -1")
+rejects(ValueError, eis_residue_closed, 2, 3, (0, 3), names="(0, 0)")
+# closed moments name the argument instead of raising ZeroDivisionError or
+# "integer modulo by zero"
+rejects(ValueError, bernoulli_moment_closed, -2, 3, 7, 1, names="k = -2")
+rejects(ValueError, bernoulli_moment_closed, 1, 0, 7, 1, names="N = 0")
+rejects(ValueError, bernoulli_moment_closed, 1, 3, 0, 1, names="c = 0")
 # the stored form: an int when integral, a lowest-terms Fraction otherwise
 mu = Measure(GroupSpec(4, 1), {(1,): Fraction(4, 2), (2,): Fraction(2, 6)})
 a = TSym(1, "Q", {(1,): Fraction(4, 2), (2,): Fraction(2, 6)})

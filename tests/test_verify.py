@@ -125,3 +125,42 @@ def test_failing_dir_rows_carry_what_reproduces_them(monkeypatch):
         else:
             assert row["pass"] is True
             assert not {"seed", "index", "psi"} & set(row)
+
+
+def _soule_rows(rep):
+    return {r["case"]: r["pass"] for r in rep["cases"] if r["case"].startswith("soule_residue")}
+
+
+def test_a_wrong_closed_residue_at_one_a_fails_its_row(monkeypatch):
+    # the closed value is computed once per (k, N, c, a): a fault at a = 3
+    # alone must still reach the row
+    real = verify.residue_soule_closed
+
+    def wrong_at_a3(k, N, c, t):
+        out = real(k, N, c, t)
+        return out + 1 if (k, N, c, t[0] % N) == (2, 5, 7, 3) else out
+
+    monkeypatch.setattr(verify, "residue_soule_closed", wrong_at_a3)
+    rows = _soule_rows(suite_dir(count=1, kmax=1, grid=()))
+    assert len(rows) == 90
+    assert [case for case, ok in rows.items() if not ok] == ["soule_residue_closed_N5_k2_c7"]
+
+
+def test_a_wrong_expansion_at_one_point_fails_its_row(monkeypatch):
+    # the symbol route is still taken at every (a, b): a fault in the
+    # expansion of one point reaches the row
+    import ellsoule.formal as formal
+
+    real = formal._soule_terms
+
+    def wrong_at_one_point(sym):
+        ck, terms = real(sym)
+        if (sym.k, sym.N, sym.c, sym.t) == (3, 4, 11, (1, 2)):
+            (t, f), rest = terms[0], terms[1:]
+            terms = ((t, f + 1), *rest)
+        return ck, terms
+
+    monkeypatch.setattr(formal, "_soule_terms", wrong_at_one_point)
+    rows = _soule_rows(suite_dir(count=1, kmax=1, grid=()))
+    assert len(rows) == 90
+    assert [case for case, ok in rows.items() if not ok] == ["soule_residue_closed_N4_k3_c11"]
