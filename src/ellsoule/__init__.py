@@ -56,7 +56,6 @@ from .moments import (
 from .puiseux import PuiseuxSeries
 from .tsym import TSym, divided_power, exponent_tuples, sym_to_tsym, tsym_map
 from .units import (
-    CuspMismatchError,
     RatFun,
     cusp_square_check,
     cusp_value_closed,

@@ -308,16 +308,6 @@ class CycloElement(_Value):
         big[::s] = self.num
         return _make(M2, _reduce(M2, euler_phi(M2), big), self.den)
 
-    def galois(self, u: int) -> "CycloElement":
-        """The automorphism determined by zeta_M -> zeta_M^u, gcd(u, M) = 1."""
-        M = self.M
-        if gcd(u, M) != 1:
-            raise ValueError(f"{u} is not coprime to {M}")
-        big = [0] * M
-        for i, c in enumerate(self.num):
-            big[(i * u) % M] = c
-        return _make(M, _reduce(M, len(self.num), big), self.den)
-
     def __repr__(self):
         terms = []
         for i, c in enumerate(self.coeffs):

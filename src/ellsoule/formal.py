@@ -61,6 +61,7 @@ __all__ = [
     "residue_soule_closed",
     "soule_elliptic",
     "eis_of_psi",
+    "psi_residue",
     "parity_project",
     "dir_closed",
     "dir_via_me",
@@ -78,6 +79,14 @@ class ResiduePreconditionError(ValueError):
         self.residue = residue
 
 
+def _level_N(N) -> int:
+    """N, which must be an int >= 1: no point lives at a level N <= 0."""
+    N = _int(N, "level N")
+    if N < 1:
+        raise ValueError(f"level N = {N} must be >= 1")
+    return N
+
+
 def _norm_point(N: int, t) -> tuple[int, int]:
     return (_coord(t[0], N), _coord(t[1], N))
 
@@ -88,7 +97,7 @@ class EisSym(_Record):
     __slots__ = ("k", "N", "t")
 
     def __init__(self, k: int, N: int, t: tuple[int, int]):
-        k, N = _int(k, "weight k"), _int(N, "level N")
+        k, N = _int(k, "weight k"), _level_N(N)
         t = _norm_point(N, t)
         if t == (0, 0):
             raise ValueError("Eisenstein symbols need t != (0, 0)")
@@ -102,7 +111,7 @@ class SouleSym(_Record):
     __slots__ = ("k", "N", "c", "t")
 
     def __init__(self, k: int, N: int, c: int, t: tuple[int, int]):
-        k, N, c = _int(k, "weight k"), _int(N, "level N"), _int(c, "smoothing factor")
+        k, N, c = _int(k, "weight k"), _level_N(N), _int(c, "smoothing factor")
         if c <= 1 or gcd(c, N) != 1:
             raise ValueError(f"need c > 1 with gcd(c, N) = gcd({c}, {N}) = 1")
         t = _norm_point(N, t)
@@ -117,7 +126,7 @@ class CycSym(_Record):
     __slots__ = ("k", "N", "b")
 
     def __init__(self, k: int, N: int, b: int):
-        k, N = _int(k, "weight k"), _int(N, "level N")
+        k, N = _int(k, "weight k"), _level_N(N)
         b = _coord(b, N)
         if b == 0:
             raise ValueError("cyclotomic symbols need b != 0")

@@ -139,9 +139,9 @@ class Measure(_Value):
     def __init__(self, spec: Spec, values: dict):
         vals: dict[tuple[int, ...], int | Fraction] = {}
         for x, v in values.items():
-            v = _rational(v)
+            v, x = _rational(v), _key(spec, x)
             if v:
-                vals[_key(spec, x)] = v
+                vals[x] = v
         _set_spec(self, spec)
         _set_values(self, vals)
 

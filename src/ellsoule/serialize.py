@@ -10,7 +10,6 @@ weight-function input of `ellsoule dir`.
 
 from __future__ import annotations
 
-from itertools import groupby
 from math import gcd
 
 from .cyclotomic import CycloElement
@@ -18,13 +17,11 @@ from .formal import EisSym, FormalClass, SouleSym, WeightFunction
 from .measures import Measure, TorsorSpec
 from .numutil import parse_rat, rat_str
 from .puiseux import PuiseuxSeries
-from .tsym import TSym
 
 __all__ = [
     "cyclo_to_json",
     "series_json",
     "measure_to_json",
-    "tsym_to_json",
     "formal_to_json",
     "psi_to_json",
     "psi_from_json",
@@ -97,19 +94,6 @@ def measure_to_json(mu: Measure) -> dict:
         "values": [
             {"x": list(x), "v": rat_str(v)}
             for x, v in sorted(mu.values.items())
-        ],
-    }
-
-
-def tsym_to_json(a: TSym) -> dict:
-    """The terms sorted by degree, then exponent tuple, grouped by degree."""
-    terms = sorted(a.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-    return {
-        "d": a.d,
-        "ring": a.ring,
-        "components": [
-            {"k": k, "terms": [{"n": list(n), "c": rat_str(c)} for n, c in group]}
-            for k, group in groupby(terms, key=lambda t: sum(t[0]))
         ],
     }
 

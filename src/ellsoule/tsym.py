@@ -188,9 +188,10 @@ def divided_power(coords, k: int, ring: str = "Q") -> TSym:
     """h^{[k]} for a degree-1 element h = sum coords_i e_i, of rank len(coords).
 
     Equals sum_{|n|=k} (prod_i coords_i^{n_i}) e^{[n]}, the unique extension
-    of the addition law (g+h)^{[k]} = sum g^{[m]} h^{[n]}.
+    of the addition law (g+h)^{[k]} = sum g^{[m]} h^{[n]}.  A coordinate is
+    checked as a coefficient is: a float or a bool raises TypeError.
     """
-    coords = tuple(coords)
+    coords = tuple(map(_rational, coords))
     d = len(coords)
     tuples = exponent_tuples(d, k)  # refuses d < 1 and k < 0
     if d > 2:

@@ -63,7 +63,6 @@ __all__ = [
     "epsilon_series",
     "cusp_value_closed",
     "epsilon_cusp_eval",
-    "CuspMismatchError",
     "cusp_square_check",
     "RatFun",
     "xi",
@@ -342,32 +341,10 @@ def cusp_value_closed(M: int, c: int, y: int) -> CycloElement:
     return scalar * _xi_c_at(M, y, c)
 
 
-class CuspMismatchError(AssertionError):
-    """The normalized unit's constant term at a cusp differs from the closed
-    form; carries both values."""
-
-    def __init__(self, constant_term: CycloElement, closed: CycloElement):
-        super().__init__(
-            f"cusp constant term {constant_term!r} differs from closed form {closed!r}"
-        )
-        self.constant_term = constant_term
-        self.closed = closed
-
-
 def epsilon_cusp_eval(ell: int, r: int, N: int, c: int, y: int) -> CycloElement:
-    """Constant term of the normalized unit at (0, y), checked equal to the
-    closed cyclotomic formula (CuspMismatchError otherwise); returns the
-    common value."""
-    M = _level(ell, r, N, c)
-    n = _e0(M, c, 0)
-    eps = theta_series(M, c, (0, y), n + 4).shift(-n)  # only the constant term is read
-    if eps.terms and min(eps.terms) < 0:
-        raise AssertionError("normalized unit has negative valuation")
-    ct = eps.constant_term()
-    closed = cusp_value_closed(M, c, y)
-    if ct != closed:
-        raise CuspMismatchError(ct, closed)
-    return closed
+    """The cusp (q = 0) value of the normalized unit at (0, y): the constant
+    term read off its expansion.  `cusp_value_closed` is its closed form."""
+    return epsilon_series(ell, r, N, c, (0, y), 4).constant_term()
 
 
 def cusp_square_check(M: int, c: int, y: int) -> bool:

@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ellsoule import cli, units
+from ellsoule import cli, units, verify
 from ellsoule.cli import _dumps, _verify_csv
 from ellsoule.serialize import cyclo_to_json
 from ellsoule.units import eta_exponent, theta_series
@@ -369,8 +369,6 @@ def test_level_and_weight_at_their_caps_exit_0(tmp_path, capsys, argv):
 
 def test_raising_boundary_route_is_a_failing_row_of_a_written_report(monkeypatch, capsys):
     # used to escape cli.main with the exception, writing nothing
-    from ellsoule import verify
-
     real, calls = verify.dir_via_me, []
 
     def seventh_call_raises(psi, c):
@@ -390,14 +388,15 @@ def test_raising_boundary_route_is_a_failing_row_of_a_written_report(monkeypatch
 
 
 def test_cusp_mismatch_is_a_failing_row_of_a_written_report(monkeypatch, capsys):
-    # used to escape cli.main as an AssertionError, with no report written
-    right = units.cusp_value_closed
+    # used to escape cli.main as an AssertionError, with no report written;
+    # the suite's one comparison is against its closed form
+    right = verify.cusp_value_closed
 
     def wrong(M, c, y):
         v = right(M, c, y)
         return v + v if (M, y) == (6, 5) else v
 
-    monkeypatch.setattr(units, "cusp_value_closed", wrong)
+    monkeypatch.setattr(verify, "cusp_value_closed", wrong)
     assert cli.main(["verify", "--suite", "units"]) == 1
     rep = json.loads(capsys.readouterr().out)
     failing = [row for row in rep["cases"] if not row["pass"]]

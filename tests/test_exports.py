@@ -1,11 +1,13 @@
-"""Every name a module lists in `__all__` exists, so no export dangles, and
-the package imports no more of the standard library than it uses."""
+"""Every name a module lists in `__all__` exists, so no export dangles, every
+name the package re-exports is in its module's `__all__`, and the package
+imports no more of the standard library than it uses."""
 
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -19,6 +21,17 @@ def test_all_exports_resolve(name):
     mod = importlib.import_module(f"ellsoule.{name}")
     missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
     assert missing == []
+
+
+def test_package_names_are_exported_by_their_modules():
+    # the package namespace re-exports only what a module lists in __all__
+    unlisted = [
+        name
+        for name, obj in vars(ellsoule).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+        and name not in importlib.import_module(obj.__module__).__all__
+    ]
+    assert unlisted == []
 
 
 def test_import_pulls_in_neither_dataclasses_nor_inspect():

@@ -202,6 +202,8 @@ def test_inexact_coordinates_are_rejected(x):
     group = GroupSpec(8, 1)
     with pytest.raises(TypeError):
         Measure(group, {(x,): 1, (2,): 3})
+    with pytest.raises(TypeError):  # a zero value used to skip the point check
+        Measure(group, {(x,): 0})
     with pytest.raises(TypeError):
         dirac(group, (x,))
     with pytest.raises(TypeError):
@@ -212,6 +214,15 @@ def test_inexact_coordinates_are_rejected(x):
         TorsorSpec(2, 1, 3, 1, "reduction", (x,))
     with pytest.raises(TypeError):
         dirac(GroupSpec(8, 2), (1, x))
+
+
+def test_off_fiber_point_with_value_zero_is_rejected():
+    # the fiber of t = 1 mod 3 at level 6 is {1, 4}; 2 is off it, and a zero
+    # value at 2 used to skip the point check
+    spec = TorsorSpec(2, 1, 3, 1, "reduction", (1,))
+    for v in (0, Fraction(0), 1):
+        with pytest.raises(ValueError, match="not in the fiber"):
+            Measure(spec, {(1,): 1, (2,): v})
 
 
 def test_int_coordinates_reduce_mod_the_modulus():

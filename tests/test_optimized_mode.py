@@ -23,7 +23,7 @@ from ellsoule.formal import (
 from ellsoule.measures import GroupSpec, Measure, TorsorSpec, dirac, pushforward
 from ellsoule.numutil import exact_rational, vp
 from ellsoule.puiseux import PuiseuxSeries
-from ellsoule.tsym import TSym, exponent_tuples, tsym_map
+from ellsoule.tsym import TSym, divided_power, exponent_tuples, tsym_map
 from ellsoule.units import (
     _e0, cusp_value_closed, epsilon_series, norm_check_theta, residue_elliptic_soule,
     theta_qexp, theta_series,
@@ -109,6 +109,18 @@ rejects(TypeError, TorsorSpec, 2, True, 3, names="level r")
 rejects(TypeError, TorsorSpec, 2, 1, 3, 2.0, names="rank d")
 rejects(TypeError, GroupSpec, True, names="modulus m")
 rejects(TypeError, GroupSpec, 3.0, names="modulus m")
+# a level N <= 0: SouleSym(2, -3, 5, (1, 0)) was stored with t = (-2, 0),
+# residue_soule_closed returned -169/125 there, and EisSym(2, 0, (1, 0))
+# raised "integer modulo by zero"
+for N in (0, -3):
+    rejects(ValueError, EisSym, 2, N, (1, 0), names="level N")
+    rejects(ValueError, SouleSym, 2, N, 5, (1, 0), names="level N")
+    rejects(ValueError, CycSym, 2, N, 1, names="level N")
+    rejects(ValueError, residue_soule_closed, 2, N, 5, (1, 0), names="level N")
+# a bool coordinate of divided_power, and a bad point under a zero value
+rejects(TypeError, divided_power, (True, 0), 1)
+rejects(TypeError, Measure, GroupSpec(8, 1), {(2.5,): 0})
+rejects(ValueError, Measure, TorsorSpec(2, 1, 3, 1, "reduction", (1,)), {(2,): 0})
 # a negative power would loop for ever: -1 >> 1 == -1
 rejects(ValueError, CycloElement.zeta_pow(3, 1).__pow__, -1, names="exponent -1")
 rejects(ValueError, PuiseuxSeries(3, 4, {0: 1}).__pow__, -1, names="exponent -1")

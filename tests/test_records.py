@@ -14,7 +14,15 @@ import pytest
 
 import ellsoule
 from ellsoule.cyclotomic import CycloElement
-from ellsoule.formal import CycSym, EisSym, FormalClass, SouleSym, WeightFunction
+from ellsoule.formal import (
+    CycSym,
+    EisSym,
+    FormalClass,
+    SouleSym,
+    WeightFunction,
+    eis_residue_closed,
+    residue_soule_closed,
+)
 from ellsoule.measures import GroupSpec, Measure, TorsorSpec
 from ellsoule.numutil import _Record, _Value
 from ellsoule.puiseux import PuiseuxSeries
@@ -143,6 +151,22 @@ def test_records_take_keywords_and_defaults():
 def test_record_int_fields_reject_floats_and_bools(make, field):
     with pytest.raises(TypeError, match=field):
         make()
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_symbol_records_reject_a_level_below_one(N):
+    # SouleSym(2, -3, 5, (1, 0)) was stored with t = (-2, 0), so
+    # residue_soule_closed(2, -3, 5, (1, 0)) returned -169/125, and
+    # EisSym(2, 0, (1, 0)) raised "integer modulo by zero"
+    for make in (
+        lambda: EisSym(2, N, (1, 0)),
+        lambda: SouleSym(2, N, 5, (1, 0)),
+        lambda: CycSym(2, N, 1),
+        lambda: residue_soule_closed(2, N, 5, (1, 0)),
+        lambda: eis_residue_closed(2, N, (1, 0)),
+    ):
+        with pytest.raises(ValueError, match=f"level N = {N} must be >= 1"):
+            make()
 
 
 VALUES = [rec for rec, _ in RECORDS] + [

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from math import comb, factorial
 
@@ -7,7 +6,6 @@ from hypothesis import example, given, strategies as st
 
 from ellsoule.moments import moment_torsor
 from ellsoule.measures import Measure, TorsorSpec
-from ellsoule.serialize import tsym_to_json
 from ellsoule.tsym import TSym, divided_power, exponent_tuples, sym_to_tsym, tsym_map
 
 
@@ -158,6 +156,11 @@ def test_inexact_coefficients_are_rejected(x, ring):
         tsym_map(x, TSym.basis(2, (1, 0), ring))
     with pytest.raises(TypeError):
         tsym_map([[x, 0], [0, 1]], TSym.basis(2, (1, 0), ring))
+    # a coordinate of h: (True, 0) at k = 1 used to give e^{[1,0]}, and at
+    # k = 0 no power of x was taken, so nothing checked it
+    for k in (0, 1, 2):
+        with pytest.raises(TypeError):
+            divided_power((x, 0), k, ring)
 
 
 @pytest.mark.parametrize(
@@ -227,27 +230,20 @@ def test_coefficients_built_from_fractions_equal_and_hash_like_ints(vals):
 
 
 def test_json_bytes_are_unchanged():
-    # pinned from the all-Fraction representation
+    # the values once pinned as JSON bytes from the all-Fraction representation
+    F = Fraction
     a = TSym(2, "Q", MIXED)
-    assert json.dumps(tsym_to_json(a)) == (
-        '{"d": 2, "ring": "Q", "components": [{"k": 1, "terms": [{"n": [0, 1], '
-        '"c": "1/3"}, {"n": [1, 0], "c": "2"}]}, {"k": 2, "terms": [{"n": [1, 1], '
-        '"c": "-3/2"}, {"n": [2, 0], "c": "-5"}]}]}'
-    )
-    assert json.dumps(tsym_to_json(a * a)) == (
-        '{"d": 2, "ring": "Q", "components": [{"k": 2, "terms": [{"n": [0, 2], '
-        '"c": "2/9"}, {"n": [1, 1], "c": "4/3"}, {"n": [2, 0], "c": "8"}]}, '
-        '{"k": 3, "terms": [{"n": [1, 2], "c": "-2"}, {"n": [2, 1], "c": "-46/3"}, '
-        '{"n": [3, 0], "c": "-60"}]}, {"k": 4, "terms": [{"n": [2, 2], "c": "9"}, '
-        '{"n": [3, 1], "c": "45"}, {"n": [4, 0], "c": "150"}]}]}'
-    )
+    assert a.terms == {(0, 1): F(1, 3), (1, 0): 2, (1, 1): F(-3, 2), (2, 0): -5}
+    assert (a * a).terms == {
+        (0, 2): F(2, 9), (1, 1): F(4, 3), (2, 0): 8,
+        (1, 2): -2, (2, 1): F(-46, 3), (3, 0): -60,
+        (2, 2): 9, (3, 1): 45, (4, 0): 150,
+    }
     mu = Measure(
         TorsorSpec(2, 2, 3, 1, "reduction", (1,)),
         {(1,): Fraction(4, 2), (4,): Fraction(1, 3), (7,): -5, (10,): Fraction(-6, 4)},
     )
-    assert json.dumps(tsym_to_json(moment_torsor(mu, 3))) == (
-        '{"d": 1, "ring": "Q", "components": [{"k": 3, "terms": [{"n": [3], "c": "-145"}]}]}'
-    )
+    assert moment_torsor(mu, 3).terms == {(3,): -145}
 
 
 @pytest.mark.parametrize(

@@ -456,7 +456,7 @@ def test_cusp_eval_matches_closed_form():
 def test_cusp_eval_with_odd_half_exponent():
     # c = 7 has (c - c^2)/2 odd, exercising the sign of the closed form
     for y in range(1, 6):
-        epsilon_cusp_eval(2, 1, 3, 7, y)
+        assert epsilon_cusp_eval(2, 1, 3, 7, y) == cusp_value_closed(6, 7, y)
 
 
 def test_cusp_squaring_identity():
