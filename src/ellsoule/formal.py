@@ -599,7 +599,9 @@ def random_residue_zero_psi(N: int, k: int, rng: Random, parity: bool = True) ->
 
     All but one value are drawn uniformly from [-20, 20]; the last is
     solved exactly at a point t* (with a* != 0 and nonzero residue
-    coefficient) so the single linear residue constraint holds.  With
+    coefficient) so the single linear residue constraint holds.  When every
+    residue coefficient is 0 (N = 2 at odd k, where B_{k+2} vanishes at 0
+    and 1/2), every value is drawn and there is no t*.  With
     parity=True the drawn numerators are parity-projected before the one
     reduction to lowest terms (the result equals `parity_project` of the
     raw draw, and the projection preserves the residue), so the function has
@@ -608,14 +610,15 @@ def random_residue_zero_psi(N: int, k: int, rng: Random, parity: bool = True) ->
     points = _points(N)
     R, _ = _residue_ints(k, N)
     t_star = next((t for t in points if t[0] != 0 and R[t[0]]), None)
-    if t_star is None:
+    if t_star is None and any(R):
         raise ValueError(f"no usable pivot for N={N}, k={k}")
     # psi(t*) = -sum_{t != t*} psi(t) R[a] / R[a*], over den = |R[a*]|
-    den = abs(R[t_star[0]])
+    den = abs(R[t_star[0]]) if t_star else 1
     draw = rng.randrange  # randint(-20, 20) is randrange(-20, 21)
     num = {t: draw(-20, 21) * den for t in points if t != t_star}
-    partial = sum(v * R[a] for (a, _), v in num.items())
-    num[t_star] = -partial // R[t_star[0]]
+    if t_star:
+        partial = sum(v * R[a] for (a, _), v in num.items())
+        num[t_star] = -partial // R[t_star[0]]
     if parity:
         return WeightFunction._from_num(k, N, _parity_num(k, N, num), 2 * den)
     return WeightFunction._from_num(k, N, num, den)

@@ -2,7 +2,8 @@
 package, cross-checked by independent routes and reported as deterministic
 pass/fail case lists.
 
-Each suite returns a plain dict
+Each suite body is a generator of rows; `_suite` makes it a function that
+returns the plain dict
 
     {"suite": name, "cases": [...], "summary": {...}, "all_pass": bool}
 
@@ -13,7 +14,7 @@ serialized reports are byte-stable for a fixed seed and parameter set.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, wraps
 from math import comb, factorial, gcd
 from random import Random
 
@@ -90,18 +91,47 @@ def _row(case: str, ok: bool, **fields) -> dict:
     return out
 
 
-def _finish(name: str, rows: list[dict]) -> dict:
-    passed = sum(1 for r in rows if r["pass"])
-    return {
-        "suite": name,
-        "cases": rows,
-        "summary": {
-            "total": len(rows),
-            "passed": passed,
-            "failed": len(rows) - passed,
-        },
-        "all_pass": passed == len(rows),
-    }
+def _suite(name: str):
+    """Make a generator of rows a suite that returns their report, under the
+    one failure policy: a ValueError (refused input) passes through, and any
+    other exception ends the suite with one failing row, `<name>_raised`,
+    after the rows already yielded.  It carries the exception text (`error`),
+    the last case yielded (`after`, else None) and the suite's arguments."""
+
+    def wrap(gen):
+        names = gen.__code__.co_varnames[: gen.__code__.co_argcount]
+        defaults = dict(zip(reversed(names), reversed(gen.__defaults__ or ())))
+
+        @wraps(gen)
+        def run(*args, **kwargs):
+            cases, rows = gen(*args, **kwargs), []
+            try:
+                for row in cases:
+                    rows.append(row)
+            except ValueError:
+                raise
+            except Exception as e:  # a library fault is a failing row, not a crash
+                given = {**defaults, **dict(zip(names, args)), **kwargs}
+                rows.append(
+                    _row(
+                        f"{name}_raised",
+                        False,
+                        error=f"{type(e).__name__}: {e}",
+                        after=rows[-1]["case"] if rows else None,
+                        **{n: given[n] for n in names},
+                    )
+                )
+            passed = sum(1 for r in rows if r["pass"])
+            return {
+                "suite": name,
+                "cases": rows,
+                "summary": {"total": len(rows), "passed": passed, "failed": len(rows) - passed},
+                "all_pass": passed == len(rows),
+            }
+
+        return run
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +139,9 @@ def _finish(name: str, rows: list[dict]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def suite_tsym(kmax: int = 6, seed: int = 0) -> dict:
+@_suite("tsym")
+def suite_tsym(kmax: int = 6, seed: int = 0):
     rng = Random(f"tsym:{seed}")
-    rows = []
 
     # the addition law (g+h)^{[k]} = sum_{m+n=k} g^{[m]} h^{[n]}
     for i in range(15):
@@ -123,7 +153,7 @@ def suite_tsym(kmax: int = 6, seed: int = 0) -> dict:
         rhs = TSym.zero(d, "Q")
         for m in range(k + 1):
             rhs = rhs + divided_power(g, m) * divided_power(h, k - m)
-        rows.append(_row(f"addition_law_{i}", lhs == rhs, d=d, k=k))
+        yield _row(f"addition_law_{i}", lhs == rhs, d=d, k=k)
 
     # the basis product rule through explicit binomials
     for i in range(10):
@@ -137,7 +167,7 @@ def suite_tsym(kmax: int = 6, seed: int = 0) -> dict:
             w *= comb(x + y, x)
         lhs = TSym.basis(d, a) * TSym.basis(d, b)
         rhs = TSym.basis(d, tuple(x + y for x, y in zip(a, b)), coeff=w)
-        rows.append(_row(f"product_rule_{i}", lhs == rhs, a=list(a), b=list(b)))
+        yield _row(f"product_rule_{i}", lhs == rhs, a=list(a), b=list(b))
 
     # the map from the symmetric algebra is a ring homomorphism
     for i in range(10):
@@ -148,13 +178,11 @@ def suite_tsym(kmax: int = 6, seed: int = 0) -> dict:
         b = rng.choice(exponent_tuples(d, kb))
         lhs = sym_to_tsym(a) * sym_to_tsym(b)
         rhs = sym_to_tsym(tuple(x + y for x, y in zip(a, b)))
-        rows.append(_row(f"sym_hom_{i}", lhs == rhs, a=list(a), b=list(b)))
+        yield _row(f"sym_hom_{i}", lhs == rhs, a=list(a), b=list(b))
 
     # rank-2 degree-k component has dimension k + 1
     for k in range(kmax + 1):
-        rows.append(
-            _row(f"dimension_k{k}", len(exponent_tuples(2, k)) == k + 1, k=k)
-        )
+        yield _row(f"dimension_k{k}", len(exponent_tuples(2, k)) == k + 1, k=k)
 
     # functoriality: composite matrices act as composed maps
     for i in range(10):
@@ -170,18 +198,16 @@ def suite_tsym(kmax: int = 6, seed: int = 0) -> dict:
             a = a + TSym.basis(2, n, coeff=rng.randint(-5, 5))
         lhs = tsym_map(comp, a)
         rhs = tsym_map(phi, tsym_map(psi, a))
-        rows.append(_row(f"functor_composition_{i}", lhs == rhs))
+        yield _row(f"functor_composition_{i}", lhs == rhs)
 
     # a scalar acts as the scalar matrix
     for i in range(5):
         c = rng.randint(-4, 4)
         a = TSym.basis(2, (rng.randint(0, 2), rng.randint(0, 2)), coeff=rng.randint(-5, 5))
-        rows.append(
-            _row(
-                f"scalar_matrix_{i}",
-                tsym_map(c, a) == tsym_map([[c, 0], [0, c]], a),
-                c=c,
-            )
+        yield _row(
+            f"scalar_matrix_{i}",
+            tsym_map(c, a) == tsym_map([[c, 0], [0, c]], a),
+            c=c,
         )
 
     # reduction mod m commutes with the product
@@ -192,13 +218,10 @@ def suite_tsym(kmax: int = 6, seed: int = 0) -> dict:
         b = TSym.basis(d, tuple(rng.randint(0, 2) for _ in range(d)), "Z", rng.randint(-9, 9))
         lhs = (a * b).base_change(f"Z/{m}")
         rhs = a.base_change(f"Z/{m}") * b.base_change(f"Z/{m}")
-        rows.append(_row(f"reduction_commutes_{i}", lhs == rhs, m=m))
+        yield _row(f"reduction_commutes_{i}", lhs == rhs, m=m)
 
     spot = TSym.basis(1, (2,)) * TSym.basis(1, (3,))
-    rows.append(
-        _row("spot_e2_e3", spot == TSym.basis(1, (5,), coeff=10), expected="10*e^[5]")
-    )
-    return _finish("tsym", rows)
+    yield _row("spot_e2_e3", spot == TSym.basis(1, (5,), coeff=10), expected="10*e^[5]")
 
 
 # ---------------------------------------------------------------------------
@@ -206,27 +229,25 @@ def suite_tsym(kmax: int = 6, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def suite_measures(seed: int = 0) -> dict:
+@_suite("measures")
+def suite_measures(seed: int = 0):
     rng = Random(f"measures:{seed}")
-    rows = []
 
     z6 = GroupSpec(6)
-    rows.append(
-        _row(
-            "spot_dirac_convolution",
-            convolve(dirac(z6, 1), dirac(z6, 2)) == dirac(z6, 3),
-        )
+    yield _row(
+        "spot_dirac_convolution",
+        convolve(dirac(z6, 1), dirac(z6, 2)) == dirac(z6, 3),
     )
 
     z8 = GroupSpec(8)
     step = dirac(z8, 1) - dirac(z8, 0)
     expect = dirac(z8, 2) - dirac(z8, 1).scale(2) + dirac(z8, 0)
-    rows.append(_row("spot_convolution_square", convolve(step, step) == expect))
+    yield _row("spot_convolution_square", convolve(step, step) == expect)
 
     fib = torsor_elements(TorsorSpec(2, 1, 3, 1, "reduction", (1,)))
-    rows.append(_row("spot_fiber_elements", fib == [(1,), (4,)], fiber=[list(x) for x in fib]))
+    yield _row("spot_fiber_elements", fib == [(1,), (4,)], fiber=[list(x) for x in fib])
     same = torsor_elements(TorsorSpec(2, 1, 3, 1, "multiplication", (1,))) == fib
-    rows.append(_row("flavors_share_fibers", same))
+    yield _row("flavors_share_fibers", same)
 
     for i in range(5):
         ell = rng.choice([2, 3, 5])
@@ -235,15 +256,13 @@ def suite_measures(seed: int = 0) -> dict:
         d = rng.choice([1, 2])
         t = tuple(rng.randrange(N) for _ in range(d))
         spec = TorsorSpec(ell, r, N, d, "reduction", t)
-        rows.append(
-            _row(
-                f"fiber_cardinality_{i}",
-                len(torsor_elements(spec)) == ell ** (r * d),
-                ell=ell,
-                r=r,
-                N=N,
-                d=d,
-            )
+        yield _row(
+            f"fiber_cardinality_{i}",
+            len(torsor_elements(spec)) == ell ** (r * d),
+            ell=ell,
+            r=r,
+            N=N,
+            d=d,
         )
 
     # base points add under convolution
@@ -253,11 +272,9 @@ def suite_measures(seed: int = 0) -> dict:
         mu = dirac(spec1, spec1.t[0] + 5 * rng.randrange(2))
         nu = dirac(spec2, spec2.t[0] + 5 * rng.randrange(2))
         out = convolve(mu, nu)
-        rows.append(
-            _row(
-                f"torsor_convolution_{i}",
-                out.spec.t == ((spec1.t[0] + spec2.t[0]) % 5,),
-            )
+        yield _row(
+            f"torsor_convolution_{i}",
+            out.spec.t == ((spec1.t[0] + spec2.t[0]) % 5,),
         )
 
     # pushforward composition laws
@@ -272,7 +289,7 @@ def suite_measures(seed: int = 0) -> dict:
         mult_comp = pushforward(("mult", a), pushforward(("mult", b), mu)) == pushforward(
             ("mult", a * b), mu
         )
-        rows.append(_row(f"pushforward_composition_{i}", double_neg and mult_comp))
+        yield _row(f"pushforward_composition_{i}", double_neg and mult_comp)
 
     # total mass is preserved by pushforwards and traces
     for i in range(5):
@@ -282,45 +299,39 @@ def suite_measures(seed: int = 0) -> dict:
             pushforward("neg", mu).total_mass() == mu.total_mass()
             and trace(mu).total_mass() == mu.total_mass()
         )
-        rows.append(_row(f"mass_invariance_{i}", ok))
+        yield _row(f"mass_invariance_{i}", ok)
 
     # one level of trace sends the smoothed measure to the one below
     for ell, N, c in ((2, 3, 5), (3, 4, 5), (2, 5, 7)):
         for r in (1, 2):
             hi = bernoulli_measure(ell, r, N, c, 1)
             lo = bernoulli_measure(ell, r - 1, N, c, 1)
-            rows.append(
-                _row(
-                    f"trace_tower_ell{ell}_N{N}_c{c}_r{r}",
-                    trace(hi) == lo,
-                    ell=ell,
-                    N=N,
-                    c=c,
-                    r=r,
-                )
+            yield _row(
+                f"trace_tower_ell{ell}_N{N}_c{c}_r{r}",
+                trace(hi) == lo,
+                ell=ell,
+                N=N,
+                c=c,
+                r=r,
             )
 
     spot = integrate(bernoulli_measure(5, 1, 3, 7, 1), lambda x: x)
-    rows.append(
-        _row(
-            "spot_first_moment",
-            spot == Fraction(-181),
-            value=rat_str(spot),
-            expected="-181",
-        )
+    yield _row(
+        "spot_first_moment",
+        spot == Fraction(-181),
+        value=rat_str(spot),
+        expected="-181",
     )
 
     mu = Measure(GroupSpec(4), {1: Fraction(14, 5)})
     red = reduce_mod(mu, 4, ell=2)
-    rows.append(_row("reduce_invertible_denominator", red == {(1,): 2}, expected="2"))
+    yield _row("reduce_invertible_denominator", red == {(1,): 2}, expected="2")
     try:
         reduce_mod(Measure(GroupSpec(4), {1: Fraction(1, 2)}), 2, ell=2)
         ok = False
     except ArithmeticError:
         ok = True
-    rows.append(_row("reduce_rejects_ell_denominator", ok))
-
-    return _finish("measures", rows)
+    yield _row("reduce_rejects_ell_denominator", ok)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +356,9 @@ def _random_measure(spec, rng: Random, npts: int = 3) -> Measure:
     return Measure(spec, {p: rng.randint(-9, 9) for p in pts})
 
 
-def suite_moments(seed: int = 0, kmax: int = 4) -> dict:
+@_suite("moments")
+def suite_moments(seed: int = 0, kmax: int = 4):
     rng = Random(f"moments:{seed}")
-    rows = []
 
     # point masses: the moment is the divided power of the coordinates
     for i in range(15):
@@ -357,15 +368,13 @@ def suite_moments(seed: int = 0, kmax: int = 4) -> dict:
         q = spec.ell ** spec.r
         lhs = moment_torsor(dirac(spec, x), k)
         rhs = divided_power(tuple(xi % q for xi in x), k)
-        rows.append(_row(f"dirac_exact_{i}", lhs == rhs, k=k))
+        yield _row(f"dirac_exact_{i}", lhs == rhs, k=k)
     for i in range(5):
         spec = GroupSpec(rng.choice([5, 6, 8]), rng.choice([1, 2]))
         x = tuple(rng.randrange(spec.m) for _ in range(spec.d))
         k = rng.randint(0, kmax)
         lhs = moment(dirac(spec, x), k)
-        rows.append(
-            _row(f"dirac_group_{i}", lhs == divided_power(x, k), k=k)
-        )
+        yield _row(f"dirac_group_{i}", lhs == divided_power(x, k), k=k)
 
     # convolution: moments multiply degreewise, as a congruence at level r
     for i in range(20):
@@ -378,7 +387,7 @@ def suite_moments(seed: int = 0, kmax: int = 4) -> dict:
         acc = TSym.zero(spec.d, "Q")
         for m in range(k + 1):
             acc = acc + moment_torsor(mu, m) * moment_torsor(nu, k - m)
-        rows.append(_row(f"convolution_{i}", lhs == tsym_reduce(acc, q), k=k))
+        yield _row(f"convolution_{i}", lhs == tsym_reduce(acc, q), k=k)
     for i in range(10):
         spec = GroupSpec(rng.choice([5, 6, 8, 9]), rng.choice([1, 2]))
         mu = _random_measure(spec, rng)
@@ -388,32 +397,26 @@ def suite_moments(seed: int = 0, kmax: int = 4) -> dict:
         acc = TSym.zero(spec.d, "Q")
         for m in range(k + 1):
             acc = acc + moment(mu, m) * moment(nu, k - m)
-        rows.append(
-            _row(f"convolution_group_{i}", lhs == tsym_reduce(acc, spec.m), k=k)
-        )
+        yield _row(f"convolution_group_{i}", lhs == tsym_reduce(acc, spec.m), k=k)
 
     # inversion, scaling, projection: functoriality of the moment map
     for i in range(10):
         spec = _random_torsor(rng)
         mu = _random_measure(spec, rng)
         k = rng.randint(0, kmax)
-        rows.append(_row(f"negation_{i}", check_functoriality("neg", mu, k), k=k))
+        yield _row(f"negation_{i}", check_functoriality("neg", mu, k), k=k)
     for i in range(10):
         spec = _random_torsor(rng)
         mu = _random_measure(spec, rng)
         k = rng.randint(0, kmax)
         a = rng.randint(0, 10)
-        rows.append(
-            _row(f"multiplication_{i}", check_functoriality(("mult", a), mu, k), a=a, k=k)
-        )
+        yield _row(f"multiplication_{i}", check_functoriality(("mult", a), mu, k), a=a, k=k)
     for i in range(5):
         spec = _random_torsor(rng, d=2)
         mu = _random_measure(spec, rng)
         k = rng.randint(0, kmax)
         j = rng.choice([0, 1])
-        rows.append(
-            _row(f"projection_{i}", check_functoriality(("proj", j), mu, k), j=j, k=k)
-        )
+        yield _row(f"projection_{i}", check_functoriality(("proj", j), mu, k), j=j, k=k)
 
     # level reduction: traces match moments mod ell^r
     for i in range(10):
@@ -423,22 +426,21 @@ def suite_moments(seed: int = 0, kmax: int = 4) -> dict:
         q = spec.ell ** (spec.r - 1)
         lhs = tsym_reduce(moment_torsor(trace(mu), k), q)
         rhs = tsym_reduce(moment_torsor(mu, k), q)
-        rows.append(_row(f"trace_congruence_{i}", lhs == rhs, k=k))
+        yield _row(f"trace_congruence_{i}", lhs == rhs, k=k)
 
     # full towers of smoothed measures are trace-compatible at every level
     for ell, N, c in ((2, 3, 5), (3, 4, 5), (5, 3, 7)):
         tower = [bernoulli_measure(ell, r, N, c, 1) for r in range(3)]
         for k in (1, 2):
             res = check_trace_compat(tower, k)
-            rows.append(
-                _row(
-                    f"tower_compat_ell{ell}_N{N}_k{k}",
-                    res["ok"],
-                    ell=ell,
-                    N=N,
-                    c=c,
-                    k=k,
-                )
+            yield _row(
+                f"tower_compat_ell{ell}_N{N}_k{k}",
+                res["ok"],
+                ell=ell,
+                N=N,
+                c=c,
+                k=k,
+                **({} if res["ok"] else {"failed_level": res["failed_level"]}),
             )
 
     # declaring the same datum at level m*N multiplies moments by m^k
@@ -450,7 +452,7 @@ def suite_moments(seed: int = 0, kmax: int = 4) -> dict:
         q = spec.ell ** spec.r
         lhs = tsym_reduce(moment_torsor(redeclare(mu, m), k), q)
         rhs = tsym_reduce(tsym_map(m, moment_torsor(mu, k)), q)
-        rows.append(_row(f"redeclare_{i}", lhs == rhs, m=m, k=k))
+        yield _row(f"redeclare_{i}", lhs == rhs, m=m, k=k)
 
     # ... and the weighted moments agree mod ell^{r - v_ell(k!)}; the sides
     # may have ell in their denominators, so closeness is measured by the
@@ -463,13 +465,13 @@ def suite_moments(seed: int = 0, kmax: int = 4) -> dict:
         drop = vp(factorial(k), spec.ell)
         power = spec.r - drop
         if power <= 0:
-            rows.append(_row(f"weighted_redeclare_{i}", True, skipped="trivial modulus"))
+            yield _row(f"weighted_redeclare_{i}", True, skipped="trivial modulus")
             continue
         diff = modified_moment(redeclare(mu, m), k) - modified_moment(mu, k)
         ok = diff == 0 or (
             vp(diff.numerator, spec.ell) - vp(diff.denominator, spec.ell) >= power
         )
-        rows.append(_row(f"weighted_redeclare_{i}", ok, m=m, k=k, required_valuation=power))
+        yield _row(f"weighted_redeclare_{i}", ok, m=m, k=k, required_valuation=power)
 
     # frozen spot values
     spot = moment(dirac(GroupSpec(8, 2), (1, 2)), 2)
@@ -478,54 +480,46 @@ def suite_moments(seed: int = 0, kmax: int = 4) -> dict:
         + TSym.basis(2, (1, 1), coeff=2)
         + TSym.basis(2, (0, 2), coeff=4)
     )
-    rows.append(_row("spot_dirac_12", spot == want))
+    yield _row("spot_dirac_12", spot == want)
 
     mu181 = bernoulli_measure(5, 1, 3, 7, 1)
     raw1 = integrate(mu181, lambda x: Fraction(x))
     tor1 = moment_torsor(mu181, 1).coeff((1,))
     closed = bernoulli_moment_closed(1, 3, 7, 1)
-    rows.append(
-        _row(
-            "spot_first_moment_congruence",
-            raw1 == -181
-            and mod_inverse_reduce(tor1, 5, 5) == 4
-            and mod_inverse_reduce(raw1, 5, 5) == 4
-            and mod_inverse_reduce(closed, 5, 5) == 4,
-            finite=rat_str(raw1),
-            torsor=rat_str(tor1),
-            closed=rat_str(closed),
-        )
+    yield _row(
+        "spot_first_moment_congruence",
+        raw1 == -181
+        and mod_inverse_reduce(tor1, 5, 5) == 4
+        and mod_inverse_reduce(raw1, 5, 5) == 4
+        and mod_inverse_reduce(closed, 5, 5) == 4,
+        finite=rat_str(raw1),
+        torsor=rat_str(tor1),
+        closed=rat_str(closed),
     )
     mu62 = bernoulli_measure(2, 2, 3, 5, 1)
     raw2 = integrate(mu62, lambda x: Fraction(x))
     tor2 = moment_torsor(mu62, 1).coeff((1,))
-    rows.append(
-        _row(
-            "spot_level2_congruence",
-            raw2 == -62
-            and mod_inverse_reduce(tor2, 4, 2) == 2
-            and mod_inverse_reduce(raw2, 4, 2) == 2,
-            finite=rat_str(raw2),
-            torsor=rat_str(tor2),
-        )
+    yield _row(
+        "spot_level2_congruence",
+        raw2 == -62
+        and mod_inverse_reduce(tor2, 4, 2) == 2
+        and mod_inverse_reduce(raw2, 4, 2) == 2,
+        finite=rat_str(raw2),
+        torsor=rat_str(tor2),
     )
     wt_raw = raw1 / Fraction(3)
     wt_mod = modified_moment(mu181, 1)
     wt_closed = closed / 3
-    rows.append(
-        _row(
-            "spot_weighted_moment",
-            wt_raw == Fraction(-181, 3)
-            and wt_closed == Fraction(38, 21)
-            and mod_inverse_reduce(wt_raw - wt_mod, 5, 5) == 0
-            and mod_inverse_reduce(wt_raw - wt_closed, 5, 5) == 0,
-            weighted=rat_str(wt_raw),
-            modified=rat_str(wt_mod),
-            closed=rat_str(wt_closed),
-        )
+    yield _row(
+        "spot_weighted_moment",
+        wt_raw == Fraction(-181, 3)
+        and wt_closed == Fraction(38, 21)
+        and mod_inverse_reduce(wt_raw - wt_mod, 5, 5) == 0
+        and mod_inverse_reduce(wt_raw - wt_closed, 5, 5) == 0,
+        weighted=rat_str(wt_raw),
+        modified=rat_str(wt_mod),
+        closed=rat_str(wt_closed),
     )
-
-    return _finish("moments", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +527,13 @@ def suite_moments(seed: int = 0, kmax: int = 4) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def suite_bernoulli(ell: int, N: int, c: int, rmax: int, kmax: int) -> dict:
+@_suite("bernoulli")
+def suite_bernoulli(ell: int, N: int, c: int, rmax: int, kmax: int):
     """Finite moments against the closed form mod ell^r, r = 1 .. rmax; no
-    cases unless gcd(ell, N) = 1 and gcd(c, 6 ell N) = 1."""
-    rows = []
-    if gcd(ell, N) != 1 or gcd(c, 6 * ell * N) != 1:
-        return _finish("bernoulli", rows)
+    cases unless gcd(ell, N) = 1, gcd(c, 6 ell N) = 1 and c != +-1 (at
+    c = +-1 both sides are 0, so every row would pass vacuously)."""
+    if gcd(ell, N) != 1 or gcd(c, 6 * ell * N) != 1 or c * c == 1:
+        return
     for r in range(1, rmax + 1):
         q = ell ** r
         for t in range(N):
@@ -550,22 +545,19 @@ def suite_bernoulli(ell: int, N: int, c: int, rmax: int, kmax: int) -> dict:
                     congruent = mod_inverse_reduce(finite - closed, q, ell) == 0
                 except ArithmeticError:
                     congruent = False
-                rows.append(
-                    _row(
-                        f"congruence_ell{ell}_r{r}_N{N}_c{c}_t{t}_k{k}",
-                        congruent,
-                        ell=ell,
-                        r=r,
-                        N=N,
-                        c=c,
-                        t=t,
-                        k=k,
-                        finite_sum=rat_str(finite),
-                        closed_value=rat_str(closed),
-                        congruent=congruent,
-                    )
+                yield _row(
+                    f"congruence_ell{ell}_r{r}_N{N}_c{c}_t{t}_k{k}",
+                    congruent,
+                    ell=ell,
+                    r=r,
+                    N=N,
+                    c=c,
+                    t=t,
+                    k=k,
+                    finite_sum=rat_str(finite),
+                    closed_value=rat_str(closed),
+                    congruent=congruent,
                 )
-    return _finish("bernoulli", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -573,18 +565,16 @@ def suite_bernoulli(ell: int, N: int, c: int, rmax: int, kmax: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def suite_units(ell: int = 2, N: int = 3, c: int = 5, trunc: int = 40) -> dict:
-    rows = []
+@_suite("units")
+def suite_units(ell: int = 2, N: int = 3, c: int = 5, trunc: int = 40):
     M = ell * N  # level at r = 1
 
     f = theta_qexp(ell, 1, N, c, (1, 0), trunc)
-    rows.append(
-        _row(
-            "theta_valuation_spot",
-            f.valuation() == Fraction(smoothed_b2(M, c, 1), M) and f.T == trunc,
-            valuation=rat_str(f.valuation()),
-            window=f.T,
-        )
+    yield _row(
+        "theta_valuation_spot",
+        f.valuation() == Fraction(smoothed_b2(M, c, 1), M) and f.T == trunc,
+        valuation=rat_str(f.valuation()),
+        window=f.T,
     )
 
     # valuations across the whole level agree with the exponent formula
@@ -597,36 +587,30 @@ def suite_units(ell: int = 2, N: int = 3, c: int = 5, trunc: int = 40) -> dict:
             g = theta_qexp(ell, 1, N, c, (x, y), int(e0) + 3)
             if g.valuation() != Fraction(e0, M):
                 ok = False
-    rows.append(_row("theta_valuations_level6", ok, level=M))
+    yield _row("theta_valuations_level6", ok, level=M)
 
-    rows.append(
-        _row(
-            "residue_matches_smoothed_measure",
-            residue_elliptic_soule(ell, 1, N, c, (1, 1))
-            == bernoulli_measure(ell, 1, N, c, 1),
-        )
+    yield _row(
+        "residue_matches_smoothed_measure",
+        residue_elliptic_soule(ell, 1, N, c, (1, 1))
+        == bernoulli_measure(ell, 1, N, c, 1),
     )
 
     for d, base, pt, window in ((2, N, (1, 1), 12), (2, M, (1, 1), 24)):
         rep = norm_check_theta(base, d, c, pt, window)
-        rows.append(
-            _row(
-                f"norm_compatibility_{base}_to_{d * base}",
-                rep["ok"] and rep["window"] >= window,
-                level=rep["level"],
-                window=rep["window"],
-                mismatches=rep["mismatches"],
-                **{k: v for k, v in rep.items() if k == "first_mismatch"},
-            )
+        yield _row(
+            f"norm_compatibility_{base}_to_{d * base}",
+            rep["ok"] and rep["window"] >= window,
+            level=rep["level"],
+            window=rep["window"],
+            mismatches=rep["mismatches"],
+            **{k: v for k, v in rep.items() if k == "first_mismatch"},
         )
 
     eps = epsilon_series(ell, 1, N, c, (1, 0), 6)
-    rows.append(
-        _row(
-            "normalized_unit_valuation",
-            eps.valuation() == 0,
-            valuation=rat_str(eps.valuation()),
-        )
+    yield _row(
+        "normalized_unit_valuation",
+        eps.valuation() == 0,
+        valuation=rat_str(eps.valuation()),
     )
 
     for r in (1, 2):
@@ -638,37 +622,30 @@ def suite_units(ell: int = 2, N: int = 3, c: int = 5, trunc: int = 40) -> dict:
                 "constant_term": cyclo_to_json(ct),
                 "closed": cyclo_to_json(closed),
             }
-            rows.append(
-                _row(
-                    f"cusp_value_r{r}_y{y}",
-                    not miss and cusp_square_check(Mr, c, y),
-                    r=r,
-                    y=y,
-                    **miss,
-                )
+            yield _row(
+                f"cusp_value_r{r}_y{y}",
+                not miss and cusp_square_check(Mr, c, y),
+                r=r,
+                y=y,
+                **miss,
             )
 
     spot = cusp_value_closed(6, 5, 3)
-    rows.append(
-        _row(
-            "cusp_spot_power_of_two",
-            spot == CycloElement.rational(6, 2 ** 24),
-            expected="2^24",
-        )
+    yield _row(
+        "cusp_spot_power_of_two",
+        spot == CycloElement.rational(6, 2 ** 24),
+        expected="2^24",
     )
 
     for d in (2, 3):
-        rows.append(_row(f"norm_fixes_xi_d{d}", norm_under_power(xi(), d) == xi(), d=d))
+        yield _row(f"norm_fixes_xi_d{d}", norm_under_power(xi(), d) == xi(), d=d)
         if gcd(d, c) == 1:
-            rows.append(
-                _row(
-                    f"norm_fixes_smoothed_xi_d{d}",
-                    norm_under_power(xi_c(c), d) == xi_c(c),
-                    d=d,
-                    c=c,
-                )
+            yield _row(
+                f"norm_fixes_smoothed_xi_d{d}",
+                norm_under_power(xi_c(c), d) == xi_c(c),
+                d=d,
+                c=c,
             )
-    return _finish("units", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -676,11 +653,11 @@ def suite_units(ell: int = 2, N: int = 3, c: int = 5, trunc: int = 40) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@_suite("residues")
 def suite_residues(
     cases=((2, 1, 3, 5), (2, 2, 3, 5), (3, 1, 4, 5)),
     include_degenerate: bool = True,
-) -> dict:
-    rows = []
+):
     cases = tuple(cases)
     if include_degenerate and cases:
         ell, _, N, c = cases[0]
@@ -692,18 +669,15 @@ def suite_residues(
                     continue
                 got = residue_elliptic_soule(ell, r, N, c, (t1, t2))
                 want = bernoulli_measure(ell, r, N, c, t1)
-                rows.append(
-                    _row(
-                        f"residue_ell{ell}_r{r}_N{N}_c{c}_t{t1}_{t2}",
-                        got == want,
-                        ell=ell,
-                        r=r,
-                        N=N,
-                        c=c,
-                        t=[t1, t2],
-                    )
+                yield _row(
+                    f"residue_ell{ell}_r{r}_N{N}_c{c}_t{t1}_{t2}",
+                    got == want,
+                    ell=ell,
+                    r=r,
+                    N=N,
+                    c=c,
+                    t=[t1, t2],
                 )
-    return _finish("residues", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +702,8 @@ def _first_miss(seed: int, psis: list, check) -> dict:
     return {}
 
 
-def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID) -> dict:
-    rows = []
+@_suite("dir")
+def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID):
 
     # closed residues of smoothed symbols match their expansions
     for N in (2, 3, 4, 5):
@@ -744,16 +718,14 @@ def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID) -> d
                     for b in range(N):
                         if (a, b) != (0, 0) and residue(soule_elliptic(k, N, c, (a, b))) != closed:
                             ok = False
-                rows.append(_row(f"soule_residue_closed_N{N}_k{k}_c{c}", ok))
+                yield _row(f"soule_residue_closed_N{N}_k{k}_c{c}", ok)
 
     spot = eis_residue_closed(2, 3, (1, 0))
-    rows.append(
-        _row(
-            "spot_residue_value",
-            spot == Fraction(-13, 720),
-            value=rat_str(spot),
-            expected="-13/720",
-        )
+    yield _row(
+        "spot_residue_value",
+        spot == Fraction(-13, 720),
+        value=rat_str(spot),
+        expected="-13/720",
     )
 
     for N, cpair in grid:
@@ -762,22 +734,18 @@ def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID) -> d
             psis = [random_residue_zero_psi(N, k, rng) for _ in range(count)]
             # the symbol route, independent of the functional the generator solves with
             miss = _first_miss(seed, psis, lambda i, p: residue(eis_of_psi(p)) == 0)
-            rows.append(
-                _row(f"residue_zero_N{N}_k{k}", not miss, count=count, **miss)
-            )
+            yield _row(f"residue_zero_N{N}_k{k}", not miss, count=count, **miss)
             closed = cache(lambda i: dir_closed(psis[i]))  # shared by both c
             for c in cpair:
                 miss = _first_miss(seed, psis, lambda i, p: closed(i) == dir_via_me(p, c))
-                rows.append(
-                    _row(
-                        f"two_route_N{N}_k{k}_c{c}",
-                        not miss,
-                        N=N,
-                        k=k,
-                        c=c,
-                        count=count,
-                        **miss,
-                    )
+                yield _row(
+                    f"two_route_N{N}_k{k}_c{c}",
+                    not miss,
+                    N=N,
+                    k=k,
+                    c=c,
+                    count=count,
+                    **miss,
                 )
             raw = [
                 random_residue_zero_psi(N, k, rng, parity=False) for _ in range(5)
@@ -787,9 +755,7 @@ def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID) -> d
                 raw,
                 lambda i, p: cyc_symmetrize(dir_closed(p), k) == dir_via_me(p, cpair[0]),
             )
-            rows.append(
-                _row(f"raw_symmetrized_N{N}_k{k}", not miss, c=cpair[0], count=5, **miss)
-            )
+            yield _row(f"raw_symmetrized_N{N}_k{k}", not miss, c=cpair[0], count=5, **miss)
 
     # the precondition is enforced on both routes
     bad = WeightFunction(2, 3, {(1, 0): 1})
@@ -803,7 +769,7 @@ def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID) -> d
         except ResiduePreconditionError as e:
             if e.residue == psi_residue(bad):
                 caught += 1
-    rows.append(_row("nonzero_residue_rejected", caught == 2))
+    yield _row("nonzero_residue_rejected", caught == 2)
 
     # the worked example: residue cancels, boundary has equal coefficients
     psi = WeightFunction(2, 3, {(0, 1): 13, (0, 2): 13, (1, 0): 27, (2, 0): 27})
@@ -812,22 +778,18 @@ def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID) -> d
     coeffs = sorted(rat_str(v) for v in out.coeffs.values())
     ok = ok and coeffs == ["-13/6", "-13/6"]
     ok = ok and dir_via_me(psi, 7) == out and dir_via_me(psi, 13) == out
-    rows.append(_row("worked_example", ok, coefficients=coeffs))
+    yield _row("worked_example", ok, coefficients=coeffs)
 
     # smoothing expansion spot: the rewritten symbol at c = 5
     fc = rewrite_soule(soule_elliptic(2, 3, 5, (1, 0)))
     want = Fraction(-3) * (Fraction(25) - Fraction(1, 25))
     got = sum(fc.coeffs.values(), Fraction(0))
-    rows.append(
-        _row(
-            "spot_smoothing_expansion",
-            got == want,
-            coefficient_sum=rat_str(got),
-            expected=rat_str(want),
-        )
+    yield _row(
+        "spot_smoothing_expansion",
+        got == want,
+        coefficient_sum=rat_str(got),
+        expected=rat_str(want),
     )
-
-    return _finish("dir", rows)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,24 @@ def test_verify_bernoulli_csv_bytes_are_pinned(args, lines, digest):
 
 
 @pytest.mark.parametrize(
+    "suite, fmt, digest",
+    [
+        ("units", "json", "c965a72060b772a0d76d37e8f95da53bd93f8343db51f8946f901d0346bc9a6c"),
+        ("units", "csv", "ece2d31a245c25c1fce94f0669ab3457336cafc516ffa6f0568c27ebf7e181f0"),
+        ("residues", "json", "74a2c88da8eedf2387b6bd1ce821d7403663e4862d4e0f87c12bde7184471eeb"),
+        ("residues", "csv", "136d04a2ab1f769a22b9fbac6b33ccf2f15811bbb091bb5018c16f0d6b8caa21"),
+    ],
+)
+def test_verify_units_and_residues_bytes_are_pinned(suite, fmt, digest):
+    # the benchmark digests neither report; a change that adds rows to them
+    # (say a second route for the theta unit) updates these digests with it
+    argv = ["verify", "--suite", suite, "--format", fmt]
+    out = subprocess.run(CMD + argv, capture_output=True, timeout=300)  # raw bytes
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "ell, N, c, x, digest",
     [
         (3, 35, 11, 0, "47376b52d2e0243cb380ddde10e73e8de521df34c11c10d6c3ddcda7e7f5382e"),
@@ -407,6 +425,82 @@ def test_cusp_mismatch_is_a_failing_row_of_a_written_report(monkeypatch, capsys)
     assert rep["summary"]["failed"] == 1
 
 
+def _raises(real, exc, calls=1):
+    """The check `real`, raising exc("injected") from its calls-th call on."""
+    seen = []
+
+    def check(*args):
+        seen.append(args)
+        if len(seen) >= calls:
+            raise exc("injected")
+        return real(*args)
+
+    return check
+
+
+@pytest.mark.parametrize("exc", [KeyError, ZeroDivisionError, AssertionError])
+def test_a_raising_check_is_a_failing_row_of_a_written_report(monkeypatch, tmp_path, exc):
+    # used to escape cli.main (KeyError, AssertionError) or to exit 2 with no
+    # report (ZeroDivisionError, an ArithmeticError)
+    clean = verify.run_suites(verify.SUITE_NAMES)
+    monkeypatch.setattr(verify, "norm_check_theta", _raises(verify.norm_check_theta, exc))
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "all", "--out", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert rep["summary"]["failed"] == 1
+    for block, want in zip(rep["suites"], clean["suites"]):
+        if block["suite"] != "units":
+            assert block == want
+            continue
+        *kept, raised = block["cases"]
+        assert kept == want["cases"][: len(kept)] and all(r["pass"] for r in kept)
+        assert raised == {
+            "case": "units_raised",
+            "error": f"{exc.__name__}: {exc('injected')}",
+            "after": "residue_matches_smoothed_measure",
+            "ell": 2,
+            "N": 3,
+            "c": 5,
+            "trunc": 40,
+            "pass": False,
+        }
+
+
+def test_a_raising_bernoulli_check_is_written_as_generic_csv(monkeypatch, tmp_path):
+    # the bernoulli layout takes its columns from the first row, which a
+    # raised row does not share: it used to crash with KeyError: 'ell'
+    third_call_raises = _raises(verify.bernoulli_moment_closed, KeyError, 3)
+    monkeypatch.setattr(verify, "bernoulli_moment_closed", third_call_raises)
+    out = tmp_path / "report.csv"
+    argv = ["verify", "--suite", "bernoulli", "--format", "csv", "--out", str(out)]
+    assert cli.main(argv) == 1
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert rows[0] == ["suite", "case", "pass", "details"]
+    assert [r[:3] for r in rows[1:]] == [
+        ["bernoulli", "congruence_ell2_r1_N3_c5_t0_k0", "True"],
+        ["bernoulli", "congruence_ell2_r1_N3_c5_t0_k1", "True"],
+        ["bernoulli", "bernoulli_raised", "False"],
+    ]
+    assert json.loads(rows[-1][3]) == {
+        "error": "KeyError: 'injected'",
+        "after": "congruence_ell2_r1_N3_c5_t0_k1",
+        "ell": 2,
+        "N": 3,
+        "c": 5,
+        "rmax": 2,
+        "kmax": 4,
+    }
+
+
+def test_a_check_raising_value_error_still_exits_2(monkeypatch, tmp_path, capsys):
+    # ValueError means refused input: it passes through every suite
+    monkeypatch.setattr(verify, "norm_check_theta", _raises(verify.norm_check_theta, ValueError))
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "all", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: injected\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("suite", ["bernoulli", "units", "residues"])
 def test_verify_rejects_non_prime_ell_with_one_message(suite):
     # the torsor check (bernoulli) and the level check (units, residues) agree
@@ -565,6 +659,9 @@ def test_residue_table_rejects_levels_below_two(N):
         (["--suite", "moments", "--kmax", "-1"], "--kmax"),
         (["--suite", "residues", "--N", "1"], "'residues' has no cases"),
         (["--suite", "bernoulli", "--c", "3"], "'bernoulli' has no cases"),
+        # both sides of every congruence are 0 at c = +-1: this used to pass
+        (["--suite", "bernoulli", "--c", "1"], "'bernoulli' has no cases"),
+        (["--suite", "bernoulli", "--c", "-1"], "'bernoulli' has no cases"),
     ],
 )
 def test_verify_rejects_parameters_that_leave_no_cases(args, named):

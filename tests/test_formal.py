@@ -370,6 +370,27 @@ def test_generator_draws_are_pinned(N, parity):
     assert h.hexdigest() == PINNED_DRAWS[(N, parity)]
 
 
+@pytest.mark.parametrize("parity", [True, False])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_generator_draws_at_a_level_where_every_residue_is_zero(k, parity):
+    # at N = 2 and odd k, B_{k+2} vanishes at 0 and 1/2, so there is no pivot
+    # and every draw has residue zero; this used to raise "no usable pivot"
+    assert all(v == 0 for _, _, v in residue_table(2, k))
+    rng = Random(f"zero:{k}:{parity}")
+    for _ in range(3):
+        psi = random_residue_zero_psi(2, k, rng, parity=parity)
+        assert psi_residue(psi) == 0 and residue(eis_of_psi(psi)) == 0
+        for c in (5, 7):
+            closed = dir_closed(psi) if parity else cyc_symmetrize(dir_closed(psi), k)
+            assert closed == dir_via_me(psi, c)
+
+
+def test_generator_without_a_pivot_raises_only_for_a_nonzero_residue():
+    # N = 1 has no point with a != 0, and res(Eis^0) at a = 0 is not 0
+    with pytest.raises(ValueError, match="no usable pivot for N=1, k=0"):
+        random_residue_zero_psi(1, 0, Random(0))
+
+
 @st.composite
 def grid_psis(draw, k=st.integers(1, 5)):
     """(psi, cpair, psi with its residue cancelled at a pivot) on DIR_GRID."""

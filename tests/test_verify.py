@@ -2,11 +2,12 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ellsoule.verify as verify
 from ellsoule.formal import CycSym, FormalClass, random_residue_zero_psi
 from ellsoule.serialize import psi_to_json
-from ellsoule.verify import SUITE_NAMES, run_suites, suite_bernoulli, suite_dir
+from ellsoule.verify import SUITE_NAMES, run_suites, suite_bernoulli, suite_dir, suite_moments
 
 
 def test_all_suites_pass_and_aggregate():
@@ -36,6 +37,9 @@ def test_bernoulli_suite_takes_one_family():
     # outside the family (gcd(ell, N) or gcd(c, 6 ell N) not 1): no cases
     assert suite_bernoulli(2, 4, 5, 2, 2)["cases"] == []
     assert suite_bernoulli(2, 3, 9, 2, 2)["cases"] == []
+    # nor at c = +-1, where both sides are 0 and every row would pass vacuously
+    assert suite_bernoulli(2, 3, 1, 2, 2)["cases"] == []
+    assert suite_bernoulli(2, 3, -1, 2, 2)["cases"] == []
 
 
 def test_dir_suite_evaluates_each_bernoulli_value_once(monkeypatch):
@@ -164,3 +168,44 @@ def test_a_wrong_expansion_at_one_point_fails_its_row(monkeypatch):
     rows = _soule_rows(suite_dir(count=1, kmax=1, grid=()))
     assert len(rows) == 90
     assert [case for case, ok in rows.items() if not ok] == ["soule_residue_closed_N4_k3_c11"]
+
+
+def _tower_rows():
+    return [r for r in suite_moments()["cases"] if r["case"].startswith("tower_compat")]
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_a_failing_tower_row_names_the_level_that_failed(monkeypatch, level):
+    # doubling the measure at r = level breaks the trace from level to
+    # level - 1; a passing row carries no failed_level, so its bytes stay
+    real = verify.bernoulli_measure
+
+    def doubled_at_level(ell, r, N, c, t):
+        mu = real(ell, r, N, c, t)
+        return mu.scale(2) if r == level else mu
+
+    rows = _tower_rows()
+    assert len(rows) == 6 and all(r["pass"] and "failed_level" not in r for r in rows)
+    monkeypatch.setattr(verify, "bernoulli_measure", doubled_at_level)
+    rows = _tower_rows()
+    assert [(r["pass"], r["failed_level"]) for r in rows] == [(False, level - 1)] * 6
+    assert list(rows[0])[-2:] == ["failed_level", "pass"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    suite=st.sampled_from(["bernoulli", "units", "residues"]),
+    ell=st.sampled_from([-2, 0, 1, 2, 3, 4, 5]),
+    N=st.integers(-1, 4),
+    c=st.sampled_from([-5, 0, 1, 3, 5, 7]),
+    rmax=st.integers(1, 2),
+    trunc=st.sampled_from([1, 3, 40]),
+)
+def test_refused_input_is_a_value_error_not_a_raised_row(suite, ell, N, c, rmax, trunc):
+    # refused input must stay exit 2: a ValueError, which the suites' one
+    # failure policy passes through, never a failing <suite>_raised row
+    try:
+        rep = run_suites([suite], ell=ell, N=N, c=c, rmax=rmax, trunc=trunc)
+    except ValueError:
+        return
+    assert not [r["case"] for r in rep["cases"] if r["case"].endswith("_raised")]
