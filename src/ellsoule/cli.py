@@ -10,21 +10,21 @@ Subcommands:
                  direct route, the smoothed-unit route, or both
 
 Exit codes: 0 success / all checks passed; 1 a verification comparison
-failed, or a `verify` check raised something other than ValueError (a
-failing `<suite>_raised` row of the written report); 2 invalid input or
-configuration; 3 the residue-zero precondition of the boundary formula was
-violated (the report carries the residue).
+failed, or a `verify` check raised (a failing `<suite>_raised` row of the
+written report); 2 invalid input or configuration, which `verify` refuses
+before any suite runs; 3 the residue-zero precondition of the boundary
+formula was violated (the report carries the residue).
 
 `qexp` bounds its work: the level ell^r * N may be at most MAX_LEVEL, --c at
 most MAX_C, and --trunc may lie at most MAX_WINDOW past the leading exponent
 (in q^{1/M} units, the window the unit's product is built to).  `verify`
 caps its level ell^rmax * N at MAX_LEVEL (at MAX_RESIDUES_LEVEL when the
-residues suite runs), its --c at MAX_C and its --trunc, the window of the
-units suite's expansion, at MAX_WINDOW.  `residue-table` caps --N at
-MAX_RESIDUES_LEVEL, and `dir` the level N of its weight function at
-MAX_LEVEL.  The weight (`residue-table --k`, `verify --kmax` and the k of
-`dir`'s weight function) is capped at MAX_WEIGHT.  An input over a cap exits
-2 before any work is done.
+residues or units suite runs; units caps ell^2 * N too), its --c at MAX_C
+and its --trunc, the window of the units suite's expansion, at MAX_WINDOW.
+`residue-table` caps --N at MAX_RESIDUES_LEVEL, and `dir` the level N of
+its weight function at MAX_LEVEL.  The weight (`residue-table --k`, `verify
+--kmax` and the k of `dir`'s weight function) is capped at MAX_WEIGHT.  An
+input over a cap exits 2 before any work is done.
 
 The `qexp` document is streamed by `serialize.series_json`, one term block
 per write, so neither a dict of the series nor the whole text is built;
@@ -73,9 +73,10 @@ MAX_WINDOW = 1000
 MAX_C = 50
 # The residues suite expands the unit at every point of every fiber: about
 # 1.25 L^2 expansions at level L = ell^rmax * N, so its cost grows with the
-# level and with c.  Measured (same host, `run_suites` in one process, two
-# runs each): level 96 (2^5 * 3) took 0.17-0.24 s at c = 5 and 0.38-0.49 s
-# at c = 49; level 98 (2 * 49, c = 47) 0.69-0.84 s and level 100 (2^2 * 25,
+# level and with c; so does the units suite's, whose cusp rows are at level
+# ell^2 * N.  Measured (same host, `run_suites` in one process, two runs
+# each): level 96 (2^5 * 3) took 0.17-0.24 s at c = 5 and 0.38-0.49 s at
+# c = 49; level 98 (2 * 49, c = 47) 0.69-0.84 s and level 100 (2^2 * 25,
 # c = 49) 0.65-0.81 s; level 192 (2^6 * 3) 0.68-0.69 s at c = 5 and
 # 1.22-1.47 s at c = 49, level 194 (2 * 97, c = 49) 3.2-3.4 s.
 # `residue-table --N` shares the cap: its table has N^2 - 1 rows, and took
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help=f"largest level r (default 2); the level ell^rmax * N is at most "
-        f"{MAX_LEVEL}, and {MAX_RESIDUES_LEVEL} when the residues suite runs",
+        f"{MAX_LEVEL}, and {MAX_RESIDUES_LEVEL} when residues or units (ell^2 * N too) runs",
     )
     p_verify.add_argument(
         "--kmax", type=int, default=4, help=f"largest weight k, at most {MAX_WEIGHT} (default 4)"
@@ -289,23 +290,19 @@ def _emit(pieces, out: str | None) -> None:
 
 def _verify_csv(report: dict) -> str:
     buf = io.StringIO()
+    writer = csv.writer(buf)
     if report["suite"] == "bernoulli" and report["cases"][-1]["case"] != "bernoulli_raised":
         # the row's own fields, in the order _row writes them; a raised row
         # has other fields, so its report takes the generic layout below
         cols = [k for k in report["cases"][0] if k not in ("case", "pass")]
-        writer = csv.writer(buf)
         writer.writerow(cols)
-        for row in report["cases"]:
-            writer.writerow([row[k] for k in cols])
+        writer.writerows([row[k] for k in cols] for row in report["cases"])
         return buf.getvalue().rstrip("\n")
-    writer = csv.writer(buf)
     writer.writerow(["suite", "case", "pass", "details"])
     blocks = report["suites"] if report["suite"] == "all" else [report]
     for block in blocks:
         for row in block["cases"]:
-            extra = {
-                k: v for k, v in row.items() if k not in ("case", "pass")
-            }
+            extra = {k: v for k, v in row.items() if k not in ("case", "pass")}
             writer.writerow(
                 [
                     block["suite"],
@@ -326,8 +323,10 @@ def _cmd_verify(args) -> int:
     _check_cap("--trunc", args.trunc, MAX_WINDOW)
     _check_cap("--kmax", args.kmax, MAX_WEIGHT)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    cap = MAX_RESIDUES_LEVEL if "residues" in names else MAX_LEVEL
+    cap = MAX_RESIDUES_LEVEL if {"residues", "units"}.intersection(names) else MAX_LEVEL
     _check_level_and_c(args.ell, args.rmax, args.N, args.c, "--rmax", cap)
+    if "units" in names:  # its cusp rows are at level ell^2 * N
+        _check_level_and_c(args.ell, 2, args.N, args.c, "2", cap)
     started = time.perf_counter()
     report = run_suites(
         names,

@@ -222,7 +222,7 @@ def residue_elliptic_soule(ell: int, r: int, N: int, c: int, t: tuple[int, int])
     each valuation read off an assembled series.  This is not independent of
     the closed formula: `theta_series` places its leading term at `_e0`, the
     closed smoothed_b2 value that `bernoulli_measure` also uses (a route that
-    does not is ROADMAP item 2).
+    does not, the Jacobi triple product, is ROADMAP item 3).
     """
     M = _level(ell, r, N, c)
     t = (_coord(t[0], N), _coord(t[1], N))

@@ -56,14 +56,16 @@ from .moments import (
     redeclare,
     tsym_reduce,
 )
-from .numutil import mod_inverse_reduce, rat_str, vp
+from .numutil import is_prime, mod_inverse_reduce, rat_str, vp
 from .serialize import cyclo_to_json, psi_to_json
 from .tsym import TSym, divided_power, exponent_tuples, sym_to_tsym, tsym_map
 from .units import (
+    _level,
     cusp_square_check,
     cusp_value_closed,
     epsilon_cusp_eval,
     epsilon_series,
+    eta_exponent,
     norm_check_theta,
     norm_under_power,
     residue_elliptic_soule,
@@ -93,10 +95,10 @@ def _row(case: str, ok: bool, **fields) -> dict:
 
 def _suite(name: str):
     """Make a generator of rows a suite that returns their report, under the
-    one failure policy: a ValueError (refused input) passes through, and any
-    other exception ends the suite with one failing row, `<name>_raised`,
-    after the rows already yielded.  It carries the exception text (`error`),
-    the last case yielded (`after`, else None) and the suite's arguments."""
+    one failure policy: any exception ends the suite with one failing row,
+    `<name>_raised`, after the rows already yielded.  It carries the exception
+    text (`error`), the last case yielded (`after`, else None) and the suite's
+    arguments.  `run_suites` refuses bad input before any suite runs."""
 
     def wrap(gen):
         names = gen.__code__.co_varnames[: gen.__code__.co_argcount]
@@ -108,8 +110,6 @@ def _suite(name: str):
             try:
                 for row in cases:
                     rows.append(row)
-            except ValueError:
-                raise
             except Exception as e:  # a library fault is a failing row, not a crash
                 given = {**defaults, **dict(zip(names, args)), **kwargs}
                 rows.append(
@@ -527,13 +527,28 @@ def suite_moments(seed: int = 0, kmax: int = 4):
 # ---------------------------------------------------------------------------
 
 
+def _family(name: str, ell: int, N: int, c: int) -> None:
+    """Refuse (ValueError: suite `name` has no cases) an (ell, N, c) outside
+    the bernoulli, units and residues suites' family: N >= 2 and
+    `units._level`'s check.  bernoulli alone checks |c|, so its c = +-1,
+    where every row would pass vacuously (both sides are 0), is refused and
+    its c < -1 is not.  A non-prime ell is refused as such, for every suite."""
+    if not is_prime(ell):
+        raise ValueError(f"ell = {ell} must be prime")
+    no_cases = f"suite {name!r} has no cases for ell = {ell}, N = {N}, c = {c}: "
+    if N < 2:
+        raise ValueError(no_cases + f"N = {N} must be at least 2")
+    try:
+        _level(ell, 0, N, abs(c) if name == "bernoulli" else c)
+    except ValueError as e:
+        raise ValueError(no_cases + str(e)) from None
+
+
 @_suite("bernoulli")
 def suite_bernoulli(ell: int, N: int, c: int, rmax: int, kmax: int):
-    """Finite moments against the closed form mod ell^r, r = 1 .. rmax; no
-    cases unless gcd(ell, N) = 1, gcd(c, 6 ell N) = 1 and c != +-1 (at
-    c = +-1 both sides are 0, so every row would pass vacuously)."""
-    if gcd(ell, N) != 1 or gcd(c, 6 * ell * N) != 1 or c * c == 1:
-        return
+    """Finite moments against the closed form mod ell^r, r = 1 .. rmax, for
+    (ell, N, +-c) in the family."""
+    _family("bernoulli", ell, N, c)
     for r in range(1, rmax + 1):
         q = ell ** r
         for t in range(N):
@@ -587,7 +602,7 @@ def suite_units(ell: int = 2, N: int = 3, c: int = 5, trunc: int = 40):
             g = theta_qexp(ell, 1, N, c, (x, y), int(e0) + 3)
             if g.valuation() != Fraction(e0, M):
                 ok = False
-    yield _row("theta_valuations_level6", ok, level=M)
+    yield _row(f"theta_valuations_level{M}", ok, level=M)
 
     yield _row(
         "residue_matches_smoothed_measure",
@@ -639,13 +654,12 @@ def suite_units(ell: int = 2, N: int = 3, c: int = 5, trunc: int = 40):
 
     for d in (2, 3):
         yield _row(f"norm_fixes_xi_d{d}", norm_under_power(xi(), d) == xi(), d=d)
-        if gcd(d, c) == 1:
-            yield _row(
-                f"norm_fixes_smoothed_xi_d{d}",
-                norm_under_power(xi_c(c), d) == xi_c(c),
-                d=d,
-                c=c,
-            )
+        yield _row(  # d = 2, 3 is prime to c: theta_qexp above took c prime to 6
+            f"norm_fixes_smoothed_xi_d{d}",
+            norm_under_power(xi_c(c), d) == xi_c(c),
+            d=d,
+            c=c,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -760,15 +774,11 @@ def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID):
     # the precondition is enforced on both routes
     bad = WeightFunction(2, 3, {(1, 0): 1})
     caught = 0
-    for attempt in ("closed", "me"):
+    for route in (dir_closed, lambda p: dir_via_me(p, 7)):
         try:
-            if attempt == "closed":
-                dir_closed(bad)
-            else:
-                dir_via_me(bad, 7)
+            route(bad)
         except ResiduePreconditionError as e:
-            if e.residue == psi_residue(bad):
-                caught += 1
+            caught += e.residue == psi_residue(bad)
     yield _row("nonzero_residue_rejected", caught == 2)
 
     # the worked example: residue cancels, boundary has equal coefficients
@@ -802,9 +812,7 @@ _RUNNERS = {
     "tsym": lambda p: suite_tsym(kmax=max(p["kmax"], 6), seed=p["seed"]),
     "measures": lambda p: suite_measures(seed=p["seed"]),
     "moments": lambda p: suite_moments(seed=p["seed"], kmax=p["kmax"]),
-    "bernoulli": lambda p: suite_bernoulli(
-        p["ell"], p["N"], p["c"], p["rmax"], p["kmax"]
-    ),
+    "bernoulli": lambda p: suite_bernoulli(p["ell"], p["N"], p["c"], p["rmax"], p["kmax"]),
     "units": lambda p: suite_units(ell=p["ell"], N=p["N"], c=p["c"], trunc=p["trunc"]),
     "residues": lambda p: suite_residues(
         cases=tuple((p["ell"], r, p["N"], p["c"]) for r in range(1, p["rmax"] + 1))
@@ -829,22 +837,23 @@ def run_suites(
 
     The dir suite keeps its own admissible grid (its smoothing factors must
     be 1 mod N); the others restrict to the requested (ell, N, c) family.
-    rmax and kmax must be at least 1.  An unknown suite name is an error,
-    and so is a suite left with no cases by the parameters (not a pass).
+    Every refusal is a ValueError raised before any suite runs: rmax or kmax
+    below 1, an unknown suite, an (ell, N, c) outside `_family`, or a units
+    --trunc not past the leading exponent of its spot expansion.
     """
     for flag, value in (("rmax", rmax), ("kmax", kmax)):
         if value < 1:
             raise ValueError(f"--{flag} must be at least 1, got {value}")
-    params = dict(ell=ell, N=N, c=c, rmax=rmax, kmax=kmax, trunc=trunc, seed=seed)
-    reports = []
     for name in names:
         if name not in _RUNNERS:
             raise ValueError(f"unknown suite {name!r}")
-        reports.append(_RUNNERS[name](params))
-        if not reports[-1]["cases"]:
-            raise ValueError(
-                f"suite {name!r} has no cases for ell = {ell}, N = {N}, c = {c}"
-            )
+    if family := [n for n in names if n in ("bernoulli", "units", "residues")]:
+        # units and residues take c as given, bernoulli |c|: check the strictest
+        _family(next((n for n in family if n != "bernoulli"), family[0]), ell, N, c)
+    if "units" in names and trunc <= (e0 := eta_exponent(ell, 1, N, c, 1)):
+        raise ValueError(f"--trunc = {trunc} must exceed the leading exponent {e0}")
+    params = dict(ell=ell, N=N, c=c, rmax=rmax, kmax=kmax, trunc=trunc, seed=seed)
+    reports = [_RUNNERS[name](params) for name in names]
     if len(reports) == 1:
         return reports[0]
     total = sum(r["summary"]["total"] for r in reports)

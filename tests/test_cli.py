@@ -291,6 +291,12 @@ def test_verify_trunc_at_the_cap_is_run(suite_calls, capsys):
     assert [params["trunc"] for _, params in suite_calls] == [cli.MAX_WINDOW]
 
 
+def _units_r1(trunc, ell, N):
+    """`verify --suite units` at rmax 1 and c 5, with the window and family given."""
+    head = ["--suite", "units", "--rmax", "1", "--c", "5"]
+    return head + ["--trunc", trunc, "--ell", ell, "--N", N]
+
+
 # each argv is a function of the level cap L
 @pytest.mark.parametrize(
     "argv, flag",
@@ -301,13 +307,19 @@ def test_verify_trunc_at_the_cap_is_run(suite_calls, capsys):
         (lambda L: ["--ell", "1009", "--N", "1", "--rmax", "1"], "--ell"),
         (lambda L: ["--c", str(cli.MAX_C + 1)], "--c"),
         (lambda L: ["--c", str(-cli.MAX_C - 1)], "--c"),
+        # units expands the unit at every point of level ell * N and has cusp
+        # rows at ell^2 * N: uncapped, each of these took 28 s or more
+        (lambda L: _units_r1("1000", "2", "241"), "--ell^--rmax"),
+        (lambda L: _units_r1("1000", "11", "9"), "--ell^2"),
+        (lambda L: _units_r1("300", "19", "2"), "--ell^2"),
+        (lambda L: _units_r1("200", "31", "2"), "--ell^2"),
     ],
 )
 def test_verify_over_a_cap_exits_2_naming_the_flag(suite_calls, capsys, argv, flag):
     assert cli.main(["verify", *argv(cli.MAX_LEVEL)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and flag in err and "cap" in err
-    assert suite_calls == []
+    assert out == "" and suite_calls == []
 
 
 @pytest.mark.parametrize(
@@ -325,7 +337,7 @@ def test_verify_within_the_caps_is_run(suite_calls, capsys, argv, params):
     assert {k: got[k] for k in params} == params
 
 
-@pytest.mark.parametrize("suite", ["residues", "all"])
+@pytest.mark.parametrize("suite", ["residues", "all", "units"])
 def test_verify_residues_over_its_level_cap_exits_2_naming_rmax(suite_calls, capsys, suite):
     # 2^5 * 3 = 96 and 2^6 * 3 = 192 bracket the residues cap
     assert cli.MAX_RESIDUES_LEVEL < 192
@@ -337,7 +349,7 @@ def test_verify_residues_over_its_level_cap_exits_2_naming_rmax(suite_calls, cap
     assert [params["rmax"] for _, params in suite_calls] == [5]
 
 
-@pytest.mark.parametrize("suite", ["bernoulli", "units", "dir"])
+@pytest.mark.parametrize("suite", ["bernoulli", "dir"])
 def test_verify_other_suites_keep_the_level_cap(suite_calls, suite):
     assert cli.main(["verify", "--suite", suite, "--rmax", "8"]) == 0
     assert [params["rmax"] for _, params in suite_calls] == [8]
@@ -438,10 +450,11 @@ def _raises(real, exc, calls=1):
     return check
 
 
-@pytest.mark.parametrize("exc", [KeyError, ZeroDivisionError, AssertionError])
+@pytest.mark.parametrize("exc", [KeyError, ZeroDivisionError, AssertionError, ValueError])
 def test_a_raising_check_is_a_failing_row_of_a_written_report(monkeypatch, tmp_path, exc):
     # used to escape cli.main (KeyError, AssertionError) or to exit 2 with no
-    # report (ZeroDivisionError, an ArithmeticError)
+    # report (ZeroDivisionError, an ArithmeticError, and ValueError, which was
+    # taken for refused input); refused input is now refused before any suite
     clean = verify.run_suites(verify.SUITE_NAMES)
     monkeypatch.setattr(verify, "norm_check_theta", _raises(verify.norm_check_theta, exc))
     out = tmp_path / "report.json"
@@ -490,15 +503,6 @@ def test_a_raising_bernoulli_check_is_written_as_generic_csv(monkeypatch, tmp_pa
         "rmax": 2,
         "kmax": 4,
     }
-
-
-def test_a_check_raising_value_error_still_exits_2(monkeypatch, tmp_path, capsys):
-    # ValueError means refused input: it passes through every suite
-    monkeypatch.setattr(verify, "norm_check_theta", _raises(verify.norm_check_theta, ValueError))
-    out = tmp_path / "report.json"
-    assert cli.main(["verify", "--suite", "all", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: injected\n"
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("suite", ["bernoulli", "units", "residues"])
@@ -662,12 +666,18 @@ def test_residue_table_rejects_levels_below_two(N):
         # both sides of every congruence are 0 at c = +-1: this used to pass
         (["--suite", "bernoulli", "--c", "1"], "'bernoulli' has no cases"),
         (["--suite", "bernoulli", "--c", "-1"], "'bernoulli' has no cases"),
+        # this used to exit 2 from inside the suite, after two of its rows
+        (["--suite", "units", "--N", "1"], "'units' has no cases"),
     ],
 )
 def test_verify_rejects_parameters_that_leave_no_cases(args, named):
+    # refused before any suite runs: exit 2, no report, and the reason given
     out = run_cli("verify", *args)
     assert out.returncode == 2
     assert named in out.stderr and out.stdout == ""
+    if "has no cases" in named:  # and why, from the family check
+        why = "N = 1 must be at least 2" if "--N" in args else "c > 1 coprime to 6*ell*N = 36"
+        assert out.stderr.rstrip().endswith(why)
 
 
 _json_scalars = (

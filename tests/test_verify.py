@@ -1,5 +1,6 @@
 import json
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,12 +35,14 @@ def test_bernoulli_suite_takes_one_family():
     assert len(cases) == 3 * 4 * 6 and rep["all_pass"]
     assert cases[:2] == ["congruence_ell3_r1_N4_c7_t0_k0", "congruence_ell3_r1_N4_c7_t0_k1"]
     assert cases[-1] == "congruence_ell3_r3_N4_c7_t3_k5"
-    # outside the family (gcd(ell, N) or gcd(c, 6 ell N) not 1): no cases
-    assert suite_bernoulli(2, 4, 5, 2, 2)["cases"] == []
-    assert suite_bernoulli(2, 3, 9, 2, 2)["cases"] == []
-    # nor at c = +-1, where both sides are 0 and every row would pass vacuously
-    assert suite_bernoulli(2, 3, 1, 2, 2)["cases"] == []
-    assert suite_bernoulli(2, 3, -1, 2, 2)["cases"] == []
+    # outside the family (gcd(ell, N) or gcd(c, 6 ell N) not 1), and at
+    # c = +-1, where both sides are 0 and every row would pass vacuously, a
+    # direct call fails: one raised row, not an empty passing report
+    for ell, N, c in ((2, 4, 5), (2, 3, 9), (2, 3, 1), (2, 3, -1)):
+        rep = suite_bernoulli(ell, N, c, 2, 2)
+        [row] = rep["cases"]
+        assert row["case"] == "bernoulli_raised" and row["error"].startswith("ValueError: ")
+        assert (row["ell"], row["N"], row["c"]) == (ell, N, c) and not rep["all_pass"]
 
 
 def test_dir_suite_evaluates_each_bernoulli_value_once(monkeypatch):
@@ -192,20 +195,43 @@ def test_a_failing_tower_row_names_the_level_that_failed(monkeypatch, level):
     assert list(rows[0])[-2:] == ["failed_level", "pass"]
 
 
-@settings(max_examples=60, deadline=None)
+def _recording(calls, real):
+    def call(*args):
+        calls.append(args)
+        return real(*args)
+
+    return call
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    suite=st.sampled_from(["bernoulli", "units", "residues"]),
+    names=st.sampled_from([[name] for name in SUITE_NAMES] + [list(SUITE_NAMES)]),
     ell=st.sampled_from([-2, 0, 1, 2, 3, 4, 5]),
-    N=st.integers(-1, 4),
-    c=st.sampled_from([-5, 0, 1, 3, 5, 7]),
+    N=st.integers(-1, 6),
+    c=st.sampled_from([-7, -5, -1, 0, 1, 3, 5, 7, 11]),
     rmax=st.integers(1, 2),
-    trunc=st.sampled_from([1, 3, 40]),
+    trunc=st.sampled_from([1, 2, 3, 4, 40]),
 )
-def test_refused_input_is_a_value_error_not_a_raised_row(suite, ell, N, c, rmax, trunc):
-    # refused input must stay exit 2: a ValueError, which the suites' one
-    # failure policy passes through, never a failing <suite>_raised row
-    try:
-        rep = run_suites([suite], ell=ell, N=N, c=c, rmax=rmax, trunc=trunc)
-    except ValueError:
-        return
-    assert not [r["case"] for r in rep["cases"] if r["case"].endswith("_raised")]
+def test_refused_input_is_a_value_error_not_a_raised_row(names, ell, N, c, rmax, trunc):
+    # the door is complete: refused input is a ValueError raised before any
+    # suite body starts (exit 2), and every input it admits gives each suite
+    # cases and no failing <suite>_raised row
+    calls = []
+    with (
+        patch.object(verify, "bernoulli_measure", _recording(calls, verify.bernoulli_measure)),
+        patch.object(verify, "theta_qexp", _recording(calls, verify.theta_qexp)),
+    ):
+        try:
+            rep = run_suites(names, ell=ell, N=N, c=c, rmax=rmax, trunc=trunc)
+        except ValueError:
+            assert calls == []
+            return
+    for block in rep.get("suites", [rep]):
+        assert block["cases"]
+        assert not [r["case"] for r in block["cases"] if r["case"].endswith("_raised")]
+
+
+def test_the_valuation_row_names_its_level():
+    rep = run_suites(["units"], N=5, c=7)
+    [row] = [r for r in rep["cases"] if r["case"].startswith("theta_valuations_level")]
+    assert (row["case"], row["level"], row["pass"]) == ("theta_valuations_level10", 10, True)
