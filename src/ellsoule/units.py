@@ -47,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd
 
-from .bernoulli import smoothed_b2
+from .bernoulli import _moment_ints
 from .cyclotomic import CycloElement, _make, _xpow, euler_phi
 from .measures import Measure, TorsorSpec, torsor_elements
 from .numutil import _Value, _coord, _int, ceil_div, exact_rational, is_prime
@@ -83,9 +83,10 @@ def _check_theta_args(M: int, c: int, point: tuple[int, int]) -> tuple[int, int]
     return x, y
 
 
-def _level(ell: int, r: int, N: int, c: int) -> int:
+def _level(ell: int, r: int, N: int, c: int, c_is: str = "c") -> int:
     """M = ell^r * N, after the family check: ell prime, gcd(ell, N) = 1,
-    c > 1 with gcd(c, 6 ell N) = 1, and r >= 0 (else M is a fraction)."""
+    c > 1 with gcd(c, 6 ell N) = 1, and r >= 0 (else M is a fraction).
+    `c_is` names c in the refusal (a caller that passes |c| says so)."""
     for v, what in ((ell, "ell"), (r, "r"), (N, "N"), (c, "c")):
         _int(v, what)
     if not is_prime(ell):
@@ -93,7 +94,7 @@ def _level(ell: int, r: int, N: int, c: int) -> int:
     if gcd(ell, N) != 1:
         raise ValueError(f"gcd(ell, N) = gcd({ell}, {N}) != 1")
     if gcd(c, 6 * ell * N) != 1 or c <= 1:
-        raise ValueError(f"need c > 1 coprime to 6*ell*N = {6 * ell * N}")
+        raise ValueError(f"need {c_is} > 1 coprime to 6*ell*N = {6 * ell * N}")
     if r < 0:
         raise ValueError(f"level exponent r = {r} must be >= 0")
     return ell ** r * N
@@ -101,11 +102,14 @@ def _level(ell: int, r: int, N: int, c: int) -> int:
 
 def _e0(M: int, c: int, x: int) -> int:
     """The leading exponent smoothed_b2(M, c, x) of the unit at (x, *), in
-    q^{1/M} units; it must be an integer."""
-    v = smoothed_b2(M, c, x)
-    if v.denominator != 1:
-        raise ValueError(f"smoothed B_2 value {v} at x = {x} is not an integer exponent")
-    return v.numerator
+    q^{1/M} units: the closed moment n / d, read in ints; it must be an
+    integer.  x must be an int (a float or a bool raises TypeError)."""
+    n, d = _moment_ints(0, M, c, _coord(x, M))
+    if n % d:
+        raise ValueError(
+            f"smoothed B_2 value {Fraction(n, d)} at x = {x} is not an integer exponent"
+        )
+    return n // d
 
 
 def _mul_factor(P: list, h: int, e: int, k: int, r: int) -> None:
@@ -219,7 +223,10 @@ def residue_elliptic_soule(ell: int, r: int, N: int, c: int, t: tuple[int, int])
 
         (1/ell^r) * sum over y with (x, y) == t mod N of M * valuation(theta at (x, y)),
 
-    each valuation read off an assembled series.  This is not independent of
+    each valuation read off an assembled series.  The series are built at
+    window e0 + 1, e0 = `_e0`, so that each holds only its leading term, and
+    M * valuation is the least stored exponent: the ell^r of them are summed
+    as ints, with one Fraction per fiber point.  This is not independent of
     the closed formula: `theta_series` places its leading term at `_e0`, the
     closed smoothed_b2 value that `bernoulli_measure` also uses (a route that
     does not, the Jacobi triple product, is ROADMAP item 3).
@@ -232,14 +239,14 @@ def residue_elliptic_soule(ell: int, r: int, N: int, c: int, t: tuple[int, int])
     q = ell ** r
     values = {}
     for x in torsor_elements(spec):
-        # window just past the expected leading exponent; the valuation is
-        # then read from the actual series
-        T = _e0(M, c, x[0]) + 4
-        acc = Fraction(0)
+        T = _e0(M, c, x[0]) + 1
+        acc = 0
         for j in range(q):
-            series = theta_series(M, c, (x[0], t[1] + N * j), T)
-            acc += M * series.valuation()
-        values[x] = acc / q
+            terms = theta_series(M, c, (x[0], t[1] + N * j), T).terms
+            if not terms:
+                raise ValueError("series is zero to its truncation order")
+            acc += min(terms)
+        values[x] = Fraction(acc, q)
     return Measure._make(spec, values)
 
 
@@ -315,7 +322,7 @@ def epsilon_series(
 ) -> PuiseuxSeries:
     """theta / eta at `point` to the window `trunc` >= 1: the valuation-0 unit."""
     M = _level(ell, r, N, c)
-    n, trunc = _e0(M, c, _coord(point[0], M)), _int(trunc, "trunc")
+    n, trunc = _e0(M, c, point[0]), _int(trunc, "trunc")
     if trunc < 1:
         raise ValueError(f"trunc = {trunc} must be >= 1")
     return theta_series(M, c, point, trunc + n).shift(-n)

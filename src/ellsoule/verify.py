@@ -539,7 +539,10 @@ def _family(name: str, ell: int, N: int, c: int) -> None:
     if N < 2:
         raise ValueError(no_cases + f"N = {N} must be at least 2")
     try:
-        _level(ell, 0, N, abs(c) if name == "bernoulli" else c)
+        if name == "bernoulli":
+            _level(ell, 0, N, abs(c), "|c|")
+        else:
+            _level(ell, 0, N, c)
     except ValueError as e:
         raise ValueError(no_cases + str(e)) from None
 

@@ -676,7 +676,10 @@ def test_verify_rejects_parameters_that_leave_no_cases(args, named):
     assert out.returncode == 2
     assert named in out.stderr and out.stdout == ""
     if "has no cases" in named:  # and why, from the family check
-        why = "N = 1 must be at least 2" if "--N" in args else "c > 1 coprime to 6*ell*N = 36"
+        # bernoulli takes c < -1, so its refusal names |c|
+        why = "N = 1 must be at least 2"
+        if "--N" not in args:
+            why = "need |c| > 1 coprime to 6*ell*N = 36"
         assert out.stderr.rstrip().endswith(why)
 
 

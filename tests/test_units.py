@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from ellsoule import units
+from ellsoule import units, verify
 from ellsoule.bernoulli import bernoulli_measure, smoothed_b2
 from ellsoule.cyclotomic import CycloElement
 from ellsoule.numutil import ceil_div
@@ -363,6 +363,57 @@ def test_eta_exponent_rejects_non_integral_value():
     assert smoothed_b2(1, 2, 0) == Fraction(1, 4)
     with pytest.raises(ValueError, match="not an integer exponent"):
         units._e0(1, 2, 0)
+
+
+@pytest.mark.parametrize("M", range(2, 49))
+def test_int_leading_exponent_is_the_smoothed_b2_value(M):
+    # _e0 reads the closed moment in ints; smoothed_b2 is the Fraction route
+    for c in (5, 7, 11, 13):
+        if gcd(c, 6 * M) == 1:
+            for x in range(M):
+                e0 = units._e0(M, c, x)
+                assert type(e0) is int and e0 == smoothed_b2(M, c, x), (M, c, x)
+
+
+@pytest.mark.parametrize("bad", [1.0, True])
+def test_leading_exponent_rejects_float_and_bool_coordinates(bad):
+    # without the coordinate check, 1.0 gave the exponent 2.0 and True gave 2
+    with pytest.raises(TypeError, match="must be an int"):
+        eta_exponent(2, 1, 3, 5, bad)
+    with pytest.raises(TypeError, match="must be an int"):
+        units._e0(6, 5, bad)
+
+
+# the residues suite's cases, r = 0 included
+RESIDUE_CASES = ((2, 1, 3, 5), (2, 2, 3, 5), (3, 1, 4, 5), (2, 0, 3, 5))
+
+
+@pytest.mark.parametrize("ell, r, N, c", RESIDUE_CASES)
+def test_residue_route_builds_one_series_per_fiber_point_and_lift(monkeypatch, ell, r, N, c):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return theta_series(*args)
+
+    monkeypatch.setattr(units, "theta_series", counted)
+    for t in ((t1, t2) for t1 in range(N) for t2 in range(N) if (t1, t2) != (0, 0)):
+        calls.clear()
+        assert residue_elliptic_soule(ell, r, N, c, t) == bernoulli_measure(ell, r, N, c, t[0])
+        assert len(calls) == ell ** (2 * r), t
+
+
+def test_residue_route_reads_the_assembled_series(monkeypatch):
+    # a series one step past its closed leading exponent must move the measure
+    monkeypatch.setattr(units, "theta_series", lambda *a: theta_series(*a).shift(1))
+    assert residue_elliptic_soule(2, 1, 3, 5, (1, 1)) != bernoulli_measure(2, 1, 3, 5, 1)
+    assert not verify.run_suites(["residues"])["all_pass"]
+
+
+def test_residue_route_rejects_a_zero_series(monkeypatch):
+    monkeypatch.setattr(units, "theta_series", lambda M, c, p, T: PuiseuxSeries(M, T, {}))
+    with pytest.raises(ValueError, match="zero to its truncation order"):
+        residue_elliptic_soule(2, 1, 3, 5, (1, 1))
 
 
 def test_negative_level_exponent_is_rejected():
