@@ -29,7 +29,14 @@ input over a cap exits 2 before any work is done.
 The `qexp` document is streamed by `serialize.series_json`, one term block
 per write, so neither a dict of the series nor the whole text is built;
 every other JSON document is written by `_dumps`, whose output equals
-`json.dumps(obj, indent=2)`.  `main` builds its parser once per process.
+`json.dumps(obj, indent=2)`.
+
+Every subcommand and flag is declared once, in `_COMMANDS`.  `main` reads a
+well-formed argv straight from it: a command name or alias, then exact
+`--name value` pairs and store_true flags (see `_read`).  argparse, its
+parser built from the same table once per process, takes every other argv
+(help, an abbreviation, `--name=value`, an error) and writes every help
+text and error message.
 """
 
 from __future__ import annotations
@@ -43,9 +50,10 @@ import math
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _encode_str
+from typing import Callable
 
 from .formal import ResiduePreconditionError, cyc_symmetrize, dir_closed, dir_via_me, residue_table
-from .numutil import rat_str
+from .numutil import _Value, rat_str
 from .serialize import formal_to_json, psi_from_json, series_json
 from .units import eta_exponent, theta_qexp
 from .verify import SUITE_NAMES, run_suites
@@ -88,112 +96,6 @@ MAX_RESIDUES_LEVEL = 100
 # processes each (2 vCPU, Python 3.11.7, a shared host), `residue-table --N 3
 # --k 50` took 0.10-0.18 s and `verify --suite all --kmax 50` 1.8-2.5 s.
 MAX_WEIGHT = 50
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ellsoule",
-        description="exact arithmetic of smoothed theta units, their measures, "
-        "moments and boundary formulas",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run self-verification suites")
-    p_verify.add_argument(
-        "--suite",
-        choices=SUITE_NAMES + ("all",),
-        default="all",
-        help="which suite to run (default: all)",
-    )
-    p_verify.add_argument("--ell", type=int, default=2, help="prime ell (default 2)")
-    p_verify.add_argument("--N", type=int, default=3, help="tame level N (default 3)")
-    p_verify.add_argument(
-        "--c", type=int, default=5, help=f"smoothing factor, |c| at most {MAX_C} (default 5)"
-    )
-    p_verify.add_argument(
-        "--rmax",
-        type=int,
-        default=2,
-        help=f"largest level r (default 2); the level ell^rmax * N is at most "
-        f"{MAX_LEVEL}, and {MAX_RESIDUES_LEVEL} when residues or units (ell^2 * N too) runs",
-    )
-    p_verify.add_argument(
-        "--kmax", type=int, default=4, help=f"largest weight k, at most {MAX_WEIGHT} (default 4)"
-    )
-    p_verify.add_argument(
-        "--trunc",
-        type=int,
-        default=40,
-        help=f"q-expansion window, at most {MAX_WINDOW} (default 40)",
-    )
-    p_verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p_verify.add_argument("--out", metavar="FILE", help="write the report to FILE")
-    p_verify.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
-    )
-    p_verify.add_argument(
-        "--timing",
-        action="store_true",
-        help="include wall-clock time in the report (off by default so reports "
-        "are byte-reproducible)",
-    )
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_qexp = sub.add_parser("qexp", help="q-expansion of the smoothed theta unit")
-    p_qexp.add_argument("--ell", type=int, default=2)
-    p_qexp.add_argument("--r", type=int, default=1)
-    p_qexp.add_argument("--N", type=int, default=3)
-    p_qexp.add_argument("--c", type=int, default=5, help=f"|c| at most {MAX_C} (default 5)")
-    p_qexp.add_argument("--x", type=int, default=1)
-    p_qexp.add_argument("--y", type=int, default=0)
-    p_qexp.add_argument(
-        "--trunc",
-        type=int,
-        default=40,
-        help=f"window in q^(1/M) units, at most {MAX_WINDOW} past the leading "
-        f"exponent (default 40); the level ell^r * N is at most {MAX_LEVEL}",
-    )
-    p_qexp.add_argument("--out", metavar="FILE")
-    p_qexp.set_defaults(func=_cmd_qexp)
-
-    p_table = sub.add_parser(
-        "residue-table",
-        aliases=["residue_table"],
-        help="closed residues of all weight-k classes at level N",
-    )
-    p_table.add_argument(
-        "--N", type=int, default=3, help=f"level, at most {MAX_RESIDUES_LEVEL} (default 3)"
-    )
-    p_table.add_argument(
-        "--k", type=int, default=2, help=f"weight, at most {MAX_WEIGHT} (default 2)"
-    )
-    p_table.add_argument("--format", choices=("json", "csv"), default="json")
-    p_table.add_argument("--out", metavar="FILE")
-    p_table.set_defaults(func=_cmd_table)
-
-    p_dir = sub.add_parser(
-        "dir", help="boundary value of a weight function (requires residue zero)"
-    )
-    p_dir.add_argument(
-        "--psi",
-        required=True,
-        metavar="FILE",
-        help=f"weight function as JSON; its level N is at most {MAX_LEVEL} and "
-        f"its weight k at most {MAX_WEIGHT}",
-    )
-    p_dir.add_argument("--c", type=int, default=5, help="smoothing factor for the me route")
-    p_dir.add_argument("--route", choices=("closed", "me", "both"), default="both")
-    p_dir.add_argument("--out", metavar="FILE")
-    p_dir.set_defaults(func=_cmd_dir)
-
-    return parser
-
-
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` reads argv with, built once per process: building
-    one costs more than ten times parsing with it."""
-    return build_parser()
 
 
 def _dumps(obj) -> str:
@@ -430,8 +332,146 @@ def _cmd_dir(args) -> int:
     return 0 if ok else 1
 
 
+class _Flag(_Value):
+    """A subcommand's flag: `kind` is int, str or bool (store_true), and its
+    dest is its name without the `--`."""
+
+    __slots__ = ("name", "kind", "default", "help", "choices", "required", "metavar")
+
+    def __init__(self, name: str, kind: type, default=None, help: str | None = None,
+                 choices: tuple | None = None, required: bool = False, metavar: str | None = None):
+        self._fix(name, kind, default, help, choices, required, metavar)
+
+
+class _Command(_Value):
+    __slots__ = ("name", "help", "handler", "flags", "aliases")
+
+    def __init__(self, name: str, help: str, handler: Callable[[argparse.Namespace], int],
+                 flags: tuple[_Flag, ...], aliases: tuple[str, ...] = ()):
+        self._fix(name, help, handler, flags, aliases)
+
+
+# Every subcommand and flag, once: `build_parser` builds argparse's tree
+# from it and `_read` reads a plain argv with it.
+_COMMANDS = (
+    _Command("verify", "run self-verification suites", _cmd_verify, (
+        _Flag("--suite", str, "all", "which suite to run (default: all)", SUITE_NAMES + ("all",)),
+        _Flag("--ell", int, 2, "prime ell (default 2)"),
+        _Flag("--N", int, 3, "tame level N (default 3)"),
+        _Flag("--c", int, 5, f"smoothing factor, |c| at most {MAX_C} (default 5)"),
+        _Flag("--rmax", int, 2, f"largest level r (default 2); the level ell^rmax * N is at most "
+              f"{MAX_LEVEL}, and {MAX_RESIDUES_LEVEL} when residues or units (ell^2 * N too) runs"),
+        _Flag("--kmax", int, 4, f"largest weight k, at most {MAX_WEIGHT} (default 4)"),
+        _Flag("--trunc", int, 40, f"q-expansion window, at most {MAX_WINDOW} (default 40)"),
+        _Flag("--seed", int, 0, "RNG seed (default 0)"),
+        _Flag("--out", str, None, "write the report to FILE", metavar="FILE"),
+        _Flag("--format", str, "json", "report format", ("json", "csv")),
+        _Flag("--timing", bool, False, "include wall-clock time in the report (off by default "
+              "so reports are byte-reproducible)"),
+    )),
+    _Command("qexp", "q-expansion of the smoothed theta unit", _cmd_qexp, (
+        _Flag("--ell", int, 2),
+        _Flag("--r", int, 1),
+        _Flag("--N", int, 3),
+        _Flag("--c", int, 5, f"|c| at most {MAX_C} (default 5)"),
+        _Flag("--x", int, 1),
+        _Flag("--y", int, 0),
+        _Flag("--trunc", int, 40, f"window in q^(1/M) units, at most {MAX_WINDOW} past the leading "
+              f"exponent (default 40); the level ell^r * N is at most {MAX_LEVEL}"),
+        _Flag("--out", str, metavar="FILE"),
+    )),
+    _Command("residue-table", "closed residues of all weight-k classes at level N", _cmd_table, (
+        _Flag("--N", int, 3, f"level, at most {MAX_RESIDUES_LEVEL} (default 3)"),
+        _Flag("--k", int, 2, f"weight, at most {MAX_WEIGHT} (default 2)"),
+        _Flag("--format", str, "json", choices=("json", "csv")),
+        _Flag("--out", str, metavar="FILE"),
+    ), aliases=("residue_table",)),
+    _Command("dir", "boundary value of a weight function (requires residue zero)", _cmd_dir, (
+        _Flag("--psi", str, None, f"weight function as JSON; its level N is at most {MAX_LEVEL} "
+              f"and its weight k at most {MAX_WEIGHT}", required=True, metavar="FILE"),
+        _Flag("--c", int, 5, "smoothing factor for the me route"),
+        _Flag("--route", str, "both", choices=("closed", "me", "both")),
+        _Flag("--out", str, metavar="FILE"),
+    )),
+)
+
+# each command name and alias -> the command, its flags by name, their defaults by dest
+_BY_NAME = {
+    name: (cmd, {f.name: f for f in cmd.flags}, {f.name[2:]: f.default for f in cmd.flags})
+    for cmd in _COMMANDS for name in (cmd.name, *cmd.aliases)
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ellsoule",
+        description="exact arithmetic of smoothed theta units, their measures, "
+        "moments and boundary formulas",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for cmd in _COMMANDS:
+        p = sub.add_parser(cmd.name, aliases=cmd.aliases, help=cmd.help)
+        for f in cmd.flags:
+            if f.kind is bool:
+                p.add_argument(f.name, action="store_true", default=f.default, help=f.help)
+            else:
+                p.add_argument(f.name, type=f.kind, default=f.default, choices=f.choices,
+                               required=f.required, help=f.help, metavar=f.metavar)
+        p.set_defaults(func=cmd.handler)
+    return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` falls back to, built once per process: building one
+    costs more than ten times parsing with it."""
+    return build_parser()
+
+
+def _read(argv: list) -> argparse.Namespace | None:
+    """`build_parser().parse_args(argv)` read straight from the flag table,
+    or None, leaving argv to argparse and its help and error texts.
+
+    Read: a command name or alias, then exact `--name value` pairs and
+    store_true flags alone; an int value is ASCII `-?[0-9]+` that `int()`
+    takes, a str value does not start with `-` and lies in the flag's
+    choices, if any; every required flag is given, and a repeated flag
+    keeps its last value.  Anything else is None.  Never raises.
+    """
+    if not argv or not all(isinstance(a, str) for a in argv) or argv[0] not in _BY_NAME:
+        return None
+    cmd, flags, defaults = _BY_NAME[argv[0]]
+    read = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        f = flags.get(token)
+        if f is None:
+            return None
+        value = True if f.kind is bool else next(tokens, None)
+        if value is None:  # the flag's value is missing
+            return None
+        if f.kind is int:
+            digits = value[1:] if value[:1] == "-" else value
+            if not (digits.isascii() and digits.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # over int()'s digit limit
+                return None
+        elif f.kind is str and (value[:1] == "-" or (f.choices and value not in f.choices)):
+            return None
+        read[f.name[2:]] = value
+    if any(f.required and f.name[2:] not in read for f in cmd.flags):
+        return None
+    return argparse.Namespace(**{**defaults, **read}, command=argv[0], func=cmd.handler)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv) or _parser().parse_args(argv)
+    for dest, value in vars(args).items():
+        if isinstance(value, list):  # `--name=--`, whose value argparse (3.11) reads as []
+            _parser().error(f"argument --{dest}: expected one argument")
     try:
         return args.func(args)
     except ResiduePreconditionError as e:

@@ -7,10 +7,10 @@ import math
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ellsoule import cli, units, verify
 from ellsoule.cli import _dumps, _verify_csv
@@ -752,9 +752,10 @@ def test_one_parser_serves_every_command_in_a_process(psi_file, capsys):
     ],
 )
 def test_a_main_call_leaves_no_cyclic_garbage(argv):
-    # the parser was rebuilt per call, leaving 295 objects to the cyclic GC
+    # neither the direct read these argvs take nor the library leaves objects
+    # to the cyclic GC (a parser rebuilt per call left 295)
     with redirect_stdout(io.StringIO()):
-        cli.main(argv)  # builds the parser and warms the library caches
+        cli.main(argv)  # warms the library caches
     gc.collect()
     gc.disable()
     try:
@@ -763,3 +764,241 @@ def test_a_main_call_leaves_no_cyclic_garbage(argv):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- the direct read ----------------------------------------------------
+
+# one well-formed argv or more of every subcommand, the benchmark's four
+# shapes first; PSI stands for a weight-function file
+WELL_FORMED = [
+    ["qexp", "--ell", "7", "--r", "1", "--N", "6", "--c", "5", "--x", "1", "--y", "37",
+     "--trunc", "200"],
+    ["verify", "--suite", "dir", "--seed", "3"],
+    ["residue-table", "--N", "3", "--k", "2"],
+    ["dir", "--psi", "PSI", "--c", "7"],
+    ["qexp", "--x", "0", "--y", "-1", "--trunc", "9", "--trunc", "30"],
+    ["verify", "--suite", "bernoulli", "--c", "-5", "--format", "csv"],
+    ["residue_table", "--format", "csv", "--k", "0", "--N", "4"],
+    ["dir", "--route", "closed", "--psi", "PSI"],
+]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED)
+def test_a_well_formed_argv_builds_no_parser(argv, psi_file, monkeypatch, capsys):
+    argv = [str(psi_file) if a == "PSI" else a for a in argv]
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(argv) or real())
+    cli._parser.cache_clear()
+    assert cli.main(argv) == 0
+    direct = capsys.readouterr()
+    assert built == [] and cli._read(argv) == real().parse_args(argv)
+    # argparse reads the same argv to the same bytes
+    monkeypatch.setattr(cli, "_read", lambda argv: None)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == direct and built == [argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--trunc", "12"],
+        ["-h"],
+        ["qexp", "-h"],
+        ["qexp", "--help"],
+        ["qexp", "--tr", "80"],
+        ["qexp", "--trunc=80"],
+        ["qexp", "--nosuch", "1"],
+        ["qexp", "--trunc"],
+        ["qexp", "--", "--trunc", "80"],
+        ["qexp", "stray"],
+        *(["qexp", "--trunc", v]
+          for v in ["+5", " 5", "5 ", "1_0", "\u0663", "\u00b2", "9" * 5000]),
+        ["verify", "--suite", "nope"],
+        ["dir", "--psi", "-x"],
+        ["dir", "--c", "7"],
+    ],
+)
+def test_the_read_declines_what_it_does_not_take(argv):
+    # argparse takes some of these (an abbreviation, `=`, a sign, a space,
+    # `1_0`, other digits): the read leaves them all to it
+    assert cli._read(argv) is None
+
+
+def _str_values(*choices):
+    return st.sampled_from(choices) | st.sampled_from(["nope", "a b", "", "-x", "--", "-h"])
+
+
+# int strings the read takes, and others it must leave to argparse: a sign,
+# a space, an underscore, non-ASCII digits, and one over int()'s digit limit
+_INT_EDGES = [
+    "007", "-0", "+5", " 5", "5 ", "1_0", "\u0663", "\u00b2", "x",
+    "9" * 4300, "-" + "9" * 4300, "9" * 5000,
+]
+_PATHS = _str_values("good.json", "bad.json", "nope.json")
+
+
+def _flags(ints):
+    """Each subcommand's flags and the values drawn for them (None: store_true)."""
+    fmt = _str_values("json", "csv")
+    return {
+        "verify": {
+            "--suite": _str_values("all", *verify.SUITE_NAMES),
+            **dict.fromkeys(("--ell", "--N", "--c", "--rmax", "--kmax", "--trunc", "--seed"), ints),
+            "--out": _PATHS,
+            "--format": fmt,
+            "--timing": None,
+        },
+        "qexp": {
+            **dict.fromkeys(("--ell", "--r", "--N", "--c", "--x", "--y", "--trunc"), ints),
+            "--out": _PATHS,
+        },
+        "residue-table": {"--N": ints, "--k": ints, "--format": fmt, "--out": _PATHS},
+        "dir": {
+            "--psi": _PATHS,
+            "--c": ints,
+            "--route": _str_values("closed", "me", "both"),
+            "--out": _PATHS,
+        },
+    }
+
+
+@st.composite
+def _argvs(draw, ints):
+    """An argv over the four subcommands: mostly exact `--name value` pairs,
+    with abbreviated, `=`, valueless, foreign and repeated flags, wrong-kind
+    values, help and stray tokens among them."""
+    table = _flags(ints)
+    every = {f: v for flags in table.values() for f, v in flags.items()}
+    command = draw(st.sampled_from([*table, "residue_table", "nosuch", "-h"]))
+    own = table.get(command.replace("_", "-"), every)
+    argv = [command] if draw(st.integers(0, 19)) else []
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(sorted(own if draw(st.integers(0, 9)) else every)))
+        values = every[flag]
+        value = draw(values) if values is not None else None
+        form = draw(st.sampled_from(["pair"] * 16 + ["alone", "=", "abbrev", "foreign", "stray"]))
+        if form == "pair":
+            argv += [flag] if value is None else [flag, value]
+        elif form == "alone":
+            argv.append(flag)
+        elif form == "=":
+            argv.append(f"{flag}={value or 1}")
+        elif form == "abbrev":
+            argv += [flag[: draw(st.integers(3, len(flag)))], value or "1"]
+        elif form == "foreign":  # a value drawn for another flag
+            other = every[draw(st.sampled_from(sorted(every)))]
+            argv += [flag, "1" if other is None else draw(other)]
+        else:
+            stray = ["-h", "--help", "--", "stray", "--nosuch", "residue-table"]
+            argv.append(draw(st.sampled_from(stray)))
+    return argv
+
+
+_ARGPARSE = cli.build_parser()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs(st.integers(-(10**6), 10**6).map(str) | st.sampled_from(_INT_EDGES)))
+@example(["qexp", "--trunc", "9" * 5000])
+@example(["dir", "--c", "7"])
+@example(["qexp", "--tr", "80"])
+def test_the_read_is_argparse_or_declines(argv):
+    read = cli._read(argv)
+    if read is None:
+        return
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            parsed = _ARGPARSE.parse_args(argv)
+        except SystemExit:
+            parsed = None
+    assert read == parsed
+
+
+# recorded with COLUMNS=80: sha256 of the JSON list [exit code, stdout, stderr]
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="recorded with Python 3.11's argparse layout"
+)
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["-h"], "c9ef73121fd8fc326b9d50ca7ecc76e69ac3701bdab48934621c5d51195dc31a"),
+        (["verify", "-h"], "ebe2e1d05390be6db5df083df914129e5faf797d822d23f4bb14346be1e18d10"),
+        (["qexp", "-h"], "690970008c927ef8e20b4c8a985e48b5fe82d525e8f6d376b1bef3518fe11cb0"),
+        (
+            ["residue-table", "-h"],
+            "116c7cc100c25321ae761071312e85d82fe796f7bd5eb6ddcbf5c1e831ae2da6",
+        ),
+        (
+            ["residue_table", "-h"],
+            "116c7cc100c25321ae761071312e85d82fe796f7bd5eb6ddcbf5c1e831ae2da6",
+        ),
+        (["dir", "-h"], "1180d7425fe2c421204268ee74e55a595061a131632e54d4cfc53967bb739e99"),
+        (
+            ["qexp", "--nosuch", "1"],
+            "95eb14b3773ca28a0984c730d1e650fdd53528d92f52f85ff84e23afb99a4fbe",
+        ),
+        (
+            ["qexp", "--trunc", "x"],
+            "b56f697a27b74f94af620a81409c30756cb1bda47a0d516ba6b897935d25b91f",
+        ),
+        (
+            ["verify", "--suite", "nope"],
+            "c0ee89ddc03b1a1f5d8478a30f9f37efedfe96b76a73955fff040d72b971aea8",
+        ),
+        (["dir", "--c", "7"], "ce5f4df9d0a4317697cd9cf2f94d6cd94da6a0f2686e6d650abd32416277f932"),
+        # an abbreviation argparse takes: the expansion at trunc 12, exit 0
+        (
+            ["qexp", "--tr", "12"],
+            "51f3c22fcaf017fc63cc248d22a03bed4288e417494f2070f5610d661edd72a3",
+        ),
+    ],
+)
+def test_help_and_error_text_is_pinned(argv, digest, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = json.dumps(list(_call(argv, capsys)))
+    assert hashlib.sha256(got.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dir", "--psi=--"],
+        ["qexp", "--trunc=--"],
+        ["qexp", "--out=--", "--trunc", "3"],
+        ["verify", "--suite=--"],
+        ["residue-table", "--format=--"],
+    ],
+)
+def test_a_flag_given_as_name_equals_dashdash_is_a_usage_error(argv, capsys):
+    # argparse reads the value of `--name=--` as []: `dir`, `qexp --trunc` and
+    # `verify` raised TypeError out of `main`, and `--out`/`--format` took it
+    # for no value
+    flag = next(a for a in argv if a.endswith("=--"))[:-3]
+    rc, out, err = _call(argv, capsys)
+    assert (rc, out) == (2, "") and err.endswith(f"argument {flag}: expected one argument\n")
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=_argvs(st.integers(-9, 9).map(str) | st.sampled_from(_INT_EDGES)))
+@example(argv=["dir", "--psi=--"])
+def test_main_returns_a_documented_exit_code(
+    argv, qexp_calls, suite_calls, tmp_path, monkeypatch
+):
+    # the fixtures expand nothing and run no suite, and the int values keep
+    # residue-table small; every example runs in tmp_path, where --out writes
+    # and --psi reads its weight functions (the patches hold for every example)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "good.json").write_text(json.dumps(GOOD_PSI))
+    bad = {"k": 2, "N": 3, "values": [{"t": [1, 0], "v": "1"}]}  # residue -13/720
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as e:  # argparse: help, or a usage error
+            assert e.code in (0, 2)
+            return
+    assert rc in (0, 1, 2, 3)
