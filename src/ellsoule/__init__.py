@@ -56,18 +56,14 @@ from .moments import (
 from .puiseux import PuiseuxSeries
 from .tsym import TSym, divided_power, exponent_tuples, sym_to_tsym, tsym_map
 from .units import (
-    RatFun,
     cusp_square_check,
     cusp_value_closed,
     epsilon_cusp_eval,
     epsilon_series,
     norm_check_theta,
-    norm_under_power,
     residue_elliptic_soule,
     theta_qexp,
     theta_series,
-    xi,
-    xi_c,
 )
 
 __version__ = "0.1.0"

@@ -252,8 +252,9 @@ def _cmd_verify(args) -> int:
 def _check_level_and_c(
     ell: int, r: int, N: int, c: int, r_flag: str, cap: int = MAX_LEVEL
 ) -> None:
-    """Reject a level ell^r * N over `cap`, without forming ell^r, and a
-    smoothing factor |c| over MAX_C."""
+    """Reject a level ell^r * N over `cap`, without forming ell^r, an |ell|
+    over `cap` (at r = 0 the level does not bound it), and a smoothing factor
+    |c| over MAX_C."""
     level = abs(N)
     # |ell| >= 2 and level >= 1 pass the cap within log2(cap) + 1 steps
     for _ in range(r if abs(ell) > 1 and level else 0):
@@ -264,6 +265,7 @@ def _check_level_and_c(
         raise ValueError(
             f"level --ell^{r_flag} * --N = {ell}^{r} * {N} exceeds the cap {cap}"
         )
+    _check_cap("|--ell|", abs(ell), cap)
     _check_cap("|--c|", abs(c), MAX_C)
 
 

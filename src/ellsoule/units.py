@@ -45,12 +45,12 @@ exact cyclotomic number.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from .bernoulli import _moment_ints
 from .cyclotomic import CycloElement, _make, _xpow, euler_phi
 from .measures import Measure, TorsorSpec, torsor_elements
-from .numutil import _Value, _coord, _int, ceil_div, exact_rational, is_prime
+from .numutil import _coord, _int, ceil_div, is_prime
 from .puiseux import PuiseuxSeries
 from .serialize import cyclo_to_json
 
@@ -64,10 +64,6 @@ __all__ = [
     "cusp_value_closed",
     "epsilon_cusp_eval",
     "cusp_square_check",
-    "RatFun",
-    "xi",
-    "xi_c",
-    "norm_under_power",
 ]
 
 
@@ -256,9 +252,11 @@ def norm_check_theta(M: int, d: int, c: int, point: tuple[int, int], window: int
     The product of the level-dM expansions over the d^2 preimages
     (x + iM, y + jM) of `point` must equal the level-M expansion rescaled to
     q^{1/dM}, coefficient by coefficient, for all exponents below `window`
-    (in q^{1/dM} units).  Reports the sound comparison window actually used;
-    on a coefficient mismatch, also the first mismatching exponent with both
-    coefficients (`first_mismatch`: n, base, product).
+    (in q^{1/dM} units).  A window at or below the base's leading exponent
+    d * e0 would compare no nonzero coefficient, and is refused.  Reports the
+    sound comparison window actually used; on a coefficient mismatch, also
+    the first mismatching exponent with both coefficients (`first_mismatch`:
+    n, base, product).
     """
     x, y = _check_theta_args(M, c, point)
     d, window = _int(d, "d"), _int(window, "window")
@@ -268,6 +266,11 @@ def norm_check_theta(M: int, d: int, c: int, point: tuple[int, int], window: int
         raise ValueError(f"d = {d} must be >= 1")
     if gcd(d, c) != 1:
         raise ValueError(f"gcd(d, c) = gcd({d}, {c}) != 1")
+    if window <= (lead := d * _e0(M, c, x)):
+        raise ValueError(
+            f"window = {window} must exceed the leading exponent {lead} "
+            f"(in q^{{1/{d * M}}}): it would compare no coefficient"
+        )
     if d == 1:
         return {"ok": True, "window": window, "level": M, "mismatches": []}
     # leading exponents of the preimage factors can be negative, so each factor's
@@ -365,91 +368,3 @@ def _xi_c_at(M: int, y: int, c: int) -> CycloElement:
     """Xi_c(zeta_M^y) = (1 - zeta^y)^{c^2} / (1 - zeta^{cy})."""
     num = CycloElement.one_minus_zeta_pow(M, y, c * c)
     return num * CycloElement.one_minus_zeta_inverse(M, c * y)
-
-
-# ---------------------------------------------------------------------------
-# rational functions in one variable over Q, and the norm under the
-# substitution w -> zeta_d^j w
-# ---------------------------------------------------------------------------
-
-
-def _ptrim(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _pmul(a: list, b: list) -> list:
-    """Product of ascending coefficient lists over Q or over Q(zeta_d)."""
-    out = [0] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-    return _ptrim(out)
-
-
-class RatFun(_Value):
-    """A ratio of polynomials in w with rational coefficients.
-
-    Polynomials are ascending lists of `Fraction`s; equality is tested by
-    cross-multiplication, so there is no normal form and no hash.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        num = _ptrim([exact_rational(c) for c in num])
-        den = _ptrim([exact_rational(c) for c in den])
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        self._fix(num, den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatFun):
-            return NotImplemented
-        return _pmul(self.num, other.den) == _pmul(other.num, self.den)
-
-    def __repr__(self):
-        return f"RatFun(num={self.num}, den={self.den})"
-
-
-def xi() -> RatFun:
-    """Xi(w) = 1 - w over Q."""
-    return RatFun([1, -1], [1])
-
-
-def xi_c(c: int) -> RatFun:
-    """Xi_c(w) = (1 - w)^{c^2} / (1 - w^c) over Q."""
-    num = [(-1) ** i * comb(c * c, i) for i in range(c * c + 1)]
-    return RatFun(num, [1] + [0] * (c - 1) + [-1])
-
-
-def norm_under_power(f: RatFun, d: int) -> RatFun:
-    """prod_{j=0}^{d-1} f(zeta_d^j w), re-expressed in z = w^d over Q.
-
-    Requires nonzero constant terms; the product must only involve exponents
-    divisible by d with rational coefficients (checked), else the input was
-    not norm-equivariant.
-    """
-    if not (f.num and f.num[0] and f.den[0]):
-        raise ValueError("nonzero constant terms are required")
-
-    def norm(p):
-        big = [CycloElement.rational(d, 1)]
-        for j in range(d):
-            # p(zeta_d^j w): coefficient i picks up zeta_d^{ji}
-            big = _pmul(big, [CycloElement.zeta_pow(d, j * i) * c for i, c in enumerate(p)])
-        out = []
-        for i, c in enumerate(big):
-            if i % d:
-                if c:
-                    raise ValueError(f"norm product has exponent {i} not divisible by {d}")
-            elif c and not c.is_rational():
-                raise ValueError("norm product has irrational coefficients")
-            else:
-                out.append(c.rational_value() if c else 0)
-        return out
-
-    return RatFun(norm(f.num), norm(f.den))

@@ -67,11 +67,8 @@ from .units import (
     epsilon_series,
     eta_exponent,
     norm_check_theta,
-    norm_under_power,
     residue_elliptic_soule,
     theta_qexp,
-    xi,
-    xi_c,
 )
 
 __all__ = [
@@ -613,10 +610,21 @@ def suite_units(ell: int = 2, N: int = 3, c: int = 5, trunc: int = 40):
         == bernoulli_measure(ell, 1, N, c, 1),
     )
 
-    for d, base, pt, window in ((2, N, (1, 1), 12), (2, M, (1, 1), 24)):
+    # x = 1 keeps its windows 12 and 24 where they pass the base's leading
+    # exponent 2 e0 (in q^{1/2 base}), and else runs that far past it.  At
+    # x = 0 the base leads at q^e, e = (c^2 - 1)/12, and each window reaches
+    # its q^e, q^{e+1} and q^{e+2} coefficients.  d = 2, 3 is prime to c, as
+    # the family takes c prime to 6
+    norms = []
+    for r, w in ((0, 12), (1, 24)):
+        lead = 2 * eta_exponent(ell, r, N, c, 1)
+        norms.append(("norm_compatibility", 2, ell ** r * N, (1, 1), w if w > lead else lead + w))
+    e = (c * c - 1) // 12
+    norms += [("norm_x0", d, b, (0, 1), d * b * (e + 3)) for d in (2, 3) for b in (N, M)]
+    for kind, d, base, pt, window in norms:
         rep = norm_check_theta(base, d, c, pt, window)
         yield _row(
-            f"norm_compatibility_{base}_to_{d * base}",
+            f"{kind}_{base}_to_{d * base}",
             rep["ok"] and rep["window"] >= window,
             level=rep["level"],
             window=rep["window"],
@@ -654,15 +662,6 @@ def suite_units(ell: int = 2, N: int = 3, c: int = 5, trunc: int = 40):
         spot == CycloElement.rational(6, 2 ** 24),
         expected="2^24",
     )
-
-    for d in (2, 3):
-        yield _row(f"norm_fixes_xi_d{d}", norm_under_power(xi(), d) == xi(), d=d)
-        yield _row(  # d = 2, 3 is prime to c: theta_qexp above took c prime to 6
-            f"norm_fixes_smoothed_xi_d{d}",
-            norm_under_power(xi_c(c), d) == xi_c(c),
-            d=d,
-            c=c,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,8 @@ def test_verify_bernoulli_csv_bytes_are_pinned(args, lines, digest):
 @pytest.mark.parametrize(
     "suite, fmt, digest",
     [
-        ("units", "json", "c965a72060b772a0d76d37e8f95da53bd93f8343db51f8946f901d0346bc9a6c"),
-        ("units", "csv", "ece2d31a245c25c1fce94f0669ab3457336cafc516ffa6f0568c27ebf7e181f0"),
+        ("units", "json", "1c43d31a53046b0dee3154ea633a9be2c049e39a982aac52b63824a7c41a0e30"),
+        ("units", "csv", "4aa6297b5bd4d1c868cbc9f0e4dd403db918686bb72e85f1372ec991767b9387"),
         ("residues", "json", "74a2c88da8eedf2387b6bd1ce821d7403663e4862d4e0f87c12bde7184471eeb"),
         ("residues", "csv", "136d04a2ab1f769a22b9fbac6b33ccf2f15811bbb091bb5018c16f0d6b8caa21"),
     ],
@@ -236,6 +236,18 @@ def test_qexp_over_a_cap_exits_2_naming_the_flag(qexp_calls, capsys, argv, flag)
     assert cli.main(["qexp", *argv(cli.MAX_WINDOW, cli.MAX_LEVEL)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err and "cap" in err
+    assert qexp_calls == []
+
+
+def test_qexp_at_r0_caps_ell(qexp_calls, capsys):
+    # at r = 0 the level is N alone, so the level cap left ell unbounded:
+    # this ell was trial-divided for 1.4 s before the expansion
+    argv = ["qexp", "--ell", "100000000000031", "--r", "0", "--N", "2", "--c", "5", "--trunc", "10"]
+    started = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - started < 0.1
+    err = capsys.readouterr().err
+    assert err == f"error: |--ell| = 100000000000031 exceeds the cap {cli.MAX_LEVEL}\n"
     assert qexp_calls == []
 
 

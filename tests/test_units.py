@@ -13,19 +13,15 @@ from ellsoule.numutil import ceil_div
 from ellsoule.puiseux import PuiseuxSeries
 from ellsoule.serialize import cyclo_to_json
 from ellsoule.units import (
-    RatFun,
     cusp_square_check,
     cusp_value_closed,
     epsilon_cusp_eval,
     epsilon_series,
     eta_exponent,
     norm_check_theta,
-    norm_under_power,
     residue_elliptic_soule,
     theta_qexp,
     theta_series,
-    xi,
-    xi_c,
 )
 
 
@@ -312,11 +308,26 @@ def test_norm_compatibility_small():
     assert norm_check_theta(4, 3, 5, (1, 1), 8)["ok"]
 
 
-@pytest.mark.parametrize("M, d, x", [(6, 2, 1), (6, 3, 1), (12, 2, 6)])
+@pytest.mark.parametrize(
+    "M, d, x", [(6, 2, 1), (6, 3, 1), (12, 2, 6), (6, 2, 0), (6, 1, 0), (6, 1, 1)]
+)
 @pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 24])
 def test_norm_check_takes_windows_below_the_leading_exponent(M, d, x, window):
-    # a window at or below the product's valuation V still gives every factor
-    # a window past its leading exponent, and the report keeps that window
+    # a window past the base's leading exponent d e0 but at or below the
+    # product's valuation V still gives every factor a window past its leading
+    # exponent, and the report keeps that window; a window at or below d e0
+    # would compare no coefficient, and is refused (the x = 0 base leads at
+    # q^2, 24 units of q^{1/12}: window 24 there used to report ok: True)
+    lead = d * units._e0(M, 5, x)
+    leads = {
+        (6, 2, 1): 4, (6, 3, 1): 6, (12, 2, 6): -24, (6, 2, 0): 24, (6, 1, 0): 12, (6, 1, 1): 2,
+    }
+    assert lead == leads[M, d, x]
+    if window <= lead:
+        refusal = f"window = {window} must exceed the leading exponent {lead} "
+        with pytest.raises(ValueError, match=refusal):
+            norm_check_theta(M, d, 5, (x, 1), window)
+        return
     rep = norm_check_theta(M, d, 5, (x, 1), window)
     assert rep == {"ok": True, "window": window, "level": d * M, "mismatches": []}
 
@@ -350,6 +361,39 @@ def test_norm_check_names_the_first_mismatch_with_both_values(monkeypatch):
     assert first["base"] == cyclo_to_json(base.coeff(n))
     assert first["product"] != first["base"]
     assert first["product"]["M"] == 12
+
+
+def test_units_suite_reads_the_coefficients_past_the_lead_at_x0(monkeypatch):
+    # every coefficient past the leading one doubled at x = 0: the cusp rows
+    # read only constant terms and the other norm rows sit at x = 1, so only
+    # the x = 0 norm rows can see it
+    real = units.theta_series
+
+    def doubled(M, c, point, trunc):
+        f = real(M, c, point, trunc)
+        if point[0] % M == 0:
+            lead = min(f.terms)
+            f = PuiseuxSeries(M, f.T, {n: a if n == lead else a + a for n, a in f.terms.items()})
+        return f
+
+    monkeypatch.setattr(units, "theta_series", doubled)
+    rep = verify.run_suites(["units"])
+    assert len(rep["cases"]) == 27
+    assert [r["case"] for r in rep["cases"] if not r["pass"]] == [
+        "norm_x0_3_to_6", "norm_x0_6_to_12", "norm_x0_3_to_9", "norm_x0_6_to_18",
+    ]
+
+
+@pytest.mark.parametrize("c, windows", [(5, [12, 24]), (11, [12, 24]), (13, [12, 52])])
+def test_units_norm_rows_reach_past_the_base_lead(c, windows):
+    # at c = 13 the level-6 base leads at 2 e0 = 28 units of q^{1/12}: the
+    # x = 1 row's window 24 compared nothing, and now runs 24 past the lead
+    rep = verify.suite_units(2, 3, c)
+    rows = [r for r in rep["cases"] if r["case"].startswith("norm_")]
+    assert len(rep["cases"]) == 27 and len(rows) == 6 and all(r["pass"] for r in rows)
+    assert [r["window"] for r in rows[:2]] == windows
+    e = (c * c - 1) // 12
+    assert [r["window"] for r in rows[2:]] == [d * b * (e + 3) for d in (2, 3) for b in (3, 6)]
 
 
 def test_eta_exponent_matches_prefactor():
@@ -543,23 +587,6 @@ def test_residue_measure_ignores_second_coordinate():
     a = residue_elliptic_soule(2, 1, 3, 5, (1, 0))
     b = residue_elliptic_soule(2, 1, 3, 5, (1, 2))
     assert a == b
-
-
-def test_ratfun_equality_by_cross_multiplication():
-    a = RatFun([1, -1], [1])
-    b = RatFun([2, -2], [2])
-    assert a == b
-    with pytest.raises(TypeError):
-        hash(a)
-
-
-def test_norm_fixes_xi():
-    for d in (2, 3):
-        assert norm_under_power(xi(), d) == xi()
-
-
-def test_norm_fixes_smoothed_xi():
-    assert norm_under_power(xi_c(5), 2) == xi_c(5)
 
 
 @pytest.mark.parametrize("bad", [1.7, 1.0, True, Fraction(1), "1"])
