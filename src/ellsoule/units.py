@@ -8,8 +8,8 @@ in q^{1/M} over Q(zeta_M) is
            * (1 - q^x zeta^y)^{c^2} / (1 - q^{x'} zeta^{y'})
            * gtilde(x, y)^{c^2} / gtilde(x', y'),
 
-where e0 = (M/2)(c^2 B_2({x/M}) - B_2({c x/M})) (an integer, in q^{1/M}
-units), (x', y') = (c x mod M, c y mod M) with carry m = (c x - x')/M, and
+where e0 is the unit's leading exponent (an integer, in q^{1/M} units),
+(x', y') = (c x mod M, c y mod M) with carry m = (c x - x')/M, and
 
     gtilde(u, v) = prod_{n >= 1} (1 - q^{nM+u} zeta^v)(1 - q^{nM-u} zeta^{-v}).
 
@@ -18,6 +18,16 @@ shifting the expansion index u -> u - 1 multiplies the product by
 -zeta^{-y'}, and m such shifts bring c x down to x'.  With that carry factor
 the expansions are exactly norm-compatible: the product over the d^2
 preimages of a point under multiplication by d equals the base expansion.
+
+e0 comes from the Jacobi triple product (Kato, Asterisque 295, section 1;
+Andrews, *The Theory of Partitions*, ch. 2): with t = q^{x/M} zeta^y, the
+unit is (-1)^h q^{(c^2-1)/12} t^h S(t)^{c^2} / S(t^c) times a power of
+prod (1 - q^n), h = (c - c^2)/2 and S(t) = sum_k (-1)^k q^{k(k-1)/2} t^k.
+S(t) leads at k = 0 and S(t^c) at k = -floor(c x/M), so the triple-product
+form e0 = M(c^2-1)/12 + h x - (k c x + M k(k-1)/2) equals the Bernoulli form
+smoothed_b2(M, c, x) = (M/2)(c^2 B_2({x/M}) - B_2({c x/M})), which this
+module never reads: the `residues` suite and the `units` valuation rows
+compare the two.
 
 `theta_series` assembles the expansion as one running product of the sparse
 factors (1 - q^{e/M} zeta^v)^k behind it: (x, y, c^2), (x', y', -1), and
@@ -47,7 +57,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .bernoulli import _moment_ints
 from .cyclotomic import CycloElement, _make, _xpow, euler_phi
 from .measures import Measure, TorsorSpec, torsor_elements
 from .numutil import _coord, _int, ceil_div, is_prime
@@ -67,7 +76,9 @@ __all__ = [
 ]
 
 
-def _check_theta_args(M: int, c: int, point: tuple[int, int]) -> tuple[int, int]:
+def _check_theta_args(
+    M: int, c: int, point: tuple[int, int], origin: str = "the unit has no expansion at the origin"
+) -> tuple[int, int]:
     M, c = _int(M, "level"), _int(c, "c")
     if M < 2:
         raise ValueError("level must be >= 2")
@@ -75,7 +86,7 @@ def _check_theta_args(M: int, c: int, point: tuple[int, int]) -> tuple[int, int]
         raise ValueError(f"need c > 1 with gcd(c, 6M) = gcd({c}, {6 * M}) = 1")
     x, y = _coord(point[0], M), _coord(point[1], M)
     if (x, y) == (0, 0):
-        raise ValueError("the unit has no expansion at the origin")
+        raise ValueError(origin)
     return x, y
 
 
@@ -97,15 +108,18 @@ def _level(ell: int, r: int, N: int, c: int, c_is: str = "c") -> int:
 
 
 def _e0(M: int, c: int, x: int) -> int:
-    """The leading exponent smoothed_b2(M, c, x) of the unit at (x, *), in
-    q^{1/M} units: the closed moment n / d, read in ints; it must be an
-    integer.  x must be an int (a float or a bool raises TypeError)."""
-    n, d = _moment_ints(0, M, c, _coord(x, M))
-    if n % d:
+    """The leading exponent of the unit at (x, *), in q^{1/M} units, from the
+    triple product (module docstring); it must be an integer.  x must be an
+    int (a float or a bool raises TypeError)."""
+    x = _coord(x, M)
+    e, rem = divmod(M * (c * c - 1), 12)
+    if rem:
         raise ValueError(
-            f"smoothed B_2 value {Fraction(n, d)} at x = {x} is not an integer exponent"
+            f"M(c^2 - 1)/12 = {Fraction(M * (c * c - 1), 12)} at M = {M}, c = {c} "
+            "is not an integer exponent"
         )
-    return n // d
+    k = -(c * x // M)
+    return e + (c - c * c) // 2 * x - (k * c * x + M * k * (k - 1) // 2)
 
 
 def _mul_factor(P: list, h: int, e: int, k: int, r: int) -> None:
@@ -222,10 +236,7 @@ def residue_elliptic_soule(ell: int, r: int, N: int, c: int, t: tuple[int, int])
     each valuation read off an assembled series.  The series are built at
     window e0 + 1, e0 = `_e0`, so that each holds only its leading term, and
     M * valuation is the least stored exponent: the ell^r of them are summed
-    as ints, with one Fraction per fiber point.  This is not independent of
-    the closed formula: `theta_series` places its leading term at `_e0`, the
-    closed smoothed_b2 value that `bernoulli_measure` also uses (a route that
-    does not, the Jacobi triple product, is ROADMAP item 3).
+    as ints, with one Fraction per fiber point.
     """
     M = _level(ell, r, N, c)
     t = (_coord(t[0], N), _coord(t[1], N))
@@ -254,9 +265,8 @@ def norm_check_theta(M: int, d: int, c: int, point: tuple[int, int], window: int
     q^{1/dM}, coefficient by coefficient, for all exponents below `window`
     (in q^{1/dM} units).  A window at or below the base's leading exponent
     d * e0 would compare no nonzero coefficient, and is refused.  Reports the
-    sound comparison window actually used; on a coefficient mismatch, also
-    the first mismatching exponent with both coefficients (`first_mismatch`:
-    n, base, product).
+    window; on a coefficient mismatch, also the first mismatching exponent
+    with both coefficients (`first_mismatch`: n, base, product).
     """
     x, y = _check_theta_args(M, c, point)
     d, window = _int(d, "d"), _int(window, "window")
@@ -281,42 +291,33 @@ def norm_check_theta(M: int, d: int, c: int, point: tuple[int, int], window: int
         for j in range(d)
     }
     V = sum(lead.values())
+    # exact windows: the product's is span, the rescaled base's d ceil(span/d)
     span = max(window, V + 1)
-    margin = 3  # extra window on every factor
-    base_rescaled = theta_series(M, c, (x, y), ceil_div(span, d) + margin).rescale(d * M)
+    base = theta_series(M, c, (x, y), ceil_div(span, d)).rescale(d * M)
     prod = None
     for i in range(d):
         for j in range(d):
-            T_ij = span + margin - (V - lead[i, j])
+            T_ij = span - (V - lead[i, j])
             f = theta_series(d * M, c, (x + i * M, y + j * M), T_ij)
             prod = f if prod is None else prod * f
-    W = min(window, base_rescaled.T, prod.T)
-    if W < window:
-        return {
-            "ok": False,
-            "window": W,
-            "level": d * M,
-            "mismatches": ["insufficient truncation"],
-        }
-    mism = []
-    f, g = base_rescaled, prod
-    for n in sorted(set(f.terms) | set(g.terms)):
-        if n < W and f.coeff(n) != g.coeff(n):
-            mism.append(n)
-    out = {"ok": not mism, "window": W, "level": d * M, "mismatches": mism}
+    mism = [
+        n for n in sorted(set(base.terms) | set(prod.terms))
+        if n < window and base.coeff(n) != prod.coeff(n)
+    ]
+    out = {"ok": not mism, "window": window, "level": d * M, "mismatches": mism}
     if mism:
         n = mism[0]
         out["first_mismatch"] = {
             "n": n,
-            "base": cyclo_to_json(f.coeff(n)),
-            "product": cyclo_to_json(g.coeff(n)),
+            "base": cyclo_to_json(base.coeff(n)),
+            "product": cyclo_to_json(prod.coeff(n)),
         }
     return out
 
 
 def eta_exponent(ell: int, r: int, N: int, c: int, x1: int) -> int:
     """Exponent (in q^{1/M} units) of the monomial normalizer at a point
-    with first coordinate x1: the smoothed-B_2 value itself."""
+    with first coordinate x1: the unit's leading exponent e0."""
     return _e0(_level(ell, r, N, c), c, x1)
 
 
@@ -339,10 +340,7 @@ def cusp_value_closed(M: int, c: int, y: int) -> CycloElement:
     vanishes there, leaving the scalar (-beta)^{(c-c^2)/2} on the constant
     terms of the remaining factors.
     """
-    y = _coord(y, _int(M, "level"))
-    if y == 0:
-        raise ValueError("beta = 1 is outside the cusp-value domain")
-    c = _int(c, "c")
+    _, y = _check_theta_args(M, c, (0, y), "beta = 1 is outside the cusp-value domain")
     # (-beta)^h = (-1)^h zeta^{yh}, h = (c - c^2)/2 an integer
     half = (c - c * c) // 2
     scalar = CycloElement.zeta_pow(M, y * half)
@@ -358,8 +356,8 @@ def epsilon_cusp_eval(ell: int, r: int, N: int, c: int, y: int) -> CycloElement:
 
 
 def cusp_square_check(M: int, c: int, y: int) -> bool:
-    """(cusp value)^2 == Xi_c(beta) * Xi_c(beta^{-1}) in Q(zeta_M)."""
-    y = _coord(y, M)
+    """(cusp value)^2 == Xi_c(beta) * Xi_c(beta^{-1}) in Q(zeta_M); the
+    family is checked by `cusp_value_closed`."""
     v = cusp_value_closed(M, c, y)
     return v * v == _xi_c_at(M, y, c) * _xi_c_at(M, -y, c)
 

@@ -1,7 +1,9 @@
 """Every name a module lists in `__all__` exists, so no export dangles, every
-name the package re-exports is in its module's `__all__`, and the package
-imports no more of the standard library than it uses."""
+name the package re-exports is in its module's `__all__`, the package
+imports no more of the standard library than it uses, and `units` imports
+nothing from `bernoulli`."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -49,3 +51,18 @@ def test_import_pulls_in_neither_dataclasses_nor_inspect():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_units_imports_nothing_from_bernoulli():
+    # the theta unit's leading exponent is the triple-product route; the
+    # Bernoulli closed form is what `verify` checks it against
+    with open(os.path.join(os.path.dirname(ellsoule.__file__), "units.py")) as f:
+        tree = ast.parse(f.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert "units" not in names and "cyclotomic" in names  # the walk sees the imports
+    assert "bernoulli" not in names

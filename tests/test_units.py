@@ -1,12 +1,13 @@
 """The smoothed theta unit: expansion, norm compatibility, cusp calculus."""
 
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from ellsoule import units, verify
+from ellsoule import bernoulli, units, verify
 from ellsoule.bernoulli import bernoulli_measure, smoothed_b2
 from ellsoule.cyclotomic import CycloElement
 from ellsoule.numutil import ceil_div
@@ -54,7 +55,7 @@ def _prefactor(M, c, point, trunc):
     """The point, its smoothed image (x', y'), the leading exponent, the window
     past it and the scalar (-zeta^y)^{(c-c^2)/2} (-1)^m zeta^{mcy}."""
     x, y = point[0] % M, point[1] % M
-    e0 = units._e0(M, c, x)
+    e0 = int(smoothed_b2(M, c, x))  # the Bernoulli route, not the library's _e0
     half = (c - c * c) // 2
     carry = (c * x) // M
     scalar = CycloElement.zeta_pow(M, (y * half + carry * c * y) % M)
@@ -363,6 +364,44 @@ def test_norm_check_names_the_first_mismatch_with_both_values(monkeypatch):
     assert first["product"]["M"] == 12
 
 
+@pytest.mark.parametrize(
+    "M, d, c, point, window",
+    [
+        (6, 2, 5, (1, 1), 24),
+        (3, 2, 5, (1, 1), 13),  # span/d not an integer: the base runs one past
+        (4, 3, 5, (1, 1), 8),
+        (3, 3, 7, (1, 2), 40),
+        (6, 2, 5, (0, 1), 60),
+    ],
+)
+def test_norm_check_builds_each_series_at_its_exact_window(monkeypatch, M, d, c, point, window):
+    # the base at ceil(span/d), preimage (i, j) at span - (V - lead_ij), and
+    # their product exactly at the window: no factor carries a spare window
+    built = []
+    real = units.theta_series
+
+    def recorded(M2, c2, pt, trunc):
+        built.append((M2, pt, trunc, real(M2, c2, pt, trunc)))
+        return built[-1][-1]
+
+    monkeypatch.setattr(units, "theta_series", recorded)
+    rep = norm_check_theta(M, d, c, point, window)
+    x, y = point
+    lead = {(i, j): units._e0(d * M, c, x + i * M) for i in range(d) for j in range(d)}
+    V = sum(lead.values())
+    assert window > V
+    assert [b[:3] for b in built] == [(M, point, ceil_div(window, d))] + [
+        (d * M, (x + i * M, y + j * M), window - (V - lead[i, j]))
+        for i in range(d)
+        for j in range(d)
+    ]
+    prod = built[1][-1]
+    for b in built[2:]:
+        prod = prod * b[-1]
+    assert prod.T == window
+    assert rep == {"ok": True, "window": window, "level": d * M, "mismatches": []}
+
+
 def test_units_suite_reads_the_coefficients_past_the_lead_at_x0(monkeypatch):
     # every coefficient past the leading one doubled at x = 0: the cusp rows
     # read only constant terms and the other norm rows sit at x = 1, so only
@@ -411,12 +450,25 @@ def test_eta_exponent_rejects_non_integral_value():
 
 @pytest.mark.parametrize("M", range(2, 49))
 def test_int_leading_exponent_is_the_smoothed_b2_value(M):
-    # _e0 reads the closed moment in ints; smoothed_b2 is the Fraction route
-    for c in (5, 7, 11, 13):
+    # _e0 is the triple-product exponent; smoothed_b2 is the Bernoulli route
+    for c in range(5, 50):
         if gcd(c, 6 * M) == 1:
             for x in range(M):
                 e0 = units._e0(M, c, x)
                 assert type(e0) is int and e0 == smoothed_b2(M, c, x), (M, c, x)
+
+
+@given(
+    st.integers(2, 1000),
+    st.sampled_from([c for c in range(5, 50) if gcd(c, 6) == 1]),
+    st.integers(0, 999),
+)
+@example(997, 49, 996)
+@example(1000, 49, 999)
+def test_int_leading_exponent_is_the_smoothed_b2_value_property(M, c, x):
+    assume(gcd(c, M) == 1)
+    e0 = units._e0(M, c, x)
+    assert type(e0) is int and e0 == smoothed_b2(M, c, x % M)
 
 
 @pytest.mark.parametrize("bad", [1.0, True])
@@ -452,6 +504,34 @@ def test_residue_route_reads_the_assembled_series(monkeypatch):
     monkeypatch.setattr(units, "theta_series", lambda *a: theta_series(*a).shift(1))
     assert residue_elliptic_soule(2, 1, 3, 5, (1, 1)) != bernoulli_measure(2, 1, 3, 5, 1)
     assert not verify.run_suites(["residues"])["all_pass"]
+
+
+def test_a_wrong_bernoulli_exponent_fails_residues_and_the_valuation_rows(monkeypatch):
+    # smoothed_b2 + M at x == 1 (mod M), in every module that holds the
+    # helper: theta_series places its lead by the triple product, so the
+    # residue rows and the valuation rows compare two routes and see it
+    real = bernoulli._moment_ints
+
+    def shifted(k, N, c, a):
+        n, d = real(k, N, c, a)
+        return (n + N * d, d) if k == 0 and a % N == 1 else (n, d)
+
+    mods = [m for name, m in sys.modules.items() if name.startswith("ellsoule")]
+    for mod in mods:
+        if getattr(mod, "_moment_ints", None) is real:
+            monkeypatch.setattr(mod, "_moment_ints", shifted)
+    caches = [f for mod in mods for f in vars(mod).values() if hasattr(f, "cache_clear")]
+    for f in caches:
+        f.cache_clear()
+    try:
+        residues = verify.run_suites(["residues"])["cases"]
+        unit_rows = verify.run_suites(["units"])["cases"]
+    finally:
+        for f in caches:
+            f.cache_clear()
+    failed = {r["case"] for r in residues if not r["pass"]}
+    assert {f"residue_ell2_r1_N3_c5_t1_{t2}" for t2 in range(3)} <= failed
+    assert "theta_valuations_level6" in {r["case"] for r in unit_rows if not r["pass"]}
 
 
 def test_residue_route_rejects_a_zero_series(monkeypatch):
@@ -538,6 +618,38 @@ def test_family_outside_the_checks_is_rejected(ell, N, c, match):
 def test_cusp_value_rejects_origin():
     with pytest.raises(ValueError):
         cusp_value_closed(6, 5, 0)
+
+
+@pytest.mark.parametrize(
+    "M, c, y, match",
+    [
+        (6, 1, 1, "need c > 1"),
+        (6, 3, 1, "need c > 1"),
+        (6, -5, 1, "need c > 1"),
+        (6, 2, 3, "need c > 1"),  # used to divide by 1 - zeta^6 = 0
+        (6, 0, 1, "need c > 1"),
+        (0, 5, 1, "level must be >= 2"),
+        (6, 5, 6, "beta = 1"),
+    ],
+)
+@pytest.mark.parametrize("fn", [cusp_value_closed, cusp_square_check])
+def test_cusp_functions_check_the_family(fn, M, c, y, match):
+    # cusp_value_closed(6, 1, 1) used to return 1 and (6, 3, 1) -1/2
+    with pytest.raises(ValueError, match=match):
+        fn(M, c, y)
+
+
+def test_cusp_square_check_checks_the_family_once(monkeypatch):
+    calls = []
+    check = units._check_theta_args
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(units, "_check_theta_args", counted)
+    assert cusp_square_check(12, 5, 7)
+    assert len(calls) == 1
 
 
 def test_cusp_eval_matches_closed_form():
