@@ -11,9 +11,17 @@ Subcommands:
 
 Exit codes: 0 success / all checks passed; 1 a verification comparison
 failed, or a `verify` check raised (a failing `<suite>_raised` row of the
-written report); 2 invalid input or configuration, which `verify` refuses
-before any suite runs; 3 the residue-zero precondition of the boundary
-formula was violated (the report carries the residue).
+written report); 2 invalid input or configuration, or a failed write; 3 the
+residue-zero precondition of the boundary formula was violated (the report
+carries the residue).
+
+Each subcommand's `_cmd_*` is its door: it makes every refusal its work
+could make and returns the work, which gives the document's pieces and the
+exit code.  `main` opens --out after the door and maps a ValueError or
+OSError from either to exit 2 (a ResiduePreconditionError to 3); while the
+work runs, only an OSError (a failed write) exits 2, and any other raise is
+a fault, a traceback.  `verify`'s door runs the suites, after `run_suites`'
+own door; a check that raises there is a failing row.
 
 `qexp` bounds its work: the level ell^r * N may be at most MAX_LEVEL, --c at
 most MAX_C, and --trunc may lie at most MAX_WINDOW past the leading exponent
@@ -34,7 +42,7 @@ every other JSON document is written by `_dumps`, whose output equals
 Every subcommand and flag is declared once, in `_COMMANDS`.  `main` reads a
 well-formed argv straight from it: a command name or alias, then exact
 `--name value` pairs and store_true flags (see `_read`).  argparse, its
-parser built from the same table once per process, takes every other argv
+parser built from the same table, takes every other argv
 (help, an abbreviation, `--name=value`, an error) and writes every help
 text and error message.
 """
@@ -42,8 +50,8 @@ text and error message.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import functools
 import io
 import json
 import math
@@ -52,10 +60,11 @@ import time
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Callable
 
-from .formal import ResiduePreconditionError, cyc_symmetrize, dir_closed, dir_via_me, residue_table
+from .formal import (ResiduePreconditionError, _check_me_factor, cyc_symmetrize, dir_closed,
+                     dir_via_me, psi_residue, residue_table)
 from .numutil import _Value, rat_str
 from .serialize import formal_to_json, psi_from_json, series_json
-from .units import eta_exponent, theta_qexp
+from .units import _check_theta_args, eta_exponent, theta_qexp
 from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["build_parser", "main"]
@@ -177,19 +186,6 @@ def _scalar(o) -> str:
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def _emit(pieces, out: str | None) -> None:
-    """Write a document's pieces, one write each, and a newline to the
-    file `out`, else to stdout."""
-    fh = open(out, "w") if out else sys.stdout
-    try:
-        for piece in pieces:
-            fh.write(piece)
-        fh.write("\n")
-    finally:
-        if out:
-            fh.close()
-
-
 def _verify_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -221,7 +217,8 @@ def _check_cap(name: str, value: int, cap: int) -> None:
         raise ValueError(f"{name} = {value} exceeds the cap {cap}")
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Callable[[], tuple]:
+    """`verify`'s door: the caps, then the suites; the work writes their report."""
     _check_cap("--trunc", args.trunc, MAX_WINDOW)
     _check_cap("--kmax", args.kmax, MAX_WEIGHT)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
@@ -242,11 +239,8 @@ def _cmd_verify(args) -> int:
     )
     if args.timing:
         report["timing"] = {"elapsed_s": round(time.perf_counter() - started, 3)}
-    if args.format == "csv":
-        _emit([_verify_csv(report)], args.out)
-    else:
-        _emit([_dumps(report)], args.out)
-    return 0 if report["all_pass"] else 1
+    write = _verify_csv if args.format == "csv" else _dumps
+    return lambda: ([write(report)], 0 if report["all_pass"] else 1)
 
 
 def _check_level_and_c(
@@ -269,8 +263,8 @@ def _check_level_and_c(
     _check_cap("|--c|", abs(c), MAX_C)
 
 
-def _check_qexp_caps(args) -> None:
-    """Reject a level, smoothing factor or window over its cap."""
+def _cmd_qexp(args) -> Callable[[], tuple]:
+    """`qexp`'s door: the caps, then what `theta_qexp` refuses."""
     _check_level_and_c(args.ell, args.r, args.N, args.c, "--r")
     e0 = eta_exponent(args.ell, args.r, args.N, args.c, args.x)
     if args.trunc - e0 > MAX_WINDOW:
@@ -278,20 +272,27 @@ def _check_qexp_caps(args) -> None:
             f"--trunc {args.trunc} lies {args.trunc - e0} past the leading "
             f"exponent {e0}; the cap is {MAX_WINDOW}"
         )
+    M, point = args.ell ** args.r * args.N, (args.x, args.y)
+    _check_theta_args(M, args.c, point)
+    if args.trunc <= e0:  # as `theta_series` words it
+        raise ValueError(
+            f"truncation {args.trunc} too small to represent the leading term q^{e0}/{M}"
+        )
+    return lambda: (series_json(theta_qexp(args.ell, args.r, args.N, args.c, point, args.trunc)), 0)
 
 
-def _cmd_qexp(args) -> int:
-    _check_qexp_caps(args)
-    f = theta_qexp(args.ell, args.r, args.N, args.c, (args.x, args.y), args.trunc)
-    _emit(series_json(f), args.out)
-    return 0
-
-
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> Callable[[], tuple]:
+    """`residue-table`'s door: the caps, then what `residue_table` refuses."""
     _check_cap("--N", args.N, MAX_RESIDUES_LEVEL)
     _check_cap("--k", args.k, MAX_WEIGHT)
     if args.k < 0:
         raise ValueError(f"--k = {args.k} must be >= 0")
+    if args.N < 2:
+        raise ValueError(f"residue tables need N >= 2, got N = {args.N}")
+    return lambda: ([_table(args)], 0)
+
+
+def _table(args) -> str:
     rows = residue_table(args.N, args.k)
     if args.format == "csv":
         buf = io.StringIO()
@@ -299,22 +300,31 @@ def _cmd_table(args) -> int:
         writer.writerow(["a", "b", "value"])
         for a, b, v in rows:
             writer.writerow([a, b, rat_str(v)])
-        _emit([buf.getvalue().rstrip("\n")], args.out)
-    else:
-        obj = {
-            "N": args.N,
-            "k": args.k,
-            "rows": [{"a": a, "b": b, "value": rat_str(v)} for a, b, v in rows],
-        }
-        _emit([_dumps(obj)], args.out)
-    return 0
+        return buf.getvalue().rstrip("\n")
+    return _dumps({
+        "N": args.N,
+        "k": args.k,
+        "rows": [{"a": a, "b": b, "value": rat_str(v)} for a, b, v in rows],
+    })
 
 
-def _cmd_dir(args) -> int:
+def _cmd_dir(args) -> Callable[[], tuple]:
+    """`dir`'s door: read --psi, the caps, then what its routes refuse, in
+    the order they would."""
     with open(args.psi) as fh:
         psi = psi_from_json(json.load(fh))
     _check_cap("the weight function's level N", psi.N, MAX_LEVEL)
     _check_cap("the weight function's weight k", psi.k, MAX_WEIGHT)
+    if args.route == "me":
+        _check_me_factor(psi.N, args.c)
+    if rho := psi_residue(psi):
+        raise ResiduePreconditionError(rho)
+    if args.route == "both":
+        _check_me_factor(psi.N, args.c)
+    return lambda: _dir(args, psi)
+
+
+def _dir(args, psi) -> tuple[list[str], int]:
     out: dict = {"k": psi.k, "N": psi.N, "route": args.route}
     if args.route in ("closed", "both"):
         closed = dir_closed(psi)
@@ -323,15 +333,12 @@ def _cmd_dir(args) -> int:
         me = dir_via_me(psi, args.c)
         out["me"] = formal_to_json(me)
         out["c"] = args.c
-    ok = True
     if args.route == "both":
         # the me route pairs with psi's parity projection, so it is compared
         # with the closed value symmetrized the same way (the two agree
         # unsymmetrized when psi has parity (-1)^k)
         out["match"] = cyc_symmetrize(closed, psi.k) == me
-        ok = out["match"]
-    _emit([_dumps(out)], args.out)
-    return 0 if ok else 1
+    return [_dumps(out)], 0 if out.get("match", True) else 1
 
 
 class _Flag(_Value):
@@ -348,7 +355,8 @@ class _Flag(_Value):
 class _Command(_Value):
     __slots__ = ("name", "help", "handler", "flags", "aliases")
 
-    def __init__(self, name: str, help: str, handler: Callable[[argparse.Namespace], int],
+    def __init__(self, name: str, help: str,
+                 handler: Callable[[argparse.Namespace], Callable[[], tuple]],
                  flags: tuple[_Flag, ...], aliases: tuple[str, ...] = ()):
         self._fix(name, help, handler, flags, aliases)
 
@@ -423,13 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` falls back to, built once per process: building one
-    costs more than ten times parsing with it."""
-    return build_parser()
-
-
 def _read(argv: list) -> argparse.Namespace | None:
     """`build_parser().parse_args(argv)` read straight from the flag table,
     or None, leaving argv to argparse and its help and error texts.
@@ -470,16 +471,30 @@ def _read(argv: list) -> argparse.Namespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read(argv) or _parser().parse_args(argv)
-    for dest, value in vars(args).items():
-        if isinstance(value, list):  # `--name=--`, whose value argparse (3.11) reads as []
-            _parser().error(f"argument --{dest}: expected one argument")
-    try:
-        return args.func(args)
+    args = _read(argv)
+    if args is None:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        for dest, value in vars(args).items():
+            if isinstance(value, list):  # `--name=--`, whose value argparse (3.11) reads as []
+                parser.error(f"argument --{dest}: expected one argument")
+    try:  # the door: the command's refusals, then --out is opened
+        work = args.func(args)
+        dest = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     except ResiduePreconditionError as e:
         print(_dumps({"error": "nonzero residue", "residue": rat_str(e.residue)}))
         return 3
-    except (ValueError, ArithmeticError, OSError) as e:
+    except (ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    try:  # the work: any raise but a failed write is a fault, not bad input
+        with dest as fh:
+            pieces, code = work()
+            for piece in pieces:  # one write each: `qexp` streams its terms
+                fh.write(piece)
+            fh.write("\n")
+        return code
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -509,6 +509,14 @@ def dir_closed(psi: WeightFunction) -> FormalClass:
     return FormalClass._make(out, N * factorial(k) * psi.den)
 
 
+def _check_me_factor(N: int, c: int) -> None:
+    """The me route's rule for c at level N: c == 1 mod N, c > 1, gcd(c, 6N) = 1."""
+    if c % N != 1:
+        raise ValueError(f"need c == 1 mod N (got c = {c}, N = {N})")
+    if c <= 1 or gcd(c, 6 * N) != 1:
+        raise ValueError(f"need c > 1 with gcd(c, 6N) = gcd({c}, {6 * N}) = 1")
+
+
 def dir_via_me(psi: WeightFunction, c: int) -> FormalClass:
     """The smoothed-unit route to the boundary value.
 
@@ -530,10 +538,7 @@ def dir_via_me(psi: WeightFunction, c: int) -> FormalClass:
     = -1 / (4 den k! N (c^{k+2} - 1)).
     """
     k, N = psi.k, psi.N
-    if c % N != 1:
-        raise ValueError(f"need c == 1 mod N (got c = {c}, N = {N})")
-    if c <= 1 or gcd(c, 6 * N) != 1:
-        raise ValueError(f"need c > 1 with gcd(c, 6N) = gcd({c}, {6 * N}) = 1")
+    _check_me_factor(N, c)
     rho = psi_residue(psi)
     if rho:
         raise ResiduePreconditionError(rho)
@@ -547,8 +552,6 @@ def dir_via_me(psi: WeightFunction, c: int) -> FormalClass:
         if not w:
             continue
         cb = c * b % N
-        if not cb:
-            raise AssertionError("weightless term survived at b = 0")
         v = w * ck2
         acc[b] += v
         acc[N - b] += v * sign

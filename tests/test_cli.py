@@ -649,6 +649,152 @@ def test_programming_error_is_not_reported_as_bad_input(psi_file, monkeypatch):
         cli.main(["dir", "--psi", str(psi_file), "--route", "closed"])
 
 
+# -- the door: every refusal before any work -----------------------------
+
+
+def _recording(calls, real):
+    def call(*args):
+        calls.append((real.__name__, args))
+        return real(*args)
+
+    return call
+
+
+@pytest.fixture
+def work_calls(monkeypatch):
+    """Record every call of a subcommand's work function, and run it."""
+    calls = []
+    for name in ("theta_qexp", "residue_table", "dir_closed", "dir_via_me"):
+        monkeypatch.setattr(cli, name, _recording(calls, getattr(cli, name)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # level 6 at x = 1 leads at q^{2/6}: theta_series refused this after the call
+        (["qexp", "--trunc", "1"], "truncation 1 too small to represent the leading term q^2/6"),
+        (["qexp", "--x", "0", "--y", "0"], "the unit has no expansion at the origin"),
+        (["qexp", "--x", "6", "--y", "-6"], "the unit has no expansion at the origin"),
+        (["residue-table", "--N", "1"], "residue tables need N >= 2, got N = 1"),
+        (["dir", "--psi", "PSI", "--route", "me", "--c", "4"],
+         "need c > 1 with gcd(c, 6N) = gcd(4, 18) = 1"),
+        (["dir", "--psi", "PSI", "--route", "both", "--c", "5"],
+         "need c == 1 mod N (got c = 5, N = 3)"),
+    ],
+)
+def test_the_door_refuses_before_any_work(work_calls, psi_file, capsys, argv, err):
+    argv = [str(psi_file) if a == "PSI" else a for a in argv]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert work_calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a window of 1000 at level 2, c = 49: 1.8 s of expansion before the open failed
+        ["qexp", "--ell", "3", "--r", "0", "--N", "2", "--c", "49", "--x", "1", "--y", "1",
+         "--trunc", str(eta_exponent(3, 0, 2, 49, 1) + 1000)],
+        ["residue-table", "--N", "3"],
+        ["dir", "--psi", "PSI", "--c", "7"],
+    ],
+)
+def test_an_unwritable_out_is_refused_before_any_work(
+    work_calls, psi_file, tmp_path, capsys, argv
+):
+    argv = [str(psi_file) if a == "PSI" else a for a in argv]
+    out = tmp_path / "missing" / "x.json"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+    assert work_calls == []
+
+
+def test_the_dir_door_refuses_in_the_order_of_its_routes(work_calls, tmp_path, capsys):
+    # nonzero residue and a bad c: the closed route meets the residue first,
+    # the me route the smoothing factor
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"k": 2, "N": 3, "values": [{"t": [1, 0], "v": "1"}]}))
+    argv = ["dir", "--psi", str(path), "--c", "4"]
+    for route in ("closed", "both"):
+        assert cli.main([*argv, "--route", route]) == 3
+        assert json.loads(capsys.readouterr().out)["residue"] == "-13/720"
+    assert cli.main([*argv, "--route", "me"]) == 2
+    assert "gcd(4, 18)" in capsys.readouterr().err
+    assert cli.main([*argv[:-1], "7", "--route", "me"]) == 3
+    assert work_calls == []
+
+
+@pytest.mark.parametrize(
+    "name, exc, argv",
+    [
+        ("theta_qexp", ZeroDivisionError, ["qexp", "--x", "1", "--y", "1", "--trunc", "12"]),
+        ("residue_table", ValueError, ["residue-table", "--N", "3", "--k", "2"]),
+    ],
+)
+def test_a_raise_after_the_door_is_a_fault_not_bad_input(monkeypatch, capsys, name, exc, argv):
+    # both used to exit 2 as "invalid input"
+    def broken(*args):
+        raise exc("a fault in the work")
+
+    monkeypatch.setattr(cli, name, broken)
+    with pytest.raises(exc, match="a fault in the work"):
+        cli.main(argv)
+    assert capsys.readouterr() == ("", "")
+
+
+@st.composite
+def _door_argvs(draw):
+    """A small `qexp`, `residue-table` or `dir` argv, each flag given or not,
+    sometimes with an --out that can or cannot be opened."""
+    small = st.integers(-3, 13)
+    command = draw(st.sampled_from(["qexp", "residue-table", "dir"]))
+    flags = {
+        "qexp": {
+            "--ell": st.sampled_from([-2, 1, 2, 3, 4, 5]),
+            "--r": st.integers(-1, 2),
+            "--N": small,
+            "--c": st.sampled_from([-5, 0, 1, 3, 5, 7, 11, 13]),
+            "--x": small,
+            "--y": small,
+            "--trunc": st.integers(-5, 60),
+        },
+        "residue-table": {"--N": st.integers(-3, 8), "--k": st.integers(-3, 6)},
+        "dir": {"--c": small, "--route": st.sampled_from(["closed", "me", "both"])},
+    }[command]
+    argv = [command]
+    if command == "dir":
+        argv += ["--psi", draw(st.sampled_from(["good.json", "bad.json", "nope.json"]))]
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--out", draw(st.sampled_from(["out.json", "missing/out.json"]))]
+    return argv
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=_door_argvs())
+@example(argv=["qexp", "--trunc", "1"])
+@example(argv=["dir", "--psi", "good.json", "--route", "me", "--c", "4"])
+def test_a_refusal_runs_no_work_and_admitted_work_runs(argv, work_calls, tmp_path, monkeypatch):
+    # exit 2 or 3 comes from the door, before any work function is called;
+    # every argv the door admits runs the real work, which raises nothing
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "good.json").write_text(json.dumps(GOOD_PSI))
+    bad = {"k": 2, "N": 3, "values": [{"t": [1, 0], "v": "1"}]}  # residue -13/720
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
+    work_calls.clear()
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    if rc in (2, 3):
+        assert work_calls == []
+    else:
+        assert rc in (0, 1) and work_calls
+
+
 @pytest.mark.parametrize("k", ["-1", "-100000000"])
 def test_residue_table_rejects_a_negative_weight_naming_the_flag(capsys, k):
     # used to exit 2 with "factorial() not defined for negative values" or
@@ -745,13 +891,8 @@ def test_one_parser_serves_every_command_in_a_process(psi_file, capsys):
         ["residue-table", "--N", "3", "--k", "2"],
         ["dir", "--psi", str(psi_file), "--c", "7"],
     ]
-    first = []
-    for argv in argvs:
-        cli._parser.cache_clear()
-        first.append(_call(argv, capsys))
-    parser = cli._parser()
+    first = [_call(argv, capsys) for argv in argvs]
     assert [_call(argv, capsys) for argv in argvs] == first
-    assert cli._parser() is parser
     assert [rc for rc, _, _ in first] == [0, 0, 2, 0, 0]
     assert "unrecognized arguments: --nosuch" in first[2][2]
 
@@ -801,7 +942,6 @@ def test_a_well_formed_argv_builds_no_parser(argv, psi_file, monkeypatch, capsys
     built = []
     real = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(argv) or real())
-    cli._parser.cache_clear()
     assert cli.main(argv) == 0
     direct = capsys.readouterr()
     assert built == [] and cli._read(argv) == real().parse_args(argv)

@@ -10,6 +10,7 @@ SRC = os.path.dirname(os.path.dirname(ellsoule.__file__))
 
 PROBE = """
 import io
+import sys
 from contextlib import redirect_stderr
 from fractions import Fraction
 
@@ -126,6 +127,20 @@ rejects(ValueError, CycloElement.zeta_pow(3, 1).__pow__, -1, names="exponent -1"
 rejects(ValueError, PuiseuxSeries(3, 4, {0: 1}).__pow__, -1, names="exponent -1")
 if main(["residue-table", "--N", "1000000000"]) != 2:
     raise SystemExit("residue-table --N 1000000000 did not exit 2")
+# each subcommand's door refuses with a check that raises, not an assert:
+# argv[1] is a weight function file, argv[2] a path under a missing directory
+for argv in (
+    ["qexp", "--x", "0", "--y", "0"],
+    ["qexp", "--trunc", "2"],
+    ["residue-table", "--N", "1"],
+    ["dir", "--psi", sys.argv[1], "--route", "me", "--c", "4"],
+    ["qexp", "--out", sys.argv[2]],
+):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(argv)
+    if code != 2 or not err.getvalue().startswith("error: "):
+        raise SystemExit(f"{argv} exited {code}: {err.getvalue()!r}")
 # a negative weight used to reach factorial() or bernoulli_poly unnamed
 for k in (-1, -100000000):
     err = io.StringIO()
@@ -158,11 +173,13 @@ for stored in (mu.values, a.terms):
 """
 
 
-def test_checks_hold_under_python_O():
+def test_checks_hold_under_python_O(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    psi = tmp_path / "psi.json"
+    psi.write_text('{"k": 2, "N": 3, "values": [{"t": [0, 1], "v": "1"}]}')
     out = subprocess.run(
-        [sys.executable, "-O", "-c", PROBE],
+        [sys.executable, "-O", "-c", PROBE, str(psi), str(tmp_path / "missing" / "x.json")],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert out.returncode == 0, out.stdout + out.stderr

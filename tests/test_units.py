@@ -652,6 +652,24 @@ def test_cusp_square_check_checks_the_family_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_the_cusp_square_judge_fails_a_wrong_cusp_value(monkeypatch):
+    # a negative control: the closed cusp value doubled at y = 1 fails the
+    # square identity there, and so exactly the units suite's two y = 1 rows
+    real = units.cusp_value_closed
+
+    def doubled(M, c, y):
+        v = real(M, c, y)
+        return v + v if y % M == 1 else v
+
+    monkeypatch.setattr(units, "cusp_value_closed", doubled)
+    assert not cusp_square_check(6, 5, 1) and cusp_square_check(6, 5, 2)
+    rep = verify.suite_units()
+    assert len(rep["cases"]) == 27
+    assert [r["case"] for r in rep["cases"] if not r["pass"]] == [
+        "cusp_value_r1_y1", "cusp_value_r2_y1",
+    ]
+
+
 def test_cusp_eval_matches_closed_form():
     for r in (1, 2):
         M = 2**r * 3

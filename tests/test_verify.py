@@ -195,6 +195,30 @@ def test_a_failing_tower_row_names_the_level_that_failed(monkeypatch, level):
     assert list(rows[0])[-2:] == ["failed_level", "pass"]
 
 
+def test_the_functoriality_judge_fails_a_wrong_induced_map(monkeypatch):
+    # a negative control: one coefficient of the induced map's image off by
+    # one fails every functoriality row of the moments suite, and no other
+    from ellsoule import moments
+    from ellsoule.measures import TorsorSpec, dirac
+    from ellsoule.tsym import TSym
+
+    real = moments.tsym_map
+
+    def off_by_one(phi, a):
+        b = real(phi, a)
+        n = next(iter(b.terms), (0,) * b.d)
+        return TSym(b.d, b.ring, {**b.terms, n: b.terms.get(n, 0) + 1})
+
+    mu = dirac(TorsorSpec(2, 1, 3, 1, "reduction", (1,)), (1,))
+    assert moments.check_functoriality("neg", mu, 2)
+    monkeypatch.setattr(moments, "tsym_map", off_by_one)
+    assert not moments.check_functoriality("neg", mu, 2)
+    failed = [r["case"] for r in suite_moments()["cases"] if not r["pass"]]
+    assert failed == [f"{name}_{i}" for name, n in
+                      (("negation", 10), ("multiplication", 10), ("projection", 5))
+                      for i in range(n)]
+
+
 def _recording(calls, real):
     def call(*args):
         calls.append(args)
