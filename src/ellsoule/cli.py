@@ -91,11 +91,12 @@ MAX_C = 50
 # The residues suite expands the unit at every point of every fiber: about
 # 1.25 L^2 expansions at level L = ell^rmax * N, so its cost grows with the
 # level and with c; so does the units suite's, whose cusp rows are at level
-# ell^2 * N.  Measured (same host, `run_suites` in one process, two runs
-# each): level 96 (2^5 * 3) took 0.17-0.24 s at c = 5 and 0.38-0.49 s at
-# c = 49; level 98 (2 * 49, c = 47) 0.69-0.84 s and level 100 (2^2 * 25,
-# c = 49) 0.65-0.81 s; level 192 (2^6 * 3) 0.68-0.69 s at c = 5 and
-# 1.22-1.47 s at c = 49, level 194 (2 * 97, c = 49) 3.2-3.4 s.
+# ell^2 * N.  Measured (same host, `run_suites(["residues"])` in a fresh
+# process, three runs each): level 96 (2^5 * 3) took 0.08-0.12 s at c = 5
+# and 0.33-0.41 s at c = 49; level 98 (2 * 49, c = 47) 0.57-0.82 s and
+# level 100 (2^2 * 25, c = 49) 0.50-0.60 s; level 192 (2^6 * 3)
+# 0.28-0.30 s at c = 5 and 0.94-1.13 s at c = 49, level 194 (2 * 97,
+# c = 49) 2.3-2.6 s.
 # `residue-table --N` shares the cap: its table has N^2 - 1 rows, and took
 # 0.07 s at N = 100 and 2.0 s (peak RSS 206 MB) at N = 500.
 MAX_RESIDUES_LEVEL = 100

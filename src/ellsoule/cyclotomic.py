@@ -179,16 +179,19 @@ class CycloElement(_Value):
     @staticmethod
     def from_poly(M: int, coeffs) -> "CycloElement":
         """Build from arbitrary-length zeta_M-power coefficients."""
+        M = _int(M, "conductor M")
         num, den = _common_den(coeffs)
         return _make(M, _reduce(M, euler_phi(M), num), den)
 
     @staticmethod
     def rational(M: int, x) -> "CycloElement":
+        M = _int(M, "conductor M")
         n, d = _rat(x)
         return _make(M, (n,) + (0,) * (euler_phi(M) - 1), d)
 
     @staticmethod
     def zeta_pow(M: int, k: int) -> "CycloElement":
+        M, k = _int(M, "conductor M"), _int(k, "exponent")
         num = [0] * euler_phi(M)
         for i, r in _xpow(M)[k % M]:
             num[i] = r
@@ -198,6 +201,7 @@ class CycloElement(_Value):
     def one_minus_zeta_pow(M: int, w: int, k: int) -> "CycloElement":
         """(1 - zeta_M^w)^k for k >= 0 by the binomial theorem:
         sum_{i<=k} (-1)^i C(k, i) zeta^{wi}, folded mod M and reduced once."""
+        M, w, k = _int(M, "conductor M"), _int(w, "exponent w"), _int(k, "exponent")
         if k < 0:
             raise ValueError(f"exponent {k} must be >= 0; see one_minus_zeta_inverse")
         poly = [0] * M
@@ -215,7 +219,8 @@ class CycloElement(_Value):
         sum_{j<m} j zeta^j = m / (zeta - 1), so
         (1 - zeta)^{-1} = -(1/m) sum_{j<m} j zeta^j.
         """
-        w %= M
+        M = _int(M, "conductor M")
+        w = _int(w, "exponent w") % M
         if not w:
             raise ZeroDivisionError("1 - zeta^0 = 0 has no inverse")
         m = M // gcd(w, M)
@@ -279,7 +284,7 @@ class CycloElement(_Value):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CycloElement":
-        if n < 0:
+        if _int(n, "exponent") < 0:
             raise ValueError(f"exponent {n} must be >= 0; see one_minus_zeta_inverse")
         result = CycloElement.rational(self.M, 1)
         base = self

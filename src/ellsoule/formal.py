@@ -46,7 +46,7 @@ from math import factorial, gcd, lcm
 from random import Random
 
 from .bernoulli import _bern_ints, _bern_num, _moment_ints
-from .numutil import _Record, _Value, _coord, _int, _lowest, _rebuild, exact_rational
+from .numutil import _Record, _Value, _coord, _int, _lowest, _point, _rebuild, exact_rational
 
 __all__ = [
     "EisSym",
@@ -87,10 +87,6 @@ def _level_N(N) -> int:
     return N
 
 
-def _norm_point(N: int, t) -> tuple[int, int]:
-    return (_coord(t[0], N), _coord(t[1], N))
-
-
 class EisSym(_Record):
     """Eis(k, N, t); t is normalized mod N and nonzero."""
 
@@ -98,7 +94,7 @@ class EisSym(_Record):
 
     def __init__(self, k: int, N: int, t: tuple[int, int]):
         k, N = _int(k, "weight k"), _level_N(N)
-        t = _norm_point(N, t)
+        t = _point(t, N)
         if t == (0, 0):
             raise ValueError("Eisenstein symbols need t != (0, 0)")
         self._fix(k, N, t)
@@ -114,7 +110,7 @@ class SouleSym(_Record):
         k, N, c = _int(k, "weight k"), _level_N(N), _int(c, "smoothing factor")
         if c <= 1 or gcd(c, N) != 1:
             raise ValueError(f"need c > 1 with gcd(c, N) = gcd({c}, {N}) = 1")
-        t = _norm_point(N, t)
+        t = _point(t, N)
         if t == (0, 0):
             raise ValueError("elliptic symbols need t != (0, 0)")
         self._fix(k, N, c, t)
@@ -384,7 +380,7 @@ class WeightFunction(_Value):
             )
         vals: dict[tuple[int, int], Fraction] = {}
         for t, v in values.items():
-            t = _norm_point(N, t)
+            t = _point(t, N)
             if t == (0, 0):
                 raise ValueError("weight functions exclude the origin")
             v = exact_rational(v)
@@ -406,7 +402,7 @@ class WeightFunction(_Value):
         return {t: Fraction(v, self.den) for t, v in self.num.items()}
 
     def __call__(self, t) -> Fraction:
-        return Fraction(self.num.get(_norm_point(self.N, t), 0), self.den)
+        return Fraction(self.num.get(_point(t, self.N), 0), self.den)
 
     def __repr__(self):
         return f"WeightFunction(k={self.k}, N={self.N}, {self.values})"

@@ -76,6 +76,15 @@ def _coord(v, M: int) -> int:
     return _int(v, "coordinate") % M
 
 
+def _point(p, M: int) -> tuple[int, int]:
+    """A torsion point (x, y), each coordinate put through `_coord`; a point
+    of any other length raises ValueError, since reading p[0] and p[1] would
+    drop or miss a coordinate."""
+    if len(p) != 2:
+        raise ValueError(f"torsion point {p!r} must have two coordinates")
+    return _coord(p[0], M), _coord(p[1], M)
+
+
 class _Value:
     """Base of every immutable value type.
 

@@ -141,12 +141,13 @@ class PuiseuxSeries(_Value):
 
     def shift(self, n0: int) -> "PuiseuxSeries":
         """Multiply by the exact monomial q^{n0/M}."""
+        n0 = _int(n0, "shift")
         return PuiseuxSeries(
             self.M, self.T + n0, {n + n0: c for n, c in self.terms.items()}
         )
 
     def __pow__(self, k: int) -> "PuiseuxSeries":
-        if k < 0:
+        if _int(k, "exponent") < 0:
             raise ValueError(f"exponent {k} must be >= 0")
         # power by repeated squaring; window bookkeeping is handled by mul
         base = self

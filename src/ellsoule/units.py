@@ -43,8 +43,11 @@ no power is formed by squaring, no series is inverted and nothing is
 reduced mod Phi_M; each stored coefficient is folded into Q(zeta_M) once,
 at the end, in the one series a call builds.  A factor with e >= W is 1 to
 that window and is left out; at x = 0 the two e = 0 factors are the
-constant Xi_c(zeta^y), taken in closed form (`_xi_c_at`) onto the few
-stored coefficients.
+constant Xi_c(zeta^y), taken in closed form (`_xi_c_at`, cached per
+(M, y mod M, c)) onto the few stored coefficients.  What does not depend
+on y, the factor schedule among it, is planned once per (M, c, x, W) by
+`_plan`; every call still checks its arguments and runs `_mul_factor` over
+the schedule, so no cache holds a product or is read before the checks.
 
 Everything downstream is read off this expansion: the residue measure at the
 cusp aggregates actual q-valuations over a fiber (with ramification factor
@@ -55,11 +58,12 @@ exact cyclotomic number.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .cyclotomic import CycloElement, _make, _xpow, euler_phi
 from .measures import Measure, TorsorSpec, torsor_elements
-from .numutil import _coord, _int, ceil_div, is_prime
+from .numutil import _coord, _int, _point, ceil_div, is_prime
 from .puiseux import PuiseuxSeries
 from .serialize import cyclo_to_json
 
@@ -84,7 +88,7 @@ def _check_theta_args(
         raise ValueError("level must be >= 2")
     if c <= 1 or gcd(c, 6 * M) != 1:
         raise ValueError(f"need c > 1 with gcd(c, 6M) = gcd({c}, {6 * M}) = 1")
-    x, y = _coord(point[0], M), _coord(point[1], M)
+    x, y = _point(point, M)
     if (x, y) == (0, 0):
         raise ValueError(origin)
     return x, y
@@ -166,16 +170,24 @@ def _mul_factor(P: list, h: int, e: int, k: int, r: int) -> None:
                 row[(j + s) % h] += b * a
 
 
-def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxSeries:
-    """The smoothed theta unit's q-expansion at level M, window `trunc`
-    (in q^{1/M} units)."""
-    x, y = _check_theta_args(M, c, point)
-    e0 = _e0(M, c, x)
-    W = _int(trunc, "trunc") - e0
-    if W <= 0:
-        raise ValueError(
-            f"truncation {trunc} too small to represent the leading term q^{e0}/{M}"
-        )
+# Plans kept by `_plan`, one per (M, c, x, W).  A plan's schedule has about
+# 4W/M entries; the largest the CLI admits (M = 2, a window of 1000) holds
+# 2000 of them in 0.19 MB, so a full cache holds at most 12 MB.  One
+# `theta_sparse` pass meets 24 plans.
+_PLANS = 64
+# Constants Xi_c(zeta^y) kept by `_xi_c_at`, one per (M, y mod M, c).  The
+# largest the CLI admits (M = 935, c = 49) holds 640 coordinates of up to
+# 2399 bits in 0.23 MB, so a full cache holds at most 7.2 MB.  One
+# `theta_sparse` pass meets 20 constants.
+_XIS = 32
+
+
+@lru_cache(maxsize=_PLANS)
+def _plan(M: int, c: int, x: int, W: int) -> tuple:
+    """g, step, inv, half, carry, the scalar's sign and the factor schedule
+    of `theta_series` at (x, *): (e, k, r) for each factor with 0 < e < W,
+    in descending e.  `_mul_factor` reads r mod h, and h = g / gcd(g, y)
+    divides g, so r is stored mod g."""
     # the unit below q^{e0} is one product of factors (1 - q^{e/M} zeta^v)^k:
     # (x, y, c^2) and (x', y', -1), each with its gtilde factors
     # (nM - u, -v, k) and (nM + u, v, k).  Every factor has valuation 0, and
@@ -191,17 +203,36 @@ def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxS
     # slot j of row n is the coefficient of zeta^{s + (A_n + j step) y},
     # A_n = (n/g) inv, so t^a q^b moves slots by (a - (e/g) inv) / step
     g = gcd(x, M)  # M at x = 0
-    step, h = M // g, g // gcd(g, y)
+    step = M // g
     inv = pow(x // g, -1, step)
     # the scalar is -+zeta^s = (-zeta^y)^{(c-c^2)/2} (-1)^m zeta^{mcy},
     # m = floor(cx/M) the index-reduction carry, (c - c^2)/2 an integer (c odd)
     half, carry = (c - c * c) // 2, c * x // M
     sign = -1 if (half + carry) % 2 else 1
+    schedule = tuple(
+        (e, k, (a - e // g * inv) // step % g)
+        for e, a, k in sorted(factors, reverse=True)
+        if 0 < e < W
+    )
+    return g, step, inv, half, carry, sign, schedule
+
+
+def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxSeries:
+    """The smoothed theta unit's q-expansion at level M, window `trunc`
+    (in q^{1/M} units)."""
+    x, y = _check_theta_args(M, c, point)
+    e0 = _e0(M, c, x)
+    W = _int(trunc, "trunc") - e0
+    if W <= 0:
+        raise ValueError(
+            f"truncation {trunc} too small to represent the leading term q^{e0}/{M}"
+        )
+    g, step, inv, half, carry, sign, schedule = _plan(M, c, x, W)
+    h = g // gcd(g, y)
     P = [0] * W if h == 1 else [None] * W
     P[0] = sign if h == 1 else [sign] + [0] * (h - 1)
-    for e, a, k in sorted(factors, reverse=True):
-        if 0 < e < W:
-            _mul_factor(P, h, e, k, (a - e // g * inv) // step)
+    for e, k, r in schedule:
+        _mul_factor(P, h, e, k, r)
     s, rows, phi = y * half + carry * c * y, _xpow(M), euler_phi(M)
     terms = {}
     for n in range(0, W, g):
@@ -239,7 +270,7 @@ def residue_elliptic_soule(ell: int, r: int, N: int, c: int, t: tuple[int, int])
     as ints, with one Fraction per fiber point.
     """
     M = _level(ell, r, N, c)
-    t = (_coord(t[0], N), _coord(t[1], N))
+    t = _point(t, N)
     if t == (0, 0):
         raise ValueError("residue measure needs t != (0, 0)")
     spec = TorsorSpec(ell, r, N, 1, "reduction", (t[0],))
@@ -326,7 +357,7 @@ def epsilon_series(
 ) -> PuiseuxSeries:
     """theta / eta at `point` to the window `trunc` >= 1: the valuation-0 unit."""
     M = _level(ell, r, N, c)
-    n, trunc = _e0(M, c, point[0]), _int(trunc, "trunc")
+    n, trunc = _e0(M, c, _point(point, M)[0]), _int(trunc, "trunc")
     if trunc < 1:
         raise ValueError(f"trunc = {trunc} must be >= 1")
     return theta_series(M, c, point, trunc + n).shift(-n)
@@ -359,10 +390,13 @@ def cusp_square_check(M: int, c: int, y: int) -> bool:
     """(cusp value)^2 == Xi_c(beta) * Xi_c(beta^{-1}) in Q(zeta_M); the
     family is checked by `cusp_value_closed`."""
     v = cusp_value_closed(M, c, y)
-    return v * v == _xi_c_at(M, y, c) * _xi_c_at(M, -y, c)
+    return v * v == _xi_c_at(M, y % M, c) * _xi_c_at(M, -y % M, c)
 
 
+@lru_cache(maxsize=_XIS)
 def _xi_c_at(M: int, y: int, c: int) -> CycloElement:
-    """Xi_c(zeta_M^y) = (1 - zeta^y)^{c^2} / (1 - zeta^{cy})."""
+    """Xi_c(zeta_M^y) = (1 - zeta^y)^{c^2} / (1 - zeta^{cy}), for M and c
+    checked by `_check_theta_args` and y reduced mod M, so that each
+    constant is cached once."""
     num = CycloElement.one_minus_zeta_pow(M, y, c * c)
     return num * CycloElement.one_minus_zeta_inverse(M, c * y)

@@ -592,17 +592,22 @@ def suite_units(ell: int = 2, N: int = 3, c: int = 5, trunc: int = 40):
         window=f.T,
     )
 
-    # valuations across the whole level agree with the exponent formula
-    ok = True
+    # valuations across the whole level agree with the exponent formula; a
+    # failing row names the first point that differs, with both valuations
+    miss = {}
     for x in range(M):
         for y in range(M):
             if (x, y) == (0, 0):
                 continue
             e0 = smoothed_b2(M, c, x)
-            g = theta_qexp(ell, 1, N, c, (x, y), int(e0) + 3)
-            if g.valuation() != Fraction(e0, M):
-                ok = False
-    yield _row(f"theta_valuations_level{M}", ok, level=M)
+            v = theta_qexp(ell, 1, N, c, (x, y), int(e0) + 3).valuation()
+            if v != Fraction(e0, M) and not miss:
+                miss = {
+                    "point": [x, y],
+                    "valuation": rat_str(v),
+                    "smoothed_b2": rat_str(Fraction(e0, M)),
+                }
+    yield _row(f"theta_valuations_level{M}", not miss, level=M, **miss)
 
     yield _row(
         "residue_matches_smoothed_measure",
@@ -669,6 +674,17 @@ def suite_units(ell: int = 2, N: int = 3, c: int = 5, trunc: int = 40):
 # ---------------------------------------------------------------------------
 
 
+def _first_difference(got: Measure, want: Measure) -> dict:
+    """{} if the two measures are equal; else the first fiber point where
+    their values differ, with the residue route's value and the Bernoulli
+    measure's."""
+    for x in sorted(got.values.keys() | want.values.keys()):
+        a, b = got.values.get(x, 0), want.values.get(x, 0)
+        if a != b:
+            return {"fiber_point": list(x), "residue_value": rat_str(a), "bernoulli_value": rat_str(b)}
+    return {}
+
+
 @_suite("residues")
 def suite_residues(
     cases=((2, 1, 3, 5), (2, 2, 3, 5), (3, 1, 4, 5)),
@@ -693,6 +709,7 @@ def suite_residues(
                     N=N,
                     c=c,
                     t=[t1, t2],
+                    **_first_difference(got, want),
                 )
 
 

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ellsoule.bernoulli import bern_eval, bernoulli_moment_closed, smoothed_b2
-from ellsoule.formal import _eis_residue, _norm_point, residue_soule_closed
+from ellsoule.formal import _eis_residue, residue_soule_closed
+from ellsoule.numutil import _point
 
 CS = (2, 3, 5, 7, 11, 13)
 
@@ -40,7 +41,7 @@ def ref_moment_closed(k, N, c, t):
 
 
 def ref_residue_soule_closed(k, N, c, t):
-    a = _norm_point(N, t)[0]
+    a = _point(t, N)[0]
     return Fraction(N ** (k + 1), factorial(k) * (k + 2)) * (
         c * c * bern_eval(k + 2, frac_part(Fraction(a, N)))
         - Fraction(1, c ** k) * bern_eval(k + 2, frac_part(Fraction(c * a, N)))

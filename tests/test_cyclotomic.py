@@ -227,6 +227,27 @@ def test_inexact_coordinates_are_rejected(x, M):
         CycloElement.zeta_pow(M, 1) + x
 
 
+@pytest.mark.parametrize("bad", [True, 1.0])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda b: CycloElement.zeta_pow(6, 1) ** b, "exponent"),
+        (lambda b: CycloElement.one_minus_zeta_pow(6, 1, b), "exponent"),
+        (lambda b: CycloElement.one_minus_zeta_pow(6, b, 2), "exponent w"),
+        (lambda b: CycloElement.one_minus_zeta_inverse(6, b), "exponent w"),
+        (lambda b: CycloElement.zeta_pow(6, b), "exponent"),
+        (lambda b: CycloElement.rational(b, 1), "conductor M"),
+        (lambda b: CycloElement.zeta_pow(b, 1), "conductor M"),
+        (lambda b: CycloElement.from_poly(b, [1]), "conductor M"),
+        (lambda b: CycloElement.one_minus_zeta_pow(b, 1, 2), "conductor M"),
+        (lambda b: CycloElement.one_minus_zeta_inverse(b, 1), "conductor M"),
+    ],
+)
+def test_exponents_and_conductors_must_be_ints(call, name, bad):
+    # z ** True was z, and CycloElement.rational(True, 1) had M = True
+    with pytest.raises(TypeError, match=f"{name} {bad!r}"):
+        call(bad)
+
 
 def test_xpow_cache_stays_bounded_over_many_levels():
     # one table per level met used to stay for the life of the process

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import pickle
+import re
 from fractions import Fraction
 from math import factorial, gcd
 from random import Random
@@ -610,6 +611,30 @@ def test_symbol_and_weight_function_coordinates_must_be_ints(bad):
         eis_residue_closed(2, 5, (bad, 0))
     with pytest.raises(TypeError):
         residue_soule_closed(2, 5, 7, (bad, 0))
+
+
+@pytest.mark.parametrize("t", [(1,), (1, 0, 5), ()])
+def test_a_torsion_point_must_be_a_pair(t):
+    # the third coordinate used to be dropped: WeightFunction(2, 3,
+    # {(1, 0, 5): 1, (1, 0, 6): 2}) kept one of its two values
+    name = re.escape(f"torsion point {t!r}")
+    with pytest.raises(ValueError, match=name):
+        EisSym(2, 3, t)
+    with pytest.raises(ValueError, match=name):
+        SouleSym(2, 3, 5, t)
+    with pytest.raises(ValueError, match=name):
+        eis_residue_closed(2, 3, t)
+    with pytest.raises(ValueError, match=name):
+        residue_soule_closed(2, 3, 5, t)
+    with pytest.raises(ValueError, match=name):
+        WeightFunction(2, 3, {(1, 1): 3, t: 1})
+    with pytest.raises(ValueError, match=name):
+        WeightFunction(2, 3, {(1, 0): 1})(t)
+
+
+def test_a_weight_function_keeps_no_value_of_a_longer_point():
+    with pytest.raises(ValueError, match="two coordinates"):
+        WeightFunction(2, 3, {(1, 0, 5): 1, (1, 0, 6): 2})
 
 
 @pytest.mark.parametrize(

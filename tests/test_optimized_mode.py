@@ -125,6 +125,24 @@ rejects(ValueError, Measure, TorsorSpec(2, 1, 3, 1, "reduction", (1,)), {(2,): 0
 # a negative power would loop for ever: -1 >> 1 == -1
 rejects(ValueError, CycloElement.zeta_pow(3, 1).__pow__, -1, names="exponent -1")
 rejects(ValueError, PuiseuxSeries(3, 4, {0: 1}).__pow__, -1, names="exponent -1")
+# a torsion point is a pair: (1, 1, 7) used to be read as (1, 1), and (1,)
+# reached an IndexError
+for p in ((1,), (1, 1, 7)):
+    names = f"torsion point {p!r}"
+    rejects(ValueError, theta_series, 6, 5, p, 10, names=names)
+    rejects(ValueError, norm_check_theta, 6, 2, 5, p, 24, names=names)
+    rejects(ValueError, residue_elliptic_soule, 2, 1, 3, 5, p, names=names)
+    rejects(ValueError, epsilon_series, 2, 1, 3, 5, p, 6, names=names)
+    rejects(ValueError, EisSym, 2, 3, p, names=names)
+    rejects(ValueError, SouleSym, 2, 3, 5, p, names=names)
+    rejects(ValueError, WeightFunction, 2, 3, {p: 1}, names=names)
+# exponents and conductors are ints: z ** True was z, and
+# CycloElement.rational(True, 1) had M = True
+rejects(TypeError, CycloElement.zeta_pow(6, 1).__pow__, True, names="exponent True")
+rejects(TypeError, CycloElement.one_minus_zeta_pow, 6, 1, True, names="exponent True")
+rejects(TypeError, PuiseuxSeries(3, 4, {0: 1}).__pow__, True, names="exponent True")
+rejects(TypeError, PuiseuxSeries(3, 4, {0: 1}).shift, True, names="shift True")
+rejects(TypeError, CycloElement.rational, True, 1, names="conductor M True")
 if main(["residue-table", "--N", "1000000000"]) != 2:
     raise SystemExit("residue-table --N 1000000000 did not exit 2")
 # each subcommand's door refuses with a check that raises, not an assert:

@@ -132,3 +132,13 @@ def test_mul_matches_schoolbook_across_conductors(f, g):
 @given(cyclo_series(12), cyclo_series(12))
 def test_mul_matches_schoolbook_at_one_conductor(f, g):
     assert f * g == schoolbook_mul(f, g)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_powers_and_shifts_must_be_ints(bad):
+    # f ** True was f, and f.shift(True) moved it by one
+    f = PuiseuxSeries(3, 4, {1: 1})
+    with pytest.raises(TypeError, match=f"exponent {bad!r}"):
+        f ** bad
+    with pytest.raises(TypeError, match=f"shift {bad!r}"):
+        f.shift(bad)

@@ -1,8 +1,10 @@
 """The smoothed theta unit: expansion, norm compatibility, cusp calculus."""
 
+import re
 import sys
 from fractions import Fraction
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -10,6 +12,7 @@ from hypothesis import assume, example, given, strategies as st
 from ellsoule import bernoulli, units, verify
 from ellsoule.bernoulli import bernoulli_measure, smoothed_b2
 from ellsoule.cyclotomic import CycloElement
+from ellsoule.measures import Measure, torsor_elements
 from ellsoule.numutil import ceil_div
 from ellsoule.puiseux import PuiseuxSeries
 from ellsoule.serialize import cyclo_to_json
@@ -747,3 +750,165 @@ def test_float_coordinate_is_not_truncated():
     with pytest.raises(TypeError):
         theta_series(6, 5, (1.7, True), 12)
     assert theta_series(6, 5, (7, -5), 12) == theta_series(6, 5, (1, 1), 12)
+
+
+# -- the y-independent plan and the cusp constant, each cached ----------------
+
+CACHES = (units._plan, units._xi_c_at)
+
+
+def _clear_caches():
+    for f in CACHES:
+        f.cache_clear()
+
+
+def _cache_grid():
+    """Shuffled (M, c, point, trunc): levels 2-48, c in {5, 7, 11} where
+    admissible, two y at each of x = 0, x = 1 (prime to M) and x = the least
+    proper divisor d of M (h = d / gcd(d, y) > 1 at y = 1), windows from
+    e0 + 1 to e0 + 3M."""
+    rng = Random(31)
+    grid = []
+    for M in range(2, 49):
+        d = next((d for d in range(2, M) if M % d == 0), None)
+        for c in (5, 7, 11):
+            if gcd(c, 6 * M) != 1:
+                continue
+            xs = (0, 1) if d is None else (0, 1, d)
+            for x in xs:
+                e0 = units._e0(M, c, x)
+                for y in (1, rng.randrange(M)) if x else (1, rng.randrange(1, M)):
+                    for W in (1, rng.randrange(1, 3 * M + 1), 3 * M):
+                        grid.append((M, c, (x, y), e0 + W))
+    rng.shuffle(grid)
+    return grid
+
+
+def test_warm_caches_build_the_series_cold_caches_build():
+    grid = _cache_grid()
+    _clear_caches()
+    warm = []
+    for args in grid:
+        theta_series(*args)
+        warm.append(theta_series(*args))  # its plan (and any Xi) is now cached
+    assert units._plan.cache_info().hits >= len(grid)
+    assert units._xi_c_at.cache_info().hits > 0
+    for args, f in zip(grid, warm):
+        _clear_caches()
+        assert theta_series(*args) == f, args
+    _clear_caches()
+
+
+def test_both_caches_are_bounded():
+    assert units._plan.cache_info().maxsize == units._PLANS > 0
+    assert units._xi_c_at.cache_info().maxsize == units._XIS > 0
+
+
+@pytest.mark.parametrize("bad", [6.0, True])
+@pytest.mark.parametrize(
+    "args",
+    [
+        lambda b: (b, 5, (1, 1), 12),
+        lambda b: (6, b, (1, 1), 12),
+        lambda b: (6, 5, (b, 1), 12),
+        lambda b: (6, 5, (0, b), 12),
+        lambda b: (6, 5, (1, 1), b),
+    ],
+    ids=["M", "c", "x", "y", "trunc"],
+)
+def test_a_non_int_argument_reads_neither_cache(args, bad):
+    theta_series(6, 5, (0, 1), 14)  # both caches hold an entry
+    before = [f.cache_info() for f in CACHES]
+    with pytest.raises(TypeError, match="must be an int"):
+        theta_series(*args(bad))
+    assert [f.cache_info() for f in CACHES] == before
+
+
+@pytest.mark.parametrize("point", [(1,), (0, 1, 0), ()])
+def test_a_point_that_is_not_a_pair_reads_neither_cache(point):
+    theta_series(6, 5, (0, 1), 14)
+    before = [f.cache_info() for f in CACHES]
+    with pytest.raises(ValueError, match="two coordinates"):
+        theta_series(6, 5, point, 12)
+    assert [f.cache_info() for f in CACHES] == before
+
+
+def test_a_mul_factor_mutant_fails_the_units_suite_with_the_plan_warm(monkeypatch):
+    # the plan holds the factor schedule, never a product: with every plan
+    # the suite needs cached, a factor that moves its zeta-slots one too far
+    # still reaches every series with h > 1, and their norm rows fail
+    assert verify.suite_units()["all_pass"]
+    hits = units._plan.cache_info().hits
+    real = units._mul_factor
+    monkeypatch.setattr(units, "_mul_factor", lambda P, h, e, k, r: real(P, h, e, k, r + 1))
+    rep = verify.suite_units()
+    assert units._plan.cache_info().hits > hits
+    assert [r["case"] for r in rep["cases"] if not r["pass"]] == [
+        "norm_compatibility_3_to_6",
+        "norm_x0_3_to_6",
+        "norm_x0_6_to_12",
+        "norm_x0_3_to_9",
+        "norm_x0_6_to_18",
+    ]
+
+
+# -- a torsion point is a pair -------------------------------------------------
+
+NOT_PAIRS = [(1,), (1, 1, 7), (), [1, 1, 0]]
+
+
+@pytest.mark.parametrize("point", NOT_PAIRS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: theta_series(6, 5, p, 10),
+        lambda p: theta_qexp(2, 1, 3, 5, p, 10),
+        lambda p: norm_check_theta(6, 2, 5, p, 24),
+        lambda p: residue_elliptic_soule(2, 1, 3, 5, p),
+        lambda p: epsilon_series(2, 1, 3, 5, p, 6),
+    ],
+)
+def test_a_torsion_point_must_be_a_pair(call, point):
+    # theta_series(6, 5, (1, 1, 7), 10) used to return the (1, 1) expansion,
+    # and epsilon_series(2, 1, 3, 5, (1,), 6) raised IndexError
+    with pytest.raises(ValueError, match=re.escape(f"torsion point {point!r}")):
+        call(point)
+
+
+# -- a failing row names its point ----------------------------------------------
+
+
+def test_a_failing_valuation_row_names_its_point(monkeypatch):
+    # negative control: one step past the leading exponent, the first point
+    # of the level-6 scan, (0, 1), leads at q^{13/6} against smoothed_b2's 2
+    monkeypatch.setattr(verify, "theta_qexp", lambda *a: theta_qexp(*a).shift(1))
+    [row] = [r for r in verify.suite_units()["cases"] if r["case"] == "theta_valuations_level6"]
+    assert row == {
+        "case": "theta_valuations_level6",
+        "level": 6,
+        "point": [0, 1],
+        "valuation": "13/6",
+        "smoothed_b2": "2",
+        "pass": False,
+    }
+
+
+def test_a_failing_residue_row_names_its_fiber_point(monkeypatch):
+    # negative control: the Bernoulli measure one heavier at the last point of
+    # each fiber; the residue rows fail there and say so
+    real = verify.bernoulli_measure
+
+    def heavier(ell, r, N, c, t):
+        mu = real(ell, r, N, c, t)
+        return mu + Measure(mu.spec, {max(torsor_elements(mu.spec)): 1})
+
+    monkeypatch.setattr(verify, "bernoulli_measure", heavier)
+    rows = {r["case"]: r for r in verify.suite_residues()["cases"]}
+    assert not any(r["pass"] for r in rows.values())
+    row = rows["residue_ell2_r1_N3_c5_t1_1"]
+    value = bernoulli_measure(2, 1, 3, 5, 1)((4,))
+    assert {k: row[k] for k in ("fiber_point", "residue_value", "bernoulli_value")} == {
+        "fiber_point": [4],
+        "residue_value": str(value),
+        "bernoulli_value": str(value + 1),
+    }
