@@ -20,8 +20,11 @@ could make and returns the work, which gives the document's pieces and the
 exit code.  `main` opens --out after the door and maps a ValueError or
 OSError from either to exit 2 (a ResiduePreconditionError to 3); while the
 work runs, only an OSError (a failed write) exits 2, and any other raise is
-a fault, a traceback.  `verify`'s door runs the suites, after `run_suites`'
-own door; a check that raises there is a failing row.
+a fault, a traceback, or for `verify`, whose work is its suites, a failing
+`<suite>_raised` row.  A door words a library's refusal as the library
+does, from one place: it calls `verify._check_suites`, as `run_suites`
+does, and raises the errors `units._short_window` and `formal._small_table`
+make for `theta_series` and `residue_table`.
 
 `qexp` bounds its work: the level ell^r * N may be at most MAX_LEVEL, --c at
 most MAX_C, and --trunc may lie at most MAX_WINDOW past the leading exponent
@@ -32,7 +35,9 @@ and its --trunc, the window of the units suite's expansion, at MAX_WINDOW.
 `residue-table` caps --N at MAX_RESIDUES_LEVEL, and `dir` the level N of
 its weight function at MAX_LEVEL.  The weight (`residue-table --k`, `verify
 --kmax` and the k of `dir`'s weight function) is capped at MAX_WEIGHT.  An
-input over a cap exits 2 before any work is done.
+input over a cap exits 2 before any work is done.  `verify --timing` adds
+the suites' wall time to a JSON report only, so with --format csv it exits
+2 too.
 
 The `qexp` document is streamed by `serialize.series_json`, one term block
 per write, so neither a dict of the series nor the whole text is built;
@@ -60,12 +65,12 @@ import time
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Callable
 
-from .formal import (ResiduePreconditionError, _check_me_factor, cyc_symmetrize, dir_closed,
-                     dir_via_me, psi_residue, residue_table)
+from .formal import (ResiduePreconditionError, _check_me_factor, _small_table, cyc_symmetrize,
+                     dir_closed, dir_via_me, psi_residue, residue_table)
 from .numutil import _Value, rat_str
 from .serialize import formal_to_json, psi_from_json, series_json
-from .units import _check_theta_args, eta_exponent, theta_qexp
-from .verify import SUITE_NAMES, run_suites
+from .units import _check_theta_args, _short_window, eta_exponent, theta_qexp
+from .verify import SUITE_NAMES, _check_suites, run_suites
 
 __all__ = ["build_parser", "main"]
 
@@ -219,7 +224,11 @@ def _check_cap(name: str, value: int, cap: int) -> None:
 
 
 def _cmd_verify(args) -> Callable[[], tuple]:
-    """`verify`'s door: the caps, then the suites; the work writes their report."""
+    """`verify`'s door: --timing with CSV, the caps, then what `run_suites`
+    refuses (`_check_suites`); the work runs the suites and writes their
+    report."""
+    if args.timing and args.format == "csv":
+        raise ValueError("--timing is written only in JSON reports, not with --format csv")
     _check_cap("--trunc", args.trunc, MAX_WINDOW)
     _check_cap("--kmax", args.kmax, MAX_WEIGHT)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
@@ -227,21 +236,18 @@ def _cmd_verify(args) -> Callable[[], tuple]:
     _check_level_and_c(args.ell, args.rmax, args.N, args.c, "--rmax", cap)
     if "units" in names:  # its cusp rows are at level ell^2 * N
         _check_level_and_c(args.ell, 2, args.N, args.c, "2", cap)
+    params = {k: getattr(args, k) for k in ("ell", "N", "c", "rmax", "kmax", "trunc")}
+    _check_suites(names, **params)
+    return lambda: _verify(args, names, params)
+
+
+def _verify(args, names, params) -> tuple[list[str], int]:
     started = time.perf_counter()
-    report = run_suites(
-        names,
-        ell=args.ell,
-        N=args.N,
-        c=args.c,
-        rmax=args.rmax,
-        kmax=args.kmax,
-        trunc=args.trunc,
-        seed=args.seed,
-    )
+    report = run_suites(names, **params, seed=args.seed)
     if args.timing:
         report["timing"] = {"elapsed_s": round(time.perf_counter() - started, 3)}
     write = _verify_csv if args.format == "csv" else _dumps
-    return lambda: ([write(report)], 0 if report["all_pass"] else 1)
+    return [write(report)], 0 if report["all_pass"] else 1
 
 
 def _check_level_and_c(
@@ -275,10 +281,8 @@ def _cmd_qexp(args) -> Callable[[], tuple]:
         )
     M, point = args.ell ** args.r * args.N, (args.x, args.y)
     _check_theta_args(M, args.c, point)
-    if args.trunc <= e0:  # as `theta_series` words it
-        raise ValueError(
-            f"truncation {args.trunc} too small to represent the leading term q^{e0}/{M}"
-        )
+    if args.trunc <= e0:
+        raise _short_window(args.trunc, e0, M)
     return lambda: (series_json(theta_qexp(args.ell, args.r, args.N, args.c, point, args.trunc)), 0)
 
 
@@ -289,7 +293,7 @@ def _cmd_table(args) -> Callable[[], tuple]:
     if args.k < 0:
         raise ValueError(f"--k = {args.k} must be >= 0")
     if args.N < 2:
-        raise ValueError(f"residue tables need N >= 2, got N = {args.N}")
+        raise _small_table(args.N)
     return lambda: ([_table(args)], 0)
 
 

@@ -572,12 +572,18 @@ def cyc_symmetrize(x: FormalClass, k: int) -> FormalClass:
     return FormalClass._make(out, 2 * x.den)
 
 
+def _small_table(N: int) -> ValueError:
+    """The refusal of a level N below 2, for `residue_table` and the
+    `residue-table` door to raise."""
+    return ValueError(f"residue tables need N >= 2, got N = {N}")
+
+
 def residue_table(N: int, k: int) -> list[tuple[int, int, Fraction]]:
     """Rows (a, b, res(Eis^k(a, b))) over all t != 0, sorted; needs N >= 2
     and k >= 0 (`eis_residue_closed` checks k and N, once).  The residue
     depends on a only, so it is read once per a."""
     if N < 2:
-        raise ValueError(f"residue tables need N >= 2, got N = {N}")
+        raise _small_table(N)
     eis_residue_closed(k, N, (0, 1))
     rows = []
     for a in range(N):

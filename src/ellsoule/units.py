@@ -217,6 +217,12 @@ def _plan(M: int, c: int, x: int, W: int) -> tuple:
     return g, step, inv, half, carry, sign, schedule
 
 
+def _short_window(trunc: int, e0: int, M: int) -> ValueError:
+    """The refusal of a window `trunc` at or below the leading exponent e0,
+    for `theta_series` and the `qexp` door to raise."""
+    return ValueError(f"truncation {trunc} too small to represent the leading term q^{e0}/{M}")
+
+
 def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxSeries:
     """The smoothed theta unit's q-expansion at level M, window `trunc`
     (in q^{1/M} units)."""
@@ -224,9 +230,7 @@ def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxS
     e0 = _e0(M, c, x)
     W = _int(trunc, "trunc") - e0
     if W <= 0:
-        raise ValueError(
-            f"truncation {trunc} too small to represent the leading term q^{e0}/{M}"
-        )
+        raise _short_window(trunc, e0, M)
     g, step, inv, half, carry, sign, schedule = _plan(M, c, x, W)
     h = g // gcd(g, y)
     P = [0] * W if h == 1 else [None] * W

@@ -90,12 +90,15 @@ def _row(case: str, ok: bool, **fields) -> dict:
     return out
 
 
-def _suite(name: str):
+def _suite(name: str, carry: tuple[str, ...] = ()):
     """Make a generator of rows a suite that returns their report, under the
     one failure policy: any exception ends the suite with one failing row,
     `<name>_raised`, after the rows already yielded.  It carries the exception
     text (`error`), the last case yielded (`after`, else None) and the suite's
-    arguments.  `run_suites` refuses bad input before any suite runs."""
+    arguments.  A failing yielded row also carries the arguments named in
+    `carry` (the seed, and kmax where the suite takes it), right after its
+    case, so it can be repeated; a passing row is kept as yielded.
+    `run_suites` refuses bad input before any suite runs."""
 
     def wrap(gen):
         names = gen.__code__.co_varnames[: gen.__code__.co_argcount]
@@ -103,12 +106,15 @@ def _suite(name: str):
 
         @wraps(gen)
         def run(*args, **kwargs):
+            given = {**defaults, **dict(zip(names, args)), **kwargs}
+            repro = {n: given[n] for n in carry}
             cases, rows = gen(*args, **kwargs), []
             try:
                 for row in cases:
+                    if repro and not row["pass"]:
+                        row = {"case": row["case"], **repro, **row}
                     rows.append(row)
             except Exception as e:  # a library fault is a failing row, not a crash
-                given = {**defaults, **dict(zip(names, args)), **kwargs}
                 rows.append(
                     _row(
                         f"{name}_raised",
@@ -136,7 +142,7 @@ def _suite(name: str):
 # ---------------------------------------------------------------------------
 
 
-@_suite("tsym")
+@_suite("tsym", carry=("seed", "kmax"))
 def suite_tsym(kmax: int = 6, seed: int = 0):
     rng = Random(f"tsym:{seed}")
 
@@ -226,7 +232,7 @@ def suite_tsym(kmax: int = 6, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
-@_suite("measures")
+@_suite("measures", carry=("seed",))
 def suite_measures(seed: int = 0):
     rng = Random(f"measures:{seed}")
 
@@ -353,7 +359,7 @@ def _random_measure(spec, rng: Random, npts: int = 3) -> Measure:
     return Measure(spec, {p: rng.randint(-9, 9) for p in pts})
 
 
-@_suite("moments")
+@_suite("moments", carry=("seed", "kmax"))
 def suite_moments(seed: int = 0, kmax: int = 4):
     rng = Random(f"moments:{seed}")
 
@@ -842,6 +848,23 @@ _RUNNERS = {
 SUITE_NAMES = tuple(_RUNNERS)
 
 
+def _check_suites(names, ell: int, N: int, c: int, rmax: int, kmax: int, trunc: int) -> None:
+    """`run_suites`' refusals, each a ValueError: rmax or kmax below 1, an
+    unknown suite, an (ell, N, c) outside `_family`, or a units --trunc not
+    past the leading exponent of its spot expansion."""
+    for flag, value in (("rmax", rmax), ("kmax", kmax)):
+        if value < 1:
+            raise ValueError(f"--{flag} must be at least 1, got {value}")
+    for name in names:
+        if name not in _RUNNERS:
+            raise ValueError(f"unknown suite {name!r}")
+    if family := [n for n in names if n in ("bernoulli", "units", "residues")]:
+        # units and residues take c as given, bernoulli |c|: check the strictest
+        _family(next((n for n in family if n != "bernoulli"), family[0]), ell, N, c)
+    if "units" in names and trunc <= (e0 := eta_exponent(ell, 1, N, c, 1)):
+        raise ValueError(f"--trunc = {trunc} must exceed the leading exponent {e0}")
+
+
 def run_suites(
     names,
     ell: int = 2,
@@ -856,21 +879,10 @@ def run_suites(
 
     The dir suite keeps its own admissible grid (its smoothing factors must
     be 1 mod N); the others restrict to the requested (ell, N, c) family.
-    Every refusal is a ValueError raised before any suite runs: rmax or kmax
-    below 1, an unknown suite, an (ell, N, c) outside `_family`, or a units
-    --trunc not past the leading exponent of its spot expansion.
+    Every refusal (`_check_suites`) is a ValueError raised before any suite
+    runs.
     """
-    for flag, value in (("rmax", rmax), ("kmax", kmax)):
-        if value < 1:
-            raise ValueError(f"--{flag} must be at least 1, got {value}")
-    for name in names:
-        if name not in _RUNNERS:
-            raise ValueError(f"unknown suite {name!r}")
-    if family := [n for n in names if n in ("bernoulli", "units", "residues")]:
-        # units and residues take c as given, bernoulli |c|: check the strictest
-        _family(next((n for n in family if n != "bernoulli"), family[0]), ell, N, c)
-    if "units" in names and trunc <= (e0 := eta_exponent(ell, 1, N, c, 1)):
-        raise ValueError(f"--trunc = {trunc} must exceed the leading exponent {e0}")
+    _check_suites(names, ell, N, c, rmax, kmax, trunc)
     params = dict(ell=ell, N=N, c=c, rmax=rmax, kmax=kmax, trunc=trunc, seed=seed)
     reports = [_RUNNERS[name](params) for name in names]
     if len(reports) == 1:

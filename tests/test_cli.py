@@ -340,7 +340,9 @@ def test_verify_over_a_cap_exits_2_naming_the_flag(suite_calls, capsys, argv, fl
         # 2^8 * 3 = 768 and 2^9 * 3 = 1536 bracket the level cap
         (["--rmax", "8"], {"rmax": 8}),
         (["--ell", "3", "--N", "4", "--rmax", "5"], {"ell": 3, "N": 4, "rmax": 5}),
-        (["--c", str(cli.MAX_C)], {"c": cli.MAX_C}),
+        # c = 50 is at the cap but outside bernoulli's family, which the door
+        # now refuses too; dir keeps its own grid, so the cap alone decides
+        (["--suite", "dir", "--c", str(cli.MAX_C)], {"c": cli.MAX_C}),
     ],
 )
 def test_verify_within_the_caps_is_run(suite_calls, capsys, argv, params):
@@ -653,9 +655,9 @@ def test_programming_error_is_not_reported_as_bad_input(psi_file, monkeypatch):
 
 
 def _recording(calls, real):
-    def call(*args):
+    def call(*args, **kwargs):
         calls.append((real.__name__, args))
-        return real(*args)
+        return real(*args, **kwargs)
 
     return call
 
@@ -664,7 +666,7 @@ def _recording(calls, real):
 def work_calls(monkeypatch):
     """Record every call of a subcommand's work function, and run it."""
     calls = []
-    for name in ("theta_qexp", "residue_table", "dir_closed", "dir_via_me"):
+    for name in ("theta_qexp", "residue_table", "dir_closed", "dir_via_me", "run_suites"):
         monkeypatch.setattr(cli, name, _recording(calls, getattr(cli, name)))
     return calls
 
@@ -681,6 +683,16 @@ def work_calls(monkeypatch):
          "need c > 1 with gcd(c, 6N) = gcd(4, 18) = 1"),
         (["dir", "--psi", "PSI", "--route", "both", "--c", "5"],
          "need c == 1 mod N (got c = 5, N = 3)"),
+        # `run_suites` refused these after the door had called it
+        (["verify", "--rmax", "0"], "--rmax must be at least 1, got 0"),
+        (["verify", "--suite", "bernoulli", "--c", "1"],
+         "suite 'bernoulli' has no cases for ell = 2, N = 3, c = 1: "
+         "need |c| > 1 coprime to 6*ell*N = 36"),
+        (["verify", "--suite", "units", "--trunc", "2"],
+         "--trunc = 2 must exceed the leading exponent 2"),
+        # the CSV layouts have no place for the timing: it used to be dropped
+        (["verify", "--suite", "tsym", "--timing", "--format", "csv"],
+         "--timing is written only in JSON reports, not with --format csv"),
     ],
 )
 def test_the_door_refuses_before_any_work(work_calls, psi_file, capsys, argv, err):
@@ -698,6 +710,8 @@ def test_the_door_refuses_before_any_work(work_calls, psi_file, capsys, argv, er
          "--trunc", str(eta_exponent(3, 0, 2, 49, 1) + 1000)],
         ["residue-table", "--N", "3"],
         ["dir", "--psi", "PSI", "--c", "7"],
+        # the suites ran first, 1.7 s at this weight, before the open failed
+        ["verify", "--suite", "all", "--kmax", "50"],
     ],
 )
 def test_an_unwritable_out_is_refused_before_any_work(
@@ -745,11 +759,23 @@ def test_a_raise_after_the_door_is_a_fault_not_bad_input(monkeypatch, capsys, na
 
 @st.composite
 def _door_argvs(draw):
-    """A small `qexp`, `residue-table` or `dir` argv, each flag given or not,
-    sometimes with an --out that can or cannot be opened."""
+    """A small argv of any subcommand, each flag given or not, sometimes with
+    an --out that can or cannot be opened."""
     small = st.integers(-3, 13)
-    command = draw(st.sampled_from(["qexp", "residue-table", "dir"]))
+    command = draw(st.sampled_from(["verify", "qexp", "residue-table", "dir"]))
     flags = {
+        "verify": {
+            "--suite": st.sampled_from([*verify.SUITE_NAMES, "all"]),
+            "--ell": st.sampled_from([-2, 1, 2, 3, 4]),
+            "--N": st.integers(-1, 5),
+            "--c": st.sampled_from([-5, 0, 1, 3, 5, 7]),
+            "--rmax": st.integers(-1, 2),
+            "--kmax": st.integers(-1, 4),
+            "--trunc": st.integers(-5, 60),
+            "--seed": st.integers(0, 3),
+            "--format": st.sampled_from(["json", "csv"]),
+            "--timing": None,
+        },
         "qexp": {
             "--ell": st.sampled_from([-2, 1, 2, 3, 4, 5]),
             "--r": st.integers(-1, 2),
@@ -767,7 +793,7 @@ def _door_argvs(draw):
         argv += ["--psi", draw(st.sampled_from(["good.json", "bad.json", "nope.json"]))]
     for flag, values in flags.items():
         if draw(st.booleans()):
-            argv += [flag, str(draw(values))]
+            argv += [flag] if values is None else [flag, str(draw(values))]
     if draw(st.integers(0, 3)) == 0:
         argv += ["--out", draw(st.sampled_from(["out.json", "missing/out.json"]))]
     return argv
@@ -779,6 +805,8 @@ def _door_argvs(draw):
 @given(argv=_door_argvs())
 @example(argv=["qexp", "--trunc", "1"])
 @example(argv=["dir", "--psi", "good.json", "--route", "me", "--c", "4"])
+@example(argv=["verify", "--suite", "units", "--trunc", "2", "--out", "missing/out.json"])
+@example(argv=["verify", "--suite", "tsym", "--timing", "--out", "out.json"])
 def test_a_refusal_runs_no_work_and_admitted_work_runs(argv, work_calls, tmp_path, monkeypatch):
     # exit 2 or 3 comes from the door, before any work function is called;
     # every argv the door admits runs the real work, which raises nothing

@@ -219,6 +219,37 @@ def test_the_functoriality_judge_fails_a_wrong_induced_map(monkeypatch):
                       for i in range(n)]
 
 
+@pytest.mark.parametrize(
+    "suite, name, mutant, args",
+    [
+        (verify.suite_tsym, "sym_to_tsym", lambda real: lambda n: real(n).scale(2),
+         {"seed": 3, "kmax": 6}),
+        (verify.suite_measures, "torsor_elements", lambda real: lambda spec: real(spec)[:-1],
+         {"seed": 3}),
+        (verify.suite_moments, "divided_power", lambda real: lambda x, k: real(x, k).scale(2),
+         {"seed": 3, "kmax": 3}),
+    ],
+    ids=["tsym", "measures", "moments"],
+)
+def test_a_failing_seeded_row_carries_its_seed(monkeypatch, suite, name, mutant, args):
+    # a scratch mutant fails some rows of a seeded suite: each failing row
+    # names the seed (and kmax, where the suite takes it) right after its
+    # case, and a passing row carries the fields the real code's row does
+    real_rows = suite(**args)["cases"]
+    assert all(r["pass"] for r in real_rows)
+    monkeypatch.setattr(verify, name, mutant(getattr(verify, name)))
+    rows = suite(**args)["cases"]
+    failed = [r for r in rows if not r["pass"]]
+    assert failed and len(rows) == len(real_rows)
+    for got, real in zip(rows, real_rows):
+        assert got["case"] == real["case"]
+        assert list(got) == (list(real) if got["pass"] else ["case", *args, *list(real)[1:]])
+        assert got["pass"] or {k: got[k] for k in args} == args
+    # what a failing row carries repeats the run, and the same rows fail
+    again = suite(**{k: failed[0][k] for k in args})["cases"]
+    assert [r for r in again if not r["pass"]] == failed
+
+
 def _recording(calls, real):
     def call(*args):
         calls.append(args)
