@@ -317,7 +317,10 @@ def _cmd_dir(args) -> Callable[[], tuple]:
     """`dir`'s door: read --psi, the caps, then what its routes refuse, in
     the order they would."""
     with open(args.psi) as fh:
-        psi = psi_from_json(json.load(fh))
+        try:
+            psi = psi_from_json(json.load(fh))
+        except RecursionError:
+            raise ValueError(f"--psi {args.psi} nests too deeply to read") from None
     _check_cap("the weight function's level N", psi.N, MAX_LEVEL)
     _check_cap("the weight function's weight k", psi.k, MAX_WEIGHT)
     if args.route == "me":

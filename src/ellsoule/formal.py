@@ -507,7 +507,7 @@ def dir_closed(psi: WeightFunction) -> FormalClass:
 
 def _check_me_factor(N: int, c: int) -> None:
     """The me route's rule for c at level N: c == 1 mod N, c > 1, gcd(c, 6N) = 1."""
-    if c % N != 1:
+    if c % N != 1 % N:  # at N = 1 every c is 1 mod N
         raise ValueError(f"need c == 1 mod N (got c = {c}, N = {N})")
     if c <= 1 or gcd(c, 6 * N) != 1:
         raise ValueError(f"need c > 1 with gcd(c, 6N) = gcd({c}, {6 * N}) = 1")

@@ -2,7 +2,8 @@
 package, cross-checked by independent routes and reported as deterministic
 pass/fail case lists.
 
-Each suite body is a generator of rows; `_suite` makes it a function that
+Each suite body is a generator of rows whose parameters are the `verify`
+flags it reads, under their names; `_suite` makes it a function that
 returns the plain dict
 
     {"suite": name, "cases": [...], "summary": {...}, "all_pass": bool}
@@ -90,18 +91,23 @@ def _row(case: str, ok: bool, **fields) -> dict:
     return out
 
 
+# suite name -> the `verify` flags it takes, in report order (definition order)
+_PARAMS: dict[str, tuple[str, ...]] = {}
+
+
 def _suite(name: str, carry: tuple[str, ...] = ()):
     """Make a generator of rows a suite that returns their report, under the
     one failure policy: any exception ends the suite with one failing row,
     `<name>_raised`, after the rows already yielded.  It carries the exception
     text (`error`), the last case yielded (`after`, else None) and the suite's
-    arguments.  A failing yielded row also carries the arguments named in
-    `carry` (the seed, and kmax where the suite takes it), right after its
-    case, so it can be repeated; a passing row is kept as yielded.
-    `run_suites` refuses bad input before any suite runs."""
+    arguments, the `verify` flags it reads.  A failing yielded row also
+    carries the arguments named in `carry` (the seed, and kmax where the
+    suite takes it), right after its case, so it can be repeated; a passing
+    row is kept as yielded.  `run_suites` refuses bad input before any
+    suite runs."""
 
     def wrap(gen):
-        names = gen.__code__.co_varnames[: gen.__code__.co_argcount]
+        names = _PARAMS[name] = gen.__code__.co_varnames[: gen.__code__.co_argcount]
         defaults = dict(zip(reversed(names), reversed(gen.__defaults__ or ())))
 
         @wraps(gen)
@@ -144,6 +150,8 @@ def _suite(name: str, carry: tuple[str, ...] = ()):
 
 @_suite("tsym", carry=("seed", "kmax"))
 def suite_tsym(kmax: int = 6, seed: int = 0):
+    """Divided-power laws up to degree max(kmax, 6)."""
+    kmax = max(kmax, 6)
     rng = Random(f"tsym:{seed}")
 
     # the addition law (g+h)^{[k]} = sum_{m+n=k} g^{[m]} h^{[n]}
@@ -692,15 +700,10 @@ def _first_difference(got: Measure, want: Measure) -> dict:
 
 
 @_suite("residues")
-def suite_residues(
-    cases=((2, 1, 3, 5), (2, 2, 3, 5), (3, 1, 4, 5)),
-    include_degenerate: bool = True,
-):
-    cases = tuple(cases)
-    if include_degenerate and cases:
-        ell, _, N, c = cases[0]
-        cases = cases + ((ell, 0, N, c),)
-    for ell, r, N, c in cases:
+def suite_residues(ell: int = 2, N: int = 3, c: int = 5, rmax: int = 2):
+    """The residue route against the Bernoulli measure at every t != (0, 0),
+    for r = 1 .. rmax and then the degenerate r = 0."""
+    for r in (*range(1, rmax + 1), 0):
         for t1 in range(N):
             for t2 in range(N):
                 if (t1, t2) == (0, 0):
@@ -724,6 +727,7 @@ def suite_residues(
 # ---------------------------------------------------------------------------
 
 DIR_GRID = ((3, (7, 13)), (4, (5, 13)), (5, (11, 31)))
+DIR_COUNT = 50  # seeded residue-zero weight functions per (N, k) of DIR_GRID
 
 
 def _first_miss(seed: int, psis: list, check) -> dict:
@@ -742,7 +746,7 @@ def _first_miss(seed: int, psis: list, check) -> dict:
 
 
 @_suite("dir")
-def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID):
+def suite_dir(seed: int = 0, kmax: int = 5):
 
     # closed residues of smoothed symbols match their expansions
     for N in (2, 3, 4, 5):
@@ -767,13 +771,13 @@ def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID):
         expected="-13/720",
     )
 
-    for N, cpair in grid:
+    for N, cpair in DIR_GRID:
         for k in range(1, kmax + 1):
             rng = Random(f"dir:{seed}:{N}:{k}")
-            psis = [random_residue_zero_psi(N, k, rng) for _ in range(count)]
+            psis = [random_residue_zero_psi(N, k, rng) for _ in range(DIR_COUNT)]
             # the symbol route, independent of the functional the generator solves with
             miss = _first_miss(seed, psis, lambda i, p: residue(eis_of_psi(p)) == 0)
-            yield _row(f"residue_zero_N{N}_k{k}", not miss, count=count, **miss)
+            yield _row(f"residue_zero_N{N}_k{k}", not miss, count=DIR_COUNT, **miss)
             closed = cache(lambda i: dir_closed(psis[i]))  # shared by both c
             for c in cpair:
                 miss = _first_miss(seed, psis, lambda i, p: closed(i) == dir_via_me(p, c))
@@ -783,7 +787,7 @@ def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID):
                     N=N,
                     k=k,
                     c=c,
-                    count=count,
+                    count=DIR_COUNT,
                     **miss,
                 )
             raw = [
@@ -832,20 +836,7 @@ def suite_dir(count: int = 50, seed: int = 0, kmax: int = 5, grid=DIR_GRID):
 # ---------------------------------------------------------------------------
 
 
-# suite name -> runner over the run_suites parameters, in report order
-_RUNNERS = {
-    "tsym": lambda p: suite_tsym(kmax=max(p["kmax"], 6), seed=p["seed"]),
-    "measures": lambda p: suite_measures(seed=p["seed"]),
-    "moments": lambda p: suite_moments(seed=p["seed"], kmax=p["kmax"]),
-    "bernoulli": lambda p: suite_bernoulli(p["ell"], p["N"], p["c"], p["rmax"], p["kmax"]),
-    "units": lambda p: suite_units(ell=p["ell"], N=p["N"], c=p["c"], trunc=p["trunc"]),
-    "residues": lambda p: suite_residues(
-        cases=tuple((p["ell"], r, p["N"], p["c"]) for r in range(1, p["rmax"] + 1))
-    ),
-    "dir": lambda p: suite_dir(seed=p["seed"], kmax=p["kmax"]),
-}
-
-SUITE_NAMES = tuple(_RUNNERS)
+SUITE_NAMES = tuple(_PARAMS)
 
 
 def _check_suites(names, ell: int, N: int, c: int, rmax: int, kmax: int, trunc: int) -> None:
@@ -856,9 +847,9 @@ def _check_suites(names, ell: int, N: int, c: int, rmax: int, kmax: int, trunc: 
         if value < 1:
             raise ValueError(f"--{flag} must be at least 1, got {value}")
     for name in names:
-        if name not in _RUNNERS:
+        if name not in _PARAMS:
             raise ValueError(f"unknown suite {name!r}")
-    if family := [n for n in names if n in ("bernoulli", "units", "residues")]:
+    if family := [n for n in names if "c" in _PARAMS[n]]:
         # units and residues take c as given, bernoulli |c|: check the strictest
         _family(next((n for n in family if n != "bernoulli"), family[0]), ell, N, c)
     if "units" in names and trunc <= (e0 := eta_exponent(ell, 1, N, c, 1)):
@@ -875,16 +866,18 @@ def run_suites(
     trunc: int = 40,
     seed: int = 0,
 ) -> dict:
-    """Run the named suites with CLI-style parameters.
+    """Run the named suites with the `verify` flags as parameters: each
+    suite is called with the flags it takes, under their names.
 
     The dir suite keeps its own admissible grid (its smoothing factors must
-    be 1 mod N); the others restrict to the requested (ell, N, c) family.
-    Every refusal (`_check_suites`) is a ValueError raised before any suite
-    runs.
+    be 1 mod N); the suites that take c restrict to the requested (ell, N, c)
+    family.  Every refusal (`_check_suites`) is a ValueError raised before
+    any suite runs.
     """
     _check_suites(names, ell, N, c, rmax, kmax, trunc)
     params = dict(ell=ell, N=N, c=c, rmax=rmax, kmax=kmax, trunc=trunc, seed=seed)
-    reports = [_RUNNERS[name](params) for name in names]
+    # looked up at call time, so a rebinding of `suite_<name>` is the one run
+    reports = [globals()[f"suite_{n}"](**{p: params[p] for p in _PARAMS[n]}) for n in names]
     if len(reports) == 1:
         return reports[0]
     total = sum(r["summary"]["total"] for r in reports)

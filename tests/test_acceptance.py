@@ -77,11 +77,12 @@ def test_criterion_1_bernoulli_moment_congruence():
 def test_criterion_2_residue_measure_equality():
     # the measure read off q-expansion valuations equals the Bernoulli
     # measure exactly, fiber by fiber, at (ell, r, N, c) = (2, 1, 3, 5),
-    # (2, 2, 3, 5) and (3, 1, 4, 5)
+    # (2, 2, 3, 5) and (3, 1, 4, 5); each suite call also runs its r = 0
     with _Budget(60):
-        rep = suite_residues(include_degenerate=False)
-        assert _failing(rep) == []
-        assert rep["summary"]["total"] == 8 + 8 + 15  # every t != (0, 0)
+        rows = suite_residues(2, 3, 5, 2)["cases"] + suite_residues(3, 4, 5, 1)["cases"]
+        assert [row["case"] for row in rows if not row["pass"]] == []
+        levels = [(row["ell"], row["r"], row["N"], row["c"]) for row in rows if row["r"]]
+        assert levels == [(2, 1, 3, 5)] * 8 + [(2, 2, 3, 5)] * 8 + [(3, 1, 4, 5)] * 15
 
 
 def test_criterion_3_norm_compatibility():
@@ -112,7 +113,7 @@ def test_criterion_5_two_route_boundary_agreement():
     # factors each: the closed boundary formula agrees with the
     # smoothed-unit route symbol by symbol
     with _Budget(5):
-        rep = suite_dir(count=50, seed=0, kmax=5)
+        rep = suite_dir(seed=0, kmax=5)
         assert _failing(rep) == []
         two_route = [r for r in rep["cases"] if r["case"].startswith("two_route")]
         assert len(two_route) == 3 * 5 * 2  # (N, k) grid, two factors each
@@ -121,9 +122,9 @@ def test_criterion_5_two_route_boundary_agreement():
 def test_criterion_6_closed_residue_consistency():
     # the closed residue of a smoothed class equals the residue of its
     # expansion, identically over the grid (N = 2..5, k = 1..6, c = 5, 7,
-    # 11, 13 prime to N); frozen spot at weight 2; no seeded two-route grid
+    # 11, 13 prime to N); frozen spot at weight 2; the whole dir suite runs
     with _Budget(1):
-        rep = suite_dir(grid=())
+        rep = suite_dir()
         assert _failing(rep) == []
         cases = [r["case"] for r in rep["cases"]]
         assert sum(c.startswith("soule_residue_closed_") for c in cases) == 90

@@ -606,6 +606,23 @@ def test_dir_missing_file_is_usage_error(tmp_path):
     assert out.returncode == 2
 
 
+def test_a_deeply_nested_psi_is_refused_before_out_opens(tmp_path, capsys):
+    # json.load's RecursionError used to escape `main` as a traceback, exit 1
+    path, out = tmp_path / "psi.json", tmp_path / "out.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert cli.main(["dir", "--psi", str(path), "--out", str(out)]) == 2
+    assert "--psi" in capsys.readouterr().err and not out.exists()
+
+
+def test_dir_at_level_one_matches_on_both_routes(tmp_path, capsys):
+    # every c is 1 mod 1: the me route used to refuse --c 7 here with exit 2
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({"k": 2, "N": 1, "values": []}))
+    assert cli.main(["dir", "--psi", str(path), "--route", "both", "--c", "7"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["match"], out["closed"], out["me"], out["c"]) == (True, [], [], 7)
+
+
 GOOD_PSI = {"k": 2, "N": 3, "values": [{"t": [0, 1], "v": "13"}, {"t": [1, 0], "v": "27"}]}
 
 

@@ -193,6 +193,15 @@ def test_dir_via_me_validates_smoothing():
         dir_via_me(psi, 1)  # needs c > 1
 
 
+def test_dir_via_me_at_level_one_takes_every_admissible_c():
+    # every c is 1 mod 1: the route used to refuse c = 7 as "need c == 1 mod N"
+    zero = WeightFunction(2, 1, {})
+    assert dir_via_me(zero, 7) == FormalClass() == dir_closed(zero)
+    for c in (1, 2, 3):  # c > 1 and gcd(c, 6) = 1 still hold at N = 1
+        with pytest.raises(ValueError, match="gcd"):
+            dir_via_me(zero, c)
+
+
 def test_cyc_symmetrize_matches_parity_projection():
     # symmetrizing the raw boundary value equals projecting psi first
     rng = Random("sym")

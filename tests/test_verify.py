@@ -1,3 +1,4 @@
+import inspect
 import json
 from random import Random
 from unittest.mock import patch
@@ -74,10 +75,10 @@ def test_a_raising_boundary_route_is_a_failing_dir_row(monkeypatch, route):
         return real(*args)
 
     monkeypatch.setattr(verify, route, seventh_call_raises)
-    seed, count = 2, 10
-    rep = suite_dir(count=count, seed=seed, kmax=1, grid=((3, (7, 13)),))
+    seed = 2
+    rep = suite_dir(seed=seed, kmax=1)
     rng = Random(f"dir:{seed}:3:1")
-    psis = [random_residue_zero_psi(3, 1, rng) for _ in range(count)]
+    psis = [random_residue_zero_psi(3, 1, rng) for _ in range(verify.DIR_COUNT)]
     failing = [row for row in rep["cases"] if not row["pass"]]
     assert [row["case"] for row in failing] == ["two_route_N3_k1_c7"]
     row = failing[0]
@@ -98,9 +99,9 @@ def test_reports_are_json_serializable_and_stable():
 
 
 def test_failing_dir_rows_carry_what_reproduces_them(monkeypatch):
-    seed, count = 3, 6
+    seed = 3
     rng = Random(f"dir:{seed}:3:2")
-    psis = [random_residue_zero_psi(3, 2, rng) for _ in range(count)]
+    psis = [random_residue_zero_psi(3, 2, rng) for _ in range(verify.DIR_COUNT)]
     raw = [random_residue_zero_psi(3, 2, rng, parity=False) for _ in range(5)]
     real_me, real_residue = verify.dir_via_me, verify.residue
 
@@ -115,7 +116,7 @@ def test_failing_dir_rows_carry_what_reproduces_them(monkeypatch):
 
     monkeypatch.setattr(verify, "dir_via_me", perturbed_me)
     monkeypatch.setattr(verify, "residue", perturbed_residue)
-    rep = suite_dir(count=count, seed=seed, kmax=2, grid=((3, (7, 13)),))
+    rep = suite_dir(seed=seed, kmax=2)
     rows = {r["case"]: r for r in rep["cases"]}
     failing = {
         "residue_zero_N3_k2": (1, psis[1]),
@@ -148,7 +149,7 @@ def test_a_wrong_closed_residue_at_one_a_fails_its_row(monkeypatch):
         return out + 1 if (k, N, c, t[0] % N) == (2, 5, 7, 3) else out
 
     monkeypatch.setattr(verify, "residue_soule_closed", wrong_at_a3)
-    rows = _soule_rows(suite_dir(count=1, kmax=1, grid=()))
+    rows = _soule_rows(suite_dir(kmax=1))
     assert len(rows) == 90
     assert [case for case, ok in rows.items() if not ok] == ["soule_residue_closed_N5_k2_c7"]
 
@@ -168,7 +169,7 @@ def test_a_wrong_expansion_at_one_point_fails_its_row(monkeypatch):
         return ck, terms
 
     monkeypatch.setattr(formal, "_soule_terms", wrong_at_one_point)
-    rows = _soule_rows(suite_dir(count=1, kmax=1, grid=()))
+    rows = _soule_rows(suite_dir(kmax=1))
     assert len(rows) == 90
     assert [case for case, ok in rows.items() if not ok] == ["soule_residue_closed_N4_k3_c11"]
 
@@ -290,3 +291,58 @@ def test_the_valuation_row_names_its_level():
     rep = run_suites(["units"], N=5, c=7)
     [row] = [r for r in rep["cases"] if r["case"].startswith("theta_valuations_level")]
     assert (row["case"], row["level"], row["pass"]) == ("theta_valuations_level10", 10, True)
+
+
+# every `verify` flag, each away from its default
+FLAGS = dict(ell=3, N=4, c=7, rmax=1, kmax=2, trunc=30, seed=5)
+
+
+def _suite_params(name):
+    return tuple(inspect.signature(getattr(verify, f"suite_{name}")).parameters)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_a_suite_takes_only_verify_flags(name):
+    flags = tuple(inspect.signature(run_suites).parameters)[1:]
+    assert flags == tuple(FLAGS) and set(_suite_params(name)) <= set(flags)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_run_suites_calls_a_suite_with_its_flags(name):
+    suite = getattr(verify, f"suite_{name}")
+    direct = suite(**{p: FLAGS[p] for p in _suite_params(name)})
+    assert direct["all_pass"]
+    assert run_suites([name], **FLAGS) == direct
+
+
+@pytest.mark.parametrize(
+    "name, route, carried",
+    [
+        ("residues", "residue_elliptic_soule", ("ell", "N", "c", "rmax")),
+        ("dir", "residue_soule_closed", ("seed", "kmax")),
+    ],
+)
+def test_a_raised_row_carries_the_flags_that_repeat_it(monkeypatch, name, route, carried):
+    # a mutant of the suite's first call raises: the one raised row carries
+    # the flags the suite reads, and no others, and those flags repeat it
+    def raises(*args):
+        raise ArithmeticError("mutant")
+
+    monkeypatch.setattr(verify, route, raises)
+    rep = run_suites([name], **FLAGS)
+    [row] = rep["cases"]
+    assert row["case"] == f"{name}_raised" and row["error"] == "ArithmeticError: mutant"
+    assert list(row) == ["case", "error", "after", *carried, "pass"]
+    assert {k: row[k] for k in carried} == {k: FLAGS[k] for k in carried}
+    assert run_suites([name], **{k: row[k] for k in carried}) == rep
+
+
+def test_a_failing_tsym_row_carries_the_kmax_run_suites_was_given(monkeypatch):
+    # the suite runs degrees up to max(kmax, 6), but a failing row names the
+    # kmax the run was given, and that kmax repeats the run
+    real = verify.sym_to_tsym
+    monkeypatch.setattr(verify, "sym_to_tsym", lambda n: real(n).scale(2))
+    rep = run_suites(["tsym"], seed=3)
+    failed = [r for r in rep["cases"] if not r["pass"]]
+    assert failed and {(r["seed"], r["kmax"]) for r in failed} == {(3, 4)}
+    assert run_suites(["tsym"], seed=failed[0]["seed"], kmax=failed[0]["kmax"]) == rep
