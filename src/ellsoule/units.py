@@ -44,10 +44,12 @@ reduced mod Phi_M; each stored coefficient is folded into Q(zeta_M) once,
 at the end, in the one series a call builds.  A factor with e >= W is 1 to
 that window and is left out; at x = 0 the two e = 0 factors are the
 constant Xi_c(zeta^y), taken in closed form (`_xi_c_at`, cached per
-(M, y mod M, c)) onto the few stored coefficients.  What does not depend
-on y, the factor schedule among it, is planned once per (M, c, x, W) by
-`_plan`; every call still checks its arguments and runs `_mul_factor` over
-the schedule, so no cache holds a product or is read before the checks.
+(M, y mod M, c)) onto the few stored coefficients.  The running product
+depends on y only through h, and not at all when the window lies below
+every factor, so `_plan` builds it once per (M, c, x, W, h), with h = 1 in
+such a window, and keeps its rows as immutable tuples; every call still
+checks its arguments and places its lead before it reads that cache, and
+folds the rows into Q(zeta_M) at its own y.
 
 Everything downstream is read off this expansion: the residue measure at the
 cusp aggregates actual q-valuations over a fiber (with ramification factor
@@ -170,10 +172,11 @@ def _mul_factor(P: list, h: int, e: int, k: int, r: int) -> None:
                 row[(j + s) % h] += b * a
 
 
-# Plans kept by `_plan`, one per (M, c, x, W).  A plan's schedule has about
-# 4W/M entries; the largest the CLI admits (M = 2, a window of 1000) holds
-# 2000 of them in 0.19 MB, so a full cache holds at most 12 MB.  One
-# `theta_sparse` pass meets 24 plans.
+# Products kept by `_plan`, one per (M, c, x, W, h).  The largest the CLI
+# admits (M = 2, c = 49, x = 1, a window of 1000) holds 1000 ints in
+# 0.32 MB, so a full cache holds at most 21 MB.  One `theta_sparse` pass
+# meets 24 keys and `verify --suite all` 52 (h is 1 in a window below every
+# factor), so neither evicts.
 _PLANS = 64
 # Constants Xi_c(zeta^y) kept by `_xi_c_at`, one per (M, y mod M, c).  The
 # largest the CLI admits (M = 935, c = 49) holds 640 coordinates of up to
@@ -183,11 +186,11 @@ _XIS = 32
 
 
 @lru_cache(maxsize=_PLANS)
-def _plan(M: int, c: int, x: int, W: int) -> tuple:
-    """g, step, inv, half, carry, the scalar's sign and the factor schedule
-    of `theta_series` at (x, *): (e, k, r) for each factor with 0 < e < W,
-    in descending e.  `_mul_factor` reads r mod h, and h = g / gcd(g, y)
-    divides g, so r is stored mod g."""
+def _plan(M: int, c: int, x: int, W: int, h: int) -> tuple:
+    """step, inv, half, carry and the running product of `theta_series` at
+    (x, *) with rows of h slots: W rows, each a bare int when h = 1, else a
+    tuple of h ints or None.  `_mul_factor` reads r mod h, so the product
+    depends on y only through h = g / gcd(g, y)."""
     # the unit below q^{e0} is one product of factors (1 - q^{e/M} zeta^v)^k:
     # (x, y, c^2) and (x', y', -1), each with its gtilde factors
     # (nM - u, -v, k) and (nM + u, v, k).  Every factor has valuation 0, and
@@ -206,15 +209,17 @@ def _plan(M: int, c: int, x: int, W: int) -> tuple:
     step = M // g
     inv = pow(x // g, -1, step)
     # the scalar is -+zeta^s = (-zeta^y)^{(c-c^2)/2} (-1)^m zeta^{mcy},
-    # m = floor(cx/M) the index-reduction carry, (c - c^2)/2 an integer (c odd)
+    # m = floor(cx/M) the index-reduction carry, (c - c^2)/2 an integer (c odd);
+    # its sign seeds the product and s is folded in by each call
     half, carry = (c - c * c) // 2, c * x // M
     sign = -1 if (half + carry) % 2 else 1
-    schedule = tuple(
-        (e, k, (a - e // g * inv) // step % g)
-        for e, a, k in sorted(factors, reverse=True)
-        if 0 < e < W
-    )
-    return g, step, inv, half, carry, sign, schedule
+    P = [0] * W if h == 1 else [None] * W
+    P[0] = sign if h == 1 else [sign] + [0] * (h - 1)
+    for e, a, k in sorted(factors, reverse=True):
+        if 0 < e < W:
+            _mul_factor(P, h, e, k, (a - e // g * inv) // step % h)
+    rows = tuple(P) if h == 1 else tuple(r and tuple(r) for r in P)
+    return step, inv, half, carry, rows
 
 
 def _short_window(trunc: int, e0: int, M: int) -> ValueError:
@@ -231,12 +236,12 @@ def theta_series(M: int, c: int, point: tuple[int, int], trunc: int) -> PuiseuxS
     W = _int(trunc, "trunc") - e0
     if W <= 0:
         raise _short_window(trunc, e0, M)
-    g, step, inv, half, carry, sign, schedule = _plan(M, c, x, W)
-    h = g // gcd(g, y)
-    P = [0] * W if h == 1 else [None] * W
-    P[0] = sign if h == 1 else [sign] + [0] * (h - 1)
-    for e, k, r in schedule:
-        _mul_factor(P, h, e, k, r)
+    g = gcd(x, M)  # M at x = 0
+    # every factor exponent is at least u or M - u, u = x, c x mod M (M at
+    # x = 0): a window below them all holds the seed sign alone, at any h
+    u = c * x % M
+    h = g // gcd(g, y) if W > min(x or M, M - x, u or M, M - u) else 1
+    step, inv, half, carry, P = _plan(M, c, x, W, h)
     s, rows, phi = y * half + carry * c * y, _xpow(M), euler_phi(M)
     terms = {}
     for n in range(0, W, g):

@@ -658,8 +658,14 @@ def suite_units(ell: int = 2, N: int = 3, c: int = 5, trunc: int = 40):
         valuation=rat_str(eps.valuation()),
     )
 
+    # both cusp routes take the same cached Xi_c, so each constant term is
+    # also checked division-free, by a route that shares no code with it:
+    # ct (1 - zeta^{cy}) == (-zeta^y)^h (1 - zeta^y)^{c^2}, h = (c - c^2)/2
+    h = (c - c * c) // 2
+    sign = -1 if h % 2 else 1
     for r in (1, 2):
         Mr = ell ** r * N
+        one = CycloElement.rational(Mr, 1)
         for y in range(1, Mr):
             ct = epsilon_cusp_eval(ell, r, N, c, y)
             closed = cusp_value_closed(Mr, c, y)
@@ -667,9 +673,12 @@ def suite_units(ell: int = 2, N: int = 3, c: int = 5, trunc: int = 40):
                 "constant_term": cyclo_to_json(ct),
                 "closed": cyclo_to_json(closed),
             }
+            power = (one - CycloElement.zeta_pow(Mr, y)) ** (c * c)
+            rhs = power * CycloElement.zeta_pow(Mr, h * y) * sign
+            division_free = ct * (one - CycloElement.zeta_pow(Mr, c * y)) == rhs
             yield _row(
                 f"cusp_value_r{r}_y{y}",
-                not miss and cusp_square_check(Mr, c, y),
+                not miss and division_free and cusp_square_check(Mr, c, y),
                 r=r,
                 y=y,
                 **miss,

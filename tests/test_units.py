@@ -752,7 +752,7 @@ def test_float_coordinate_is_not_truncated():
     assert theta_series(6, 5, (7, -5), 12) == theta_series(6, 5, (1, 1), 12)
 
 
-# -- the y-independent plan and the cusp constant, each cached ----------------
+# -- the product, built once per (M, c, x, W, h), and the cusp constant ------
 
 CACHES = (units._plan, units._xi_c_at)
 
@@ -833,16 +833,19 @@ def test_a_point_that_is_not_a_pair_reads_neither_cache(point):
     assert [f.cache_info() for f in CACHES] == before
 
 
-def test_a_mul_factor_mutant_fails_the_units_suite_with_the_plan_warm(monkeypatch):
-    # the plan holds the factor schedule, never a product: with every plan
-    # the suite needs cached, a factor that moves its zeta-slots one too far
-    # still reaches every series with h > 1, and their norm rows fail
+def test_a_mul_factor_mutant_fails_the_units_suite_from_a_cold_plan(monkeypatch):
+    # the plan holds the finished product, so the mutant runs only on a cold
+    # cache: a factor that moves its zeta-slots one too far reaches every
+    # series with h > 1, and their norm rows fail
     assert verify.suite_units()["all_pass"]
-    hits = units._plan.cache_info().hits
     real = units._mul_factor
     monkeypatch.setattr(units, "_mul_factor", lambda P, h, e, k, r: real(P, h, e, k, r + 1))
-    rep = verify.suite_units()
-    assert units._plan.cache_info().hits > hits
+    _clear_caches()
+    try:
+        rep = verify.suite_units()
+        assert units._plan.cache_info().misses > 0
+    finally:
+        _clear_caches()  # no mutant product outlives the test
     assert [r["case"] for r in rep["cases"] if not r["pass"]] == [
         "norm_compatibility_3_to_6",
         "norm_x0_3_to_6",
@@ -850,6 +853,111 @@ def test_a_mul_factor_mutant_fails_the_units_suite_with_the_plan_warm(monkeypatc
         "norm_x0_3_to_9",
         "norm_x0_6_to_18",
     ]
+
+
+def _one_product_grid():
+    """Shuffled (M, c, point, trunc) at c = 5 on levels 12, 24 and 42: every y
+    at x = 1 (h = 1), and at x = 0 and x = the least proper divisor of M two
+    y of each h > 1, each at a window 2M + 3 past its lead."""
+    grid = []
+    for M in (12, 24, 42):
+        d = next(d for d in range(2, M) if M % d == 0)
+        points = [(1, y) for y in range(M)]
+        for x in (0, d):
+            g = gcd(x, M)
+            by_h = {}
+            for y in range(1, M):
+                by_h.setdefault(g // gcd(g, y), []).append(y)
+            points += [(x, y) for h, ys in by_h.items() if h > 1 for y in ys[:2]]
+        grid += [(M, 5, p, units._e0(M, 5, p[0]) + 2 * M + 3) for p in points]
+    Random(34).shuffle(grid)
+    return grid
+
+
+def test_one_product_serves_every_y():
+    grid = _one_product_grid()
+    _clear_caches()
+    warm = [theta_series(*args) for args in grid]
+    assert units._plan.cache_info().hits > 0
+    for args, f in zip(grid, warm):
+        den, num = reference_theta(*args)
+        assert f * den == num, args
+        _clear_caches()
+        assert theta_series(*args) == f, args
+    # the fold reads the shared rows and writes none of them: y1, y2, y1 at
+    # one (M, c, x, W, h) give y1 twice
+    for M, x, y1, y2 in ((12, 1, 1, 5), (12, 0, 1, 5), (42, 2, 1, 3), (24, 0, 2, 10)):
+        trunc = units._e0(M, 5, x) + 2 * M + 3
+        _clear_caches()
+        first = theta_series(M, 5, (x, y1), trunc)
+        assert theta_series(M, 5, (x, y2), trunc) != first
+        assert theta_series(M, 5, (x, y1), trunc) == first
+        assert units._plan.cache_info()[:2] == (2, 1)
+    _clear_caches()
+
+
+def test_one_dense_level_builds_one_product():
+    # the 4 y of one qexp rung of the dense benchmark share x = 1, so h = 1
+    _clear_caches()
+    for y in (1, 5, 7, 11):
+        theta_series(12, 5, (1, y), 80)
+    assert units._plan.cache_info()[:2] == (3, 1)
+    _clear_caches()
+
+
+def test_a_window_below_every_factor_shares_one_product():
+    # the cusp constants' windows (e0 + 4 at x = 0, level 12) hold no factor,
+    # whose exponents there are multiples of 12, so all 11 y share one key
+    _clear_caches()
+    for y in range(1, 12):
+        theta_series(12, 5, (0, y), units._e0(12, 5, 0) + 4)
+    assert units._plan.cache_info()[:2] == (10, 1)
+    # at the least factor exponent E the window still holds none, at E + 1
+    # one, and each y's series is the reference's there
+    for M, x, E in ((12, 0, 12), (12, 4, 4), (42, 6, 6), (24, 9, 3)):
+        for W in (E, E + 1):
+            for y in (1, 2, 3, M - 1):
+                trunc = units._e0(M, 5, x) + W
+                den, num = reference_theta(M, 5, (x, y), trunc)
+                assert theta_series(M, 5, (x, y), trunc) * den == num, (M, x, y, W)
+    _clear_caches()
+
+
+def test_every_units_cache_is_listed_and_bounded():
+    # a cache added later must join CACHES, whose bound and read-before-check
+    # tests then cover it
+    own = {
+        name for name, f in vars(units).items()
+        if hasattr(f, "cache_info") and f.__module__ == units.__name__
+    }
+    assert own == {f.__wrapped__.__name__ for f in CACHES}
+    for f in CACHES:
+        assert 0 < f.cache_info().maxsize < float("inf")
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        lambda real, M, y, c: real(M, y, c) * 2,
+        lambda real, M, y, c: -real(M, y, c),
+        lambda real, M, y, c: real(M, y, c) - 1,
+        lambda real, M, y, c: real(M, -y % M, c),
+        lambda real, M, y, c: real(M, y, c) * CycloElement.zeta_pow(M, y),
+    ],
+    ids=["times_2", "negated", "minus_1", "y_to_minus_y", "times_zeta_y"],
+)
+def test_a_wrong_xi_fails_a_cusp_value_row(monkeypatch, mutant):
+    # both cusp routes read the same Xi_c; the division-free identity
+    # ct (1 - zeta^{cy}) == (-zeta^y)^h (1 - zeta^y)^{c^2} does not
+    real = units._xi_c_at
+    monkeypatch.setattr(units, "_xi_c_at", lambda M, y, c: mutant(real, M, y, c))
+    _clear_caches()
+    try:
+        rep = verify.suite_units()
+    finally:
+        _clear_caches()
+    failed = [r["case"] for r in rep["cases"] if not r["pass"]]
+    assert any(case.startswith("cusp_value_") for case in failed), failed
 
 
 # -- a torsion point is a pair -------------------------------------------------
