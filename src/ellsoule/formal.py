@@ -33,9 +33,16 @@ int arithmetic with one gcd at the end; a Fraction is built only for an
 output coefficient or a residue.  The parity-canonical form of an
 Eisenstein or elliptic symbol, with its sign, is computed once per
 (k, N, c, t) and cached, like the closed residues; `eis_of_psi` reads it
-from a per-(k, N) table.  The symbols are records (`numutil._Record`) whose
-int fields are checked and whose hash is computed once, at construction;
-they, classes and weight functions are immutable values (`numutil._Value`).
+from a per-(k, N) table of every point, filled on first use.  The
+generator reads a per-(k, N) plan (the points, their residue coefficients
+and the pivot), draws each value with `getrandbits` exactly as
+`randrange(-20, 21)` would, and solves the pivot as one dot product.
+
+The symbols are records (`numutil._Record`) whose int fields are checked
+and whose hash is computed once, at construction; they, classes and
+weight functions are immutable values (`numutil._Value`).  Each symbol's
+checks are one function (`_eis_args`, `_soule_args`), which
+`soule_elliptic` and the closed residues call without building a record.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from operator import mul
 from random import Random
 
 from .bernoulli import _bern_ints, _bern_num, _moment_ints
@@ -87,42 +95,62 @@ def _level_N(N) -> int:
     return N
 
 
+def _weight_k(k) -> int:
+    """k, which must be an int >= 0: factorial(k) and c^k need it."""
+    k = _int(k, "weight k")
+    if k < 0:
+        raise ValueError(f"weight k = {k} must be >= 0")
+    return k
+
+
+def _eis_args(k, N, t) -> tuple[int, int, tuple[int, int]]:
+    """The fields of `EisSym(k, N, t)`, checked and normalized, with no
+    record built."""
+    k, N = _weight_k(k), _level_N(N)
+    t = _point(t, N)
+    if t == (0, 0):
+        raise ValueError("Eisenstein symbols need t != (0, 0)")
+    return k, N, t
+
+
+def _soule_args(k, N, c, t) -> tuple[int, int, int, tuple[int, int]]:
+    """The fields of `SouleSym(k, N, c, t)`, checked and normalized, with no
+    record built."""
+    k, N, c = _weight_k(k), _level_N(N), _int(c, "smoothing factor")
+    if c <= 1 or gcd(c, N) != 1:
+        raise ValueError(f"need c > 1 with gcd(c, N) = gcd({c}, {N}) = 1")
+    t = _point(t, N)
+    if t == (0, 0):
+        raise ValueError("elliptic symbols need t != (0, 0)")
+    return k, N, c, t
+
+
 class EisSym(_Record):
-    """Eis(k, N, t); t is normalized mod N and nonzero."""
+    """Eis(k, N, t); k >= 0, and t is normalized mod N and nonzero."""
 
     __slots__ = ("k", "N", "t")
 
     def __init__(self, k: int, N: int, t: tuple[int, int]):
-        k, N = _int(k, "weight k"), _level_N(N)
-        t = _point(t, N)
-        if t == (0, 0):
-            raise ValueError("Eisenstein symbols need t != (0, 0)")
-        self._fix(k, N, t)
+        self._fix(*_eis_args(k, N, t))
 
 
 class SouleSym(_Record):
-    """SouleElliptic(k, N, c, t); c is an int > 1 prime to N, so that c t is
-    again a nonzero N-torsion point."""
+    """SouleElliptic(k, N, c, t); k >= 0, and c is an int > 1 prime to N, so
+    that c t is again a nonzero N-torsion point."""
 
     __slots__ = ("k", "N", "c", "t")
 
     def __init__(self, k: int, N: int, c: int, t: tuple[int, int]):
-        k, N, c = _int(k, "weight k"), _level_N(N), _int(c, "smoothing factor")
-        if c <= 1 or gcd(c, N) != 1:
-            raise ValueError(f"need c > 1 with gcd(c, N) = gcd({c}, {N}) = 1")
-        t = _point(t, N)
-        if t == (0, 0):
-            raise ValueError("elliptic symbols need t != (0, 0)")
-        self._fix(k, N, c, t)
+        self._fix(*_soule_args(k, N, c, t))
 
 
 class CycSym(_Record):
-    """ctilde_{k+1}(zeta_N^b); the stored k is the weight of the source."""
+    """ctilde_{k+1}(zeta_N^b), k >= 0; the stored k is the weight of the source."""
 
     __slots__ = ("k", "N", "b")
 
     def __init__(self, k: int, N: int, b: int):
-        k, N = _int(k, "weight k"), _level_N(N)
+        k, N = _weight_k(k), _level_N(N)
         b = _coord(b, N)
         if b == 0:
             raise ValueError("cyclotomic symbols need b != 0")
@@ -238,12 +266,14 @@ _set_num, _set_den = FormalClass._setters
 
 
 def soule_elliptic(k: int, N: int, c: int, t) -> FormalClass:
-    """The class of the single symbol SouleElliptic(k, N, c, t), checked by
-    `SouleSym` and built from its cached parity-canonical form (the zero
-    class when that vanishes), already in lowest terms over den 1."""
-    sym = SouleSym(k, N, c, t)
-    canon, sign = _canonical_at(sym.k, sym.N, sym.c, sym.t)
-    return _rebuild(FormalClass, ({canon: sign} if sign else {}, 1))
+    """The class of the single symbol SouleElliptic(k, N, c, t), checked as
+    `SouleSym` checks it and built from its cached parity-canonical form (the
+    zero class when that vanishes), already in lowest terms over den 1."""
+    canon, sign = _canonical_at(*_soule_args(k, N, c, t))
+    x = object.__new__(FormalClass)
+    _set_num(x, {canon: sign} if sign else {})
+    _set_den(x, 1)
+    return x
 
 
 def _soule_terms(sym: SouleSym):
@@ -286,13 +316,11 @@ def _eis_residue(k: int, N: int, a: int) -> Fraction:
 def eis_residue_closed(k: int, N: int, t) -> Fraction:
     """res(Eis^k(a, b)) = -(N^k/(k!(k+2))) * B_{k+2}({a/N}).
 
-    Refuses what `EisSym(k, N, t)` refuses (t = (0, 0) raises ValueError),
-    and a weight k < 0 (ValueError).
+    Refuses what `EisSym(k, N, t)` refuses (k < 0 or t = (0, 0) raise
+    ValueError).
     """
-    sym = EisSym(k, N, t)
-    if k < 0:
-        raise ValueError(f"weight k = {k} must be >= 0")
-    return _eis_residue(k, N, sym.t[0])
+    k, N, t = _eis_args(k, N, t)
+    return _eis_residue(k, N, t[0])
 
 
 def residue(x: FormalClass) -> Fraction:
@@ -347,19 +375,26 @@ def residue_soule_closed(k: int, N: int, c: int, t) -> Fraction:
         N^{k+1}/(k!(k+2)) * (c^2 B_{k+2}({a/N}) - c^{-k} B_{k+2}({c a/N})),
 
     built as one Fraction from the moment's int numerator and denominator.
-    Refuses what `SouleSym(k, N, c, t)` refuses (c <= 1, gcd(c, N) != 1 or
-    t = (0, 0) raise ValueError), and a weight k < 0 (ValueError).
+    Refuses what `SouleSym(k, N, c, t)` refuses (k < 0, c <= 1,
+    gcd(c, N) != 1 or t = (0, 0) raise ValueError).
     """
-    sym = SouleSym(k, N, c, t)
-    if k < 0:
-        raise ValueError(f"weight k = {k} must be >= 0")
-    n, d = _moment_ints(k, N, c, sym.t[0])
+    k, N, c, t = _soule_args(k, N, c, t)
+    n, d = _moment_ints(k, N, c, t[0])
     return Fraction(n, c ** k * d * factorial(k))
 
 
 # ---------------------------------------------------------------------------
 # weight functions and the two boundary routes
 # ---------------------------------------------------------------------------
+
+
+def _check_psi_kN(k, N) -> None:
+    """A weight function's rule for its weight and level: ints (not bools)
+    k >= 0 and N >= 1."""
+    if not (type(k) is int and k >= 0 and type(N) is int and N >= 1):
+        raise ValueError(
+            f"weight functions need ints k >= 0, N >= 1; got k = {k!r}, N = {N!r}"
+        )
 
 
 class WeightFunction(_Value):
@@ -374,10 +409,7 @@ class WeightFunction(_Value):
     __slots__ = ("k", "N", "num", "den", "_res")
 
     def __init__(self, k: int, N: int, values: dict):
-        if not (type(k) is int and k >= 0 and type(N) is int and N >= 1):
-            raise ValueError(
-                f"weight functions need ints k >= 0, N >= 1; got k = {k!r}, N = {N!r}"
-            )
+        _check_psi_kN(k, N)
         vals: dict[tuple[int, int], Fraction] = {}
         for t, v in values.items():
             t = _point(t, N)
@@ -413,20 +445,17 @@ _set_res = WeightFunction._res.__set__
 
 @lru_cache(maxsize=None)
 def _eis_points(k: int, N: int) -> dict:
-    """{t: (sym, sign)} = `_canonical_at(k, N, None, t)`, filled per point met."""
-    return {}
+    """{t: (sym, sign)} = `_canonical_at(k, N, None, t)` for every nonzero
+    point t of (Z/N)^2."""
+    return {t: _canonical_at(k, N, None, t) for t in _points(N)}
 
 
 def eis_of_psi(psi: WeightFunction) -> FormalClass:
     """Eis^k(psi) = sum_t psi(t) Eis^k(t) (canonicalized), over psi's den."""
-    k, N = psi.k, psi.N
-    table = _eis_points(k, N)
+    table = _eis_points(psi.k, psi.N)
     out: dict[Symbol, int] = {}
     for t, v in psi.num.items():
-        entry = table.get(t)
-        if entry is None:
-            entry = table[t] = _canonical_at(k, N, None, t)
-        sym, sign = entry
+        sym, sign = table[t]
         if sym is not None:
             out[sym] = out.get(sym, 0) + sign * v
     return FormalClass._make(out, psi.den)
@@ -441,23 +470,22 @@ def _parity_num(k: int, N: int, num: dict) -> dict:
     """The numerators of psi_k over 2 den, for psi = num / den; zero entries
     of num are skipped, so that raw and reduced numerators give the same
     key order."""
-    sign = (-1) ** k
-    minus = _minus(N)
+    sign = -1 if k % 2 else 1
+    negatives = _negatives(N)
     out: dict[tuple[int, int], int] = {}
+    get = out.get
     for t, v in num.items():
-        if not v:
-            continue
-        a, b = t
-        neg = (minus[a], minus[b])
-        out[t] = out.get(t, 0) + v
-        out[neg] = out.get(neg, 0) + sign * v
+        if v:
+            out[t] = get(t, 0) + v
+            neg = negatives[t]
+            out[neg] = get(neg, 0) + sign * v
     return out
 
 
 @lru_cache(maxsize=16)
-def _minus(N: int) -> tuple[int, ...]:
-    """(-a) mod N for 0 <= a < N."""
-    return tuple((-a) % N for a in range(N))
+def _negatives(N: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """{t: -t} over the nonzero points of (Z/N)^2."""
+    return {(a, b): ((-a) % N, (-b) % N) for a, b in _points(N)}
 
 
 @lru_cache(maxsize=None)
@@ -599,31 +627,55 @@ def _points(N: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a in range(N) for b in range(N) if (a, b) != (0, 0))
 
 
-def random_residue_zero_psi(N: int, k: int, rng: Random, parity: bool = True) -> WeightFunction:
-    """A random weight function with residue(Eis^k(psi)) = 0.
-
-    All but one value are drawn uniformly from [-20, 20]; the last is
-    solved exactly at a point t* (with a* != 0 and nonzero residue
-    coefficient) so the single linear residue constraint holds.  When every
-    residue coefficient is 0 (N = 2 at odd k, where B_{k+2} vanishes at 0
-    and 1/2), every value is drawn and there is no t*.  With
-    parity=True the drawn numerators are parity-projected before the one
-    reduction to lowest terms (the result equals `parity_project` of the
-    raw draw, and the projection preserves the residue), so the function has
-    exact parity (-1)^k.
-    """
-    points = _points(N)
+@lru_cache(maxsize=64)
+def _generator_plan(k: int, N: int) -> tuple:
+    """(others, R_row, t*, R*, den) for `random_residue_zero_psi` at (k, N):
+    the nonzero points other than the pivot t* in lexicographic order, their
+    residue coefficients R[a] in that order, t* (the first point with a != 0
+    and R[a] != 0; None when every R[a] is 0), R* = R[a*] and den = |R*|
+    (1 without a pivot)."""
     R, _ = _residue_ints(k, N)
+    points = _points(N)
     t_star = next((t for t in points if t[0] != 0 and R[t[0]]), None)
     if t_star is None and any(R):
         raise ValueError(f"no usable pivot for N={N}, k={k}")
-    # psi(t*) = -sum_{t != t*} psi(t) R[a] / R[a*], over den = |R[a*]|
-    den = abs(R[t_star[0]]) if t_star else 1
-    draw = rng.randrange  # randint(-20, 20) is randrange(-20, 21)
-    num = {t: draw(-20, 21) * den for t in points if t != t_star}
+    others = tuple(t for t in points if t != t_star)
+    R_star = R[t_star[0]] if t_star else None
+    den = abs(R_star) if t_star else 1
+    return others, tuple(R[a] for a, _ in others), t_star, R_star, den
+
+
+def random_residue_zero_psi(N: int, k: int, rng: Random, parity: bool = True) -> WeightFunction:
+    """A random weight function with residue(Eis^k(psi)) = 0.
+
+    k and N must be as `WeightFunction` takes them: ints (not bools) k >= 0
+    and N >= 1 (ValueError).  All but one value are drawn uniformly from
+    [-20, 20]; the last is solved exactly at a point t* (with a* != 0 and
+    nonzero residue coefficient) so the single linear residue constraint
+    holds.  When every residue coefficient is 0 (N = 2 at odd k, where
+    B_{k+2} vanishes at 0 and 1/2), every value is drawn and there is no t*.
+    With parity=True the drawn numerators are parity-projected before the
+    one reduction to lowest terms (the result equals `parity_project` of
+    the raw draw, and the projection preserves the residue), so the function
+    has exact parity (-1)^k.
+
+    Each value is drawn as `rng.randrange(-20, 21)` draws it (getrandbits(6),
+    drawn again while it is >= 41), so the values and the state of rng
+    afterwards are the same.
+    """
+    _check_psi_kN(k, N)
+    others, R_row, t_star, R_star, den = _generator_plan(k, N)
+    getrandbits = rng.getrandbits
+    vals = []
+    for _ in others:
+        v = getrandbits(6)
+        while v >= 41:
+            v = getrandbits(6)
+        vals.append(v - 20)
+    num = dict(zip(others, [v * den for v in vals]))
     if t_star:
-        partial = sum(v * R[a] for (a, _), v in num.items())
-        num[t_star] = -partial // R[t_star[0]]
+        # psi(t*) = -sum_{t != t*} psi(t) R[a] / R[a*], over den = |R[a*]|
+        num[t_star] = -sum(map(mul, vals, R_row)) * den // R_star
     if parity:
         return WeightFunction._from_num(k, N, _parity_num(k, N, num), 2 * den)
     return WeightFunction._from_num(k, N, num, den)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -96,6 +97,36 @@ def test_verify_units_and_residues_bytes_are_pinned(suite, fmt, digest):
     out = subprocess.run(CMD + argv, capture_output=True, timeout=300)  # raw bytes
     assert out.returncode == 0
     assert hashlib.sha256(out.stdout).hexdigest() == digest
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+def _rational_argv(key: str) -> list[str]:
+    """The command line of a `verify` or `residue-table` reference key."""
+    cmd, *fields = key.split(":")
+    if cmd == "verify":
+        suite, seed = fields
+        return ["verify", "--suite", suite, "--seed", seed.removeprefix("seed")]
+    N, k = fields
+    return ["residue-table", "--N", N.removeprefix("N"), "--k", k.removeprefix("k")]
+
+
+def test_every_rational_cli_document_matches_its_reference_digest():
+    # the benchmark's frozen digests of the exact-rational documents: verify
+    # dir, moments, tsym, measures and bernoulli at seeds 0-7, and the three
+    # residue tables, each run in process on the library's shared caches
+    digests = json.loads(REFERENCE.read_text())["digests"]
+    keys = [key for key in digests if not key.startswith("qexp:")]
+    assert len(keys) == 43
+    wrong = []
+    for key in keys:
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = cli.main(_rational_argv(key))
+        if code != 0 or hashlib.sha256(buf.getvalue().encode()).hexdigest() != digests[key]:
+            wrong.append((key, code))
+    assert wrong == []
 
 
 @pytest.mark.parametrize(

@@ -401,6 +401,66 @@ def test_generator_without_a_pivot_raises_only_for_a_nonzero_residue():
         random_residue_zero_psi(1, 0, Random(0))
 
 
+@pytest.mark.parametrize("N, k", [(0, 2), (-3, 2), (3, True), (True, 2), (3, -1), (3, 2.0)])
+def test_generator_refuses_what_weight_functions_refuse(N, k):
+    # (0, 2) and (-3, 2) returned WeightFunction(k=2, N=0, {}), k = True was
+    # stored as the weight, and k = -1 leaked factorial()'s message
+    with pytest.raises(ValueError, match="weight functions need ints k >= 0, N >= 1"):
+        WeightFunction(k, N, {})
+    rng = Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="weight functions need ints k >= 0, N >= 1"):
+        random_residue_zero_psi(N, k, rng)
+    assert rng.getstate() == state
+
+
+def _reference_generator(N, k, rng, parity=True):
+    """The generator as it drew with `rng.randrange(-20, 21)`, its pivot
+    solved over a fresh point list and its parity projection written out."""
+    points = [(a, b) for a in range(N) for b in range(N) if (a, b) != (0, 0)]
+    R, _ = formal._residue_ints(k, N)
+    t_star = next((t for t in points if t[0] != 0 and R[t[0]]), None)
+    if t_star is None and any(R):
+        raise ValueError(f"no usable pivot for N={N}, k={k}")
+    den = abs(R[t_star[0]]) if t_star else 1
+    num = {t: rng.randrange(-20, 21) * den for t in points if t != t_star}
+    if t_star:
+        partial = sum(v * R[a] for (a, _), v in num.items())
+        num[t_star] = -partial // R[t_star[0]]
+    if not parity:
+        return WeightFunction._from_num(k, N, num, den)
+    sign = (-1) ** k
+    out = {}
+    for (a, b), v in num.items():
+        if v:
+            neg = ((-a) % N, (-b) % N)
+            out[(a, b)] = out.get((a, b), 0) + v
+            out[neg] = out.get(neg, 0) + sign * v
+    return WeightFunction._from_num(k, N, out, 2 * den)
+
+
+@pytest.mark.parametrize("parity", [True, False])
+@pytest.mark.parametrize("N", range(1, 9))
+def test_generator_keeps_the_randrange_stream(N, parity):
+    # the draws, their key order, every refusal and the rng state afterwards
+    def outcome(generator, rng):
+        try:
+            return generator(N, k, rng, parity)
+        except ValueError as e:
+            return str(e)
+
+    for k in range(8):
+        ours, ref = Random(f"stream:{N}:{k}"), Random(f"stream:{N}:{k}")
+        for _ in range(20):
+            got = outcome(random_residue_zero_psi, ours)
+            want = outcome(_reference_generator, ref)
+            assert got == want
+            if not isinstance(want, str):
+                assert got.den == want.den
+                assert list(got.num.items()) == list(want.num.items())
+            assert ours.getstate() == ref.getstate()
+
+
 @st.composite
 def grid_psis(draw, k=st.integers(1, 5)):
     """(psi, cpair, psi with its residue cancelled at a pivot) on DIR_GRID."""
@@ -859,6 +919,19 @@ def test_negative_weights_are_rejected_naming_k(k):
         eis_residue_closed(k, 3, (1, 0))
     with pytest.raises(ValueError, match=f"k = {k}"):
         residue_table(3, k)
+    # the symbols took k < 0: residue and rewrite_soule of soule_elliptic(-1,
+    # ...) raised TypeError from a float c ** k, and residue of an EisSym
+    # class leaked factorial()'s message
+    for build in (
+        lambda: EisSym(k, 3, (1, 0)),
+        lambda: SouleSym(k, 3, 5, (1, 0)),
+        lambda: CycSym(k, 3, 1),
+        lambda: residue(soule_elliptic(k, 3, 5, (1, 0))),
+        lambda: rewrite_soule(soule_elliptic(k, 3, 5, (1, 0))),
+        lambda: residue(FormalClass({EisSym(k, 3, (1, 0)): 1})),
+    ):
+        with pytest.raises(ValueError, match=f"weight k = {k} must be >= 0"):
+            build()
 
 
 def _refusal(f, *args):

@@ -13,13 +13,14 @@ import io
 import sys
 from contextlib import redirect_stderr
 from fractions import Fraction
+from random import Random
 
 from ellsoule.bernoulli import bern_eval, bernoulli_moment_closed
 from ellsoule.cli import main
 from ellsoule.cyclotomic import CycloElement
 from ellsoule.formal import (
     CycSym, EisSym, FormalClass, SouleSym, WeightFunction, eis_residue_closed,
-    residue_soule_closed, residue_table,
+    random_residue_zero_psi, residue_soule_closed, residue_table, soule_elliptic,
 )
 from ellsoule.measures import GroupSpec, Measure, TorsorSpec, dirac, pushforward
 from ellsoule.numutil import exact_rational, vp
@@ -176,6 +177,16 @@ rejects(ValueError, residue_soule_closed, 2, 3, 1, (1, 0), names="c > 1")
 rejects(ValueError, residue_soule_closed, 2, 3, 5, (3, -3), names="(0, 0)")
 rejects(ValueError, residue_soule_closed, -1, 3, 5, (1, 0), names="k = -1")
 rejects(ValueError, eis_residue_closed, 2, 3, (0, 3), names="(0, 0)")
+# symbols refuse a negative weight: residue(soule_elliptic(-1, ...)) raised
+# TypeError from a float c ** k
+rejects(ValueError, EisSym, -1, 3, (1, 0), names="k = -1")
+rejects(ValueError, SouleSym, -1, 3, 5, (1, 0), names="k = -1")
+rejects(ValueError, CycSym, -1, 3, 1, names="k = -1")
+rejects(ValueError, soule_elliptic, -1, 3, 5, (1, 0), names="k = -1")
+# the generator refuses what WeightFunction refuses: (N, k) = (0, 2) and
+# (-3, 2) returned a weight function at a level N <= 0
+for N, k in ((0, 2), (-3, 2), (3, True), (3, -1)):
+    rejects(ValueError, random_residue_zero_psi, N, k, Random(0), names="k >= 0, N >= 1")
 # closed moments name the argument instead of raising ZeroDivisionError or
 # "integer modulo by zero"
 rejects(ValueError, bernoulli_moment_closed, -2, 3, 7, 1, names="k = -2")
