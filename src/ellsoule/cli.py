@@ -44,7 +44,9 @@ per write, so neither a dict of the series nor the whole text is built;
 every other JSON document is written by `_dumps`, whose output equals
 `json.dumps(obj, indent=2)`.
 
-Every subcommand and flag is declared once, in `_COMMANDS`.  `main` reads a
+Every subcommand and flag is declared once, in `_COMMANDS`; a `verify` flag
+takes its default from `verify.FLAGS`, the signature of `run_suites`, and
+its help text renders it (`%(default)s`).  `main` reads a
 well-formed argv straight from it: a command name or alias, then exact
 `--name value` pairs and store_true flags (see `_read`).  argparse, its
 parser built from the same table, takes every other argv
@@ -70,7 +72,7 @@ from .formal import (ResiduePreconditionError, _check_me_factor, _small_table, c
 from .numutil import _Value, rat_str
 from .serialize import formal_to_json, psi_from_json, series_json
 from .units import _check_theta_args, _short_window, eta_exponent, theta_qexp
-from .verify import SUITE_NAMES, _check_suites, run_suites
+from .verify import FLAGS, SUITE_NAMES, _check_suites, run_suites
 
 __all__ = ["build_parser", "main"]
 
@@ -195,9 +197,10 @@ def _scalar(o) -> str:
 def _verify_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if report["suite"] == "bernoulli" and report["cases"][-1]["case"] != "bernoulli_raised":
-        # the row's own fields, in the order _row writes them; a raised row
-        # has other fields, so its report takes the generic layout below
+    if report["suite"] == "bernoulli" and all(row["pass"] for row in report["cases"]):
+        # the row's own fields, in the order _row writes them; a failing row
+        # also carries the suite's flags, and a raised row other fields, so a
+        # report that holds either takes the generic layout below
         cols = [k for k in report["cases"][0] if k not in ("case", "pass")]
         writer.writerow(cols)
         writer.writerows([row[k] for k in cols] for row in report["cases"])
@@ -236,14 +239,14 @@ def _cmd_verify(args) -> Callable[[], tuple]:
     _check_level_and_c(args.ell, args.rmax, args.N, args.c, "--rmax", cap)
     if "units" in names:  # its cusp rows are at level ell^2 * N
         _check_level_and_c(args.ell, 2, args.N, args.c, "2", cap)
-    params = {k: getattr(args, k) for k in ("ell", "N", "c", "rmax", "kmax", "trunc")}
+    params = {k: getattr(args, k) for k in FLAGS}
     _check_suites(names, **params)
     return lambda: _verify(args, names, params)
 
 
 def _verify(args, names, params) -> tuple[list[str], int]:
     started = time.perf_counter()
-    report = run_suites(names, **params, seed=args.seed)
+    report = run_suites(names, **params)
     if args.timing:
         report["timing"] = {"elapsed_s": round(time.perf_counter() - started, 3)}
     write = _verify_csv if args.format == "csv" else _dumps
@@ -374,14 +377,18 @@ class _Command(_Value):
 _COMMANDS = (
     _Command("verify", "run self-verification suites", _cmd_verify, (
         _Flag("--suite", str, "all", "which suite to run (default: all)", SUITE_NAMES + ("all",)),
-        _Flag("--ell", int, 2, "prime ell (default 2)"),
-        _Flag("--N", int, 3, "tame level N (default 3)"),
-        _Flag("--c", int, 5, f"smoothing factor, |c| at most {MAX_C} (default 5)"),
-        _Flag("--rmax", int, 2, f"largest level r (default 2); the level ell^rmax * N is at most "
-              f"{MAX_LEVEL}, and {MAX_RESIDUES_LEVEL} when residues or units (ell^2 * N too) runs"),
-        _Flag("--kmax", int, 4, f"largest weight k, at most {MAX_WEIGHT} (default 4)"),
-        _Flag("--trunc", int, 40, f"q-expansion window, at most {MAX_WINDOW} (default 40)"),
-        _Flag("--seed", int, 0, "RNG seed (default 0)"),
+        _Flag("--ell", int, FLAGS["ell"], "prime ell (default %(default)s)"),
+        _Flag("--N", int, FLAGS["N"], "tame level N (default %(default)s)"),
+        _Flag("--c", int, FLAGS["c"],
+              f"smoothing factor, |c| at most {MAX_C} (default %(default)s)"),
+        _Flag("--rmax", int, FLAGS["rmax"], "largest level r (default %(default)s); the level "
+              f"ell^rmax * N is at most {MAX_LEVEL}, and {MAX_RESIDUES_LEVEL} when residues or units "
+              "(ell^2 * N too) runs"),
+        _Flag("--kmax", int, FLAGS["kmax"],
+              f"largest weight k, at most {MAX_WEIGHT} (default %(default)s)"),
+        _Flag("--trunc", int, FLAGS["trunc"],
+              f"q-expansion window, at most {MAX_WINDOW} (default %(default)s)"),
+        _Flag("--seed", int, FLAGS["seed"], "RNG seed (default %(default)s)"),
         _Flag("--out", str, None, "write the report to FILE", metavar="FILE"),
         _Flag("--format", str, "json", "report format", ("json", "csv")),
         _Flag("--timing", bool, False, "include wall-clock time in the report (off by default "

@@ -3,8 +3,9 @@ package, cross-checked by independent routes and reported as deterministic
 pass/fail case lists.
 
 Each suite body is a generator of rows whose parameters are the `verify`
-flags it reads, under their names; `_suite` makes it a function that
-returns the plain dict
+flags it reads, under their names and with no defaults of their own (an
+omitted flag takes `run_suites`' default); `_suite` makes it a function
+that returns the plain dict
 
     {"suite": name, "cases": [...], "summary": {...}, "all_pass": bool}
 
@@ -82,6 +83,7 @@ __all__ = [
     "suite_dir",
     "run_suites",
     "SUITE_NAMES",
+    "FLAGS",
 ]
 
 def _row(case: str, ok: bool, **fields) -> dict:
@@ -95,39 +97,39 @@ def _row(case: str, ok: bool, **fields) -> dict:
 _PARAMS: dict[str, tuple[str, ...]] = {}
 
 
-def _suite(name: str, carry: tuple[str, ...] = ()):
-    """Make a generator of rows a suite that returns their report, under the
-    one failure policy: any exception ends the suite with one failing row,
-    `<name>_raised`, after the rows already yielded.  It carries the exception
-    text (`error`), the last case yielded (`after`, else None) and the suite's
-    arguments, the `verify` flags it reads.  A failing yielded row also
-    carries the arguments named in `carry` (the seed, and kmax where the
-    suite takes it), right after its case, so it can be repeated; a passing
-    row is kept as yielded.  `run_suites` refuses bad input before any
+def _suite(name: str):
+    """Make a generator of rows a suite that returns their report.  The
+    generator's parameters are the `verify` flags it reads; a flag not given
+    takes its `run_suites` default (`FLAGS`), and an argument the generator
+    does not take raises TypeError before any row.
+
+    One rule for a failing row: right after its case it carries all of the
+    suite's flags, as given, so that they repeat it; a passing row is kept as
+    yielded.  One failure policy: any exception ends the suite with one
+    failing row, `<name>_raised`, after the rows already yielded, which
+    carries the flags, then the exception text (`error`) and the last case
+    yielded (`after`, else None).  `run_suites` refuses bad input before any
     suite runs."""
 
     def wrap(gen):
         names = _PARAMS[name] = gen.__code__.co_varnames[: gen.__code__.co_argcount]
-        defaults = dict(zip(reversed(names), reversed(gen.__defaults__ or ())))
 
         @wraps(gen)
         def run(*args, **kwargs):
-            given = {**defaults, **dict(zip(names, args)), **kwargs}
-            repro = {n: given[n] for n in carry}
-            cases, rows = gen(*args, **kwargs), []
+            kwargs = {n: FLAGS[n] for n in names[len(args):]} | kwargs
+            cases, rows = gen(*args, **kwargs), []  # binds, or raises TypeError
+            flags = dict(zip(names, args)) | kwargs  # all of names, in order
             try:
                 for row in cases:
-                    if repro and not row["pass"]:
-                        row = {"case": row["case"], **repro, **row}
-                    rows.append(row)
+                    rows.append(row if row["pass"] else {"case": row["case"], **flags, **row})
             except Exception as e:  # a library fault is a failing row, not a crash
                 rows.append(
                     _row(
                         f"{name}_raised",
                         False,
+                        **flags,
                         error=f"{type(e).__name__}: {e}",
                         after=rows[-1]["case"] if rows else None,
-                        **{n: given[n] for n in names},
                     )
                 )
             passed = sum(1 for r in rows if r["pass"])
@@ -148,8 +150,8 @@ def _suite(name: str, carry: tuple[str, ...] = ()):
 # ---------------------------------------------------------------------------
 
 
-@_suite("tsym", carry=("seed", "kmax"))
-def suite_tsym(kmax: int = 6, seed: int = 0):
+@_suite("tsym")
+def suite_tsym(seed: int, kmax: int):
     """Divided-power laws up to degree max(kmax, 6)."""
     kmax = max(kmax, 6)
     rng = Random(f"tsym:{seed}")
@@ -240,8 +242,8 @@ def suite_tsym(kmax: int = 6, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
-@_suite("measures", carry=("seed",))
-def suite_measures(seed: int = 0):
+@_suite("measures")
+def suite_measures(seed: int):
     rng = Random(f"measures:{seed}")
 
     z6 = GroupSpec(6)
@@ -367,8 +369,8 @@ def _random_measure(spec, rng: Random, npts: int = 3) -> Measure:
     return Measure(spec, {p: rng.randint(-9, 9) for p in pts})
 
 
-@_suite("moments", carry=("seed", "kmax"))
-def suite_moments(seed: int = 0, kmax: int = 4):
+@_suite("moments")
+def suite_moments(seed: int, kmax: int):
     rng = Random(f"moments:{seed}")
 
     # point masses: the moment is the divided power of the coordinates
@@ -595,7 +597,7 @@ def suite_bernoulli(ell: int, N: int, c: int, rmax: int, kmax: int):
 
 
 @_suite("units")
-def suite_units(ell: int = 2, N: int = 3, c: int = 5, trunc: int = 40):
+def suite_units(ell: int, N: int, c: int, trunc: int):
     M = ell * N  # level at r = 1
 
     f = theta_qexp(ell, 1, N, c, (1, 0), trunc)
@@ -623,11 +625,9 @@ def suite_units(ell: int = 2, N: int = 3, c: int = 5, trunc: int = 40):
                 }
     yield _row(f"theta_valuations_level{M}", not miss, level=M, **miss)
 
-    yield _row(
-        "residue_matches_smoothed_measure",
-        residue_elliptic_soule(ell, 1, N, c, (1, 1))
-        == bernoulli_measure(ell, 1, N, c, 1),
-    )
+    got = residue_elliptic_soule(ell, 1, N, c, (1, 1))
+    want = bernoulli_measure(ell, 1, N, c, 1)
+    yield _row("residue_matches_smoothed_measure", got == want, **_first_difference(got, want))
 
     # x = 1 keeps its windows 12 and 24 where they pass the base's leading
     # exponent 2 e0 (in q^{1/2 base}), and else runs that far past it.  At
@@ -709,7 +709,7 @@ def _first_difference(got: Measure, want: Measure) -> dict:
 
 
 @_suite("residues")
-def suite_residues(ell: int = 2, N: int = 3, c: int = 5, rmax: int = 2):
+def suite_residues(ell: int, N: int, c: int, rmax: int):
     """The residue route against the Bernoulli measure at every t != (0, 0),
     for r = 1 .. rmax and then the degenerate r = 0."""
     for r in (*range(1, rmax + 1), 0):
@@ -739,10 +739,11 @@ DIR_GRID = ((3, (7, 13)), (4, (5, 13)), (5, (11, 31)))
 DIR_COUNT = 50  # seeded residue-zero weight functions per (N, k) of DIR_GRID
 
 
-def _first_miss(seed: int, psis: list, check) -> dict:
-    """{} if check(i, psis[i]) holds for every i; else the seed, the index of
-    the first failing psi and that psi, to reproduce the row.  A check that
-    raises fails too, and the row also carries the exception text."""
+def _first_miss(psis: list, check) -> dict:
+    """{} if check(i, psis[i]) holds for every i; else the index of the first
+    failing psi and that psi, which with the suite's seed reproduce the row.
+    A check that raises fails too, and the row also carries the exception
+    text."""
     for i, p in enumerate(psis):
         try:
             if check(i, p):
@@ -750,27 +751,36 @@ def _first_miss(seed: int, psis: list, check) -> dict:
             error = {}
         except Exception as e:  # a raising route is a failing row, not a crash
             error = {"error": f"{type(e).__name__}: {e}"}
-        return {"seed": seed, "index": i, "psi": psi_to_json(p), **error}
+        return {"index": i, "psi": psi_to_json(p), **error}
+    return {}
+
+
+def _first_soule_miss(k: int, N: int, c: int) -> dict:
+    """{} if the closed residue of the smoothed symbol at every t = (a, b) !=
+    (0, 0) mod N equals the residue of its expansion; else the first t that
+    differs, with both values.  The closed value reads a only: it is computed
+    once per a, at a nonzero point."""
+    for a in range(N):
+        closed = residue_soule_closed(k, N, c, (a, 0) if a else (0, 1))
+        for b in range(N):
+            if (a, b) == (0, 0):
+                continue
+            expansion = residue(soule_elliptic(k, N, c, (a, b)))
+            if expansion != closed:
+                return {"t": [a, b], "closed": rat_str(closed), "expansion": rat_str(expansion)}
     return {}
 
 
 @_suite("dir")
-def suite_dir(seed: int = 0, kmax: int = 5):
-
+def suite_dir(seed: int, kmax: int):
     # closed residues of smoothed symbols match their expansions
     for N in (2, 3, 4, 5):
         for k in range(1, 7):
             for c in (5, 7, 11, 13):
                 if gcd(c, N) != 1:
                     continue
-                ok = True
-                for a in range(N):
-                    # the closed value reads a only: one per a, at a nonzero point
-                    closed = residue_soule_closed(k, N, c, (a, 0) if a else (0, 1))
-                    for b in range(N):
-                        if (a, b) != (0, 0) and residue(soule_elliptic(k, N, c, (a, b))) != closed:
-                            ok = False
-                yield _row(f"soule_residue_closed_N{N}_k{k}_c{c}", ok)
+                miss = _first_soule_miss(k, N, c)
+                yield _row(f"soule_residue_closed_N{N}_k{k}_c{c}", not miss, **miss)
 
     spot = eis_residue_closed(2, 3, (1, 0))
     yield _row(
@@ -785,11 +795,11 @@ def suite_dir(seed: int = 0, kmax: int = 5):
             rng = Random(f"dir:{seed}:{N}:{k}")
             psis = [random_residue_zero_psi(N, k, rng) for _ in range(DIR_COUNT)]
             # the symbol route, independent of the functional the generator solves with
-            miss = _first_miss(seed, psis, lambda i, p: residue(eis_of_psi(p)) == 0)
+            miss = _first_miss(psis, lambda i, p: residue(eis_of_psi(p)) == 0)
             yield _row(f"residue_zero_N{N}_k{k}", not miss, count=DIR_COUNT, **miss)
             closed = cache(lambda i: dir_closed(psis[i]))  # shared by both c
             for c in cpair:
-                miss = _first_miss(seed, psis, lambda i, p: closed(i) == dir_via_me(p, c))
+                miss = _first_miss(psis, lambda i, p: closed(i) == dir_via_me(p, c))
                 yield _row(
                     f"two_route_N{N}_k{k}_c{c}",
                     not miss,
@@ -803,9 +813,7 @@ def suite_dir(seed: int = 0, kmax: int = 5):
                 random_residue_zero_psi(N, k, rng, parity=False) for _ in range(5)
             ]
             miss = _first_miss(
-                seed,
-                raw,
-                lambda i, p: cyc_symmetrize(dir_closed(p), k) == dir_via_me(p, cpair[0]),
+                raw, lambda i, p: cyc_symmetrize(dir_closed(p), k) == dir_via_me(p, cpair[0])
             )
             yield _row(f"raw_symmetrized_N{N}_k{k}", not miss, c=cpair[0], count=5, **miss)
 
@@ -848,10 +856,13 @@ def suite_dir(seed: int = 0, kmax: int = 5):
 SUITE_NAMES = tuple(_PARAMS)
 
 
-def _check_suites(names, ell: int, N: int, c: int, rmax: int, kmax: int, trunc: int) -> None:
+def _check_suites(
+    names, ell: int, N: int, c: int, rmax: int, kmax: int, trunc: int, seed: int
+) -> None:
     """`run_suites`' refusals, each a ValueError: rmax or kmax below 1, an
     unknown suite, an (ell, N, c) outside `_family`, or a units --trunc not
-    past the leading exponent of its spot expansion."""
+    past the leading exponent of its spot expansion.  It takes every `verify`
+    flag, as `run_suites` does; any seed is admitted."""
     for flag, value in (("rmax", rmax), ("kmax", kmax)):
         if value < 1:
             raise ValueError(f"--{flag} must be at least 1, got {value}")
@@ -876,15 +887,17 @@ def run_suites(
     seed: int = 0,
 ) -> dict:
     """Run the named suites with the `verify` flags as parameters: each
-    suite is called with the flags it takes, under their names.
+    suite is called with the flags it takes, under their names.  This
+    signature is the one declaration of the flags and their defaults
+    (`FLAGS`).
 
     The dir suite keeps its own admissible grid (its smoothing factors must
     be 1 mod N); the suites that take c restrict to the requested (ell, N, c)
     family.  Every refusal (`_check_suites`) is a ValueError raised before
     any suite runs.
     """
-    _check_suites(names, ell, N, c, rmax, kmax, trunc)
     params = dict(ell=ell, N=N, c=c, rmax=rmax, kmax=kmax, trunc=trunc, seed=seed)
+    _check_suites(names, **params)
     # looked up at call time, so a rebinding of `suite_<name>` is the one run
     reports = [globals()[f"suite_{n}"](**{p: params[p] for p in _PARAMS[n]}) for n in names]
     if len(reports) == 1:
@@ -897,3 +910,9 @@ def run_suites(
         "summary": {"total": total, "passed": passed, "failed": total - passed},
         "all_pass": passed == total,
     }
+
+
+# the `verify` flags -> their defaults, read off `run_suites`' signature, the
+# one place they are written: a suite not given a flag, and the `verify`
+# command's parser, take it from here
+FLAGS = dict(zip(run_suites.__code__.co_varnames[1:], run_suites.__defaults__))

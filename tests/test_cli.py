@@ -550,6 +550,27 @@ def test_a_raising_bernoulli_check_is_written_as_generic_csv(monkeypatch, tmp_pa
     }
 
 
+def test_a_failing_bernoulli_report_is_written_as_generic_csv(monkeypatch, tmp_path):
+    # a failing row leads with the suite's flags, which the bernoulli layout
+    # has no column for: the report takes the generic layout and keeps every
+    # field of every row
+    real = verify.bernoulli_moment_closed
+    monkeypatch.setattr(verify, "bernoulli_moment_closed",
+                        lambda k, N, c, t: real(k, N, c, t) + (k == 2))
+    out = tmp_path / "report.csv"
+    argv = ["verify", "--suite", "bernoulli", "--kmax", "2", "--format", "csv", "--out", str(out)]
+    assert cli.main(argv) == 1
+    rep = verify.run_suites(["bernoulli"], kmax=2)
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert rows[0] == ["suite", "case", "pass", "details"]
+    assert [[r[1], r[2], json.loads(r[3])] for r in rows[1:]] == [
+        [row["case"], str(row["pass"]), {k: v for k, v in row.items() if k not in ("case", "pass")}]
+        for row in rep["cases"]
+    ]
+    failing = [json.loads(r[3]) for r in rows[1:] if r[2] == "False"]
+    assert failing and all(d["k"] == 2 and d["rmax"] == 2 and d["kmax"] == 2 for d in failing)
+
+
 @pytest.mark.parametrize("suite", ["bernoulli", "units", "residues"])
 def test_verify_rejects_non_prime_ell_with_one_message(suite):
     # the torsor check (bernoulli) and the level check (units, residues) agree

@@ -993,6 +993,10 @@ def test_a_failing_valuation_row_names_its_point(monkeypatch):
     [row] = [r for r in verify.suite_units()["cases"] if r["case"] == "theta_valuations_level6"]
     assert row == {
         "case": "theta_valuations_level6",
+        "ell": 2,
+        "N": 3,
+        "c": 5,
+        "trunc": 40,
         "level": 6,
         "point": [0, 1],
         "valuation": "13/6",
@@ -1019,4 +1023,30 @@ def test_a_failing_residue_row_names_its_fiber_point(monkeypatch):
         "fiber_point": [4],
         "residue_value": str(value),
         "bernoulli_value": str(value + 1),
+    }
+
+
+def test_the_smoothed_measure_row_names_its_first_difference(monkeypatch):
+    # negative control: the residue route one heavier at the last point of
+    # the fiber; the units row fails there, names it and carries the flags
+    real = verify.residue_elliptic_soule
+
+    def heavier(ell, r, N, c, t):
+        mu = real(ell, r, N, c, t)
+        return mu + Measure(mu.spec, {max(torsor_elements(mu.spec)): 1})
+
+    monkeypatch.setattr(verify, "residue_elliptic_soule", heavier)
+    rows = {r["case"]: r for r in verify.suite_units(2, 3, 7, 40)["cases"]}
+    assert [case for case, r in rows.items() if not r["pass"]] == ["residue_matches_smoothed_measure"]
+    value = bernoulli_measure(2, 1, 3, 7, 1)((4,))
+    assert rows["residue_matches_smoothed_measure"] == {
+        "case": "residue_matches_smoothed_measure",
+        "ell": 2,
+        "N": 3,
+        "c": 7,
+        "trunc": 40,
+        "fiber_point": [4],
+        "residue_value": str(value + 1),
+        "bernoulli_value": str(value),
+        "pass": False,
     }

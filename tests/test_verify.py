@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ellsoule.verify as verify
+from ellsoule import cli
 from ellsoule.formal import CycSym, FormalClass, random_residue_zero_psi
+from ellsoule.measures import Measure, torsor_elements
+from ellsoule.numutil import rat_str
 from ellsoule.serialize import psi_to_json
 from ellsoule.verify import SUITE_NAMES, run_suites, suite_bernoulli, suite_dir, suite_moments
 
@@ -149,9 +152,22 @@ def test_a_wrong_closed_residue_at_one_a_fails_its_row(monkeypatch):
         return out + 1 if (k, N, c, t[0] % N) == (2, 5, 7, 3) else out
 
     monkeypatch.setattr(verify, "residue_soule_closed", wrong_at_a3)
-    rows = _soule_rows(suite_dir(kmax=1))
+    rep = suite_dir(kmax=1)
+    rows = _soule_rows(rep)
     assert len(rows) == 90
     assert [case for case, ok in rows.items() if not ok] == ["soule_residue_closed_N5_k2_c7"]
+    # the row names the first failing point, t = (3, 0), with both residues
+    [row] = [r for r in rep["cases"] if r["case"] == "soule_residue_closed_N5_k2_c7"]
+    value = real(2, 5, 7, (3, 0))
+    assert row == {
+        "case": "soule_residue_closed_N5_k2_c7",
+        "seed": 0,
+        "kmax": 1,
+        "t": [3, 0],
+        "closed": rat_str(value + 1),
+        "expansion": rat_str(value),
+        "pass": False,
+    }
 
 
 def test_a_wrong_expansion_at_one_point_fails_its_row(monkeypatch):
@@ -294,7 +310,7 @@ def test_the_valuation_row_names_its_level():
 
 
 # every `verify` flag, each away from its default
-FLAGS = dict(ell=3, N=4, c=7, rmax=1, kmax=2, trunc=30, seed=5)
+NON_DEFAULT = dict(ell=3, N=4, c=7, rmax=1, kmax=2, trunc=30, seed=5)
 
 
 def _suite_params(name):
@@ -304,15 +320,18 @@ def _suite_params(name):
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_a_suite_takes_only_verify_flags(name):
     flags = tuple(inspect.signature(run_suites).parameters)[1:]
-    assert flags == tuple(FLAGS) and set(_suite_params(name)) <= set(flags)
+    assert flags == tuple(NON_DEFAULT) and set(_suite_params(name)) <= set(flags)
+    # a suite declares no default of its own: an omitted flag is run_suites'
+    params = inspect.signature(getattr(verify, f"suite_{name}")).parameters.values()
+    assert all(p.default is inspect.Parameter.empty for p in params)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_run_suites_calls_a_suite_with_its_flags(name):
     suite = getattr(verify, f"suite_{name}")
-    direct = suite(**{p: FLAGS[p] for p in _suite_params(name)})
+    direct = suite(**{p: NON_DEFAULT[p] for p in _suite_params(name)})
     assert direct["all_pass"]
-    assert run_suites([name], **FLAGS) == direct
+    assert run_suites([name], **NON_DEFAULT) == direct
 
 
 @pytest.mark.parametrize(
@@ -329,11 +348,11 @@ def test_a_raised_row_carries_the_flags_that_repeat_it(monkeypatch, name, route,
         raise ArithmeticError("mutant")
 
     monkeypatch.setattr(verify, route, raises)
-    rep = run_suites([name], **FLAGS)
+    rep = run_suites([name], **NON_DEFAULT)
     [row] = rep["cases"]
     assert row["case"] == f"{name}_raised" and row["error"] == "ArithmeticError: mutant"
-    assert list(row) == ["case", "error", "after", *carried, "pass"]
-    assert {k: row[k] for k in carried} == {k: FLAGS[k] for k in carried}
+    assert list(row) == ["case", *carried, "error", "after", "pass"]
+    assert {k: row[k] for k in carried} == {k: NON_DEFAULT[k] for k in carried}
     assert run_suites([name], **{k: row[k] for k in carried}) == rep
 
 
@@ -346,3 +365,83 @@ def test_a_failing_tsym_row_carries_the_kmax_run_suites_was_given(monkeypatch):
     failed = [r for r in rep["cases"] if not r["pass"]]
     assert failed and {(r["seed"], r["kmax"]) for r in failed} == {(3, 4)}
     assert run_suites(["tsym"], seed=failed[0]["seed"], kmax=failed[0]["kmax"]) == rep
+
+
+def test_the_verify_defaults_are_declared_once():
+    # the parser and the plain-argv reader take the defaults from run_suites
+    assert tuple(verify.FLAGS) == tuple(inspect.signature(run_suites).parameters)[1:]
+    for args in (cli.build_parser().parse_args(["verify"]), cli._read(["verify"])):
+        assert {k: getattr(args, k) for k in verify.FLAGS} == verify.FLAGS
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_a_suite_called_bare_runs_the_verify_defaults(name):
+    assert getattr(verify, f"suite_{name}")() == run_suites([name])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify.suite_tsym(seed=0, c=5),
+        lambda: verify.suite_measures(0, 1),
+        lambda: verify.suite_dir(0, seed=1),
+        lambda: verify.suite_units(nosuch=1),
+    ],
+    ids=["unknown-flag", "too-many", "given-twice", "no-such-name"],
+)
+def test_a_suite_given_an_argument_it_does_not_take_raises(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def _one_heavier(mu):
+    return mu + Measure(mu.spec, {max(torsor_elements(mu.spec)): 1})
+
+
+# suite -> (the name in verify a mutant replaces, the mutant of the real one);
+# each fails some rows of its suite at NON_DEFAULT and passes the others
+MUTANTS = {
+    "tsym": ("sym_to_tsym", lambda real: lambda n: real(n).scale(2)),
+    "measures": ("torsor_elements", lambda real: lambda spec: real(spec)[:-1]),
+    "moments": ("divided_power", lambda real: lambda x, k: real(x, k).scale(2)),
+    "bernoulli": (
+        "bernoulli_moment_closed",
+        lambda real: lambda k, N, c, t: real(k, N, c, t) + (k == 2),
+    ),
+    "units": ("residue_elliptic_soule", lambda real: lambda *a: _one_heavier(real(*a))),
+    "residues": (
+        "bernoulli_measure",
+        lambda real: lambda *a: _one_heavier(real(*a)) if a[-1] == 1 else real(*a),
+    ),
+    "dir": (
+        "residue_soule_closed",
+        lambda real: lambda k, N, c, t: real(k, N, c, t) + ((k, N, c, t[0] % N) == (2, 5, 7, 3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_every_failing_row_carries_its_suites_flags(monkeypatch, name):
+    # one rule for every suite: a failing row carries all of the suite's
+    # flags, as given, right after its case, and they repeat the run; a
+    # passing row keeps the keys it has when nothing fails
+    params = verify._PARAMS[name]
+    given = {p: NON_DEFAULT[p] for p in params}
+    suite = getattr(verify, f"suite_{name}")
+    real_rows = suite(**given)["cases"]
+    assert all(r["pass"] for r in real_rows)
+    route, mutant = MUTANTS[name]
+    monkeypatch.setattr(verify, route, mutant(getattr(verify, route)))
+    rows = suite(**given)["cases"]
+    failed = [r for r in rows if not r["pass"]]
+    assert failed and len(failed) < len(rows)
+    assert [r["case"] for r in rows] == [r["case"] for r in real_rows]
+    for got, real in zip(rows, real_rows):
+        if got["pass"]:
+            assert list(got) == list(real)
+        else:
+            assert list(got)[: 1 + len(params)] == ["case", *params]
+            assert {p: got[p] for p in params} == given
+    assert [r for r in run_suites([name], **given)["cases"] if not r["pass"]] == failed
+    again = run_suites([name], **{p: failed[0][p] for p in params})
+    assert [r for r in again["cases"] if not r["pass"]] == failed
